@@ -13,7 +13,7 @@ import numpy as np
 
 from .lp import LinearProgram, LpError, solve
 from .mdp import Dataset, TabularMdp
-from .policies import MarkovianPolicy
+from .policies import MarkovianPolicy, normalize_rows
 
 __all__ = ["MarkovCountTable", "count_state_actions", "bc", "mimic_md"]
 
@@ -53,12 +53,7 @@ def bc(data: Dataset) -> MarkovianPolicy:
     uniform elsewhere."""
     if len(data) < 1:
         raise ValueError("empty dataset")
-    counts = count_state_actions(data).counts
-    totals = counts.sum(axis=2)
-    table = np.full(counts.shape, 1.0 / data.num_actions)
-    visited = totals > 0
-    table[visited] = counts[visited] / totals[visited][..., None]
-    return MarkovianPolicy(table)
+    return MarkovianPolicy(normalize_rows(count_state_actions(data).counts))
 
 
 def mimic_md(data: Dataset, mdp: TabularMdp) -> MarkovianPolicy:
@@ -144,9 +139,6 @@ def mimic_md(data: Dataset, mdp: TabularMdp) -> MarkovianPolicy:
         raise LpError(f"occupancy-matching program reported {sol.status}")
 
     d = sol.x[:n_d].reshape(horizon, num_states, num_actions)
-    totals = d.sum(axis=2)
-    table = np.full(d.shape, 1.0 / num_actions)
-    live = totals > 1e-12
-    table[live] = d[live] / totals[live][..., None]
+    table = normalize_rows(d, min_mass=1e-12)
     table = table / table.sum(axis=2, keepdims=True)
     return MarkovianPolicy(table)

@@ -8,8 +8,20 @@ as simulation experts, and arbitrary callables for hand-built fixtures.
 Exact evaluation comes in two flavors: a forward dynamic program over
 (state, cumulative grid reward) pairs for policies that condition only on
 that pair, and full trajectory enumeration (capped at ``(S*A)^H <= 2^20``)
-for everything else.  The enumeration path is the independent oracle the
-DP is tested against.
+for everything else.  Every forward pass (Markovian and reward-augmented
+return distributions, the joint policy x return accumulator, augmented
+occupancy) runs through one stage kernel, ``_push_stage``: per action it
+writes the action-weighted mass of every state, shifted by that step's
+grid multiples, into one zeroed slab and adds ``P_h[:, a, :].T @ slab`` to
+the next stage.  Only one action's slab exists at a time, and it spans only
+the accumulator box the live mass can reach.  This shift-and-add on a fixed
+grid is the categorical projection of Bellemare, Dabney & Munos (2017).
+The enumeration path stays outside the kernel: it is the independent oracle
+the DP is tested against.
+
+Sampling draws one uniform per row and inverts cumulative tables; the
+transition and table-policy CDFs are built once per ``sample_trajectories``
+call.
 """
 
 from __future__ import annotations
@@ -76,6 +88,23 @@ def _check_rows(table: np.ndarray, what: str) -> np.ndarray:
     return table
 
 
+def normalize_rows(
+    weights: np.ndarray, min_mass: float = 0.0, totals: np.ndarray | None = None
+) -> np.ndarray:
+    """Action table from nonnegative weights, with actions on the last axis.
+
+    A row whose total (``weights`` summed over actions unless ``totals`` is
+    given) exceeds ``min_mass`` becomes ``weights / total``; every other row
+    is uniform.
+    """
+    if totals is None:
+        totals = weights.sum(axis=-1)
+    table = np.full(weights.shape, 1.0 / weights.shape[-1])
+    live = totals > min_mass
+    table[live] = weights[live] / totals[live][..., None]
+    return table
+
+
 @dataclass(frozen=True)
 class MarkovianPolicy:
     """Stage-indexed action table pi_h(a | s)."""
@@ -126,10 +155,6 @@ class RewardAugmentedPolicy:
     @property
     def horizon(self) -> int:
         return self.table.shape[0]
-
-    @property
-    def reward_tag(self) -> str:
-        return self.reward.tag
 
     def g_of_history(self, history: History) -> int:
         mult = self.reward.multiples
@@ -209,12 +234,11 @@ def act_parametric(
     return _softmax(features @ pol.state_weights[state])
 
 
-def _sample_rows(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
-    """One categorical draw per row, via inverse CDF on a single uniform each."""
-    cdf = np.cumsum(probs, axis=1)
-    u = rng.random(probs.shape[0])
+def _sample_rows(rng: np.random.Generator, cdf: np.ndarray) -> np.ndarray:
+    """One categorical draw per row of cumulative probabilities, on one uniform each."""
+    u = rng.random(cdf.shape[0])
     idx = (cdf < u[:, None]).sum(axis=1)
-    return np.minimum(idx, probs.shape[1] - 1)
+    return np.minimum(idx, cdf.shape[1] - 1)
 
 
 def sample_trajectories(
@@ -224,16 +248,20 @@ def sample_trajectories(
 
     Sampling is vectorized across trajectories for the table-based and
     parametric policy kinds; callable fixtures fall back to a per-trajectory
-    loop with explicit history tuples.
+    loop with explicit history tuples.  Transition and policy tables are
+    turned into cumulative tables once per call, and each draw indexes them.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
-    horizon, num_actions = mdp.horizon, mdp.num_actions
+    horizon = mdp.horizon
     states = np.empty((n, horizon), dtype=np.int64)
     actions = np.empty((n, horizon), dtype=np.int64)
     cur = np.full(n, mdp.initial_state, dtype=np.int64)
+    trans_cdf = np.cumsum(mdp.transitions, axis=-1)
 
+    if isinstance(policy, (MarkovianPolicy, RewardAugmentedPolicy)):
+        policy_cdf = np.cumsum(policy.table, axis=-1)
     if isinstance(policy, RewardAugmentedPolicy):
         g = np.zeros(n, dtype=np.int64)
     elif isinstance(policy, ParametricHistoryPolicy):
@@ -243,21 +271,22 @@ def sample_trajectories(
 
     for h in range(horizon):
         if isinstance(policy, MarkovianPolicy):
-            probs = policy.table[h, cur]
+            cdf = policy_cdf[h, cur]
         elif isinstance(policy, RewardAugmentedPolicy):
-            probs = policy.table[h, cur, g]
+            cdf = policy_cdf[h, cur, g]
         elif isinstance(policy, ParametricHistoryPolicy):
             features = encoded @ policy.projection
             logits = np.einsum("nf,nfa->na", features, policy.state_weights[cur])
-            probs = _softmax(logits)
+            cdf = np.cumsum(_softmax(logits), axis=1)
         elif isinstance(policy, CallablePolicy):
             probs = np.stack(
                 [policy.act(h, int(cur[i]), tuple(histories[i])) for i in range(n)]
             )
+            cdf = np.cumsum(probs, axis=1)
         else:
             raise TypeError(f"unsupported policy kind {type(policy).__name__}")
-        a = _sample_rows(rng, probs)
-        nxt = _sample_rows(rng, mdp.transitions[h, cur, a])
+        a = _sample_rows(rng, cdf)
+        nxt = _sample_rows(rng, trans_cdf[h, cur, a])
         states[:, h] = cur
         actions[:, h] = a
         if isinstance(policy, RewardAugmentedPolicy):
@@ -377,15 +406,58 @@ def construct_pi_r(
             steps.pop()
 
     walk(0, mdp.initial_state, 0, 1.0, [])
-    table = np.full((horizon, num_states, n_g, num_actions), 1.0 / num_actions)
-    visited = denom > 0.0
-    table[visited] = numer[visited] / denom[visited][..., None]
+    table = normalize_rows(numer, totals=denom)
     return RewardAugmentedPolicy(grid=grid, table=table, reward=gr)
 
 
 def _dp_mass_check(total: float) -> None:
     if abs(total - 1.0) > _MASS_TOL:
         raise AssertionError(f"dynamic program lost probability mass: total {total!r}")
+
+
+def _push_stage(
+    mass: np.ndarray,
+    phi: np.ndarray,
+    transitions: np.ndarray,
+    shifts: np.ndarray,
+    limits: Sequence[int],
+) -> np.ndarray:
+    """One forward stage of probability mass over (state, grid accumulators).
+
+    ``mass`` is (S, *box): the probability of each state with each tuple of
+    integer grid accumulators, for accumulators inside ``box``.  ``phi``
+    holds the action probabilities with the action axis last; it covers at
+    least ``box`` and broadcasts against ``mass``.  ``transitions`` is this
+    stage's (S, A, S) tensor and ``shifts`` the (S, A, len(box)) grid
+    multiples each (state, action) adds to the accumulators.  The returned
+    mass covers the box the shifted mass can reach, capped at ``limits``;
+    mass shifted past a limit is dropped, so callers size their grids so
+    that none is, and check the total.
+
+    For each action the shifted, action-weighted mass of every state goes
+    into one zeroed slab, which a single transition GEMM pushes into the
+    next stage.  Only one action's slab exists at a time.
+    """
+    num_states, box = mass.shape[0], mass.shape[1:]
+    reach = [min(n, b + int(k)) for n, b, k in zip(limits, box, shifts.max(axis=(0, 1)))]
+    live = np.flatnonzero(mass.reshape(num_states, -1).any(axis=1))
+    slab = np.empty((num_states, *reach))
+    nxt = np.empty((num_states, slab[0].size))
+    pushed = np.empty_like(nxt)
+    for a in range(transitions.shape[1]):
+        slab.fill(0.0)
+        for s in live:
+            dst = tuple(
+                slice(k, max(k, min(k + b, r)))
+                for k, b, r in zip(shifts[s, a].tolist(), box, reach)
+            )
+            src = tuple(slice(0, d.stop - d.start) for d in dst)
+            np.multiply(mass[s][src], phi[s, ..., a][src], out=slab[s][dst])
+        # The first action's GEMM writes the next stage, saving a zero fill and an add.
+        np.matmul(transitions[:, a, :].T, slab.reshape(num_states, -1), out=pushed if a else nxt)
+        if a:
+            nxt += pushed
+    return nxt.reshape(slab.shape)
 
 
 def exact_return_distribution(
@@ -405,100 +477,43 @@ def exact_return_distribution(
     gr_eval = reward if isinstance(reward, GridReward) else discretize_reward(reward, grid)
     if gr_eval.grid != grid:
         raise ValueError("evaluation reward grid does not match the requested grid")
-    horizon, num_states, num_actions = mdp.horizon, mdp.num_states, mdp.num_actions
+    horizon, num_states = mdp.horizon, mdp.num_states
     if getattr(policy, "horizon", horizon) != horizon:
         raise ValueError("policy horizon does not match the MDP")
-    n_ret = grid.full_size
+    shifts = gr_eval.multiples[..., None]
+    limits: tuple[int, ...] = (grid.full_size,)
 
     if isinstance(policy, MarkovianPolicy):
-        mass = np.zeros((num_states, n_ret))
-        mass[mdp.initial_state, 0] = 1.0
-        for h in range(horizon):
-            nxt = np.zeros_like(mass)
-            for s in range(num_states):
-                row = mass[s]
-                if not row.any():
-                    continue
-                top = int(np.nonzero(row)[0][-1]) + 1
-                for a in range(num_actions):
-                    pa = policy.table[h, s, a]
-                    if pa == 0.0:
-                        continue
-                    k = int(gr_eval.multiples[h, s, a])
-                    contrib = np.outer(mdp.transitions[h, s, a], row[:top] * pa)
-                    nxt[:, k : k + top] += contrib
-            mass = nxt
-        totals = mass.sum(axis=0)
+        phi = policy.table[:, :, None, :]
     elif isinstance(policy, RewardAugmentedPolicy):
         same_reward = policy.grid == grid and np.array_equal(
             policy.reward.multiples, gr_eval.multiples
         )
         if same_reward:
-            totals = _dp_single(mdp, policy, gr_eval)
+            phi = policy.table
         else:
-            totals = _dp_joint(mdp, policy, gr_eval)
+            # Policy accumulator x evaluation return.  After the last action
+            # the policy accumulator is never read again, so it need not
+            # advance (it could overflow its table).
+            phi = policy.table[:, :, :, None, :]
+            pol_shifts = policy.reward.multiples.copy()
+            pol_shifts[-1] = 0
+            shifts = np.stack([pol_shifts, gr_eval.multiples], axis=-1)
+            limits = (policy.table.shape[2], grid.full_size)
     else:
         raise TypeError(
             f"{type(policy).__name__} does not condition on (stage, state, grid reward); "
             "use enumeration or Monte Carlo instead"
         )
 
+    mass = np.zeros((num_states,) + (1,) * len(limits))
+    mass[mdp.initial_state] = 1.0
+    for h in range(horizon):
+        mass = _push_stage(mass, phi[h], mdp.transitions[h], shifts[h], limits)
+    totals = mass.sum(axis=tuple(range(mass.ndim - 1)))
     _dp_mass_check(float(totals.sum()))
     support = np.nonzero(totals > 0.0)[0]
     return DiscreteReturnDistribution(support * grid.theta, totals[support])
-
-
-def _dp_single(mdp: TabularMdp, policy: RewardAugmentedPolicy, gr: GridReward) -> np.ndarray:
-    """DP when the policy conditions on the same grid reward it is scored by."""
-    horizon, num_states = mdp.horizon, mdp.num_states
-    n_ret = gr.grid.full_size
-    mass = np.zeros((num_states, n_ret))
-    mass[mdp.initial_state, 0] = 1.0
-    for h in range(horizon):
-        nxt = np.zeros_like(mass)
-        for s in range(num_states):
-            row = mass[s]
-            live = np.nonzero(row)[0]
-            if live.size == 0:
-                continue
-            top = int(live[-1]) + 1
-            phi = policy.table[h, s, :top]  # (top, A)
-            for a in range(mdp.num_actions):
-                k = int(gr.multiples[h, s, a])
-                weighted = row[:top] * phi[:, a]
-                if not weighted.any():
-                    continue
-                nxt[:, k : k + top] += np.outer(mdp.transitions[h, s, a], weighted)
-        mass = nxt
-    return mass.sum(axis=0)
-
-
-def _dp_joint(mdp: TabularMdp, policy: RewardAugmentedPolicy, gr_eval: GridReward) -> np.ndarray:
-    """DP tracking the policy's grid accumulator and the evaluation return jointly."""
-    horizon, num_states = mdp.horizon, mdp.num_states
-    n_pol = policy.grid.num_multiples(horizon - 1)
-    n_ret = gr_eval.grid.full_size
-    mass = np.zeros((num_states, n_pol, n_ret))
-    mass[mdp.initial_state, 0, 0] = 1.0
-    for h in range(horizon):
-        nxt = np.zeros_like(mass)
-        for s in range(num_states):
-            block = mass[s]
-            if not block.any():
-                continue
-            for a in range(mdp.num_actions):
-                weighted = block * policy.table[h, s, :, a][:, None]
-                if not weighted.any():
-                    continue
-                # After the last action the policy accumulator is never read
-                # again, so it need not advance (it could overflow its table).
-                kp = int(policy.reward.multiples[h, s, a]) if h + 1 < horizon else 0
-                ke = int(gr_eval.multiples[h, s, a])
-                shifted = np.zeros_like(block)
-                shifted[kp:, ke:] = weighted[: n_pol - kp, : n_ret - ke]
-                nxt += mdp.transitions[h, s, a][:, None, None] * shifted[None, :, :]
-        mass = nxt
-    return mass.sum(axis=(0, 1))
 
 
 def exact_augmented_occupancy(
@@ -515,28 +530,19 @@ def exact_augmented_occupancy(
     horizon, num_states, num_actions = mdp.horizon, mdp.num_states, mdp.num_actions
     n_g = reward.grid.num_multiples(horizon - 1)
     occ = np.zeros((horizon, num_states, n_g, num_actions))
-    mass = np.zeros((num_states, n_g))
-    mass[mdp.initial_state, 0] = 1.0
+    mass = np.zeros((num_states, 1))
+    mass[mdp.initial_state] = 1.0
     for h in range(horizon):
         if isinstance(policy, MarkovianPolicy):
-            phi = np.broadcast_to(
-                policy.table[h][:, None, :], (num_states, n_g, num_actions)
-            )
+            phi = policy.table[h][:, None, :]
         else:
             phi = policy.table[h]
-        occ[h] = mass[:, :, None] * phi
+        box = mass.shape[1]
+        occ[h, :, :box] = mass[:, :, None] * phi[:, :box]
         if h + 1 < horizon:
-            nxt = np.zeros_like(mass)
-            for s in range(num_states):
-                for a in range(num_actions):
-                    slab = occ[h, s, :, a]
-                    live = np.nonzero(slab)[0]
-                    if live.size == 0:
-                        continue
-                    top = int(live[-1]) + 1
-                    k = int(reward.multiples[h, s, a])
-                    nxt[:, k : k + top] += np.outer(mdp.transitions[h, s, a], slab[:top])
-            mass = nxt
+            mass = _push_stage(
+                mass, phi, mdp.transitions[h], reward.multiples[h][..., None], (n_g,)
+            )
         _dp_mass_check(float(occ[h].sum()))
     return occ
 

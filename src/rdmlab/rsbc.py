@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import Dataset, GridReward, RewardGrid, discretize_reward
-from .policies import RewardAugmentedPolicy
+from .policies import RewardAugmentedPolicy, normalize_rows
 
 __all__ = ["CountTable", "count_occurrences", "rs_bc", "theta_for_epsilon_rsbc"]
 
@@ -65,12 +65,7 @@ def rs_bc(data: Dataset, reward: np.ndarray, grid: RewardGrid) -> RewardAugmente
     if len(data) < 1:
         raise ValueError("empty dataset")
     gr = discretize_reward(np.asarray(reward, dtype=float), grid)
-    table_counts = count_occurrences(data, gr).counts
-    cell_totals = table_counts.sum(axis=3)
-    num_actions = data.num_actions
-    table = np.full(table_counts.shape, 1.0 / num_actions)
-    visited = cell_totals > 0
-    table[visited] = table_counts[visited] / cell_totals[visited][..., None]
+    table = normalize_rows(count_occurrences(data, gr).counts)
     return RewardAugmentedPolicy(grid=grid, table=table, reward=gr)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .distributions import DiscreteReturnDistribution, empirical_return_distribution
 from .lp import LinearProgram, LpError, LpSolution, solve
 from .mdp import AugmentedMdp, Dataset, GridReward, RewardGrid, TabularMdp, build_augmented_mdp
-from .policies import RewardAugmentedPolicy
+from .policies import RewardAugmentedPolicy, normalize_rows
 
 __all__ = [
     "OccupancySolution",
@@ -300,12 +300,7 @@ def build_rskt_lp(
 
 def occupancy_to_policy(sol: OccupancySolution, grid: RewardGrid) -> RewardAugmentedPolicy:
     """Row-normalize an occupancy into a policy; uniform rows where it has no mass."""
-    d = sol.d
-    totals = d.sum(axis=3)
-    num_actions = d.shape[3]
-    table = np.full(d.shape, 1.0 / num_actions)
-    live = totals > _ZERO_MASS
-    table[live] = d[live] / totals[live][..., None]
+    table = normalize_rows(sol.d, min_mass=_ZERO_MASS)
     # LP round-off can leave rows a hair off one; renormalize exactly
     table = table / table.sum(axis=3, keepdims=True)
     return RewardAugmentedPolicy(grid=grid, table=table, reward=sol.reward)

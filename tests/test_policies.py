@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,53 @@ class TestSampling:
         policy = rl.MarkovianPolicy(np.ones((horizon, num_states, 1)))
         data = rl.sample_trajectories(mdp, policy, 16, seed=0)
         assert (data.states == data.states[0]).all()
+
+    # sha256 of (states, actions) drawn by the per-draw cumsum sampler;
+    # cumulative tables built once per call must reproduce every draw.
+    PINNED_DRAWS = {
+        "markovian": (
+            "8e0dd50e62c5e8838c67b20dc80ecf91f57dbbe8989ca33177c474bf95a3a4e9",
+            "8bbb62672fd8d1672d252dd0fbcee014f75ad39d00529be52a4e6aaa862fe7ac",
+        ),
+        "reward-augmented": (
+            "43f0e4cda33a2c787a6cb8fc019949b6e172ec837d40575e1f3f364974e6ec86",
+            "4e638c8bf87599d266ced290911079916ceb713109062b45b02469ce87e82b36",
+        ),
+        "parametric": (
+            "8694740ba00fcf8ac78beadb4956f87de02d421c4e097cdb6b6c7e5285f092eb",
+            "154169f57895db018d9c51081dcf0351c37c16be6e78be9db5b83e9aa9e2e961",
+        ),
+        "callable": (
+            "4facbe90bd623082a3ed9130b8bf224b701635f02729e69dd491d5200d93dbdd",
+            "9ed407d49bfcd68864b09e43ffed4fe6752d67c534b528cb5fde77627a227434",
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PINNED_DRAWS))
+    def test_draws_match_pinned_digests(self, kind):
+        mdp, _ = make_instance(7, num_states=4, num_actions=3, horizon=4)
+        rng = np.random.default_rng(2024)
+        grid = rl.RewardGrid(0.25, mdp.horizon)
+
+        def callable_fn(h, state, history):
+            probs = np.full(3, 0.2)
+            probs[(state + len(history) + sum(a for _, a in history)) % 3] = 0.6
+            return probs
+
+        policies = {
+            "markovian": rl.random_markovian_policy(4, 3, 4, rng),
+            "reward-augmented": random_reward_augmented_policy(
+                rl.discretize_reward(mdp.reward, grid), 4, rng
+            ),
+            "parametric": random_parametric_policy(4, 3, 4, rng),
+            "callable": rl.CallablePolicy(callable_fn),
+        }
+        data = rl.sample_trajectories(mdp, policies[kind], 500, seed=11)
+        digests = tuple(
+            hashlib.sha256(np.ascontiguousarray(x, dtype="<i8").tobytes()).hexdigest()
+            for x in (data.states, data.actions)
+        )
+        assert digests == self.PINNED_DRAWS[kind]
 
     def test_fork_expert_within_dkw_band(self):
         mdp, expert = rl.make_fork_fixture()
@@ -155,6 +204,26 @@ class TestExactReturnDistribution:
         dp = rl.exact_return_distribution(mdp, policy, mdp.reward, fine)
         brute = rl.brute_force_return_distribution(mdp, policy, mdp.reward)
         assert rl.wasserstein(dp, brute) <= 1e-10
+
+    @pytest.mark.parametrize("theta", [0.05, 0.03], ids=["joint", "single"])
+    def test_lifted_markovian_policy_matches_markovian_path(self, theta):
+        # a Markovian table broadcast over g, on a benchmark-sized instance:
+        # theta != rho runs the joint-accumulator path, theta == rho the single
+        mdp, _ = make_instance(5, num_states=50, num_actions=5, horizon=5, rho=0.03)
+        eval_grid = rl.RewardGrid(0.03, mdp.horizon)
+        markov = rl.random_markovian_policy(50, 5, 5, np.random.default_rng(5))
+        pol_grid = rl.RewardGrid(theta, mdp.horizon)
+        n_g = pol_grid.num_multiples(mdp.horizon - 1)
+        lifted = rl.RewardAugmentedPolicy(
+            grid=pol_grid,
+            table=np.repeat(markov.table[:, :, None, :], n_g, axis=2),
+            reward=rl.discretize_reward(mdp.reward, pol_grid),
+        )
+        expected = rl.exact_return_distribution(mdp, markov, mdp.reward, eval_grid)
+        got = rl.exact_return_distribution(mdp, lifted, mdp.reward, eval_grid)
+        assert np.array_equal(got.support, expected.support)
+        assert np.abs(got.probs - expected.probs).max() <= 1e-12
+        assert rl.wasserstein(got, expected) <= 1e-12
 
     def test_rejects_non_dp_policies(self):
         mdp, expert = rl.make_fork_fixture()
