@@ -8,6 +8,17 @@ basic variable, so the same program always walks the same basis path and
 never cycles.  Rows are equilibrated to unit max magnitude before solving;
 feasibility of the reported optimum is re-checked against the original,
 unscaled constraints.
+
+The tableau is dense, but a pivot touches only the rows whose entry in the
+pivot column is nonzero (and, when the pivot row is sparse, only that row's
+nonzero columns): every other entry would change by an exact zero, so the
+basis path, the pivot count and the answer are those of the full rank-1
+update.  Pivot cost therefore grows with fill-in, the nonzeros earlier
+pivots leave behind, rather than with the tableau's size.  Artificial
+variables have no tableau columns, since phase 1 never reads them.  The
+duality gap rebuilds the dual y from the final basis by solving
+A_B^T y = c_B on the equilibrated system (least squares when redundant rows
+were dropped).
 """
 
 from __future__ import annotations
@@ -106,17 +117,17 @@ class LpSolution:
     duality_gap: float | None = None
 
 
-def _bland_pivot(tableau, basis, allowed, max_pivots, start_iter):
+def _bland_pivot(tableau, basis, max_pivots, start_iter):
     """Run simplex pivots under Bland's rule until optimal or unbounded.
 
-    Returns (status, iterations).  ``allowed`` marks columns that may enter
-    the basis; the objective row is the last row, the rhs the last column.
+    Returns (status, iterations).  Every column may enter the basis; the
+    objective row is the last row, the rhs the last column.
     """
     m = tableau.shape[0] - 1
     iters = start_iter
     while True:
         reduced = tableau[-1, :-1]
-        candidates = np.nonzero(allowed & (reduced < -_OPT_TOL))[0]
+        candidates = np.nonzero(reduced < -_OPT_TOL)[0]
         if candidates.size == 0:
             return "optimal", iters
         j = int(candidates[0])  # Bland: smallest eligible index
@@ -128,21 +139,42 @@ def _bland_pivot(tableau, basis, allowed, max_pivots, start_iter):
         best = ratios.min()
         tied = rows[ratios <= best + 1e-12 * (1.0 + abs(best))]
         r = int(tied[np.argmin(basis[tied])])  # Bland: smallest basic variable
-        _apply_pivot(tableau, r, j)
-        basis[r] = j
         iters += 1
+        _apply_pivot(tableau, r, j, iters)
+        basis[r] = j
         if iters > max_pivots:
             raise LpIterationError(f"pivot budget {max_pivots} exhausted")
 
 
-def _apply_pivot(tableau, r, j):
-    tableau[r] /= tableau[r, j]
-    col = tableau[:, j].copy()
-    col[r] = 0.0
-    tableau -= np.outer(col, tableau[r])
-    tableau[:, j] = 0.0
-    tableau[r, j] = 1.0
+def _apply_pivot(tableau, r, j, iteration):
+    """Pivot on (r, j), updating only the rows with a nonzero in column j.
+
+    A row whose column-j entry is zero would subtract an exact zero multiple
+    of the pivot row, and so would a column where the pivot row is zero;
+    skipping them leaves every value the solver reads bit-identical to the
+    full rank-1 update (only the sign of a zero may differ).  Gathering a
+    column subset costs about twice as much per entry as whole rows, so the
+    columns are restricted only when the pivot row is sparse.  Column j ends
+    as the unit vector e_r exactly (x - x * 1.0 == 0).  Basic values below
+    zero by more than round-off mean the basis has gone numerically wrong;
+    that raises here instead of being clipped.
+    """
+    pivot = tableau[r, j]
+    tableau[r] /= pivot
+    rows = np.nonzero(tableau[:, j])[0]
+    rows = rows[rows != r]
+    cols = np.nonzero(tableau[r])[0]
+    if 4 * cols.size < tableau.shape[1]:
+        tableau[np.ix_(rows, cols)] -= tableau[rows, j, None] * tableau[r, cols]
+    else:
+        tableau[rows] -= tableau[rows, j, None] * tableau[r]
     rhs = tableau[:-1, -1]
+    low = rhs.min()
+    if low < -_FEAS_TOL:
+        raise LpError(
+            f"pivot {iteration} on element {pivot:.3e} (row {r}, column {j}) "
+            f"left a basic value of {low:.3e}"
+        )
     np.clip(rhs, 0.0, None, out=rhs)  # shave off pivot round-off
 
 
@@ -229,49 +261,41 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
     a_saved = a.copy()  # standard system kept aside for the dual reconstruction
     b_saved = b.copy()
 
-    # artificials for eq rows and for <= rows whose slack got negated
+    # artificials for eq rows and for <= rows whose slack got negated.  They
+    # start basic, never re-enter, and no value in their columns is ever read
+    # (a pivot updates each column on its own), so they get basis indices
+    # art_first.. but no tableau columns.
     needs_art = np.ones(m, dtype=bool)
     needs_art[m_eq:] = flip[m_eq:]
     art_rows = np.nonzero(needs_art)[0]
-    n_art = art_rows.size
-    art = np.zeros((m, n_art))
-    art[art_rows, np.arange(n_art)] = 1.0
+    art_first = n_std + m_le
 
-    total_cols = n_std + m_le + n_art
-    tableau = np.zeros((m + 1, total_cols + 1))
-    tableau[:m, : n_std + m_le] = a
-    tableau[:m, n_std + m_le : total_cols] = art
+    tableau = np.zeros((m + 1, art_first + 1))
+    tableau[:m, :art_first] = a
     tableau[:m, -1] = b
 
     basis = np.empty(m, dtype=np.int64)
     basis[m_eq:] = n_std + np.arange(m_le)  # slack columns
-    basis[art_rows] = n_std + m_le + np.arange(n_art)
+    basis[art_rows] = art_first + np.arange(art_rows.size)
 
     # phase 1 objective: minimize the artificial mass
-    tableau[-1, :] = 0.0
-    tableau[-1, n_std + m_le : total_cols] = 1.0
-    for r in range(m):
-        if needs_art[r]:
-            tableau[-1, :] -= tableau[r, :]
+    for r in art_rows:
+        tableau[-1, :] -= tableau[r, :]
 
-    allowed = np.ones(total_cols, dtype=bool)
-    allowed[n_std + m_le :] = False  # artificials never re-enter
-    status, iters = _bland_pivot(tableau, basis, allowed, max_iterations, 0)
+    status, iters = _bland_pivot(tableau, basis, max_iterations, 0)
     if status != "optimal":  # phase 1 is always bounded below by 0
         raise LpError("phase 1 reported unbounded; constraint data is corrupt")
     if -tableau[-1, -1] > _PHASE1_TOL:
         return LpSolution("infeasible", None, None, iterations=iters)
 
     # pivot zero-level artificials out of the basis; drop rows that resist
-    art_first = n_std + m_le
     drop_rows: list[int] = []
     for r in range(m):
         if basis[r] < art_first:
             continue
-        row = tableau[r, :art_first]
-        pivots = np.nonzero(np.abs(row) > 1e-7)[0]
+        pivots = np.nonzero(np.abs(tableau[r, :-1]) > 1e-7)[0]
         if pivots.size:
-            _apply_pivot(tableau, r, int(pivots[0]))
+            _apply_pivot(tableau, r, int(pivots[0]), iters)
             basis[r] = int(pivots[0])
         else:
             drop_rows.append(r)
@@ -282,8 +306,7 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
         basis = basis[np.delete(np.arange(m), drop_rows)]
         m = basis.size
 
-    # strip artificial columns and install the phase 2 objective
-    tableau = np.delete(tableau, np.s_[art_first : total_cols], axis=1)
+    # install the phase 2 objective
     c_ext = np.concatenate([c_std, np.zeros(m_le)])
     tableau[-1, :-1] = c_ext
     tableau[-1, -1] = 0.0
@@ -292,8 +315,7 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
         if coef != 0.0:
             tableau[-1, :] -= coef * tableau[r, :]
 
-    allowed = np.ones(art_first, dtype=bool)
-    status, iters = _bland_pivot(tableau, basis, allowed, max_iterations, iters)
+    status, iters = _bland_pivot(tableau, basis, max_iterations, iters)
     if status == "unbounded":
         return LpSolution("unbounded", None, None, iterations=iters)
 
@@ -333,13 +355,17 @@ def _duality_gap(a_saved, b_saved, basis, c_ext, z) -> float | None:
     """|primal - dual| objective gap, with the dual rebuilt from the final basis.
 
     Solves A_B^T y = c_B on the scaled standard system saved before any
-    pivoting.  The basic solution satisfies b = A_B x_B, so b.y is the same
-    for every solution of the (possibly underdetermined) system and the gap
-    is well defined even when redundant rows were dropped.
+    pivoting.  A_B is square unless redundant rows were dropped; then the
+    system is underdetermined and least squares picks one solution.  The
+    basic solution satisfies b = A_B x_B, so b.y is the same for every
+    solution and the gap is well defined either way.
     """
+    a_basis_t = a_saved[:, basis].T
     try:
-        a_basis = a_saved[:, basis]
-        y, *_ = np.linalg.lstsq(a_basis.T, c_ext[basis], rcond=None)
+        if a_basis_t.shape[0] == a_basis_t.shape[1]:
+            y = np.linalg.solve(a_basis_t, c_ext[basis])
+        else:
+            y, *_ = np.linalg.lstsq(a_basis_t, c_ext[basis], rcond=None)
         return abs(float(c_ext @ z) - float(b_saved @ y))
     except np.linalg.LinAlgError:
         return None

@@ -182,7 +182,10 @@ def _eta_hat_on_grid(eta_hat: DiscreteReturnDistribution, grid: RewardGrid) -> n
 
 def lp_layout(aug: AugmentedMdp, eta_hat: DiscreteReturnDistribution) -> RsktLayout:
     """Index the LP variables for a given augmented MDP and target estimate."""
-    eta_hat_full = _eta_hat_on_grid(eta_hat, aug.grid)
+    return _layout(aug, _eta_hat_on_grid(eta_hat, aug.grid))
+
+
+def _layout(aug: AugmentedMdp, eta_hat_full: np.ndarray) -> RsktLayout:
     reach_max = int(np.nonzero(aug.return_support_mask())[0][-1])
     hat_max = int(np.nonzero(eta_hat_full > 0)[0][-1])
     n_keep = max(reach_max, hat_max) + 1
@@ -219,8 +222,13 @@ def build_rskt_lp(
     objective is the plain sum of the bound variables; multiply by the grid
     step for Wasserstein units.
     """
-    layout = lp_layout(aug, eta_hat)
-    eta_hat_full = _eta_hat_on_grid(eta_hat, aug.grid)[: layout.n_keep]
+    eta_hat_full = _eta_hat_on_grid(eta_hat, aug.grid)
+    return _assemble_lp(_layout(aug, eta_hat_full), eta_hat_full)
+
+
+def _assemble_lp(layout: RsktLayout, eta_hat_full: np.ndarray) -> LinearProgram:
+    aug = layout.aug
+    eta_hat_full = eta_hat_full[: layout.n_keep]
     base = aug.base
     horizon, num_actions = base.horizon, base.num_actions
     n_keep = layout.n_keep
@@ -321,11 +329,12 @@ def rs_kt(
     """
     eta_hat = empirical_return_distribution(data, reward, grid)
     aug = build_augmented_mdp(mdp, grid, reward=reward)
-    lp = build_rskt_lp(aug, eta_hat)
+    eta_hat_full = _eta_hat_on_grid(eta_hat, grid)
+    layout = _layout(aug, eta_hat_full)
+    lp = _assemble_lp(layout, eta_hat_full)
     solution: LpSolution = solve(lp)
     if solution.status != "optimal":
         raise LpError(f"occupancy program reported {solution.status}")
-    layout = lp_layout(aug, eta_hat)
     dense = layout.dense_occupancy(solution.x)
     eta_block = solution.x[layout.eta_offset : layout.eta_offset + layout.n_keep]
     mass_drift = abs(float(eta_block.sum()) - 1.0)

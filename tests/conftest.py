@@ -2,6 +2,24 @@ import numpy as np
 import pytest
 
 import rdmlab as rl
+from rdmlab.rskt import build_rskt_lp
+
+#: desk-shaped instance whose rs-kt program the Bland simplex cannot solve:
+#: pivots on elements near 4e-8 blow the tableau up until a basic value
+#: goes negative.  Fixing it needs a different pivot rule.
+KNOWN_BAD_PIVOT_CFG = dict(
+    num_states=2, num_actions=2, horizon=5, theta=0.05, rho=0.03,
+    expert_kind="parametric-history", n_sweep=(10_000,), instances=1,
+    seeds_per_dataset=1, eval_mode="enumeration",
+    algorithms=("rs-bc", "rs-kt", "bc", "mimic-md"), master_seed=2492166719,
+)
+
+
+def rskt_program(mdp, data, theta):
+    """The rs-kt occupancy LP that ``rs_kt`` would solve for this dataset."""
+    grid = rl.RewardGrid(theta, mdp.horizon)
+    eta_hat = rl.empirical_return_distribution(data, mdp.reward, grid)
+    return build_rskt_lp(rl.build_augmented_mdp(mdp, grid, reward=mdp.reward), eta_hat)
 
 
 def make_instance(

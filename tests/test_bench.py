@@ -11,6 +11,8 @@ from rdmlab.bench import (
 )
 from rdmlab.serialize import format_distribution
 
+from conftest import KNOWN_BAD_PIVOT_CFG
+
 
 def tiny_cfg(**overrides):
     base = dict(
@@ -161,6 +163,12 @@ class TestRunExperiment:
             emit_results(rows, target)
             paths.append(target.read_bytes())
         assert paths[0] == paths[1]
+
+
+@pytest.mark.xfail(strict=True, reason="in-repo simplex loses feasibility on this rs-kt program")
+def test_known_bad_pivot_instance_has_no_rskt_failure():
+    rows = rl.run_experiment(rl.ExperimentConfig(**KNOWN_BAD_PIVOT_CFG))
+    assert {r.algorithm: r.failures for r in rows}["rs-kt"] == 0
 
 
 class TestEmitResults:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import rdmlab as rl
-from rdmlab.lp import LinearProgram, LpIterationError, format_lp, solve, solve_transport
+from rdmlab.lp import LinearProgram, LpError, LpIterationError, format_lp, solve, solve_transport
+
+from conftest import KNOWN_BAD_PIVOT_CFG, rskt_program
 
 
 class TestBasics:
@@ -104,6 +106,18 @@ class TestCertificates:
         lp = LinearProgram(c=[-1.0, -2.0], A_le=[[1.0, 1.0], [1.0, 3.0]], b_le=[4.0, 6.0])
         with pytest.raises(LpIterationError):
             solve(lp, max_iterations=1)
+
+    def test_bad_pivot_fails_where_it_happens(self):
+        # The known desk program whose basis goes wrong after pivots on tiny
+        # elements: the error names the pivot instead of a final residual.
+        cfg = rl.ExperimentConfig(**KNOWN_BAD_PIVOT_CFG)
+        mdp, expert = rl.generate_instance(cfg, rl.derive_seed(cfg.master_seed, "instance", 0))
+        data = rl.sample_trajectories(
+            mdp, expert, 10_000, rl.derive_seed(cfg.master_seed, "dataset", 0, 0, 0)
+        )
+        lp = rskt_program(mdp, data, cfg.theta)
+        with pytest.raises(LpError, match=r"^pivot 764 on element .* left a basic value of -"):
+            solve(lp)
 
 
 class TestDebugDump:

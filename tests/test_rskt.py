@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -15,7 +16,7 @@ from rdmlab.rskt import (
     theta_for_epsilon_rskt,
 )
 
-from conftest import make_instance
+from conftest import make_instance, rskt_program
 
 
 def tiny_grid_instance(seed, num_states=2, num_actions=2, horizon=2, step=1.0):
@@ -209,6 +210,36 @@ class TestRsKt:
         text = diag.to_text()
         for key in ("objective", "iterations", "variables", "constraints"):
             assert key in text
+
+
+class TestPinnedSolves:
+    """The simplex walks one basis path per program; pin where it ends.
+
+    Four seeded (2,2,5) programs of the desk benchmark's shape.  The digests
+    of ``x`` and the pivot counts were computed with the full rank-1 pivot
+    update and must not move when the pivot gets cheaper.
+    """
+
+    PINS = {
+        0: (314, "bbd30b84fc63ca0c4c3134429e03acbc547cb3e7b78c44bada48b0b2313c574d"),
+        1: (1201, "bd3742953b28576627e9aa7695ee41cee1a8ad4f409a438b6137d7bfb2bb3089"),
+        2: (364, "157bfc3761cd18e42da0716acef9237bc4fb323902a6b88ecfbe948744f01c46"),
+        3: (379, "7997f4d50bea3c066126ec7793ebaea6a6252ee58744b1a88e8c2e35ba366fc7"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINS))
+    def test_solution_and_iterations_are_pinned(self, seed):
+        cfg = rl.ExperimentConfig(
+            num_states=2, num_actions=2, horizon=5, theta=0.05, rho=0.03,
+            n_sweep=(10_000,), instances=1, seeds_per_dataset=1,
+        )
+        mdp, expert = rl.generate_instance(cfg, seed)
+        data = rl.sample_trajectories(mdp, expert, 10_000, seed)
+        sol = solve(rskt_program(mdp, data, cfg.theta))
+        iterations, digest = self.PINS[seed]
+        assert sol.status == "optimal"
+        assert sol.iterations == iterations
+        assert hashlib.sha256(sol.x.tobytes()).hexdigest() == digest
 
 
 class TestThetaForEpsilon:
