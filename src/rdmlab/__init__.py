@@ -8,7 +8,7 @@ LP-based), the Markovian baselines they are compared against, and a seeded
 benchmark harness with a CLI.
 """
 
-from .baselines import MarkovCountTable, bc, mimic_md
+from .baselines import bc, mimic_md
 from .bench import (
     ExperimentConfig,
     FixtureReport,
@@ -62,7 +62,7 @@ from .policies import (
     random_reward_augmented_policy,
     sample_trajectories,
 )
-from .rsbc import CountTable, rs_bc, theta_for_epsilon_rsbc
+from .rsbc import rs_bc, theta_for_epsilon_rsbc
 from .rskt import (
     OccupancySolution,
     RsktDiagnostics,

@@ -7,7 +7,7 @@ distribution-matching algorithms are measured against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -15,37 +15,14 @@ from .lp import LinearProgram, LpError, solve
 from .mdp import Dataset, TabularMdp
 from .policies import MarkovianPolicy, normalize_rows
 
-__all__ = ["MarkovCountTable", "count_state_actions", "bc", "mimic_md"]
+__all__ = ["count_state_actions", "bc", "mimic_md"]
 
 
-@dataclass(frozen=True)
-class MarkovCountTable:
-    """Per-stage visitation counters N[h, s, a]; state counts are the row sums."""
-
-    counts: np.ndarray  # (H, S, A) integer
-
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64).copy()
-        if counts.ndim != 3 or counts.min() < 0:
-            raise ValueError("counts must be a nonnegative (H, S, A) array")
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def state_counts(self) -> np.ndarray:
-        return self.counts.sum(axis=2)
-
-    @property
-    def num_trajectories(self) -> int:
-        return int(self.counts[0].sum())
-
-
-def count_state_actions(data: Dataset) -> MarkovCountTable:
-    horizon = data.horizon
-    counts = np.zeros((horizon, data.num_states, data.num_actions), dtype=np.int64)
-    stage_idx = np.broadcast_to(np.arange(horizon)[None, :], data.states.shape)
-    np.add.at(counts, (stage_idx, data.states, data.actions), 1)
-    return MarkovCountTable(counts)
+def count_state_actions(data: Dataset) -> np.ndarray:
+    """Per-stage visit counters N[h, s, a] as an (H, S, A) int64 array."""
+    shape = (data.horizon, data.num_states, data.num_actions)
+    key = (np.arange(shape[0]) * shape[1] + data.states) * shape[2] + data.actions
+    return np.bincount(key.ravel(), minlength=math.prod(shape)).reshape(shape)
 
 
 def bc(data: Dataset) -> MarkovianPolicy:
@@ -53,7 +30,7 @@ def bc(data: Dataset) -> MarkovianPolicy:
     uniform elsewhere."""
     if len(data) < 1:
         raise ValueError("empty dataset")
-    return MarkovianPolicy(normalize_rows(count_state_actions(data).counts))
+    return MarkovianPolicy(normalize_rows(count_state_actions(data)))
 
 
 def mimic_md(data: Dataset, mdp: TabularMdp) -> MarkovianPolicy:
@@ -69,7 +46,7 @@ def mimic_md(data: Dataset, mdp: TabularMdp) -> MarkovianPolicy:
     if len(data) < 1:
         raise ValueError("empty dataset")
     horizon, num_states, num_actions = mdp.horizon, mdp.num_states, mdp.num_actions
-    counts = count_state_actions(data).counts
+    counts = count_state_actions(data)
     state_counts = counts.sum(axis=2)
     n = len(data)
     empirical = counts / n

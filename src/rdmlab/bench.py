@@ -29,8 +29,10 @@ from .distributions import (
     wasserstein,
 )
 from .fixtures import make_fork_fixture, make_tv_hard_reward, fork_markovian_policy
-from .mdp import RewardGrid, TabularMdp
+from .lp import LpError
+from .mdp import GridOverflowError, RewardGrid, TabularMdp
 from .policies import (
+    EnumerationCapError,
     MarkovianPolicy,
     PolicyHandle,
     RewardAugmentedPolicy,
@@ -252,8 +254,10 @@ def _run_one(
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """Full protocol: instances x dataset sizes x dataset seeds x algorithms.
 
-    Per-run failures are recorded and excluded from the aggregates rather
-    than aborting the sweep.
+    Per-run failures of an algorithm (``LpError``, including the simplex's
+    ``LpIterationError``, ``EnumerationCapError`` and ``GridOverflowError``)
+    are recorded and excluded from the aggregates rather than aborting the
+    sweep; any other exception is a programming error and propagates.
     """
     per_instance: dict[tuple[str, int], list[float]] = {
         (alg, n): [] for alg in cfg.algorithms for n in cfg.n_sweep
@@ -272,7 +276,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
                     eval_seed = derive_seed(cfg.master_seed, "policy-eval", i, k, j, idx)
                     try:
                         seed_errors[alg].append(_run_one(cfg, alg, mdp, data, truth, eval_seed))
-                    except Exception:
+                    except (LpError, EnumerationCapError, GridOverflowError):
                         failures[(alg, n)] += 1
             for alg in cfg.algorithms:
                 errs = seed_errors[alg]

@@ -19,9 +19,11 @@ grid is the categorical projection of Bellemare, Dabney & Munos (2017).
 The enumeration path stays outside the kernel: it is the independent oracle
 the DP is tested against.
 
-Sampling draws one uniform per row and inverts cumulative tables; the
-transition and table-policy CDFs are built once per ``sample_trajectories``
-call.
+Sampling draws one uniform per row and binary-searches it in a flat
+cumulative table at a computed row offset (``_draw``); no (n x width) block
+of CDF rows is gathered.  Tables are built once per ``sample_trajectories``
+call with negative round-off entries clipped to 0, so rows are nondecreasing.
+The parametric expert's logits are computed in blocks of ``_ROW_BLOCK`` rows.
 """
 
 from __future__ import annotations
@@ -72,6 +74,9 @@ _MASS_TOL = 1e-10
 
 #: Width of the history embedding used by the parametric simulation experts.
 PROJECTION_DIM = 16
+
+#: Rows per block when sampling gathers the parametric expert's state weights.
+_ROW_BLOCK = 4096
 
 
 class EnumerationCapError(RuntimeError):
@@ -234,11 +239,31 @@ def act_parametric(
     return _softmax(features @ pol.state_weights[state])
 
 
-def _sample_rows(rng: np.random.Generator, cdf: np.ndarray) -> np.ndarray:
-    """One categorical draw per row of cumulative probabilities, on one uniform each."""
-    u = rng.random(cdf.shape[0])
-    idx = (cdf < u[:, None]).sum(axis=1)
-    return np.minimum(idx, cdf.shape[1] - 1)
+def _cdf_table(probs: np.ndarray) -> np.ndarray:
+    """Cumulative sums over the last axis, flattened; negative entries count as 0."""
+    return np.cumsum(np.maximum(probs, 0.0), axis=-1).ravel()
+
+
+def _draw(
+    rng: np.random.Generator, flat_cdf: np.ndarray, base: np.ndarray, width: int
+) -> np.ndarray:
+    """One categorical draw per row of a flat cumulative table, on one uniform each.
+
+    Row ``i`` is ``flat_cdf[base[i] : base[i] + width]``, nondecreasing.  The
+    draw is ``min((row < u).sum(), width - 1)``, found by a branchless binary
+    search over the first ``width - 1`` entries (skipping the last is the clamp).
+    """
+    u = rng.random(base.shape[0])
+    if width == 1:
+        return np.zeros_like(base)
+    pos = base.copy()
+    size = width - 1
+    while size > 1:
+        half = size // 2
+        pos += half * (flat_cdf[pos + half] < u)
+        size -= half
+    pos += flat_cdf[pos] < u
+    return pos - base
 
 
 def sample_trajectories(
@@ -249,44 +274,51 @@ def sample_trajectories(
     Sampling is vectorized across trajectories for the table-based and
     parametric policy kinds; callable fixtures fall back to a per-trajectory
     loop with explicit history tuples.  Transition and policy tables are
-    turned into cumulative tables once per call, and each draw indexes them.
+    turned into flat cumulative tables once per call, and every draw reads
+    its row at a computed offset through ``_draw``.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
-    horizon = mdp.horizon
+    horizon, num_states, num_actions = mdp.horizon, mdp.num_states, mdp.num_actions
     states = np.empty((n, horizon), dtype=np.int64)
     actions = np.empty((n, horizon), dtype=np.int64)
     cur = np.full(n, mdp.initial_state, dtype=np.int64)
-    trans_cdf = np.cumsum(mdp.transitions, axis=-1)
+    trans_cdf = _cdf_table(mdp.transitions)
 
     if isinstance(policy, (MarkovianPolicy, RewardAugmentedPolicy)):
-        policy_cdf = np.cumsum(policy.table, axis=-1)
+        policy_cdf = _cdf_table(policy.table)
+        width = policy.table.shape[-1]
     if isinstance(policy, RewardAugmentedPolicy):
         g = np.zeros(n, dtype=np.int64)
+        n_g = policy.table.shape[2]
     elif isinstance(policy, ParametricHistoryPolicy):
         encoded = np.zeros((n, 2 * horizon))
+        width = policy.state_weights.shape[2]
+        logits = np.empty((n, width))
     elif isinstance(policy, CallablePolicy):
         histories: list[list[tuple[int, int]]] = [[] for _ in range(n)]
 
     for h in range(horizon):
+        row = h * num_states + cur  # flat (stage, state) index
         if isinstance(policy, MarkovianPolicy):
-            cdf = policy_cdf[h, cur]
+            a = _draw(rng, policy_cdf, row * width, width)
         elif isinstance(policy, RewardAugmentedPolicy):
-            cdf = policy_cdf[h, cur, g]
+            a = _draw(rng, policy_cdf, (row * n_g + g) * width, width)
         elif isinstance(policy, ParametricHistoryPolicy):
             features = encoded @ policy.projection
-            logits = np.einsum("nf,nfa->na", features, policy.state_weights[cur])
-            cdf = np.cumsum(_softmax(logits), axis=1)
+            for block in (slice(i, i + _ROW_BLOCK) for i in range(0, n, _ROW_BLOCK)):
+                weights = policy.state_weights[cur[block]]
+                np.einsum("nf,nfa->na", features[block], weights, out=logits[block])
+            a = _draw(rng, _cdf_table(_softmax(logits)), np.arange(n) * width, width)
         elif isinstance(policy, CallablePolicy):
             probs = np.stack(
                 [policy.act(h, int(cur[i]), tuple(histories[i])) for i in range(n)]
             )
-            cdf = np.cumsum(probs, axis=1)
+            a = _draw(rng, _cdf_table(probs), np.arange(n) * probs.shape[1], probs.shape[1])
         else:
             raise TypeError(f"unsupported policy kind {type(policy).__name__}")
-        a = _sample_rows(rng, cdf)
-        nxt = _sample_rows(rng, trans_cdf[h, cur, a])
+        nxt = _draw(rng, trans_cdf, (row * num_actions + a) * num_states, num_states)
         states[:, h] = cur
         actions[:, h] = a
         if isinstance(policy, RewardAugmentedPolicy):

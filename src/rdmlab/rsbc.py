@@ -1,58 +1,43 @@
 """Count-based estimation of the reward-conditioned expert policy.
 
 One pass over the dataset counts (stage, state, cumulative grid reward,
-action) occurrences; the policy is the row-normalized count table with a
-uniform fallback on unvisited cells.  Cumulative rewards are accumulated as
-integer grid multiples along each trajectory, never by float bucketing.
+action) occurrences, as one ``np.bincount`` of flat cell indices; the
+policy is the row-normalized count table with a uniform fallback on
+unvisited cells.  Cumulative rewards are accumulated as integer grid
+multiples along each trajectory, never by float bucketing.
 Time O(N*H + S*A*H*|grid|), memory O(S*A*H*|grid|).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .mdp import Dataset, GridReward, RewardGrid, discretize_reward
 from .policies import RewardAugmentedPolicy, normalize_rows
 
-__all__ = ["CountTable", "count_occurrences", "rs_bc", "theta_for_epsilon_rsbc"]
+__all__ = ["count_occurrences", "rs_bc", "theta_for_epsilon_rsbc"]
 
 
-@dataclass(frozen=True)
-class CountTable:
-    """Visit counters M[h, s, g, a]; every stage slice sums to the dataset size."""
+def count_occurrences(data: Dataset, reward: GridReward) -> np.ndarray:
+    """Visit counters M[h, s, g, a] as an (H, S, G, A) int64 array.
 
-    grid: RewardGrid
-    counts: np.ndarray  # (H, S, G, A) integer
-
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64).copy()
-        if counts.ndim != 4 or counts.min() < 0:
-            raise ValueError("counts must be a nonnegative (H, S, G, A) array")
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def num_trajectories(self) -> int:
-        return int(self.counts[0].sum())
-
-
-def count_occurrences(data: Dataset, reward: GridReward) -> CountTable:
-    """Count (h, s, g, a) occurrences across the dataset."""
+    Every stage slice sums to the dataset size.  Each step is keyed by its
+    flat (h, s, g, a) cell index and the keys are counted with one
+    ``np.bincount``.
+    """
     grid = reward.grid
     horizon = data.horizon
     if grid.horizon != horizon:
         raise ValueError("reward horizon does not match the dataset")
-    stage_idx = np.arange(horizon)[None, :]
+    stage_idx = np.arange(horizon)
     step_mult = reward.multiples[stage_idx, data.states, data.actions]  # (N, H)
     g = np.zeros_like(step_mult)
-    g[:, 1:] = np.cumsum(step_mult[:, :-1], axis=1)
-    n_g = grid.num_multiples(horizon - 1)
-    counts = np.zeros((horizon, data.num_states, n_g, data.num_actions), dtype=np.int64)
-    flat_stage = np.broadcast_to(stage_idx, g.shape)
-    np.add.at(counts, (flat_stage, data.states, g, data.actions), 1)
-    return CountTable(grid=grid, counts=counts)
+    np.cumsum(step_mult[:, :-1], axis=1, out=g[:, 1:])
+    shape = (horizon, data.num_states, grid.num_multiples(horizon - 1), data.num_actions)
+    key = ((stage_idx * shape[1] + data.states) * shape[2] + g) * shape[3] + data.actions
+    return np.bincount(key.ravel(), minlength=math.prod(shape)).reshape(shape)
 
 
 def rs_bc(data: Dataset, reward: np.ndarray, grid: RewardGrid) -> RewardAugmentedPolicy:
@@ -65,7 +50,7 @@ def rs_bc(data: Dataset, reward: np.ndarray, grid: RewardGrid) -> RewardAugmente
     if len(data) < 1:
         raise ValueError("empty dataset")
     gr = discretize_reward(np.asarray(reward, dtype=float), grid)
-    table = normalize_rows(count_occurrences(data, gr).counts)
+    table = normalize_rows(count_occurrences(data, gr))
     return RewardAugmentedPolicy(grid=grid, table=table, reward=gr)
 
 

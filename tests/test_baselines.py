@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ class TestBc:
         expert = rl.MarkovianPolicy(table)
         data = rl.sample_trajectories(mdp, expert, 3000, seed=1)
         learned = bc(data)
-        counts = count_state_actions(data).state_counts
+        counts = count_state_actions(data).sum(axis=2)
         visited = counts > 0
         assert np.array_equal(learned.table[visited], expert.table[visited])
 
@@ -42,11 +44,43 @@ class TestBc:
         mdp, expert = make_instance(5, expert_kind="markovian")
         data = rl.sample_trajectories(mdp, expert, 500, seed=3)
         learned = bc(data)
-        table = count_state_actions(data)
-        visited = table.state_counts > 0
+        counts = count_state_actions(data)
+        state_counts = counts.sum(axis=2)
+        visited = state_counts > 0
         ratios = np.zeros_like(learned.table)
-        ratios[visited] = table.counts[visited] / table.state_counts[visited][..., None]
+        ratios[visited] = counts[visited] / state_counts[visited][..., None]
         assert np.abs(learned.table[visited] - ratios[visited]).max() <= 1e-12
+
+
+class TestCountStateActions:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        states = rng.integers(4, size=(200, 5))
+        actions = rng.integers(3, size=(200, 5))
+        data = rl.Dataset(states, actions, 4, 3)
+        want = np.zeros((5, 4, 3), dtype=np.int64)
+        for s_row, a_row in zip(states.tolist(), actions.tolist()):
+            for h, (s, a) in enumerate(zip(s_row, a_row)):
+                want[h, s, a] += 1
+        counts = count_state_actions(data)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, want)
+
+    # sha256 of bc tables computed with the np.add.at counter
+    PINNED_TABLES = {
+        0: "cb27eac83bab5c6afcd71d16b6887d1659b51bdb62f19065492097cafee6c0ce",
+        1: "2b0adde06615c6d39cd245c3fb67ece7df83b453a203fd11bf0a6e70098d3ec3",
+        2: "add8c059b9da7779ece17624d0464adf33f0bb459e9203ca8d737924b2d11ccc",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_TABLES))
+    def test_bc_tables_match_pinned_digests(self, seed):
+        mdp, expert = make_instance(seed, num_states=20, num_actions=5, horizon=5, rho=0.02)
+        data = rl.sample_trajectories(mdp, expert, 20_000, seed=seed)
+        table = bc(data).table
+        digest = hashlib.sha256(np.ascontiguousarray(table, dtype="<f8").tobytes()).hexdigest()
+        assert digest == self.PINNED_TABLES[seed]
 
 
 class TestMimicMd:
@@ -57,7 +91,7 @@ class TestMimicMd:
         matched = mimic_md(data, mdp)
         occ = markov_occupancy(mdp, matched)
         live = occ.sum(axis=2) > 1e-9
-        counts = count_state_actions(data).state_counts
+        counts = count_state_actions(data).sum(axis=2)
         both = live & (counts > 0)
         assert both.any()
         assert np.abs(matched.table[both] - cloned.table[both]).max() <= 1e-6
@@ -66,13 +100,14 @@ class TestMimicMd:
         mdp, expert = make_instance(9, expert_kind="parametric-history", horizon=3)
         data = rl.sample_trajectories(mdp, expert, 300, seed=5)
         matched = mimic_md(data, mdp)
-        table = count_state_actions(data)
+        counts = count_state_actions(data)
+        state_counts = counts.sum(axis=2)
         occ = markov_occupancy(mdp, matched)
         for h in range(mdp.horizon):
             for s in range(mdp.num_states):
-                if table.state_counts[h, s] == 0 or occ[h, s].sum() <= 1e-9:
+                if state_counts[h, s] == 0 or occ[h, s].sum() <= 1e-9:
                     continue
-                ratios = table.counts[h, s] / table.state_counts[h, s]
+                ratios = counts[h, s] / state_counts[h, s]
                 assert np.abs(matched.table[h, s] - ratios).max() <= 1e-7
 
     def test_unobserved_state_with_deterministic_dynamics(self):

@@ -9,6 +9,9 @@ from rdmlab.bench import (
     emit_results,
     read_results,
 )
+from rdmlab.lp import LpError, LpIterationError
+from rdmlab.mdp import GridOverflowError
+from rdmlab.policies import EnumerationCapError
 from rdmlab.serialize import format_distribution
 
 from conftest import KNOWN_BAD_PIVOT_CFG
@@ -134,7 +137,9 @@ class TestRunExperiment:
         assert {r.algorithm for r in rows} == set(cfg.algorithms)
         assert all(r.failures == 0 for r in rows)
 
-    def test_per_run_failures_recorded_not_fatal(self, monkeypatch):
+    @staticmethod
+    def _flaky_bc(monkeypatch, error):
+        """Make every third ``bc`` call in the harness raise ``error``."""
         import rdmlab.bench as bench_mod
 
         calls = {"n": 0}
@@ -143,16 +148,33 @@ class TestRunExperiment:
         def flaky(data):
             calls["n"] += 1
             if calls["n"] % 3 == 0:
-                raise RuntimeError("synthetic failure")
+                raise error
             return original(data)
 
         monkeypatch.setattr(bench_mod, "bc", flaky)
+
+    def test_per_run_failures_recorded_not_fatal(self, monkeypatch):
+        self._flaky_bc(monkeypatch, LpError("synthetic failure"))
         cfg = tiny_cfg(instances=4, n_sweep=(10,))
         rows = rl.run_experiment(cfg)
         assert len(rows) == 1
         assert rows[0].failures > 0
         ok = [v for v in rows[0].per_instance if not np.isnan(v)]
         assert ok and np.isfinite(rows[0].mean)
+
+    @pytest.mark.parametrize(
+        "error", [LpIterationError, EnumerationCapError, GridOverflowError]
+    )
+    def test_every_expected_failure_type_is_counted(self, monkeypatch, error):
+        self._flaky_bc(monkeypatch, error("synthetic failure"))
+        rows = rl.run_experiment(tiny_cfg(instances=4, n_sweep=(10,)))
+        assert rows[0].failures == 2  # calls 3 and 6 of 8
+
+    @pytest.mark.parametrize("error", [TypeError, RuntimeError])
+    def test_programming_errors_propagate(self, monkeypatch, error):
+        self._flaky_bc(monkeypatch, error("synthetic bug"))
+        with pytest.raises(error, match="synthetic bug"):
+            rl.run_experiment(tiny_cfg(instances=4, n_sweep=(10,)))
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tiny_cfg(instances=4)

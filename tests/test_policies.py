@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rdmlab as rl
+from rdmlab import policies as policies_mod
 from rdmlab.policies import (
     EnumerationCapError,
     act_parametric,
@@ -86,12 +87,139 @@ class TestSampling:
         )
         assert digests == self.PINNED_DRAWS[kind]
 
+    # sha256 of (states, actions) at the sizes the flat-table draw kernel and
+    # the row-blocked expert logits serve, computed with the earlier sampler
+    # (one (n x width) gather of CDF rows per draw, one (n x 16 x A) weight
+    # gather per step); the kernel must reproduce every draw.
+    PINNED_DRAWS_AT_SCALE = {
+        "markovian": (
+            "501050a48f485d94a03393a8975a4d447fe1087b886ba9289064fe98cab02bad",
+            "1946591ecc82c16550c7859d2cf640aa40eab3b357e3ecdd39c75f3cd243afb9",
+        ),
+        "parametric": (
+            "de95835c05bb3595cb0484a19723d2161a41b1abb437fc804a680225f9b41269",
+            "6d4e6bc182a8f917e3a6788321abf031ed347a9645ee26e52dc15c1071512caa",
+        ),
+        "reward-augmented": (
+            "f482fb169bea1f9fc494b6b6165af5be024500e6f094f3ce8a501ec494234e04",
+            "90a8b8513cefcb1c075eaa49f9b140bfc36a06a27e996fe91fb4738ed5d97194",
+        ),
+    }
+
+    @staticmethod
+    def _scale_case(kind):
+        rng = np.random.default_rng(2025)
+        if kind == "markovian":
+            mdp, _ = make_instance(13, num_states=20, num_actions=5, horizon=5)
+            return mdp, rl.random_markovian_policy(20, 5, 5, rng), 300_000
+        if kind == "parametric":
+            # two full blocks of 4096 rows (the sampler's _ROW_BLOCK) and a ragged one
+            mdp, _ = make_instance(13, num_states=50, num_actions=5, horizon=5)
+            return mdp, random_parametric_policy(50, 5, 5, rng), 2 * 4096 + 7
+        mdp, _ = make_instance(7, num_states=4, num_actions=3, horizon=4)
+        gr = rl.discretize_reward(mdp.reward, rl.RewardGrid(0.25, mdp.horizon))
+        return mdp, random_reward_augmented_policy(gr, 4, rng), 50_000
+
+    @pytest.mark.parametrize("kind", sorted(PINNED_DRAWS_AT_SCALE))
+    def test_draws_match_pinned_digests_at_scale(self, kind):
+        mdp, policy, n = self._scale_case(kind)
+        data = rl.sample_trajectories(mdp, policy, n, seed=11)
+        if kind == "reward-augmented":
+            steps = policy.reward.multiples[np.arange(mdp.horizon), data.states, data.actions]
+            assert np.cumsum(steps, axis=1)[:, :-1].max() > 0  # rows with g > 0 were drawn
+        digests = tuple(
+            hashlib.sha256(np.ascontiguousarray(x, dtype="<i8").tobytes()).hexdigest()
+            for x in (data.states, data.actions)
+        )
+        assert digests == self.PINNED_DRAWS_AT_SCALE[kind]
+
     def test_fork_expert_within_dkw_band(self):
         mdp, expert = rl.make_fork_fixture()
         data = rl.sample_trajectories(mdp, expert, 4000, seed=21)
         d = rl.empirical_return_distribution(data, mdp.reward)
         band = mdp.horizon * rl.dkw_band(4000, 0.01)
         assert rl.wasserstein(d, rl.DiscreteReturnDistribution.point_mass(1.0)) <= band
+
+
+class _StubRng:
+    """Stands in for a Generator: ``random(n)`` returns the chosen values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, n):
+        assert n == self.values.size
+        return self.values
+
+
+class TestDrawKernel:
+    """``_draw`` against ``min((row < u).sum(), width - 1)`` on hand-picked rows."""
+
+    @staticmethod
+    def _rows(width, rng):
+        rows = [rng.dirichlet(np.ones(width))]
+        rows += [np.eye(width)[k] for k in range(width)]  # one-hot
+        plateau = np.zeros(width)  # zero plateaus between live entries
+        plateau[[0, width // 2, width - 1]] = [0.25, 0.5, 0.25]
+        rows.append(plateau / plateau.sum())
+        return np.array(rows)
+
+    @staticmethod
+    def _uniforms(cdf):
+        """0, every row value exactly (``<`` is strict), its neighbours, and the top uniform."""
+        below = np.nextafter(cdf, -np.inf).clip(0.0)
+        above = np.nextafter(cdf, np.inf)
+        picks = np.concatenate([[0.0, 0.5, 1.0 - 2.0**-53], cdf, below, above])
+        return np.unique(picks[picks < 1.0])
+
+    def _check(self, flat_cdf, width):
+        """Every row of ``flat_cdf`` against every boundary uniform."""
+        rows = flat_cdf.reshape(-1, width)
+        bases, us = [], []
+        for r, cdf in enumerate(rows):
+            u = self._uniforms(cdf)
+            bases.append(np.full(u.size, r * width))
+            us.append(u)
+        base, u = np.concatenate(bases), np.concatenate(us)
+        got = policies_mod._draw(_StubRng(u), flat_cdf, base, width)
+        want = np.minimum((rows[base // width] < u[:, None]).sum(axis=1), width - 1)
+        assert np.array_equal(got, want)
+        return base, u, got
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 5, 8, 20, 50])
+    def test_matches_strict_count_with_clamp(self, width):
+        table = self._rows(width, np.random.default_rng(width))
+        self._check(policies_mod._cdf_table(table), width)
+
+    @pytest.mark.parametrize("width", [2, 3, 5, 8, 20, 50])
+    def test_last_entry_below_one_is_clamped(self, width):
+        cdf = np.cumsum(np.full(width, 1.0 / width))
+        cdf[-1] = 1.0 - 2.0**-52  # one round-off below 1
+        base, u, got = self._check(cdf, width)
+        assert (got[u > cdf[-1]] == width - 1).all()
+
+    def test_negative_entry_draws_like_its_clipped_row(self):
+        row = np.array([0.5, -1e-12, 0.5 + 1e-12])
+        clipped = np.maximum(row, 0.0)
+        flat_cdf = policies_mod._cdf_table(row)
+        assert np.array_equal(flat_cdf, np.cumsum(clipped))
+        self._check(flat_cdf, 3)
+        # unclipped, the dip would count entry 1 below u and draw its zero-mass action
+        u = 0.5 - 0.5e-12
+        assert (np.cumsum(row) < u).sum() == 1
+        assert policies_mod._draw(_StubRng([u]), flat_cdf, np.zeros(1, np.int64), 3)[0] == 0
+
+    def test_sampler_clips_admitted_negative_entries(self):
+        mdp, _ = make_instance(7, num_states=4, num_actions=3, horizon=4)
+        table = np.random.default_rng(5).dirichlet(np.ones(3), size=(4, 4))
+        table[:, :, 2] += table[:, :, 1] + 1e-12
+        table[:, :, 1] = -1e-12  # admitted by the row check
+        shaved = rl.MarkovianPolicy(table)
+        clipped = rl.MarkovianPolicy(np.maximum(table, 0.0))
+        a = rl.sample_trajectories(mdp, shaved, 2000, seed=3)
+        b = rl.sample_trajectories(mdp, clipped, 2000, seed=3)
+        assert np.array_equal(a.states, b.states) and np.array_equal(a.actions, b.actions)
+        assert (a.actions != 1).all()
 
 
 class TestActParametric:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,8 @@ class TestCounting:
         mdp, expert = make_instance(1, rho=0.25, expert_kind="parametric-history")
         grid = rl.RewardGrid(0.25, mdp.horizon)
         data = rl.sample_trajectories(mdp, expert, 257, seed=0)
-        table = count_occurrences(data, rl.discretize_reward(mdp.reward, grid))
-        stage_totals = table.counts.sum(axis=(1, 2, 3))
+        counts = count_occurrences(data, rl.discretize_reward(mdp.reward, grid))
+        stage_totals = counts.sum(axis=(1, 2, 3))
         assert (stage_totals == 257).all()
 
     def test_single_trajectory_marks_its_path(self):
@@ -38,6 +40,54 @@ class TestCounting:
         wrong = rl.discretize_reward(np.zeros((5, 4, 2)), rl.RewardGrid(1.0, 5))
         with pytest.raises(ValueError):
             count_occurrences(data, wrong)
+
+
+def loop_counts(data, gr):
+    """Reference counter: one Python pass per trajectory."""
+    n_g = gr.grid.num_multiples(data.horizon - 1)
+    counts = np.zeros((data.horizon, data.num_states, n_g, data.num_actions), dtype=np.int64)
+    for s_row, a_row in zip(data.states.tolist(), data.actions.tolist()):
+        g = 0
+        for h, (s, a) in enumerate(zip(s_row, a_row)):
+            counts[h, s, g, a] += 1
+            g += int(gr.multiples[h, s, a])
+    return counts
+
+
+class TestCountingMatchesLoop:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_dataset_reaching_the_top_cell(self, seed):
+        rng = np.random.default_rng(seed)
+        horizon, num_states, num_actions = 4, 3, 2
+        grid = rl.RewardGrid(0.25, horizon)
+        reward = rng.uniform(0.0, 1.0, size=(horizon, num_states, num_actions))
+        reward[:, 0, 0] = 1.0
+        gr = rl.discretize_reward(reward, grid)
+        states = rng.integers(num_states, size=(300, horizon))
+        actions = rng.integers(num_actions, size=(300, horizon))
+        states[:5], actions[:5] = 0, 0  # full reward on every step
+        data = rl.Dataset(states, actions, num_states, num_actions)
+        counts = count_occurrences(data, gr)
+        n_g = grid.num_multiples(horizon - 1)
+        assert counts.shape == (horizon, num_states, n_g, num_actions)
+        assert counts.dtype == np.int64
+        assert counts[horizon - 1, :, n_g - 1].sum() >= 5
+        assert np.array_equal(counts, loop_counts(data, gr))
+
+    # sha256 of rs_bc tables computed with the np.add.at counter
+    PINNED_TABLES = {
+        0: "37c87562571c64b427e9832a0df907636d20814bbe84300061cd9829ce0c43aa",
+        1: "ed50c04553782da8d1402d794b61ecfb72837137761d58791fdb8b2ab407139b",
+        2: "f8d73335beab4c23d75a44eca78c594bebdadd29fb838307f41d6f714f0ec507",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_TABLES))
+    def test_rs_bc_tables_match_pinned_digests(self, seed):
+        mdp, expert = make_instance(seed, num_states=20, num_actions=5, horizon=5, rho=0.02)
+        data = rl.sample_trajectories(mdp, expert, 20_000, seed=seed)
+        table = rs_bc(data, mdp.reward, rl.RewardGrid(0.02, mdp.horizon)).table
+        digest = hashlib.sha256(np.ascontiguousarray(table, dtype="<f8").tobytes()).hexdigest()
+        assert digest == self.PINNED_TABLES[seed]
 
 
 class TestRsBc:
@@ -95,7 +145,7 @@ class TestRsBc:
         data = rl.sample_trajectories(mdp, expert, 100_000, seed=1)
         estimated = rs_bc(data, mdp.reward, grid)
         exact = rl.construct_pi_r(mdp, expert, gr, grid)
-        counts = count_occurrences(data, gr).counts.sum(axis=3)
+        counts = count_occurrences(data, gr).sum(axis=3)
         heavy = counts >= 1000
         assert heavy.any()
         diff = np.abs(estimated.table - exact.table)[heavy]
