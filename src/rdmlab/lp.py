@@ -9,6 +9,14 @@ never cycles.  Rows are equilibrated to unit max magnitude before solving;
 feasibility of the reported optimum is re-checked against the original,
 unscaled constraints.
 
+The ratio test has a pivot tolerance: a row may leave the basis only if
+its entry in the entering column exceeds ``_PIV_TOL`` (1e-7, relative to
+the unit row scale).  Pivots on smaller elements blow the tableau up
+until a basic value goes negative, which is how the plain rule failed on
+some occupancy programs.  Only when no entry passes is the rule relaxed
+to entries above ``_OPT_TOL``; the column is reported unbounded only when
+none passes that either.
+
 The tableau is dense, but a pivot touches only the rows whose entry in the
 pivot column is nonzero (and, when the pivot row is sparse, only that row's
 nonzero columns): every other entry would change by an exact zero, so the
@@ -37,7 +45,8 @@ __all__ = [
     "format_lp",
 ]
 
-_OPT_TOL = 1e-9  # reduced-cost / pivot threshold
+_OPT_TOL = 1e-9  # reduced-cost threshold; smallest pivot element accepted
+_PIV_TOL = 1e-7  # pivot elements the ratio test prefers (rows have unit max)
 _FEAS_TOL = 1e-7  # post-hoc feasibility check on the original data
 _PHASE1_TOL = 1e-8  # residual artificial mass that still counts as feasible
 
@@ -121,7 +130,9 @@ def _bland_pivot(tableau, basis, max_pivots, start_iter):
     """Run simplex pivots under Bland's rule until optimal or unbounded.
 
     Returns (status, iterations).  Every column may enter the basis; the
-    objective row is the last row, the rhs the last column.
+    objective row is the last row, the rhs the last column.  The ratio test
+    considers only rows whose pivot-column entry exceeds ``_PIV_TOL``, and
+    falls back to entries above ``_OPT_TOL`` when there are none.
     """
     m = tableau.shape[0] - 1
     iters = start_iter
@@ -132,9 +143,11 @@ def _bland_pivot(tableau, basis, max_pivots, start_iter):
             return "optimal", iters
         j = int(candidates[0])  # Bland: smallest eligible index
         col = tableau[:m, j]
-        rows = np.nonzero(col > _OPT_TOL)[0]
-        if rows.size == 0:
-            return "unbounded", iters
+        rows = np.nonzero(col > _PIV_TOL)[0]
+        if rows.size == 0:  # only tiny entries: take them rather than stop
+            rows = np.nonzero(col > _OPT_TOL)[0]
+            if rows.size == 0:
+                return "unbounded", iters
         ratios = tableau[rows, -1] / col[rows]
         best = ratios.min()
         tied = rows[ratios <= best + 1e-12 * (1.0 + abs(best))]

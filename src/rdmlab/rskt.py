@@ -4,17 +4,29 @@ The search space is the polytope of occupancy measures of the
 reward-augmented MDP, which is exactly the set of behaviors of policies
 conditioning on (stage, state, discretized cumulative reward).  The program
 minimizes the Wasserstein distance between the induced return distribution
-and the empirical expert estimate, linearized through cumulative-difference
-variables: with both distributions supported on the uniform grid of step
-theta, the distance equals theta times the sum of absolute CDF differences
-at the grid points.  That theta factor is applied when reporting, so
-objectives are comparable with :func:`rdmlab.distributions.wasserstein`
-(the raw LP objective is the plain sum).
+and the empirical expert estimate: with both distributions supported on the
+uniform grid of step theta, the distance equals theta times the sum of
+absolute CDF differences at the grid points.  That theta factor is applied
+when reporting, so objectives are comparable with
+:func:`rdmlab.distributions.wasserstein` (the raw LP objective is the plain
+sum).
 
-Variables are pruned to the forward-reachable (state, g) pairs, which also
-collapses the two textbook initial-flow conditions into one (the only
-reachable stage-0 cell is the initial augmented state).  The cumulative
-difference variables are free; the remaining blocks are nonnegative.
+The program is compact.  Its columns are the occupancy d over the
+forward-reachable (h, s, g) cells times actions, then x+ and x- over the
+kept grid prefix ``0..n_keep-1``, all nonnegative.  Its rows are one
+initial-mass row (the only reachable stage-0 cell is the initial augmented
+state, so the two textbook initial-flow conditions coincide), one flow row
+per reachable cell at stages 1..H-1, and one bidiagonal CDF row per kept
+grid point with the return distribution substituted:
+
+    x+_g - x-_g - x+_{g-1} + x-_{g-1} - sum_{final (s, g', a) -> g} d = -eta_hat_g
+
+so x+_g - x-_g is the CDF difference at g.  The objective is
+sum(x+ + x-).  The return distribution eta is not a column: it is read off
+the final-stage occupancy (:meth:`RsktLayout.return_distribution`).  The
+matrix is built by array indexing over the reachable cells, each entry
+written once.  ``RsktDiagnostics.num_variables`` and ``num_constraints``
+count these columns and rows.
 """
 
 from __future__ import annotations
@@ -44,81 +56,67 @@ _ZERO_MASS = 1e-12
 
 @dataclass(frozen=True)
 class RsktLayout:
-    """Variable indexing of the occupancy LP, derived from the augmented MDP.
+    """Column indexing of the occupancy LP, derived from the augmented MDP.
 
-    Variable order: occupancy d over reachable (h, s, g) cells times actions,
-    then the induced return distribution eta, the absolute-value bounds t,
-    and the free cumulative differences x, each over the kept grid prefix
-    ``0..n_keep-1``.
+    Column order: occupancy d over the reachable (h, s, g) cells in C order
+    times actions, then x+ and x- over the kept grid prefix
+    ``0..n_keep-1``.  ``column[h, s, g]`` is the d column of action 0 in
+    cell (h, s, g), or -1 where the cell is unreachable; row ``k`` of the
+    program is the flow row of the k-th reachable cell (row 0, the initial
+    cell's, is the initial-mass row).
     """
 
     aug: AugmentedMdp
     n_keep: int
-    cells: tuple[np.ndarray, ...]  # per stage: (n_cells, 2) arrays of (s, g)
-    cell_index: tuple[dict[tuple[int, int], int], ...]
-    stage_offsets: tuple[int, ...]
+    column: np.ndarray  # (H, S, G) int64
     num_d: int
 
     @property
-    def eta_offset(self) -> int:
+    def plus_offset(self) -> int:
         return self.num_d
 
     @property
-    def t_offset(self) -> int:
+    def minus_offset(self) -> int:
         return self.num_d + self.n_keep
 
     @property
-    def x_offset(self) -> int:
-        return self.num_d + 2 * self.n_keep
-
-    @property
     def num_variables(self) -> int:
-        return self.num_d + 3 * self.n_keep
-
-    def d_index(self, h: int, s: int, g: int, a: int) -> int:
-        cell = self.cell_index[h].get((s, g))
-        if cell is None:
-            raise KeyError(f"(h={h}, s={s}, g={g}) is not reachable")
-        return self.stage_offsets[h] + cell * self.aug.base.num_actions + a
+        return self.num_d + 2 * self.n_keep
 
     def dense_occupancy(self, x: np.ndarray) -> np.ndarray:
         """Scatter the d block of an LP vector into a dense (H, S, G, A) array."""
-        aug = self.aug
-        horizon, num_states, num_actions = (
-            aug.base.horizon,
-            aug.base.num_states,
-            aug.base.num_actions,
-        )
-        n_g = aug.grid.num_multiples(horizon - 1)
-        dense = np.zeros((horizon, num_states, n_g, num_actions))
-        for h in range(horizon):
-            for idx, (s, g) in enumerate(self.cells[h]):
-                base = self.stage_offsets[h] + idx * num_actions
-                dense[h, s, g, :] = x[base : base + num_actions]
+        num_actions = self.aug.base.num_actions
+        dense = np.zeros(self.column.shape + (num_actions,))
+        dense[self.column >= 0] = x[: self.num_d].reshape(-1, num_actions)
         return dense
+
+    def return_distribution(self, x: np.ndarray) -> np.ndarray:
+        """eta over the kept grid: final-stage d pushed through the last increments."""
+        cols, returns = self._final_entries()
+        return np.bincount(returns, weights=x[cols], minlength=self.n_keep)
+
+    def _final_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """d columns of the final stage and the return multiple each one reaches."""
+        last = self.aug.base.horizon - 1
+        num_actions = self.aug.base.num_actions
+        s, g = np.nonzero(self.column[last] >= 0)
+        actions = np.arange(num_actions)
+        cols = self.column[last, s, g][:, None] + actions
+        returns = g[:, None] + self.aug.increments[last][s]
+        return cols.ravel(), returns.ravel()
 
     def pack_occupancy(self, occ: np.ndarray, eta_hat_full: np.ndarray) -> np.ndarray:
         """Assemble a full LP vector from a dense occupancy (e.g. a DP output).
 
-        eta, t and x are filled in consistently with the constraints, so the
-        result is feasible iff the occupancy itself satisfies the flow rows.
+        x+ and x- are the positive and negative parts of the CDF difference,
+        so the result is feasible iff the occupancy itself satisfies the
+        flow rows.
         """
         x = np.zeros(self.num_variables)
-        num_actions = self.aug.base.num_actions
-        for h in range(self.aug.base.horizon):
-            for idx, (s, g) in enumerate(self.cells[h]):
-                base = self.stage_offsets[h] + idx * num_actions
-                x[base : base + num_actions] = occ[h, s, g, :]
-        eta = np.zeros(self.n_keep)
-        last = self.aug.base.horizon - 1
-        mult = self.aug.increments[last]
-        for s, g in self.cells[last]:
-            for a in range(num_actions):
-                eta[g + mult[s, a]] += occ[last, s, g, a]
-        cum = np.cumsum(eta - eta_hat_full)
-        x[self.eta_offset : self.eta_offset + self.n_keep] = eta
-        x[self.x_offset : self.x_offset + self.n_keep] = cum
-        x[self.t_offset : self.t_offset + self.n_keep] = np.abs(cum)
+        x[: self.num_d] = occ[self.column >= 0].ravel()
+        cum = np.cumsum(self.return_distribution(x) - eta_hat_full)
+        x[self.plus_offset : self.minus_offset] = np.maximum(cum, 0.0)
+        x[self.minus_offset :] = np.maximum(-cum, 0.0)
         return x
 
 
@@ -145,7 +143,7 @@ class OccupancySolution:
 class RsktDiagnostics:
     lp_status: str
     objective: float  # Wasserstein units
-    lp_objective: float  # raw sum of t variables
+    lp_objective: float  # raw sum of x+ and x-
     iterations: int
     num_variables: int
     num_constraints: int
@@ -189,38 +187,27 @@ def _layout(aug: AugmentedMdp, eta_hat_full: np.ndarray) -> RsktLayout:
     reach_max = int(np.nonzero(aug.return_support_mask())[0][-1])
     hat_max = int(np.nonzero(eta_hat_full > 0)[0][-1])
     n_keep = max(reach_max, hat_max) + 1
-    cells = tuple(np.argwhere(aug.reachable[h]) for h in range(aug.base.horizon))
-    cell_index = tuple(
-        {(int(s), int(g)): i for i, (s, g) in enumerate(stage)} for stage in cells
-    )
-    num_actions = aug.base.num_actions
-    offsets = []
-    total = 0
-    for stage in cells:
-        offsets.append(total)
-        total += stage.shape[0] * num_actions
+    horizon, num_states = aug.base.horizon, aug.base.num_states
+    live = np.zeros((horizon, num_states, aug.grid.num_multiples(horizon - 1)), dtype=bool)
+    for h in range(horizon):
+        live[h, :, : aug.reachable[h].shape[1]] = aug.reachable[h]
+    num_cells = int(live.sum())
+    column = np.full(live.shape, -1, dtype=np.int64)
+    column[live] = np.arange(num_cells) * aug.base.num_actions
     return RsktLayout(
-        aug=aug,
-        n_keep=n_keep,
-        cells=cells,
-        cell_index=cell_index,
-        stage_offsets=tuple(offsets),
-        num_d=total,
+        aug=aug, n_keep=n_keep, column=column, num_d=num_cells * aug.base.num_actions
     )
 
 
 def build_rskt_lp(
     aug: AugmentedMdp, eta_hat: DiscreteReturnDistribution
 ) -> LinearProgram:
-    """Assemble the distribution-matching LP over augmented occupancy measures.
+    """Assemble the compact distribution-matching LP over augmented occupancies.
 
-    Rows: one initial-mass condition (the stage-0 reachable set is the single
-    augmented initial state, so the two textbook initial conditions coincide),
-    flow conservation per reachable cell at stages 1..H-1, the linear map
-    from final-stage occupancy to the return distribution, the cumulative
-    difference definition, and the two-sided absolute-value bounds.  The
-    objective is the plain sum of the bound variables; multiply by the grid
-    step for Wasserstein units.
+    Rows: one initial-mass condition, flow conservation per reachable cell
+    at stages 1..H-1, and one bidiagonal CDF row per kept grid point (see
+    the module docstring).  The objective is sum(x+ + x-); multiply by the
+    grid step for Wasserstein units.
     """
     eta_hat_full = _eta_hat_on_grid(eta_hat, aug.grid)
     return _assemble_lp(_layout(aug, eta_hat_full), eta_hat_full)
@@ -228,82 +215,40 @@ def build_rskt_lp(
 
 def _assemble_lp(layout: RsktLayout, eta_hat_full: np.ndarray) -> LinearProgram:
     aug = layout.aug
-    eta_hat_full = eta_hat_full[: layout.n_keep]
     base = aug.base
-    horizon, num_actions = base.horizon, base.num_actions
-    n_keep = layout.n_keep
-    n_vars = layout.num_variables
+    num_actions = base.num_actions
+    n_keep, n_cells = layout.n_keep, layout.num_d // num_actions
+    column = layout.column
+    a_eq = np.zeros((n_cells + n_keep, layout.num_variables))
+    b_eq = np.zeros(n_cells + n_keep)
 
-    n_flow = sum(layout.cells[h].shape[0] for h in range(1, horizon))
-    n_eq = 1 + n_flow + n_keep + n_keep
-    a_eq = np.zeros((n_eq, n_vars))
-    b_eq = np.zeros(n_eq)
+    # row k is the flow row of reachable cell k: outflow at its stage ...
+    cell_cols = column[column >= 0][:, None] + np.arange(num_actions)
+    a_eq[np.arange(n_cells)[:, None], cell_cols] = 1.0
+    b_eq[0] = 1.0  # ... and cell 0, the initial one, carries the unit mass
+    row_of = column // num_actions  # -1 stays -1 on unreachable cells
 
-    row = 0
-    # initial occupancy mass
-    for a in range(num_actions):
-        a_eq[row, layout.d_index(0, base.initial_state, 0, a)] = 1.0
-    b_eq[row] = 1.0
-    row += 1
+    # ... minus the inflow from every reachable cell one stage earlier
+    h, s, g = np.nonzero(column[:-1] >= 0)
+    p = base.transitions[h, s]  # (cells, A, S')
+    i, a, s_next = np.nonzero(p > 0.0)
+    g_next = g[i] + aug.increments[h[i], s[i], a]
+    a_eq[row_of[h[i] + 1, s_next, g_next], column[h[i], s[i], g[i]] + a] = -p[i, a, s_next]
 
-    # flow conservation: inflow from stage h-1 equals outflow at stage h
-    flow_row: list[dict[tuple[int, int], int]] = []
-    for h in range(1, horizon):
-        rows_here = {}
-        for s, g in layout.cells[h]:
-            for a in range(num_actions):
-                a_eq[row, layout.d_index(h, int(s), int(g), a)] = 1.0
-            rows_here[(int(s), int(g))] = row
-            row += 1
-        flow_row.append(rows_here)
-    for h in range(1, horizon):
-        rows_here = flow_row[h - 1]
-        mult = aug.increments[h - 1]
-        trans = base.transitions[h - 1]
-        for s_prev, g_prev in layout.cells[h - 1]:
-            s_prev, g_prev = int(s_prev), int(g_prev)
-            for a_prev in range(num_actions):
-                col = layout.d_index(h - 1, s_prev, g_prev, a_prev)
-                g_next = g_prev + int(mult[s_prev, a_prev])
-                p_row = trans[s_prev, a_prev]
-                for s_next in np.nonzero(p_row > 0.0)[0]:
-                    a_eq[rows_here[(int(s_next), g_next)], col] -= p_row[s_next]
+    # CDF rows: x+_g - x-_g - x+_{g-1} + x-_{g-1} - eta_g = -eta_hat_g
+    cdf0 = n_cells
+    g = np.arange(n_keep)
+    a_eq[cdf0 + g, layout.plus_offset + g] = 1.0
+    a_eq[cdf0 + g, layout.minus_offset + g] = -1.0
+    a_eq[cdf0 + g[1:], layout.plus_offset + g[:-1]] = -1.0
+    a_eq[cdf0 + g[1:], layout.minus_offset + g[:-1]] = 1.0
+    cols, returns = layout._final_entries()
+    a_eq[cdf0 + returns, cols] = -1.0
+    b_eq[cdf0:] = -eta_hat_full[:n_keep]
 
-    # return distribution from final-stage occupancy
-    eta_row0 = row
-    for g in range(n_keep):
-        a_eq[row, layout.eta_offset + g] = 1.0
-        row += 1
-    mult = aug.increments[horizon - 1]
-    for s, g in layout.cells[horizon - 1]:
-        s, g = int(s), int(g)
-        for a in range(num_actions):
-            g_ret = g + int(mult[s, a])
-            a_eq[eta_row0 + g_ret, layout.d_index(horizon - 1, s, g, a)] = -1.0
-
-    # cumulative differences x(g) = sum_{g' <= g} (eta - eta_hat)
-    hat_cum = np.cumsum(eta_hat_full)
-    for g in range(n_keep):
-        a_eq[row, layout.x_offset + g] = 1.0
-        a_eq[row, layout.eta_offset : layout.eta_offset + g + 1] = -1.0
-        b_eq[row] = -hat_cum[g]
-        row += 1
-    assert row == n_eq
-
-    # |x| <= t, linearized two-sided
-    a_le = np.zeros((2 * n_keep, n_vars))
-    for g in range(n_keep):
-        a_le[2 * g, layout.x_offset + g] = 1.0
-        a_le[2 * g, layout.t_offset + g] = -1.0
-        a_le[2 * g + 1, layout.x_offset + g] = -1.0
-        a_le[2 * g + 1, layout.t_offset + g] = -1.0
-    b_le = np.zeros(2 * n_keep)
-
-    c = np.zeros(n_vars)
-    c[layout.t_offset : layout.t_offset + n_keep] = 1.0
-    lower = np.zeros(n_vars)
-    lower[layout.x_offset :] = -np.inf
-    return LinearProgram(c=c, A_eq=a_eq, b_eq=b_eq, A_le=a_le, b_le=b_le, lower=lower)
+    c = np.zeros(layout.num_variables)
+    c[layout.plus_offset :] = 1.0
+    return LinearProgram(c=c, A_eq=a_eq, b_eq=b_eq)
 
 
 def occupancy_to_policy(sol: OccupancySolution, grid: RewardGrid) -> RewardAugmentedPolicy:
@@ -336,7 +281,7 @@ def rs_kt(
     if solution.status != "optimal":
         raise LpError(f"occupancy program reported {solution.status}")
     dense = layout.dense_occupancy(solution.x)
-    eta_block = solution.x[layout.eta_offset : layout.eta_offset + layout.n_keep]
+    eta_block = layout.return_distribution(solution.x)
     mass_drift = abs(float(eta_block.sum()) - 1.0)
     support = np.nonzero(eta_block > _ZERO_MASS)[0]
     # solver drift on the eta rows stays well inside 1e-7; renormalize and

@@ -4,15 +4,31 @@ import pytest
 import rdmlab as rl
 from rdmlab.rskt import build_rskt_lp
 
-#: desk-shaped instance whose rs-kt program the Bland simplex cannot solve:
-#: pivots on elements near 4e-8 blow the tableau up until a basic value
-#: goes negative.  Fixing it needs a different pivot rule.
+#: the desk benchmark's configuration; its rs-kt programs at ``KNOWN_BAD_PIVOT_SEEDS``
+#: once defeated the Bland simplex: pivots on elements near 4e-8 blew the
+#: tableau up until a basic value went negative.
 KNOWN_BAD_PIVOT_CFG = dict(
     num_states=2, num_actions=2, horizon=5, theta=0.05, rho=0.03,
     expert_kind="parametric-history", n_sweep=(10_000,), instances=1,
     seeds_per_dataset=1, eval_mode="enumeration",
     algorithms=("rs-bc", "rs-kt", "bc", "mimic-md"), master_seed=2492166719,
 )
+
+#: master seeds of every desk program known to have failed that way
+KNOWN_BAD_PIVOT_SEEDS = (
+    2492166719, 3728210711, 2787326782, 2244993218, 3707283196, 271240201,
+    700793112, 2989083398, 2079506261, 3429696078, 2789294260,
+)
+
+
+def desk_rskt_program(master_seed):
+    """The rs-kt program ``run_experiment`` solves for a desk master seed."""
+    cfg = rl.ExperimentConfig(**{**KNOWN_BAD_PIVOT_CFG, "master_seed": master_seed})
+    mdp, expert = rl.generate_instance(cfg, rl.derive_seed(master_seed, "instance", 0))
+    data = rl.sample_trajectories(
+        mdp, expert, 10_000, rl.derive_seed(master_seed, "dataset", 0, 0, 0)
+    )
+    return rskt_program(mdp, data, cfg.theta)
 
 
 def rskt_program(mdp, data, theta):

@@ -14,7 +14,7 @@ from rdmlab.mdp import GridOverflowError
 from rdmlab.policies import EnumerationCapError
 from rdmlab.serialize import format_distribution
 
-from conftest import KNOWN_BAD_PIVOT_CFG
+from conftest import KNOWN_BAD_PIVOT_CFG, KNOWN_BAD_PIVOT_SEEDS
 
 
 def tiny_cfg(**overrides):
@@ -187,9 +187,10 @@ class TestRunExperiment:
         assert paths[0] == paths[1]
 
 
-@pytest.mark.xfail(strict=True, reason="in-repo simplex loses feasibility on this rs-kt program")
-def test_known_bad_pivot_instance_has_no_rskt_failure():
-    rows = rl.run_experiment(rl.ExperimentConfig(**KNOWN_BAD_PIVOT_CFG))
+@pytest.mark.parametrize("master_seed", KNOWN_BAD_PIVOT_SEEDS)
+def test_known_bad_pivot_instance_has_no_rskt_failure(master_seed):
+    cfg = rl.ExperimentConfig(**{**KNOWN_BAD_PIVOT_CFG, "master_seed": master_seed})
+    rows = rl.run_experiment(cfg)
     assert {r.algorithm: r.failures for r in rows}["rs-kt"] == 0
 
 

@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 
 import rdmlab as rl
-from rdmlab.lp import LinearProgram, LpError, LpIterationError, format_lp, solve, solve_transport
-
-from conftest import KNOWN_BAD_PIVOT_CFG, rskt_program
+from rdmlab.lp import (
+    LinearProgram,
+    LpError,
+    LpIterationError,
+    _apply_pivot,
+    _bland_pivot,
+    format_lp,
+    solve,
+    solve_transport,
+)
 
 
 class TestBasics:
@@ -108,16 +115,45 @@ class TestCertificates:
             solve(lp, max_iterations=1)
 
     def test_bad_pivot_fails_where_it_happens(self):
-        # The known desk program whose basis goes wrong after pivots on tiny
-        # elements: the error names the pivot instead of a final residual.
-        cfg = rl.ExperimentConfig(**KNOWN_BAD_PIVOT_CFG)
-        mdp, expert = rl.generate_instance(cfg, rl.derive_seed(cfg.master_seed, "instance", 0))
-        data = rl.sample_trajectories(
-            mdp, expert, 10_000, rl.derive_seed(cfg.master_seed, "dataset", 0, 0, 0)
-        )
-        lp = rskt_program(mdp, data, cfg.theta)
-        with pytest.raises(LpError, match=r"^pivot 764 on element .* left a basic value of -"):
-            solve(lp)
+        # A pivot on a tiny element that drives a basic value negative beyond
+        # round-off raises at that pivot instead of being clipped.
+        tableau = np.array([
+            [1e-9, 1.0, 1.0],  # pivot row
+            [1.0, 0.0, 0.5],
+            [-1.0, 0.0, 0.0],  # objective row
+        ])
+        with pytest.raises(
+            LpError,
+            match=r"^pivot 7 on element 1\.000e-09 \(row 0, column 0\) left a basic value of -",
+        ):
+            _apply_pivot(tableau, 0, 0, 7)
+
+    def test_round_off_below_zero_is_clipped(self):
+        tableau = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 1.0 - 1e-9], [-1.0, 0.0, 0.0]])
+        _apply_pivot(tableau, 0, 0, 1)
+        assert tableau[1, -1] == 0.0
+
+    def test_tiny_pivot_column_falls_back_instead_of_unbounded(self):
+        # min -x s.t. 1e-8 x + y = 1: every entry of the entering column lies
+        # in (_OPT_TOL, _PIV_TOL], so the ratio test must fall back to it.
+        sol = solve(LinearProgram(c=[-1.0, 0.0], A_eq=[[1e-8, 1.0]], b_eq=[1.0]))
+        assert sol.status == "optimal"
+        assert sol.x == pytest.approx([1e8, 0.0], rel=1e-12, abs=1e-12)
+        assert sol.objective == pytest.approx(-1e8, rel=1e-12)
+
+    def test_pivot_tolerance_skips_tiny_entries(self):
+        # x enters with a tiny entry (ratio 0) and an ordinary one (ratio 1);
+        # the tolerance pivots on the ordinary entry.
+        tableau = np.array([
+            [1e-8, 1.0, 0.0, 0.0],
+            [1.0, 0.0, 1.0, 1.0],
+            [-1.0, 0.0, 0.0, 0.0],
+        ])
+        basis = np.array([1, 2])
+        status, iterations = _bland_pivot(tableau, basis, 10, 0)
+        assert (status, iterations) == ("optimal", 1)
+        assert basis.tolist() == [1, 0]
+        assert tableau[:2, -1].tolist() == [0.0, 1.0]
 
 
 class TestDebugDump:

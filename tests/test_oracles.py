@@ -13,7 +13,7 @@ from rdmlab.lp import LinearProgram, solve
 scipy_opt = pytest.importorskip("scipy.optimize")
 scipy_stats = pytest.importorskip("scipy.stats")
 
-from conftest import random_distribution
+from conftest import KNOWN_BAD_PIVOT_SEEDS, desk_rskt_program, random_distribution
 
 
 class TestSimplexAgainstHighs:
@@ -56,6 +56,20 @@ class TestSimplexAgainstHighs:
         lp = LinearProgram(c=[-1.0, 0.0])
         ref = scipy_opt.linprog(lp.c, bounds=[(0, None), (0, None)], method="highs")
         assert solve(lp).status == "unbounded" and ref.status == 3
+
+
+    @pytest.mark.parametrize(
+        "master_seed", list(range(1, 21)) + list(KNOWN_BAD_PIVOT_SEEDS)
+    )
+    def test_objectives_match_on_desk_rskt_programs(self, master_seed):
+        # 20 desk programs plus every one the simplex once failed on
+        lp = desk_rskt_program(master_seed)
+        mine = solve(lp)
+        ref = scipy_opt.linprog(
+            lp.c, A_eq=lp.A_eq, b_eq=lp.b_eq, bounds=(0, None), method="highs"
+        )
+        assert mine.status == "optimal" and ref.status == 0
+        assert mine.objective == pytest.approx(ref.fun, abs=1e-9)
 
 
 class TestWassersteinAgainstScipy:

@@ -18,6 +18,56 @@ from rdmlab.rskt import (
 
 from conftest import make_instance, rskt_program
 
+#: the desk benchmark's (2,2,5) shape
+DESK_CFG = rl.ExperimentConfig(
+    num_states=2, num_actions=2, horizon=5, theta=0.05, rho=0.03,
+    n_sweep=(10_000,), instances=1, seeds_per_dataset=1,
+)
+
+
+def loop_built_program(aug, eta_hat):
+    """The compact rs-kt program built cell by cell: (A_eq, b_eq, c)."""
+    from rdmlab.rskt import _eta_hat_on_grid
+
+    base = aug.base
+    horizon, num_states, num_actions = base.horizon, base.num_states, base.num_actions
+    cell = {}
+    for h in range(horizon):
+        for s, g in np.argwhere(aug.reachable[h]):
+            cell[(h, int(s), int(g))] = len(cell)
+    eta_full = _eta_hat_on_grid(eta_hat, aug.grid)
+    n_keep = max(
+        int(np.nonzero(aug.return_support_mask())[0][-1]),
+        int(np.nonzero(eta_full > 0)[0][-1]),
+    ) + 1
+    n_cells, n_d = len(cell), len(cell) * num_actions
+    a_eq = np.zeros((n_cells + n_keep, n_d + 2 * n_keep))
+    b_eq = np.zeros(n_cells + n_keep)
+    b_eq[0] = 1.0
+    for (h, s, g), k in cell.items():
+        for a in range(num_actions):
+            col = k * num_actions + a
+            a_eq[k, col] = 1.0
+            g_next = g + int(aug.increments[h, s, a])
+            if h == horizon - 1:
+                a_eq[n_cells + g_next, col] = -1.0
+                continue
+            for s_next in range(num_states):
+                p = base.transitions[h, s, a, s_next]
+                if p > 0.0:
+                    a_eq[cell[(h + 1, s_next, g_next)], col] = -p
+    for g in range(n_keep):
+        row = n_cells + g
+        a_eq[row, n_d + g] = 1.0
+        a_eq[row, n_d + n_keep + g] = -1.0
+        if g:
+            a_eq[row, n_d + g - 1] = -1.0
+            a_eq[row, n_d + n_keep + g - 1] = 1.0
+        b_eq[row] = -eta_full[g]
+    c = np.zeros(n_d + 2 * n_keep)
+    c[n_d:] = 1.0
+    return a_eq, b_eq, c
+
 
 def tiny_grid_instance(seed, num_states=2, num_actions=2, horizon=2, step=1.0):
     mdp, expert = make_instance(
@@ -80,13 +130,36 @@ class TestBuildLp:
         layout = lp_layout(aug, eta_hat)
         from rdmlab.rskt import _eta_hat_on_grid
         dense_hat = _eta_hat_on_grid(eta_hat, grid)[: layout.n_keep]
+        assert lp.A_le.shape[0] == 0  # every row is an equality
         for _ in range(5):
             policy = random_reward_augmented_policy(gr, mdp.num_states, rng)
             occ = exact_augmented_occupancy(mdp, policy, gr)
             x = layout.pack_occupancy(occ, dense_hat)
             residual = np.abs(lp.A_eq @ x - lp.b_eq).max()
             assert residual <= 1e-9
-            assert (lp.A_le @ x - lp.b_le).max() <= 1e-9
+            assert x.min() >= 0.0  # every column is nonnegative
+            assert np.array_equal(layout.dense_occupancy(x), occ)
+            # the objective at the packed point is the CDF distance of its returns
+            fitted = rl.exact_return_distribution(mdp, policy, mdp.reward, grid)
+            assert lp.c @ x * grid.theta == pytest.approx(
+                rl.wasserstein(fitted, eta_hat), abs=1e-12
+            )
+
+    def test_matches_loop_built_program(self):
+        # every (row, column) entry is written once, so the array-built
+        # matrix equals a cell-by-cell loop build bit for bit
+        for seed in range(3):
+            mdp, expert = rl.generate_instance(DESK_CFG, seed)
+            data = rl.sample_trajectories(mdp, expert, 500, seed)
+            grid = rl.RewardGrid(DESK_CFG.theta, mdp.horizon)
+            eta_hat = rl.empirical_return_distribution(data, mdp.reward, grid)
+            aug = rl.build_augmented_mdp(mdp, grid, reward=mdp.reward)
+            lp = build_rskt_lp(aug, eta_hat)
+            a_eq, b_eq, c = loop_built_program(aug, eta_hat)
+            assert lp.A_eq.tobytes() == a_eq.tobytes()
+            assert lp.b_eq.tobytes() == b_eq.tobytes()
+            assert lp.c.tobytes() == c.tobytes()
+            assert np.array_equal(lp.lower, np.zeros(c.size))
 
 
 class TestOccupancyToPolicy:
@@ -188,7 +261,7 @@ class TestRsKt:
         layout = lp_layout(aug, eta_hat)
         lp = build_rskt_lp(aug, eta_hat)
         sol = solve(lp)
-        eta_lp = sol.x[layout.eta_offset : layout.eta_offset + layout.n_keep]
+        eta_lp = layout.return_distribution(sol.x)
         d = rl.exact_return_distribution(mdp, policy, mdp.reward, grid)
         dense = np.zeros(layout.n_keep)
         idx = np.rint(d.support / grid.theta).astype(int)
@@ -216,30 +289,44 @@ class TestPinnedSolves:
     """The simplex walks one basis path per program; pin where it ends.
 
     Four seeded (2,2,5) programs of the desk benchmark's shape.  The digests
-    of ``x`` and the pivot counts were computed with the full rank-1 pivot
-    update and must not move when the pivot gets cheaper.
+    of ``x`` and the pivot counts pin the compact program and the pivot rule;
+    the objectives are those of the earlier program with explicit eta and
+    |x| <= t blocks, which has the same optimal value.
     """
 
     PINS = {
-        0: (314, "bbd30b84fc63ca0c4c3134429e03acbc547cb3e7b78c44bada48b0b2313c574d"),
-        1: (1201, "bd3742953b28576627e9aa7695ee41cee1a8ad4f409a438b6137d7bfb2bb3089"),
-        2: (364, "157bfc3761cd18e42da0716acef9237bc4fb323902a6b88ecfbe948744f01c46"),
-        3: (379, "7997f4d50bea3c066126ec7793ebaea6a6252ee58744b1a88e8c2e35ba366fc7"),
+        0: (
+            110,
+            "da75e836be3e8be8beb0c1d779086a446f518203acec8e356c9c40a33818ab89",
+            0.00038538178820264645,
+        ),
+        1: (
+            992,
+            "ae42d4085ac77361f9aaae44e81ee9a9a88ee0757201288234b4f4fec3cab844",
+            0.0005184182336819708,
+        ),
+        2: (
+            246,
+            "23956a63fd6ed07735f10f0ad839536c2905414a2cf396248c542e423c21b0eb",
+            0.0020977070280758132,
+        ),
+        3: (
+            281,
+            "1c8c6531ba273dbce3ee74008ab903a62b5d35cbbe36e56681d201121676428c",
+            0.006115525070506086,
+        ),
     }
 
     @pytest.mark.parametrize("seed", sorted(PINS))
     def test_solution_and_iterations_are_pinned(self, seed):
-        cfg = rl.ExperimentConfig(
-            num_states=2, num_actions=2, horizon=5, theta=0.05, rho=0.03,
-            n_sweep=(10_000,), instances=1, seeds_per_dataset=1,
-        )
-        mdp, expert = rl.generate_instance(cfg, seed)
+        mdp, expert = rl.generate_instance(DESK_CFG, seed)
         data = rl.sample_trajectories(mdp, expert, 10_000, seed)
-        sol = solve(rskt_program(mdp, data, cfg.theta))
-        iterations, digest = self.PINS[seed]
+        sol = solve(rskt_program(mdp, data, DESK_CFG.theta))
+        iterations, digest, objective = self.PINS[seed]
         assert sol.status == "optimal"
         assert sol.iterations == iterations
         assert hashlib.sha256(sol.x.tobytes()).hexdigest() == digest
+        assert sol.objective == pytest.approx(objective, abs=1e-12)
 
 
 class TestThetaForEpsilon:
