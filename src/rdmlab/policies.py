@@ -23,7 +23,15 @@ Sampling draws one uniform per row and binary-searches it in a flat
 cumulative table at a computed row offset (``_draw``); no (n x width) block
 of CDF rows is gathered.  Tables are built once per ``sample_trajectories``
 call with negative round-off entries clipped to 0, so rows are nondecreasing.
-The parametric expert's logits are computed in blocks of ``_ROW_BLOCK`` rows.
+The parametric expert's action distribution depends only on the (history,
+current state) prefix, and a stage has far fewer distinct prefixes than
+rows, so it is computed once per prefix (``_prefix_cdf``): features,
+logits (in blocks of ``_ROW_BLOCK`` prefixes), then softmax and cumulative
+sum in place, in buffers sized once per call.  Each row carries a prefix
+id, renumbered after every step from the trie key (parent id, action, next
+state), and draws its action from its prefix's row.  The features use
+einsum rather than a BLAS product, which made the peak RSS grow with the
+varying prefix count.
 """
 
 from __future__ import annotations
@@ -75,7 +83,7 @@ _MASS_TOL = 1e-10
 #: Width of the history embedding used by the parametric simulation experts.
 PROJECTION_DIM = 16
 
-#: Rows per block when sampling gathers the parametric expert's state weights.
+#: Prefixes per block when sampling gathers the parametric expert's state weights.
 _ROW_BLOCK = 4096
 
 
@@ -244,6 +252,38 @@ def _cdf_table(probs: np.ndarray) -> np.ndarray:
     return np.cumsum(np.maximum(probs, 0.0), axis=-1).ravel()
 
 
+def _prefix_cdf(
+    pol: ParametricHistoryPolicy,
+    state: np.ndarray,
+    encoded: np.ndarray,
+    features: np.ndarray,
+    cdf: np.ndarray,
+    peak: np.ndarray,
+) -> None:
+    """Write the cumulative action distribution of ``m = state.size`` prefixes.
+
+    Prefix ``i`` is the history encoding ``encoded[i]`` at current state
+    ``state[i]``; its row goes to ``cdf[i]``.  ``features`` and ``peak`` are
+    scratch.  Every buffer has at least m rows.  The softmax runs in place
+    in the operation order of ``_softmax`` then ``_cdf_table`` (whose clip
+    is a no-op on exponentials).
+    """
+    m = state.size
+    features, out, peak = features[:m], cdf[:m], peak[:m]
+    # einsum, not BLAS: with a BLAS product over the varying prefix count the
+    # scale workload's peak RSS rose from 65 to 75 MB (2-core host).
+    np.einsum("nk,kf->nf", encoded[:m], pol.projection, out=features)
+    for block in (slice(i, i + _ROW_BLOCK) for i in range(0, m, _ROW_BLOCK)):
+        weights = pol.state_weights[state[block]]
+        np.einsum("nf,nfa->na", features[block], weights, out=out[block])
+    np.max(out, axis=-1, keepdims=True, out=peak)
+    np.subtract(out, peak, out=out)
+    np.exp(out, out=out)
+    np.sum(out, axis=-1, keepdims=True, out=peak)
+    np.divide(out, peak, out=out)
+    np.cumsum(out, axis=-1, out=out)
+
+
 def _draw(
     rng: np.random.Generator, flat_cdf: np.ndarray, base: np.ndarray, width: int
 ) -> np.ndarray:
@@ -275,7 +315,11 @@ def sample_trajectories(
     parametric policy kinds; callable fixtures fall back to a per-trajectory
     loop with explicit history tuples.  Transition and policy tables are
     turned into flat cumulative tables once per call, and every draw reads
-    its row at a computed offset through ``_draw``.
+    its row at a computed offset through ``_draw``.  A parametric expert's
+    cumulative rows are computed once per distinct (history, state) prefix
+    and each trajectory draws from its prefix's row, with the same uniforms
+    as a per-row computation.  The returned arrays are read-only and the
+    dataset keeps them without a copy.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -293,9 +337,15 @@ def sample_trajectories(
         g = np.zeros(n, dtype=np.int64)
         n_g = policy.table.shape[2]
     elif isinstance(policy, ParametricHistoryPolicy):
-        encoded = np.zeros((n, 2 * horizon))
+        # One row per distinct (history, current state) prefix; row pid[i]
+        # is trajectory i's.  Buffers hold n rows and are used as [:m] views.
         width = policy.state_weights.shape[2]
-        logits = np.empty((n, width))
+        pid = np.zeros(n, dtype=np.int64)
+        prefix_state = np.full(1, mdp.initial_state, dtype=np.int64)
+        encoded = np.zeros((n, 2 * horizon))
+        features = np.empty((n, PROJECTION_DIM))
+        cdf = np.empty((n, width))
+        peak = np.empty((n, 1))
     elif isinstance(policy, CallablePolicy):
         histories: list[list[tuple[int, int]]] = [[] for _ in range(n)]
 
@@ -306,11 +356,8 @@ def sample_trajectories(
         elif isinstance(policy, RewardAugmentedPolicy):
             a = _draw(rng, policy_cdf, (row * n_g + g) * width, width)
         elif isinstance(policy, ParametricHistoryPolicy):
-            features = encoded @ policy.projection
-            for block in (slice(i, i + _ROW_BLOCK) for i in range(0, n, _ROW_BLOCK)):
-                weights = policy.state_weights[cur[block]]
-                np.einsum("nf,nfa->na", features[block], weights, out=logits[block])
-            a = _draw(rng, _cdf_table(_softmax(logits)), np.arange(n) * width, width)
+            _prefix_cdf(policy, prefix_state, encoded, features, cdf, peak)
+            a = _draw(rng, cdf.ravel(), pid * width, width)
         elif isinstance(policy, CallablePolicy):
             probs = np.stack(
                 [policy.act(h, int(cur[i]), tuple(histories[i])) for i in range(n)]
@@ -323,14 +370,22 @@ def sample_trajectories(
         actions[:, h] = a
         if isinstance(policy, RewardAugmentedPolicy):
             g = g + policy.reward.multiples[h, cur, a]
-        elif isinstance(policy, ParametricHistoryPolicy):
-            encoded[:, 2 * h] = cur
-            encoded[:, 2 * h + 1] = a
+        elif isinstance(policy, ParametricHistoryPolicy) and h + 1 < horizon:
+            # The key is a trie id: (parent prefix, action, next state).
+            key, pid = np.unique((pid * width + a) * num_states + nxt, return_inverse=True)
+            parent = key // (width * num_states)
+            m = key.size
+            encoded[:m] = encoded[parent]
+            encoded[:m, 2 * h] = prefix_state[parent]
+            encoded[:m, 2 * h + 1] = key // num_states % width
+            prefix_state = key % num_states
         elif isinstance(policy, CallablePolicy):
             for i in range(n):
                 histories[i].append((int(cur[i]), int(a[i])))
         cur = nxt
 
+    states.setflags(write=False)
+    actions.setflags(write=False)
     tag = getattr(policy, "tag", type(policy).__name__)
     return Dataset(states, actions, mdp.num_states, mdp.num_actions, seed=seed, policy_tag=tag)
 

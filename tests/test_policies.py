@@ -88,9 +88,11 @@ class TestSampling:
         assert digests == self.PINNED_DRAWS[kind]
 
     # sha256 of (states, actions) at the sizes the flat-table draw kernel and
-    # the row-blocked expert logits serve, computed with the earlier sampler
-    # (one (n x width) gather of CDF rows per draw, one (n x 16 x A) weight
-    # gather per step); the kernel must reproduce every draw.
+    # the prefix-shared expert logits serve.  The first three were computed
+    # with the earlier sampler (one (n x width) gather of CDF rows per draw,
+    # one (n x 16 x A) weight gather per step), the two "parametric-" cases
+    # with the sampler that computed the expert's logits once per trajectory
+    # row; the kernel must reproduce every draw.
     PINNED_DRAWS_AT_SCALE = {
         "markovian": (
             "501050a48f485d94a03393a8975a4d447fe1087b886ba9289064fe98cab02bad",
@@ -99,6 +101,14 @@ class TestSampling:
         "parametric": (
             "de95835c05bb3595cb0484a19723d2161a41b1abb437fc804a680225f9b41269",
             "6d4e6bc182a8f917e3a6788321abf031ed347a9645ee26e52dc15c1071512caa",
+        ),
+        "parametric-h8": (
+            "6c9c00784863fd0f69832777de418ca4faf729aa3d27cde98d92afee9332e6ba",
+            "d216460525f444b22a580a6ecd464523e5275e1983ee4863800921dff466d618",
+        ),
+        "parametric-wide": (
+            "487d543c66d0ddcc907a77570a2dcca44b8b8f9a7c126d0413348743d969d19e",
+            "63946ffc2f3d74dc10d334781f1dbeeef1adba13bf9aca8bd0acc2b7c8fda7c5",
         ),
         "reward-augmented": (
             "f482fb169bea1f9fc494b6b6165af5be024500e6f094f3ce8a501ec494234e04",
@@ -113,9 +123,16 @@ class TestSampling:
             mdp, _ = make_instance(13, num_states=20, num_actions=5, horizon=5)
             return mdp, rl.random_markovian_policy(20, 5, 5, rng), 300_000
         if kind == "parametric":
-            # two full blocks of 4096 rows (the sampler's _ROW_BLOCK) and a ragged one
             mdp, _ = make_instance(13, num_states=50, num_actions=5, horizon=5)
             return mdp, random_parametric_policy(50, 5, 5, rng), 2 * 4096 + 7
+        if kind == "parametric-h8":
+            mdp, _ = make_instance(13, num_states=5, num_actions=3, horizon=8)
+            return mdp, random_parametric_policy(5, 3, 8, rng), 30_000
+        if kind == "parametric-wide":
+            # over 2 * _ROW_BLOCK distinct prefixes at the last stage: full
+            # prefix blocks and a ragged one
+            mdp, _ = make_instance(13, num_states=100, num_actions=5, horizon=5)
+            return mdp, random_parametric_policy(100, 5, 5, rng), 200_000
         mdp, _ = make_instance(7, num_states=4, num_actions=3, horizon=4)
         gr = rl.discretize_reward(mdp.reward, rl.RewardGrid(0.25, mdp.horizon))
         return mdp, random_reward_augmented_policy(gr, 4, rng), 50_000
@@ -127,6 +144,9 @@ class TestSampling:
         if kind == "reward-augmented":
             steps = policy.reward.multiples[np.arange(mdp.horizon), data.states, data.actions]
             assert np.cumsum(steps, axis=1)[:, :-1].max() > 0  # rows with g > 0 were drawn
+        if kind == "parametric-wide":
+            last = np.column_stack([data.states, data.actions[:, :-1]])
+            assert np.unique(last, axis=0).shape[0] > 2 * policies_mod._ROW_BLOCK
         digests = tuple(
             hashlib.sha256(np.ascontiguousarray(x, dtype="<i8").tobytes()).hexdigest()
             for x in (data.states, data.actions)
@@ -139,6 +159,29 @@ class TestSampling:
         d = rl.empirical_return_distribution(data, mdp.reward)
         band = mdp.horizon * rl.dkw_band(4000, 0.01)
         assert rl.wasserstein(d, rl.DiscreteReturnDistribution.point_mass(1.0)) <= band
+
+    def test_parametric_cdf_rows_match_act_parametric(self, monkeypatch):
+        """Every drawn expert CDF row against ``act_parametric`` on that row's history."""
+        mdp, _ = make_instance(5, num_states=4, num_actions=3, horizon=4)
+        policy = random_parametric_policy(4, 3, 4, np.random.default_rng(8))
+        calls = []
+        real_draw = policies_mod._draw
+
+        def spy(rng, flat_cdf, base, width):
+            calls.append((flat_cdf.copy(), base.copy(), width))
+            return real_draw(rng, flat_cdf, base, width)
+
+        monkeypatch.setattr(policies_mod, "_draw", spy)
+        n = 300
+        data = rl.sample_trajectories(mdp, policy, n, seed=4)
+        assert len(calls) == 2 * mdp.horizon  # an action draw, then a transition draw
+        for h, (flat_cdf, base, width) in enumerate(calls[::2]):
+            assert width == 3 and base.shape == (n,)
+            for i in range(n):
+                history = list(zip(data.states[i, :h], data.actions[i, :h]))
+                want = np.cumsum(act_parametric(policy, history, data.states[i, h], h))
+                got = flat_cdf[base[i] : base[i] + width]
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class _StubRng:
