@@ -72,7 +72,9 @@ KNOWN_ALGORITHMS = ("rs-bc", "rs-kt", "bc", "mimic-md", "eta-hat")
 _EVAL_MODES = ("exact-dp", "enumeration", "monte-carlo")
 
 #: Joint-DP evaluations beyond this many (state x g x return) cells fall back
-#: to Monte Carlo with the configured sample count.
+#: to Monte Carlo with the configured sample count.  The count is the full
+#: S x G_pol x G_ret box, not the live cells the DP works on; it stays as is
+#: because moving it changes which tasks fall back, and so the results.
 _DP_CELL_BUDGET = 2_000_000
 
 

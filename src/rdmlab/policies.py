@@ -10,12 +10,15 @@ Exact evaluation comes in two flavors: a forward dynamic program over
 that pair, and full trajectory enumeration (capped at ``(S*A)^H <= 2^20``)
 for everything else.  Every forward pass (Markovian and reward-augmented
 return distributions, the joint policy x return accumulator, augmented
-occupancy) runs through one stage kernel, ``_push_stage``: per action it
-writes the action-weighted mass of every state, shifted by that step's
-grid multiples, into one zeroed slab and adds ``P_h[:, a, :].T @ slab`` to
-the next stage.  Only one action's slab exists at a time, and it spans only
-the accumulator box the live mass can reach.  This shift-and-add on a fixed
-grid is the categorical projection of Bellemare, Dabney & Munos (2017).
+occupancy) runs through one stage kernel, ``_push_stage``, which keeps
+mass only on live accumulator cells: a sorted array of flat keys into the
+accumulator box and an (S, K) mass.  Per action it scatters the
+action-weighted mass of every state, shifted by that step's grid multiples,
+into one zeroed slab over the next stage's live keys and adds
+``P_h[:, a, :].T @ slab`` to the next stage.  Both accumulators of the joint
+program sum the same rewards, so its live cells lie on a narrow band of the
+box.  This shift-and-add on a fixed grid is the categorical projection of
+Bellemare, Dabney & Munos (2017).
 The enumeration path stays outside the kernel: it is the independent oracle
 the DP is tested against.
 
@@ -36,6 +39,7 @@ varying prefix count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -503,48 +507,61 @@ def _dp_mass_check(total: float) -> None:
 
 
 def _push_stage(
+    cells: np.ndarray,
     mass: np.ndarray,
     phi: np.ndarray,
     transitions: np.ndarray,
     shifts: np.ndarray,
     limits: Sequence[int],
-) -> np.ndarray:
-    """One forward stage of probability mass over (state, grid accumulators).
+) -> tuple[np.ndarray, np.ndarray]:
+    """One forward stage of probability mass over (state, live grid accumulators).
 
-    ``mass`` is (S, *box): the probability of each state with each tuple of
-    integer grid accumulators, for accumulators inside ``box``.  ``phi``
-    holds the action probabilities with the action axis last; it covers at
-    least ``box`` and broadcasts against ``mass``.  ``transitions`` is this
-    stage's (S, A, S) tensor and ``shifts`` the (S, A, len(box)) grid
-    multiples each (state, action) adds to the accumulators.  The returned
-    mass covers the box the shifted mass can reach, capped at ``limits``;
-    mass shifted past a limit is dropped, so callers size their grids so
-    that none is, and check the total.
+    ``cells`` is the sorted array of live accumulator cells, as flat keys
+    row-major over the box ``limits`` (one axis per accumulator), and
+    ``mass`` is (S, K): the probability of each state with each live cell.
+    ``phi`` holds the action probabilities at those cells with the action
+    axis last; it broadcasts against (S, K, A).  ``transitions`` is this
+    stage's (S, A, S) tensor and ``shifts`` the (S, A, len(limits)) grid
+    multiples each (state, action) adds to the accumulators.  Returns the
+    next stage's sorted live keys and their (S, K') mass.  Mass shifted past
+    a per-axis limit is dropped, never wrapped into the next row of the flat
+    key, so callers size their grids so that none is, and check the total.
 
-    For each action the shifted, action-weighted mass of every state goes
-    into one zeroed slab, which a single transition GEMM pushes into the
-    next stage.  Only one action's slab exists at a time.
+    The next keys are ``cell + flat shift`` over every (state, cell) with
+    mass and every action, found with a presence map over the box.  For each
+    action the action-weighted mass fills one zeroed (S, K') slab by one
+    fancy-index assignment (one (state, action) never sends two cells to one
+    key; mass with nowhere to go lands in a spare column), and a single
+    transition GEMM pushes the slab into the next stage.
     """
-    num_states, box = mass.shape[0], mass.shape[1:]
-    reach = [min(n, b + int(k)) for n, b, k in zip(limits, box, shifts.max(axis=(0, 1)))]
-    live = np.flatnonzero(mass.reshape(num_states, -1).any(axis=1))
-    slab = np.empty((num_states, *reach))
-    nxt = np.empty((num_states, slab[0].size))
+    num_states, num_actions = transitions.shape[:2]
+    size = math.prod(limits)
+    strides = [math.prod(limits[d + 1 :]) for d in range(len(limits))]
+    dst = cells + (shifts @ strides)[:, :, None]  # (S, A, K); key ``size`` is dropped
+    for d, (coord, n) in enumerate(zip(np.unravel_index(cells, limits), limits)):
+        dst[shifts[:, :, d, None] >= n - coord] = size  # past a limit
+    np.copyto(dst, size, where=(mass == 0.0)[:, None, :])  # no mass to move
+    present = np.zeros(size + 1, dtype=bool)
+    present[dst] = True
+    nxt_cells = present[:size].nonzero()[0]
+    pos = np.empty(size + 1, dtype=np.intp)
+    pos[nxt_cells] = np.arange(nxt_cells.size)
+    pos[size] = nxt_cells.size  # dropped mass goes to a spare column
+    cols = pos[dst]
+    rows = np.arange(num_states)[:, None]
+    weighted = np.empty_like(mass)
+    slab = np.empty((num_states, nxt_cells.size + 1))
+    nxt = np.empty((num_states, nxt_cells.size))
     pushed = np.empty_like(nxt)
-    for a in range(transitions.shape[1]):
+    for a in range(num_actions):
         slab.fill(0.0)
-        for s in live:
-            dst = tuple(
-                slice(k, max(k, min(k + b, r)))
-                for k, b, r in zip(shifts[s, a].tolist(), box, reach)
-            )
-            src = tuple(slice(0, d.stop - d.start) for d in dst)
-            np.multiply(mass[s][src], phi[s, ..., a][src], out=slab[s][dst])
+        np.multiply(mass, phi[:, :, a], out=weighted)
+        slab[rows, cols[:, a]] = weighted
         # The first action's GEMM writes the next stage, saving a zero fill and an add.
-        np.matmul(transitions[:, a, :].T, slab.reshape(num_states, -1), out=pushed if a else nxt)
+        np.matmul(transitions[:, a, :].T, slab[:, :-1], out=pushed if a else nxt)
         if a:
             nxt += pushed
-    return nxt.reshape(slab.shape)
+    return nxt_cells, nxt
 
 
 def exact_return_distribution(
@@ -570,19 +587,19 @@ def exact_return_distribution(
     shifts = gr_eval.multiples[..., None]
     limits: tuple[int, ...] = (grid.full_size,)
 
+    # Each run of ``stride`` flat keys shares one policy cell (a Markovian table has one).
     if isinstance(policy, MarkovianPolicy):
-        phi = policy.table[:, :, None, :]
+        table, stride = policy.table[:, :, None, :], grid.full_size
     elif isinstance(policy, RewardAugmentedPolicy):
         same_reward = policy.grid == grid and np.array_equal(
             policy.reward.multiples, gr_eval.multiples
         )
-        if same_reward:
-            phi = policy.table
-        else:
+        table, stride = policy.table, 1
+        if not same_reward:
             # Policy accumulator x evaluation return.  After the last action
             # the policy accumulator is never read again, so it need not
             # advance (it could overflow its table).
-            phi = policy.table[:, :, :, None, :]
+            stride = grid.full_size
             pol_shifts = policy.reward.multiples.copy()
             pol_shifts[-1] = 0
             shifts = np.stack([pol_shifts, gr_eval.multiples], axis=-1)
@@ -593,11 +610,14 @@ def exact_return_distribution(
             "use enumeration or Monte Carlo instead"
         )
 
-    mass = np.zeros((num_states,) + (1,) * len(limits))
+    cells, mass = np.zeros(1, dtype=np.intp), np.zeros((num_states, 1))
     mass[mdp.initial_state] = 1.0
     for h in range(horizon):
-        mass = _push_stage(mass, phi[h], mdp.transitions[h], shifts[h], limits)
-    totals = mass.sum(axis=tuple(range(mass.ndim - 1)))
+        phi = table[h][:, cells // stride]
+        cells, mass = _push_stage(cells, mass, phi, mdp.transitions[h], shifts[h], limits)
+    # Summed in (state, cell) order, as a dense box sums over its leading axes.
+    ret = np.broadcast_to(cells % grid.full_size, mass.shape)
+    totals = np.bincount(ret.ravel(), weights=mass.ravel())
     _dp_mass_check(float(totals.sum()))
     support = np.nonzero(totals > 0.0)[0]
     return DiscreteReturnDistribution(support * grid.theta, totals[support])
@@ -617,18 +637,17 @@ def exact_augmented_occupancy(
     horizon, num_states, num_actions = mdp.horizon, mdp.num_states, mdp.num_actions
     n_g = reward.grid.num_multiples(horizon - 1)
     occ = np.zeros((horizon, num_states, n_g, num_actions))
-    mass = np.zeros((num_states, 1))
+    cells, mass = np.zeros(1, dtype=np.intp), np.zeros((num_states, 1))
     mass[mdp.initial_state] = 1.0
     for h in range(horizon):
         if isinstance(policy, MarkovianPolicy):
             phi = policy.table[h][:, None, :]
         else:
-            phi = policy.table[h]
-        box = mass.shape[1]
-        occ[h, :, :box] = mass[:, :, None] * phi[:, :box]
+            phi = policy.table[h][:, cells]
+        occ[h][:, cells] = mass[:, :, None] * phi
         if h + 1 < horizon:
-            mass = _push_stage(
-                mass, phi, mdp.transitions[h], reward.multiples[h][..., None], (n_g,)
+            cells, mass = _push_stage(
+                cells, mass, phi, mdp.transitions[h], reward.multiples[h][..., None], (n_g,)
             )
         _dp_mass_check(float(occ[h].sum()))
     return occ

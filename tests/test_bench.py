@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import rdmlab as rl
+import rdmlab.bench as bench_mod
 from rdmlab.bench import (
     RESULTS_HEADER,
     collect_example_distributions,
@@ -140,8 +141,6 @@ class TestRunExperiment:
     @staticmethod
     def _flaky_bc(monkeypatch, error):
         """Make every third ``bc`` call in the harness raise ``error``."""
-        import rdmlab.bench as bench_mod
-
         calls = {"n": 0}
         original = bench_mod.bc
 
@@ -192,6 +191,29 @@ def test_known_bad_pivot_instance_has_no_rskt_failure(master_seed):
     cfg = rl.ExperimentConfig(**{**KNOWN_BAD_PIVOT_CFG, "master_seed": master_seed})
     rows = rl.run_experiment(cfg)
     assert {r.algorithm: r.failures for r in rows}["rs-kt"] == 0
+
+
+class TestPolicyDistributionRouting:
+    @pytest.mark.parametrize("over", [False, True], ids=["within-budget", "past-budget"])
+    def test_cell_budget_picks_the_evaluator(self, monkeypatch, over):
+        # a desk-shaped rs-bc output: joint DP up to the budget, Monte Carlo past it
+        cfg = tiny_cfg(
+            horizon=5, theta=0.05, rho=0.03, expert_kind="parametric-history",
+            eval_mode="enumeration", mc_samples=500,
+        )
+        mdp, expert = bench_mod.generate_instance(cfg, 3)
+        data = rl.sample_trajectories(mdp, expert, 200, 5)
+        policy = rl.rs_bc(data, mdp.reward, rl.RewardGrid(cfg.theta, mdp.horizon))
+        eval_grid = rl.RewardGrid(cfg.rho, mdp.horizon)
+        box = mdp.num_states * policy.grid.num_multiples(mdp.horizon - 1) * eval_grid.full_size
+        monkeypatch.setattr(bench_mod, "_DP_CELL_BUDGET", box - 1 if over else box)
+        got = bench_mod._policy_distribution(cfg, mdp, policy, eval_seed=11)
+        mc = rl.mc_return_distribution(mdp, policy, mdp.reward, cfg.mc_samples, 11)
+        exact = rl.exact_return_distribution(mdp, policy, mdp.reward, eval_grid)
+        assert rl.wasserstein(mc, exact) > 0.0
+        expected = mc if over else exact
+        assert np.array_equal(got.support, expected.support)
+        assert np.array_equal(got.probs, expected.probs)
 
 
 class TestEmitResults:

@@ -5,6 +5,7 @@ import pytest
 
 import rdmlab as rl
 from rdmlab import policies as policies_mod
+from rdmlab.bench import generate_instance
 from rdmlab.policies import (
     EnumerationCapError,
     act_parametric,
@@ -498,3 +499,183 @@ class TestAugmentedOccupancy:
         policy = random_reward_augmented_policy(gr, mdp.num_states, rng)
         occ = exact_augmented_occupancy(mdp, policy, gr)
         assert occ.sum(axis=(1, 2, 3)) == pytest.approx(np.ones(mdp.horizon), abs=1e-10)
+
+
+def _dense_push_stage(mass, phi, transitions, shifts, limits):
+    """The dense-box stage kernel the live-cell ``_push_stage`` replaced (reference).
+
+    ``mass`` is (S, *box) over the whole accumulator box the mass can reach,
+    capped at ``limits``; per action one zeroed slab over that box is filled
+    state by state and pushed by one transition GEMM.
+    """
+    num_states, box = mass.shape[0], mass.shape[1:]
+    reach = [min(n, b + int(k)) for n, b, k in zip(limits, box, shifts.max(axis=(0, 1)))]
+    live = np.flatnonzero(mass.reshape(num_states, -1).any(axis=1))
+    slab = np.empty((num_states, *reach))
+    nxt = np.empty((num_states, slab[0].size))
+    pushed = np.empty_like(nxt)
+    for a in range(transitions.shape[1]):
+        slab.fill(0.0)
+        for s in live:
+            dst = tuple(
+                slice(k, max(k, min(k + b, r)))
+                for k, b, r in zip(shifts[s, a].tolist(), box, reach)
+            )
+            src = tuple(slice(0, d.stop - d.start) for d in dst)
+            np.multiply(mass[s][src], phi[s, ..., a][src], out=slab[s][dst])
+        np.matmul(transitions[:, a, :].T, slab.reshape(num_states, -1), out=pushed if a else nxt)
+        if a:
+            nxt += pushed
+    return nxt.reshape(slab.shape)
+
+
+def _dense_return_distribution(mdp, policy, reward, grid):
+    """``exact_return_distribution`` on the dense-box kernel (reference)."""
+    gr_eval = rl.discretize_reward(reward, grid)
+    shifts, limits = gr_eval.multiples[..., None], (grid.full_size,)
+    if isinstance(policy, rl.MarkovianPolicy):
+        phi = policy.table[:, :, None, :]
+    elif policy.grid == grid and np.array_equal(policy.reward.multiples, gr_eval.multiples):
+        phi = policy.table
+    else:
+        phi = policy.table[:, :, :, None, :]
+        pol_shifts = policy.reward.multiples.copy()
+        pol_shifts[-1] = 0
+        shifts = np.stack([pol_shifts, gr_eval.multiples], axis=-1)
+        limits = (policy.table.shape[2], grid.full_size)
+    mass = np.zeros((mdp.num_states,) + (1,) * len(limits))
+    mass[mdp.initial_state] = 1.0
+    for h in range(mdp.horizon):
+        mass = _dense_push_stage(mass, phi[h], mdp.transitions[h], shifts[h], limits)
+    totals = mass.sum(axis=tuple(range(mass.ndim - 1)))
+    support = np.nonzero(totals > 0.0)[0]
+    return rl.DiscreteReturnDistribution(support * grid.theta, totals[support])
+
+
+def _dense_occupancy(mdp, policy, reward):
+    """``exact_augmented_occupancy`` on the dense-box kernel (reference)."""
+    n_g = reward.grid.num_multiples(mdp.horizon - 1)
+    occ = np.zeros((mdp.horizon, mdp.num_states, n_g, mdp.num_actions))
+    mass = np.zeros((mdp.num_states, 1))
+    mass[mdp.initial_state] = 1.0
+    for h in range(mdp.horizon):
+        if isinstance(policy, rl.MarkovianPolicy):
+            phi = policy.table[h][:, None, :]
+        else:
+            phi = policy.table[h]
+        box = mass.shape[1]
+        occ[h, :, :box] = mass[:, :, None] * phi[:, :box]
+        if h + 1 < mdp.horizon:
+            mass = _dense_push_stage(
+                mass, phi, mdp.transitions[h], reward.multiples[h][..., None], (n_g,)
+            )
+    return occ
+
+
+#: The benchmark workloads' shapes and grids, with instances per shape.
+_WORKLOAD_SHAPES = {
+    "desk": (8, dict(num_states=2, num_actions=2, horizon=5, theta=0.05, rho=0.03,
+                     expert_kind="parametric-history", n_sweep=(10_000,))),
+    "scale": (5, dict(num_states=50, num_actions=5, horizon=5, theta=0.05, rho=0.03,
+                      expert_kind="parametric-history", n_sweep=(1000,))),
+    "bulk": (7, dict(num_states=20, num_actions=5, horizon=5, theta=0.02, rho=0.02,
+                     expert_kind="markovian", n_sweep=(1000,))),
+}
+
+
+def _mass_leak_mdp(stage):
+    """(3,2,4) MDP whose transition row (stage, 0, 0) sums to 0.9; rewards on the 0.25 grid."""
+    rng = np.random.default_rng(stage)
+    transitions = rng.dirichlet(np.ones(3), size=(4, 3, 2))
+    transitions[stage, 0, 0] *= 0.9
+    reward = rng.integers(0, 5, size=(4, 3, 2)) * 0.25
+    return rl.TabularMdp(3, 2, 4, 0, transitions, reward)
+
+
+class TestLiveCellKernel:
+    @pytest.mark.parametrize(
+        "shape, seed",
+        [(name, seed) for name, (count, _) in _WORKLOAD_SHAPES.items() for seed in range(count)],
+    )
+    def test_matches_dense_reference(self, shape, seed):
+        cfg = rl.ExperimentConfig(instances=1, **_WORKLOAD_SHAPES[shape][1])
+        mdp, expert = generate_instance(cfg, 7919 * seed + 11)
+        data = rl.sample_trajectories(mdp, expert, cfg.n_sweep[0], seed)
+        grid = rl.RewardGrid(cfg.theta, mdp.horizon)
+        eval_grid = rl.RewardGrid(cfg.rho, mdp.horizon)
+        markov, augmented = rl.bc(data), rl.rs_bc(data, mdp.reward, grid)
+        # Markov; joint (single on bulk, where theta == rho); single on the policy's grid
+        cases = [(markov, eval_grid), (augmented, eval_grid), (augmented, grid)]
+        for policy, g in cases:
+            dist = rl.exact_return_distribution(mdp, policy, mdp.reward, g)
+            expected = _dense_return_distribution(mdp, policy, mdp.reward, g)
+            assert np.array_equal(dist.support, expected.support)
+            assert np.array_equal(dist.probs, expected.probs)
+        for policy in (markov, augmented):
+            occ = exact_augmented_occupancy(mdp, policy, augmented.reward)
+            assert np.array_equal(occ, _dense_occupancy(mdp, policy, augmented.reward))
+
+    @pytest.mark.parametrize("stage", [0, 3], ids=["first", "last"])
+    def test_lost_row_mass_fails_every_return_path(self, stage):
+        mdp = _mass_leak_mdp(stage)
+        fine, coarse = rl.RewardGrid(0.25, 4), rl.RewardGrid(0.5, 4)
+        rng = np.random.default_rng(stage)
+        markov = rl.random_markovian_policy(3, 2, 4, rng)
+        single = random_reward_augmented_policy(rl.discretize_reward(mdp.reward, fine), 3, rng)
+        joint = random_reward_augmented_policy(rl.discretize_reward(mdp.reward, coarse), 3, rng)
+        for policy in (markov, single, joint):
+            with pytest.raises(AssertionError, match="lost probability mass"):
+                rl.exact_return_distribution(mdp, policy, mdp.reward, fine)
+
+    @pytest.mark.parametrize("stage", [0, 2], ids=["first", "last-pushed"])
+    def test_lost_row_mass_fails_occupancy(self, stage):
+        # the occupancy never reads the last stage's transitions, so its last
+        # pushed stage is H - 2
+        mdp = _mass_leak_mdp(stage)
+        gr = rl.discretize_reward(mdp.reward, rl.RewardGrid(0.25, 4))
+        rng = np.random.default_rng(stage)
+        for policy in (
+            rl.random_markovian_policy(3, 2, 4, rng),
+            random_reward_augmented_policy(gr, 3, rng),
+        ):
+            with pytest.raises(AssertionError, match="lost probability mass"):
+                exact_augmented_occupancy(mdp, policy, gr)
+
+    def test_mass_past_a_limit_is_dropped_not_wrapped(self):
+        # box (2, 3); cells (0, 1) and (0, 2) shifted by (0, 1): (0, 2) stays in
+        # the box, (0, 3) is past the last axis's limit.  Its flat key 3 is the
+        # cell (1, 0), which must receive nothing.
+        cells = np.array([1, 2])
+        mass = np.array([[0.25, 0.75]])
+        transitions = np.ones((1, 1, 1))
+        shifts = np.array([[[0, 1]]])
+        nxt_cells, nxt = policies_mod._push_stage(
+            cells, mass, np.ones((1, 2, 1)), transitions, shifts, (2, 3)
+        )
+        assert nxt_cells.tolist() == [2]
+        assert nxt.tolist() == [[0.25]]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_limits_below_reach_match_dense_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        num_states, num_actions, limits = 4, 3, (5, 6)
+        dense_mass = rng.random((num_states, 3, 4)) * (rng.random((num_states, 3, 4)) < 0.5)
+        dense_mass[1] = 0.0  # a state without mass
+        phi = rng.dirichlet(np.ones(num_actions), size=(num_states, 5, 6))
+        transitions = rng.dirichlet(np.ones(num_states), size=(num_states, num_actions))
+        shifts = rng.integers(0, 4, size=(num_states, num_actions, 2))
+        expected = _dense_push_stage(dense_mass, phi, transitions, shifts, limits)
+
+        padded = np.zeros((num_states, *limits))
+        padded[:, :3, :4] = dense_mass
+        cells = np.flatnonzero(padded.any(axis=0))
+        mass = padded.reshape(num_states, -1)[:, cells]
+        pol = phi.reshape(num_states, -1, num_actions)[:, cells]
+        nxt_cells, nxt = policies_mod._push_stage(cells, mass, pol, transitions, shifts, limits)
+
+        got = np.zeros((num_states, *limits))
+        got.reshape(num_states, -1)[:, nxt_cells] = nxt
+        reach = expected.shape[1:]
+        assert not got[:, reach[0]:].any() and not got[:, :, reach[1]:].any()
+        assert np.array_equal(got[:, : reach[0], : reach[1]], expected)
+        assert nxt.sum() < mass.sum()  # some mass was shifted past a limit
