@@ -280,6 +280,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
                         seed_errors[alg].append(_run_one(cfg, alg, mdp, data, truth, eval_seed))
                     except (LpError, EnumerationCapError, GridOverflowError):
                         failures[(alg, n)] += 1
+                del data  # else it stays alive while the next dataset is sampled
             for alg in cfg.algorithms:
                 errs = seed_errors[alg]
                 per_instance[(alg, n)].append(float(np.mean(errs)) if errs else math.nan)

@@ -80,27 +80,36 @@ class DiscreteReturnDistribution:
         weights = np.asarray(weights, dtype=float).ravel()
         if values.size != weights.size or values.size == 0:
             raise ValueError("values and weights must be matching nonempty arrays")
-        order = np.argsort(values, kind="stable")
-        v, w = values[order], weights[order]
-        group = np.zeros(v.size, dtype=np.int64)
-        if v.size > 1:
-            group[1:] = np.cumsum(np.diff(v) > ATOM_MERGE_TOL)
-        n_groups = int(group[-1]) + 1
-        mass = np.zeros(n_groups)
-        np.add.at(mass, group, w)
-        pos = np.zeros(n_groups)
-        np.add.at(pos, group, v * w)
-        # Zero-mass groups keep their first value so merging stays defined.
-        first = np.zeros(n_groups)
-        first[group[::-1]] = v[::-1]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            merged = np.where(mass > 0, pos / np.where(mass > 0, mass, 1.0), first)
+        if (weights == weights[0]).all():
+            # Equal weights: the order among tied values cannot change any sum,
+            # so an unstable sort gives the stable sort's groups and sums.
+            v, w = np.sort(values), weights
+        else:
+            order = np.argsort(values, kind="stable")
+            v, w = values[order], weights[order]
+        _, (mass, pos) = _merge_atoms(v, w, v * w)
         keep = mass > 0
-        return cls(merged[keep], mass[keep])
+        return cls(pos[keep] / mass[keep], mass[keep])
 
     @classmethod
     def point_mass(cls, value: float) -> "DiscreteReturnDistribution":
         return cls(np.array([float(value)]), np.array([1.0]))
+
+
+def _merge_atoms(
+    v: np.ndarray, *weights: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Group sorted values closer than ``ATOM_MERGE_TOL`` into atoms.
+
+    Returns each group's first value and, for every weight array, its sum
+    per group.  ``np.bincount`` adds each group's weights in array order.
+    """
+    starts = np.empty(v.size, dtype=bool)
+    starts[0] = True
+    np.greater(np.diff(v), ATOM_MERGE_TOL, out=starts[1:])
+    group = np.cumsum(starts) - 1
+    n = int(group[-1]) + 1
+    return v[starts], [np.bincount(group, weights=w, minlength=n) for w in weights]
 
 
 def _aligned(
@@ -111,17 +120,7 @@ def _aligned(
     wp = np.concatenate([p.probs, np.zeros_like(q.probs)])
     wq = np.concatenate([np.zeros_like(p.probs), q.probs])
     order = np.argsort(v, kind="stable")
-    v, wp, wq = v[order], wp[order], wq[order]
-    group = np.zeros(v.size, dtype=np.int64)
-    if v.size > 1:
-        group[1:] = np.cumsum(np.diff(v) > ATOM_MERGE_TOL)
-    n = int(group[-1]) + 1
-    values = np.zeros(n)
-    values[group[::-1]] = v[::-1]  # representative: first value of each group
-    pa = np.zeros(n)
-    qa = np.zeros(n)
-    np.add.at(pa, group, wp)
-    np.add.at(qa, group, wq)
+    values, (pa, qa) = _merge_atoms(v[order], wp[order], wq[order])
     return values, pa, qa
 
 

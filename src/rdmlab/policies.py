@@ -22,10 +22,20 @@ Bellemare, Dabney & Munos (2017).
 The enumeration path stays outside the kernel: it is the independent oracle
 the DP is tested against.
 
-Sampling draws one uniform per row and binary-searches it in a flat
-cumulative table at a computed row offset (``_draw``); no (n x width) block
-of CDF rows is gathered.  Tables are built once per ``sample_trajectories``
-call with negative round-off entries clipped to 0, so rows are nondecreasing.
+Sampling runs one stage loop, ``_rollout``, which yields each stage's
+(n,) states and actions: ``sample_trajectories`` stores them, and
+``mc_return_distribution`` gathers only their rewards into an (m x H)
+block, so Monte Carlo evaluation builds no trajectories.  Every draw takes
+one uniform per row and finds it in a flat cumulative table at a computed
+row offset (``_draw``); no (n x width) block of CDF rows is gathered.
+Tables are built once per rollout with negative round-off entries clipped
+to 0, so rows are nondecreasing.  Transition, Markovian and
+reward-augmented tables at least ``_GUIDE_MIN_WIDTH`` wide also get a
+guide table (Chen & Asau 1974) of up to ``2**_GUIDE_BITS`` buckets per row,
+never more entries than draws per stage: a uniform whose bucket holds no
+CDF entry reads its draw there, and only the rest are binary-searched.
+Narrower tables (the parametric expert's per-prefix rows, the desk
+shapes) gain nothing from a guide and keep the plain search.
 The parametric expert's action distribution depends only on the (history,
 current state) prefix, and a stage has far fewer distinct prefixes than
 rows, so it is computed once per prefix (``_prefix_cdf``): features,
@@ -41,11 +51,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .distributions import DiscreteReturnDistribution, empirical_return_distribution
+from .distributions import DiscreteReturnDistribution
 from .mdp import (
     Dataset,
     GridReward,
@@ -90,6 +100,12 @@ PROJECTION_DIM = 16
 #: Prefixes per block when sampling gathers the parametric expert's state weights.
 _ROW_BLOCK = 4096
 
+#: Sampling tables with rows at least this wide get a guide table of
+#: between 2**_GUIDE_MIN_BITS and 2**_GUIDE_BITS buckets per row.
+_GUIDE_MIN_WIDTH = 8
+_GUIDE_MIN_BITS = 4
+_GUIDE_BITS = 8
+
 
 class EnumerationCapError(RuntimeError):
     """The trajectory space (S*A)^H exceeds the enumeration cap."""
@@ -97,8 +113,11 @@ class EnumerationCapError(RuntimeError):
 
 def _check_rows(table: np.ndarray, what: str) -> np.ndarray:
     table = np.asarray(table, dtype=float)
-    sums = table.sum(axis=-1)
-    if np.abs(sums - 1.0).max() > _ROW_TOL or table.min() < -_ROW_TOL:
+    if (
+        not np.isfinite(table).all()
+        or np.abs(table.sum(axis=-1) - 1.0).max() > _ROW_TOL
+        or table.min() < -_ROW_TOL
+    ):
         raise ValueError(f"{what}: action rows must be probability vectors")
     table = table.copy()
     table.setflags(write=False)
@@ -251,9 +270,54 @@ def act_parametric(
     return _softmax(features @ pol.state_weights[state])
 
 
-def _cdf_table(probs: np.ndarray) -> np.ndarray:
-    """Cumulative sums over the last axis, flattened; negative entries count as 0."""
-    return np.cumsum(np.maximum(probs, 0.0), axis=-1).ravel()
+class _Table(NamedTuple):
+    """A sampling table: cumulative rows, flat, with an optional guide table.
+
+    Row ``r`` is ``cdf[r * width : (r + 1) * width]``, nondecreasing.  A
+    guide cuts [0, 1) into ``2**bits`` equal buckets per row: entry
+    ``(r << bits) + j`` is the draw of every uniform in bucket ``j`` of row
+    ``r``, or -1 when a searched row entry falls inside that bucket.
+    """
+
+    cdf: np.ndarray
+    width: int
+    guide: np.ndarray | None = None
+    bits: int = 0
+
+
+def _guide(cdf: np.ndarray, width: int, bits: int) -> np.ndarray:
+    """Guide table (Chen & Asau 1974) of the flat cumulative rows ``cdf``.
+
+    ``floor(c * 2**bits)`` is exact, so an entry ``c`` lies in bucket ``j``
+    iff ``j <= c * 2**bits < j + 1``.  Every uniform in a bucket without
+    entries counts the same entries below it: those of buckets 0 to ``j``.
+    The last entry of a row is never searched (``_draw`` clamps), and entries
+    of 1 or more lie past every bucket.
+    """
+    buckets = 1 << bits
+    searched = cdf.reshape(-1, width)[:, :-1]
+    num_rows = searched.shape[0]
+    at = np.minimum(np.floor(searched * buckets), buckets).astype(np.intp)
+    at += np.arange(num_rows)[:, None] * (buckets + 1)
+    hits = np.bincount(at.ravel(), minlength=num_rows * (buckets + 1))
+    hits = hits.reshape(num_rows, buckets + 1)[:, :-1]
+    guide = np.where(hits > 0, -1, np.cumsum(hits, axis=1))
+    return guide.astype(np.min_scalar_type(-width)).ravel()
+
+
+def _cdf_table(probs: np.ndarray, n: int = 0) -> _Table:
+    """Sampling table of ``probs`` (last axis: outcomes) for ``n`` draws per use.
+
+    Cumulative sums over the last axis, flattened; negative entries count as
+    0.  Rows at least ``_GUIDE_MIN_WIDTH`` wide get a guide of up to
+    ``2**_GUIDE_BITS`` buckets per row, as many as keep it within ``n`` entries.
+    """
+    width = probs.shape[-1]
+    cdf = np.cumsum(np.maximum(probs, 0.0), axis=-1).ravel()
+    bits = min(_GUIDE_BITS, (n // (cdf.size // width)).bit_length() - 1)
+    if width < _GUIDE_MIN_WIDTH or bits < _GUIDE_MIN_BITS:
+        return _Table(cdf, width)
+    return _Table(cdf, width, _guide(cdf, width, bits), bits)
 
 
 def _prefix_cdf(
@@ -288,18 +352,12 @@ def _prefix_cdf(
     np.cumsum(out, axis=-1, out=out)
 
 
-def _draw(
-    rng: np.random.Generator, flat_cdf: np.ndarray, base: np.ndarray, width: int
-) -> np.ndarray:
-    """One categorical draw per row of a flat cumulative table, on one uniform each.
+def _search(flat_cdf: np.ndarray, base: np.ndarray, u: np.ndarray, width: int) -> np.ndarray:
+    """``min((row < u).sum(), width - 1)`` for row ``flat_cdf[base : base + width]``.
 
-    Row ``i`` is ``flat_cdf[base[i] : base[i] + width]``, nondecreasing.  The
-    draw is ``min((row < u).sum(), width - 1)``, found by a branchless binary
-    search over the first ``width - 1`` entries (skipping the last is the clamp).
+    A branchless binary search over the first ``width - 1`` entries
+    (skipping the last is the clamp), for ``width >= 2``.
     """
-    u = rng.random(base.shape[0])
-    if width == 1:
-        return np.zeros_like(base)
     pos = base.copy()
     size = width - 1
     while size > 1:
@@ -310,33 +368,43 @@ def _draw(
     return pos - base
 
 
-def sample_trajectories(
-    mdp: TabularMdp, policy: PolicyHandle, n: int, seed: int
-) -> Dataset:
-    """Draw ``n`` i.i.d. trajectories; bit-identical output for equal seeds.
+def _draw(rng: np.random.Generator, table: _Table, rows: np.ndarray) -> np.ndarray:
+    """One categorical draw from each given row of ``table``, on one uniform each.
 
-    Sampling is vectorized across trajectories for the table-based and
-    parametric policy kinds; callable fixtures fall back to a per-trajectory
-    loop with explicit history tuples.  Transition and policy tables are
-    turned into flat cumulative tables once per call, and every draw reads
-    its row at a computed offset through ``_draw``.  A parametric expert's
-    cumulative rows are computed once per distinct (history, state) prefix
-    and each trajectory draws from its prefix's row, with the same uniforms
-    as a per-row computation.  The returned arrays are read-only and the
-    dataset keeps them without a copy.
+    The draw is ``min((row < u).sum(), width - 1)``.  With a guide, a uniform
+    whose bucket holds no row entry reads its draw there; the rest are
+    binary-searched.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    u = rng.random(rows.shape[0])
+    width = table.width
+    if width == 1:
+        return np.zeros_like(rows)
+    if table.guide is None:
+        return _search(table.cdf, rows * width, u, width)
+    bucket = (u * (1 << table.bits)).astype(np.intp)  # exact: a power-of-2 scaling
+    bucket += rows << table.bits
+    draw = table.guide[bucket].astype(np.int64)
+    open_ = np.flatnonzero(draw < 0)
+    draw[open_] = _search(table.cdf, rows[open_] * width, u[open_], width)
+    return draw
+
+
+def _rollout(
+    mdp: TabularMdp, policy: PolicyHandle, n: int, seed: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Draw ``n`` i.i.d. episodes stage by stage, yielding ``(h, cur, a)``.
+
+    ``cur`` and ``a`` are the (n,) states and actions of stage ``h``.  The
+    caller must drop them before asking for the next stage, or they stay
+    alive while it is drawn.
+    """
     rng = np.random.default_rng(seed)
     horizon, num_states, num_actions = mdp.horizon, mdp.num_states, mdp.num_actions
-    states = np.empty((n, horizon), dtype=np.int64)
-    actions = np.empty((n, horizon), dtype=np.int64)
     cur = np.full(n, mdp.initial_state, dtype=np.int64)
-    trans_cdf = _cdf_table(mdp.transitions)
+    trans = _cdf_table(mdp.transitions, n)
 
     if isinstance(policy, (MarkovianPolicy, RewardAugmentedPolicy)):
-        policy_cdf = _cdf_table(policy.table)
-        width = policy.table.shape[-1]
+        policy_table = _cdf_table(policy.table, n)
     if isinstance(policy, RewardAugmentedPolicy):
         g = np.zeros(n, dtype=np.int64)
         n_g = policy.table.shape[2]
@@ -356,22 +424,21 @@ def sample_trajectories(
     for h in range(horizon):
         row = h * num_states + cur  # flat (stage, state) index
         if isinstance(policy, MarkovianPolicy):
-            a = _draw(rng, policy_cdf, row * width, width)
+            a = _draw(rng, policy_table, row)
         elif isinstance(policy, RewardAugmentedPolicy):
-            a = _draw(rng, policy_cdf, (row * n_g + g) * width, width)
+            a = _draw(rng, policy_table, row * n_g + g)
         elif isinstance(policy, ParametricHistoryPolicy):
             _prefix_cdf(policy, prefix_state, encoded, features, cdf, peak)
-            a = _draw(rng, cdf.ravel(), pid * width, width)
+            a = _draw(rng, _Table(cdf.ravel(), width), pid)
         elif isinstance(policy, CallablePolicy):
             probs = np.stack(
                 [policy.act(h, int(cur[i]), tuple(histories[i])) for i in range(n)]
             )
-            a = _draw(rng, _cdf_table(probs), np.arange(n) * probs.shape[1], probs.shape[1])
+            a = _draw(rng, _cdf_table(probs), np.arange(n))
         else:
             raise TypeError(f"unsupported policy kind {type(policy).__name__}")
-        nxt = _draw(rng, trans_cdf, (row * num_actions + a) * num_states, num_states)
-        states[:, h] = cur
-        actions[:, h] = a
+        nxt = _draw(rng, trans, row * num_actions + a)
+        yield h, cur, a
         if isinstance(policy, RewardAugmentedPolicy):
             g = g + policy.reward.multiples[h, cur, a]
         elif isinstance(policy, ParametricHistoryPolicy) and h + 1 < horizon:
@@ -388,6 +455,25 @@ def sample_trajectories(
                 histories[i].append((int(cur[i]), int(a[i])))
         cur = nxt
 
+
+def sample_trajectories(
+    mdp: TabularMdp, policy: PolicyHandle, n: int, seed: int
+) -> Dataset:
+    """Draw ``n`` i.i.d. trajectories; bit-identical output for equal seeds.
+
+    Sampling is vectorized across trajectories for the table-based and
+    parametric policy kinds; callable fixtures fall back to a per-trajectory
+    loop with explicit history tuples.  The returned arrays are read-only
+    and the dataset keeps them without a copy.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    states = np.empty((n, mdp.horizon), dtype=np.int64)
+    actions = np.empty((n, mdp.horizon), dtype=np.int64)
+    for h, cur, a in _rollout(mdp, policy, n, seed):
+        states[:, h] = cur
+        actions[:, h] = a
+        del cur, a
     states.setflags(write=False)
     actions.setflags(write=False)
     tag = getattr(policy, "tag", type(policy).__name__)
@@ -451,9 +537,22 @@ def brute_force_return_distribution(
 def mc_return_distribution(
     mdp: TabularMdp, policy: PolicyHandle, reward: np.ndarray, m: int, seed: int
 ) -> DiscreteReturnDistribution:
-    """Empirical return distribution of ``m`` sampled episodes."""
-    data = sample_trajectories(mdp, policy, m, seed)
-    return empirical_return_distribution(data, reward)
+    """Empirical return distribution of ``m`` sampled episodes.
+
+    Equal to ``empirical_return_distribution(sample_trajectories(mdp, policy,
+    m, seed), reward)`` bit for bit, without building the trajectories: each
+    stage's rewards go into an (m, H) block summed by ``sum(axis=1)``, as the
+    gathered rewards are there.  A running total over the stages would round
+    differently from H = 8 on, where numpy sums each row pairwise.
+    """
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    reward = np.asarray(reward, dtype=float)
+    steps = np.empty((m, mdp.horizon))
+    for h, cur, a in _rollout(mdp, policy, m, seed):
+        steps[:, h] = reward[h, cur, a]
+        del cur, a
+    return DiscreteReturnDistribution.from_weighted(steps.sum(axis=1), np.full(m, 1.0 / m))
 
 
 def construct_pi_r(

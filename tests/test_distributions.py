@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rdmlab as rl
-from rdmlab.distributions import DiscreteReturnDistribution
+from rdmlab.distributions import ATOM_MERGE_TOL, DiscreteReturnDistribution
 from rdmlab.lp import solve_transport
 
 from conftest import random_distribution
@@ -237,3 +237,132 @@ class TestCouplingOracle:
             costs = np.abs(p.support[:, None] - q.support[None, :])
             lp_value = solve_transport(costs, p.probs, q.probs)
             assert rl.wasserstein(p, q) == pytest.approx(lp_value, abs=1e-9)
+
+
+def _stable_from_weighted(values, weights):
+    """Reference merge: stable argsort, then per-group ``np.add.at`` sums."""
+    values = np.asarray(values, dtype=float).ravel()
+    weights = np.asarray(weights, dtype=float).ravel()
+    order = np.argsort(values, kind="stable")
+    v, w = values[order], weights[order]
+    group = np.zeros(v.size, dtype=np.int64)
+    group[1:] = np.cumsum(np.diff(v) > ATOM_MERGE_TOL)
+    n_groups = int(group[-1]) + 1
+    mass = np.zeros(n_groups)
+    np.add.at(mass, group, w)
+    pos = np.zeros(n_groups)
+    np.add.at(pos, group, v * w)
+    keep = mass > 0
+    return DiscreteReturnDistribution(pos[keep] / mass[keep], mass[keep])
+
+
+def _stable_aligned(p, q):
+    """Reference common support: stable argsort, first value per group, ``np.add.at`` sums."""
+    v = np.concatenate([p.support, q.support])
+    wp = np.concatenate([p.probs, np.zeros_like(q.probs)])
+    wq = np.concatenate([np.zeros_like(p.probs), q.probs])
+    order = np.argsort(v, kind="stable")
+    v, wp, wq = v[order], wp[order], wq[order]
+    group = np.zeros(v.size, dtype=np.int64)
+    group[1:] = np.cumsum(np.diff(v) > ATOM_MERGE_TOL)
+    n = int(group[-1]) + 1
+    values = np.zeros(n)
+    values[group[::-1]] = v[::-1]
+    pa, qa = np.zeros(n), np.zeros(n)
+    np.add.at(pa, group, wp)
+    np.add.at(qa, group, wq)
+    return values, pa, qa
+
+
+def _reference_metrics(p, q):
+    values, pa, qa = _stable_aligned(p, q)
+    w1 = 0.0 if values.size == 1 else float(np.abs(np.cumsum(pa - qa)[:-1]) @ np.diff(values))
+    return w1, float(0.5 * np.abs(pa - qa).sum())
+
+
+def _same(a, b):
+    return (
+        np.array_equal(a.support, b.support)
+        and np.array_equal(a.probs, b.probs)
+        and np.array_equal(np.signbit(a.support), np.signbit(b.support))
+    )
+
+
+class TestEqualWeightMerge:
+    """``from_weighted`` with equal weights against the stable reference merge."""
+
+    @staticmethod
+    def _check(values):
+        values = np.asarray(values, dtype=float)
+        weights = np.full(values.size, 1.0 / values.size)
+        got = DiscreteReturnDistribution.from_weighted(values, weights)
+        assert _same(got, _stable_from_weighted(values, weights))
+
+    def test_ties(self):
+        rng = np.random.default_rng(3)
+        self._check(rng.integers(0, 7, size=5000) * 0.1)
+        self._check(np.repeat([2.5, 0.5, 1.5], [3, 1, 4]))
+
+    def test_near_duplicates_within_merge_tolerance(self):
+        rng = np.random.default_rng(4)
+        base = rng.integers(0, 40, size=20_000) * 0.05
+        jitter = rng.choice([-4e-13, -1e-13, 0.0, 1e-13, 4e-13], size=base.size)
+        self._check(base + jitter)
+        # float sums of the same grid multiples in different orders
+        steps = rng.integers(0, 34, size=(20_000, 8)) * 0.03
+        self._check(steps.sum(axis=1))
+        self._check(np.cumsum(steps, axis=1)[:, -1])
+
+    def test_single_value(self):
+        self._check([0.7])
+        self._check(np.full(9, 0.7))
+
+    def test_signed_zeros(self):
+        rng = np.random.default_rng(5)
+        self._check(rng.choice([-0.0, 0.0], size=101))
+        self._check(np.concatenate([[0.0, -0.0, 1e-13, -1e-13, 1.0], -np.zeros(3)]))
+        self._check([-0.0])
+
+    def test_returns_at_scale_shape(self):
+        mdp, expert = rl.make_fork_fixture()
+        data = rl.sample_trajectories(mdp, expert, 50_000, seed=9)
+        steps = mdp.reward[np.arange(mdp.horizon), data.states, data.actions]
+        self._check(steps.sum(axis=1))
+
+    def test_unequal_weights_keep_the_stable_merge(self):
+        rng = np.random.default_rng(6)
+        values = rng.integers(0, 9, size=3000) * 0.25 + rng.choice([0.0, 3e-13], size=3000)
+        weights = rng.dirichlet(np.ones(values.size))
+        got = DiscreteReturnDistribution.from_weighted(values, weights)
+        assert _same(got, _stable_from_weighted(values, weights))
+
+
+class TestAlignedMetricsBitIdentical:
+    """``wasserstein`` and ``total_variation`` against the ``np.add.at`` reference."""
+
+    PAIRS = [
+        (dist({0.0: 0.3, 1.5: 0.7}), dist({0.0: 0.3, 1.5: 0.7})),
+        (DiscreteReturnDistribution.point_mass(0.25), DiscreteReturnDistribution.point_mass(2.0)),
+        (dist({0.0: 0.5, 1.0: 0.5}), dist({2.0: 0.5, 3.0: 0.5})),
+        (dist({0.0: 0.5, 1.0: 0.5}), dist({0.0: 0.25, 1.0: 0.75})),
+        (dist({1.0: 1.0}), dist({1.0 + 5e-13: 0.5, 2.0: 0.5})),
+    ] + [(DiscreteReturnDistribution.point_mass(1.0), fork_family(a))
+         for a in (0.0, 0.25, 0.5, 0.75, 1.0)]
+
+    @pytest.mark.parametrize("pair", range(len(PAIRS)))
+    def test_fixture_pairs(self, pair):
+        p, q = self.PAIRS[pair]
+        assert (rl.wasserstein(p, q), rl.total_variation(p, q)) == _reference_metrics(p, q)
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(17)
+        for i in range(300):
+            p = random_distribution(rng, max_atoms=12)
+            q = random_distribution(rng, max_atoms=12)
+            if i % 3 == 0:  # shared atoms, exactly and within the merge tolerance
+                shift = rng.choice([0.0, 4e-13], size=p.support.size)
+                q = DiscreteReturnDistribution.from_weighted(
+                    np.concatenate([q.support, p.support + shift]),
+                    np.concatenate([q.probs, p.probs]) / 2,
+                )
+            assert (rl.wasserstein(p, q), rl.total_variation(p, q)) == _reference_metrics(p, q)

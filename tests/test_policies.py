@@ -168,9 +168,9 @@ class TestSampling:
         calls = []
         real_draw = policies_mod._draw
 
-        def spy(rng, flat_cdf, base, width):
-            calls.append((flat_cdf.copy(), base.copy(), width))
-            return real_draw(rng, flat_cdf, base, width)
+        def spy(rng, table, rows):
+            calls.append((table.cdf.copy(), rows * table.width, table.width))
+            return real_draw(rng, table, rows)
 
         monkeypatch.setattr(policies_mod, "_draw", spy)
         n = 300
@@ -196,8 +196,13 @@ class _StubRng:
         return self.values
 
 
+#: Guide sizes the draw-kernel cases run through, as bits (2**bits buckets per row).
+_GUIDE_BITS_CHECKED = (0, 1, 2, 4, 8)
+
+
 class TestDrawKernel:
-    """``_draw`` against ``min((row < u).sum(), width - 1)`` on hand-picked rows."""
+    """``_draw`` against ``min((row < u).sum(), width - 1)`` on hand-picked rows,
+    by plain binary search and through guide tables of every checked size."""
 
     @staticmethod
     def _rows(width, rng):
@@ -210,48 +215,104 @@ class TestDrawKernel:
 
     @staticmethod
     def _uniforms(cdf):
-        """0, every row value exactly (``<`` is strict), its neighbours, and the top uniform."""
-        below = np.nextafter(cdf, -np.inf).clip(0.0)
-        above = np.nextafter(cdf, np.inf)
-        picks = np.concatenate([[0.0, 0.5, 1.0 - 2.0**-53], cdf, below, above])
+        """0, every row value exactly (``<`` is strict), every bucket edge of the
+        checked guides, the neighbours of both, and the top uniform."""
+        edges = np.arange(2**8) / 2**8  # holds the edges of every smaller guide
+        exact = np.concatenate([cdf, edges])
+        below = np.nextafter(exact, -np.inf).clip(0.0)
+        above = np.nextafter(exact, np.inf)
+        picks = np.concatenate([[0.0, 0.5, 1.0 - 2.0**-53], exact, below, above])
         return np.unique(picks[picks < 1.0])
 
+    @staticmethod
+    def _tables(flat_cdf, width):
+        yield policies_mod._Table(flat_cdf, width)
+        for bits in _GUIDE_BITS_CHECKED:
+            guide = policies_mod._guide(flat_cdf, width, bits)
+            yield policies_mod._Table(flat_cdf, width, guide, bits)
+
     def _check(self, flat_cdf, width):
-        """Every row of ``flat_cdf`` against every boundary uniform."""
+        """Every row of ``flat_cdf`` against every boundary uniform, with and without guides."""
         rows = flat_cdf.reshape(-1, width)
-        bases, us = [], []
+        index, us = [], []
         for r, cdf in enumerate(rows):
             u = self._uniforms(cdf)
-            bases.append(np.full(u.size, r * width))
+            index.append(np.full(u.size, r))
             us.append(u)
-        base, u = np.concatenate(bases), np.concatenate(us)
-        got = policies_mod._draw(_StubRng(u), flat_cdf, base, width)
-        want = np.minimum((rows[base // width] < u[:, None]).sum(axis=1), width - 1)
-        assert np.array_equal(got, want)
-        return base, u, got
+        index, u = np.concatenate(index), np.concatenate(us)
+        want = np.minimum((rows[index] < u[:, None]).sum(axis=1), width - 1)
+        for table in self._tables(flat_cdf, width):
+            got = policies_mod._draw(_StubRng(u), table, index)
+            assert got.dtype == np.int64 and np.array_equal(got, want), table.bits
+        return index, u, got
 
     @pytest.mark.parametrize("width", [1, 2, 3, 5, 8, 20, 50])
     def test_matches_strict_count_with_clamp(self, width):
         table = self._rows(width, np.random.default_rng(width))
-        self._check(policies_mod._cdf_table(table), width)
+        self._check(policies_mod._cdf_table(table).cdf, width)
 
     @pytest.mark.parametrize("width", [2, 3, 5, 8, 20, 50])
     def test_last_entry_below_one_is_clamped(self, width):
         cdf = np.cumsum(np.full(width, 1.0 / width))
         cdf[-1] = 1.0 - 2.0**-52  # one round-off below 1
-        base, u, got = self._check(cdf, width)
+        index, u, got = self._check(cdf, width)
         assert (got[u > cdf[-1]] == width - 1).all()
+
+    @pytest.mark.parametrize("width", [2, 8, 20])
+    def test_last_entries_above_one(self, width):
+        """Entries of ``1 + 1e-9`` (the row check admits them) lie past every bucket."""
+        cdf = np.cumsum(np.full(width, 1.0 / width))
+        cdf[-1] = 1.0 + 1e-9
+        self._check(cdf, width)
+        cdf[width // 2 :] = 1.0 + 1e-9  # also inside the searched entries
+        self._check(cdf, width)
+
+    @pytest.mark.parametrize("width", [3, 8, 20])
+    def test_entries_on_bucket_edges(self, width):
+        """CDF entries exactly on a bucket edge of every checked guide, and next to one."""
+        for step in (1, 2, 16, 64, 255):
+            edge = np.minimum(np.arange(1, width + 1) * step, 256) / 256
+            self._check(edge, width)
+            self._check(np.nextafter(edge, -np.inf), width)
+            self._check(np.nextafter(edge, np.inf), width)
+
+    @pytest.mark.parametrize("width", [2, 8, 20])
+    def test_one_hot_rows_at_zero_uniform(self, width):
+        """``u = 0.0`` counts no entry below it, so it draws 0 even on a zero-mass action."""
+        flat_cdf = policies_mod._cdf_table(np.eye(width)).cdf
+        index = np.arange(width)
+        for table in self._tables(flat_cdf, width):
+            got = policies_mod._draw(_StubRng(np.zeros(width)), table, index)
+            assert (got == 0).all()
+
+    @pytest.mark.parametrize("width", [1, 2, 5, 7])
+    def test_no_guide_below_the_width_threshold(self, width):
+        assert width < policies_mod._GUIDE_MIN_WIDTH
+        table = policies_mod._cdf_table(np.full((3, width), 1.0 / width), n=10**6)
+        assert table.guide is None
+
+    @pytest.mark.parametrize("n, bits", [(0, None), (10 * 15, None), (10 * 16, 4),
+                                         (10 * 100, 6), (10 * 256, 8), (10**6, 8)])
+    def test_guide_size_stays_within_n(self, n, bits):
+        probs = np.random.default_rng(1).dirichlet(np.ones(8), size=(2, 5))  # 10 rows
+        table = policies_mod._cdf_table(probs, n)
+        if bits is None:
+            assert table.guide is None
+        else:
+            assert table.bits == bits and table.guide.size == 10 << bits <= n
+            self._check(table.cdf, 8)
 
     def test_negative_entry_draws_like_its_clipped_row(self):
         row = np.array([0.5, -1e-12, 0.5 + 1e-12])
         clipped = np.maximum(row, 0.0)
-        flat_cdf = policies_mod._cdf_table(row)
+        flat_cdf = policies_mod._cdf_table(row).cdf
         assert np.array_equal(flat_cdf, np.cumsum(clipped))
         self._check(flat_cdf, 3)
         # unclipped, the dip would count entry 1 below u and draw its zero-mass action
         u = 0.5 - 0.5e-12
         assert (np.cumsum(row) < u).sum() == 1
-        assert policies_mod._draw(_StubRng([u]), flat_cdf, np.zeros(1, np.int64), 3)[0] == 0
+        for table in self._tables(flat_cdf, 3):
+            assert policies_mod._draw(_StubRng([u]), table, np.zeros(1, np.int64))[0] == 0
 
     def test_sampler_clips_admitted_negative_entries(self):
         mdp, _ = make_instance(7, num_states=4, num_actions=3, horizon=4)
@@ -264,6 +325,58 @@ class TestDrawKernel:
         b = rl.sample_trajectories(mdp, clipped, 2000, seed=3)
         assert np.array_equal(a.states, b.states) and np.array_equal(a.actions, b.actions)
         assert (a.actions != 1).all()
+
+
+class TestRowCheck:
+    """Both table kinds reject action rows with non-finite entries."""
+
+    @staticmethod
+    def _tables(bad):
+        markov = np.full((2, 3, 2), 0.5)
+        markov[1, 2] = bad
+        mdp, _ = make_instance(3, horizon=2)
+        gr = rl.discretize_reward(mdp.reward, rl.RewardGrid(0.25, 2))
+        augmented = np.full((2, 3, gr.grid.num_multiples(1), 2), 0.5)
+        augmented[0, 1, -1] = bad
+        return [
+            lambda: rl.MarkovianPolicy(markov),
+            lambda: rl.RewardAugmentedPolicy(grid=gr.grid, table=augmented, reward=gr),
+        ]
+
+    @pytest.mark.parametrize("kind", [0, 1], ids=["markovian", "reward-augmented"])
+    @pytest.mark.parametrize(
+        "bad", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, -np.inf], [1.0, np.inf]]
+    )
+    def test_rejects_non_finite_rows(self, kind, bad):
+        with pytest.raises(ValueError, match="probability vectors"):
+            self._tables(bad)[kind]()
+
+    @pytest.mark.parametrize("kind", [0, 1], ids=["markovian", "reward-augmented"])
+    def test_accepts_probability_rows(self, kind):
+        self._tables([0.25, 0.75])[kind]()
+
+
+class TestGuidedSampling:
+    @pytest.mark.parametrize("num_states", [8, 20])
+    def test_guided_tables_draw_like_plain_search(self, monkeypatch, num_states):
+        """The sampler with guide tables against the sampler without, draw for draw."""
+        mdp, _ = make_instance(4, num_states=num_states, num_actions=5, horizon=5)
+        rng = np.random.default_rng(6)
+        gr = rl.discretize_reward(mdp.reward, rl.RewardGrid(0.25, mdp.horizon))
+        policies = [
+            rl.random_markovian_policy(num_states, 5, 5, rng),
+            random_reward_augmented_policy(gr, num_states, rng),
+            random_parametric_policy(num_states, 5, 5, rng),
+        ]
+        n = 40_000
+        guided = [rl.sample_trajectories(mdp, pol, n, seed=2) for pol in policies]
+        assert policies_mod._cdf_table(mdp.transitions, n).guide is not None
+        monkeypatch.setattr(policies_mod, "_GUIDE_MIN_WIDTH", 10**9)
+        assert policies_mod._cdf_table(mdp.transitions, n).guide is None
+        for pol, got in zip(policies, guided):
+            want = rl.sample_trajectories(mdp, pol, n, seed=2)
+            assert np.array_equal(got.states, want.states)
+            assert np.array_equal(got.actions, want.actions)
 
 
 class TestActParametric:
@@ -412,6 +525,49 @@ class TestMonteCarlo:
         policy = rl.MarkovianPolicy(np.ones((horizon, 2, 1)))
         d = rl.mc_return_distribution(mdp, policy, mdp.reward, 100, seed=3)
         assert d.support.size == 1
+
+    @staticmethod
+    def _policy(kind, mdp, rng):
+        num_states, num_actions, horizon = mdp.num_states, mdp.num_actions, mdp.horizon
+        if kind == "markovian":
+            return rl.random_markovian_policy(num_states, num_actions, horizon, rng)
+        if kind == "reward-augmented":
+            gr = rl.discretize_reward(mdp.reward, rl.RewardGrid(0.25, horizon))
+            return random_reward_augmented_policy(gr, num_states, rng)
+        if kind == "parametric":
+            return random_parametric_policy(num_states, num_actions, horizon, rng)
+
+        def fn(h, state, history):
+            probs = np.full(num_actions, 0.5 / num_actions)
+            probs[(state + sum(a for _, a in history)) % num_actions] += 0.5
+            return probs
+
+        return rl.CallablePolicy(fn)
+
+    @pytest.mark.parametrize("horizon", [5, 8, 10])
+    @pytest.mark.parametrize("kind", ["markovian", "reward-augmented", "parametric", "callable"])
+    def test_equals_empirical_distribution_of_sampled_trajectories(self, kind, horizon):
+        """Bit for bit against the trajectories' empirical distribution.
+
+        At H >= 8 numpy sums the rows of an (m, H) block pairwise, so the
+        returns must be summed as a block, not by a running total."""
+        mdp, _ = make_instance(
+            horizon, num_states=10, num_actions=3, horizon=horizon, continuous_reward=True
+        )
+        policy = self._policy(kind, mdp, np.random.default_rng(horizon))
+        m = 400 if kind == "callable" else 6000
+        if kind != "callable":  # wide enough for a guide on the transitions
+            assert policies_mod._cdf_table(mdp.transitions, m).guide is not None
+        got = rl.mc_return_distribution(mdp, policy, mdp.reward, m, seed=5)
+        data = rl.sample_trajectories(mdp, policy, m, seed=5)
+        want = rl.empirical_return_distribution(data, mdp.reward)
+        assert np.array_equal(got.support, want.support)
+        assert np.array_equal(got.probs, want.probs)
+
+    def test_rejects_empty_sample(self):
+        mdp, expert = make_instance(8)
+        with pytest.raises(ValueError):
+            rl.mc_return_distribution(mdp, expert, mdp.reward, 0, seed=1)
 
     def test_seed_stability(self):
         mdp, expert = make_instance(8, expert_kind="parametric-history")
