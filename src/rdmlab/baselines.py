@@ -39,79 +39,51 @@ def mimic_md(data: Dataset, mdp: TabularMdp) -> MarkovianPolicy:
     Searches over valid Markovian occupancy measures d_h(s, a) of the base
     MDP.  Wherever the dataset visits a (stage, state), the action split of
     d is pinned to the empirical ratio; the remaining freedom is resolved by
-    minimizing the L1 distance between d and the empirical occupancy
-    (linearized through one slack variable per entry).  The policy is read
-    off by row normalization, uniform on zero-mass rows.
+    minimizing the L1 distance between d and the empirical occupancy d_hat.
+    The program is in standard form: its columns are d, p and q, all
+    nonnegative; its rows are the initial and flow rows, the pin rows, and
+    one residual row d - p + q = d_hat per entry; the objective is
+    sum(p + q).  The policy is read off by row normalization, uniform on
+    zero-mass rows.
     """
     if len(data) < 1:
         raise ValueError("empty dataset")
     horizon, num_states, num_actions = mdp.horizon, mdp.num_states, mdp.num_actions
     counts = count_state_actions(data)
     state_counts = counts.sum(axis=2)
-    n = len(data)
-    empirical = counts / n
+    n_d = horizon * num_states * num_actions  # d column of (h, s, a): (h * S + s) * A + a
+    h_seen, s_seen = np.nonzero(state_counts)
+    n_pin = h_seen.size * num_actions
+    n_flow = horizon * num_states
+    a_eq = np.zeros((n_flow + n_pin + n_d, 3 * n_d))
+    b_eq = np.zeros(n_flow + n_pin + n_d)
 
-    n_d = horizon * num_states * num_actions
-    n_vars = 2 * n_d  # occupancy entries, then their L1 slack partners
+    # row h * S + s: outflow of (h, s) minus, past stage 0, its inflow; the
+    # stage-0 rows put all mass on the initial state
+    a_eq[np.arange(n_flow)[:, None], np.arange(n_d).reshape(n_flow, num_actions)] = 1.0
+    h, s, a, s_next = np.nonzero(mdp.transitions[:-1] > 0.0)
+    a_eq[(h + 1) * num_states + s_next, (h * num_states + s) * num_actions + a] = (
+        -mdp.transitions[h, s, a, s_next]
+    )
+    b_eq[mdp.initial_state] = 1.0
 
-    def d_index(h: int, s: int, a: int) -> int:
-        return (h * num_states + s) * num_actions + a
+    # pin rows d(h, s, a) - ratio_a * sum_a' d(h, s, a') = 0 where (h, s) is observed
+    ratios = counts[h_seen, s_seen] / state_counts[h_seen, s_seen][:, None]
+    pin_rows = n_flow + np.arange(n_pin).reshape(-1, num_actions, 1)
+    cell_cols = ((h_seen * num_states + s_seen) * num_actions)[:, None, None]
+    a_eq[pin_rows, cell_cols + np.arange(num_actions)] = np.eye(num_actions) - ratios[:, :, None]
 
-    eq_rows: list[np.ndarray] = []
-    eq_rhs: list[float] = []
+    # residual rows d - p + q = d_hat
+    j = np.arange(n_d)
+    res0 = n_flow + n_pin
+    a_eq[res0 + j, j] = 1.0
+    a_eq[res0 + j, n_d + j] = -1.0
+    a_eq[res0 + j, 2 * n_d + j] = 1.0
+    b_eq[res0:] = (counts / len(data)).ravel()
 
-    # stage-0 occupancy: all mass on the initial state
-    for s in range(num_states):
-        row = np.zeros(n_vars)
-        for a in range(num_actions):
-            row[d_index(0, s, a)] = 1.0
-        eq_rows.append(row)
-        eq_rhs.append(1.0 if s == mdp.initial_state else 0.0)
-
-    # flow conservation through the known transitions
-    for h in range(1, horizon):
-        for s in range(num_states):
-            row = np.zeros(n_vars)
-            for a in range(num_actions):
-                row[d_index(h, s, a)] = 1.0
-            for s_prev in range(num_states):
-                for a_prev in range(num_actions):
-                    p = mdp.transitions[h - 1, s_prev, a_prev, s]
-                    if p > 0.0:
-                        row[d_index(h - 1, s_prev, a_prev)] -= p
-            eq_rows.append(row)
-            eq_rhs.append(0.0)
-
-    # pin the action split to the expert's empirical ratios where observed
-    for h in range(horizon):
-        for s in range(num_states):
-            if state_counts[h, s] == 0:
-                continue
-            ratios = counts[h, s] / state_counts[h, s]
-            for a in range(num_actions):
-                row = np.zeros(n_vars)
-                row[d_index(h, s, a)] = 1.0
-                for a2 in range(num_actions):
-                    row[d_index(h, s, a2)] -= ratios[a]
-                eq_rows.append(row)
-                eq_rhs.append(0.0)
-
-    # |d - empirical| <= u, minimized
-    a_le = np.zeros((2 * n_d, n_vars))
-    b_le = np.zeros(2 * n_d)
-    flat_emp = empirical.ravel()
-    for j in range(n_d):
-        a_le[2 * j, j] = 1.0
-        a_le[2 * j, n_d + j] = -1.0
-        b_le[2 * j] = flat_emp[j]
-        a_le[2 * j + 1, j] = -1.0
-        a_le[2 * j + 1, n_d + j] = -1.0
-        b_le[2 * j + 1] = -flat_emp[j]
-
-    c = np.zeros(n_vars)
+    c = np.zeros(3 * n_d)
     c[n_d:] = 1.0
-    lp = LinearProgram(c=c, A_eq=np.array(eq_rows), b_eq=np.array(eq_rhs), A_le=a_le, b_le=b_le)
-    sol = solve(lp)
+    sol = solve(LinearProgram(c=c, A_eq=a_eq, b_eq=b_eq))
     if sol.status != "optimal":
         raise LpError(f"occupancy-matching program reported {sol.status}")
 

@@ -227,6 +227,19 @@ def _policy_distribution(
     raise TypeError(f"cannot evaluate policy kind {type(policy).__name__}")
 
 
+def _fit(algorithm: str, data, mdp: TabularMdp, grid: RewardGrid):
+    """The policy one algorithm fits to a dataset (``grid`` is the matchers' grid)."""
+    if algorithm == "rs-bc":
+        return rs_bc(data, mdp.reward, grid)
+    if algorithm == "rs-kt":
+        return rs_kt(data, mdp, mdp.reward, grid)[0]
+    if algorithm == "bc":
+        return bc(data)
+    if algorithm == "mimic-md":
+        return mimic_md(data, mdp)
+    raise ValueError(f"unknown algorithm {algorithm!r}")
+
+
 def _run_one(
     cfg: ExperimentConfig,
     algorithm: str,
@@ -240,16 +253,7 @@ def _run_one(
         estimate = empirical_return_distribution(data, mdp.reward, grid)
         # estimate-only diagnostic: the fitted policy is at most twice as far
         return 2.0 * wasserstein(estimate, truth)
-    if algorithm == "rs-bc":
-        policy = rs_bc(data, mdp.reward, grid)
-    elif algorithm == "rs-kt":
-        policy, _ = rs_kt(data, mdp, mdp.reward, grid)
-    elif algorithm == "bc":
-        policy = bc(data)
-    elif algorithm == "mimic-md":
-        policy = mimic_md(data, mdp)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    policy = _fit(algorithm, data, mdp, grid)
     return wasserstein(_policy_distribution(cfg, mdp, policy, eval_seed), truth)
 
 
@@ -328,15 +332,7 @@ def collect_example_distributions(
         if alg == "eta-hat":
             continue
         eval_seed = derive_seed(cfg.master_seed, "policy-eval", instance, k, 0, idx)
-        if alg == "rs-bc":
-            policy = rs_bc(data, mdp.reward, grid)
-        elif alg == "rs-kt":
-            policy, _ = rs_kt(data, mdp, mdp.reward, grid)
-        elif alg == "bc":
-            policy = bc(data)
-        else:
-            policy = mimic_md(data, mdp)
-        out[alg] = _policy_distribution(cfg, mdp, policy, eval_seed)
+        out[alg] = _policy_distribution(cfg, mdp, _fit(alg, data, mdp, grid), eval_seed)
     return out
 
 

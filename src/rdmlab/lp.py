@@ -1,13 +1,17 @@
-"""Dense linear programming: problem container and a two-phase primal simplex.
+"""Dense linear programming in standard form and a two-phase primal simplex.
 
-The solver targets the desk-scale programs built elsewhere in this package
-(occupancy matching, transport couplings), i.e. up to a few thousand
-variables.  It is deliberately deterministic: Bland's smallest-index rule
-picks both the entering column and, among tied minimum ratios, the leaving
-basic variable, so the same program always walks the same basis path and
-never cycles.  Rows are equilibrated to unit max magnitude before solving;
-feasibility of the reported optimum is re-checked against the original,
-unscaled constraints.
+Every program is min c.x subject to A x = b and x >= 0 (Chvatal 1983,
+*Linear Programming*, ch. 7-8); callers write other forms in it with
+explicit slack, shifted or split columns.  The solver targets the
+desk-scale programs built elsewhere in this package (occupancy matching,
+transport couplings), i.e. up to a few thousand variables.  It is
+deliberately deterministic: Bland's smallest-index rule picks both the
+entering column and, among tied minimum ratios, the leaving basic
+variable, so the same program always walks the same basis path and never
+cycles.  Rows are equilibrated to unit max magnitude and flipped to a
+nonnegative right-hand side before solving, and each row starts with an
+artificial basic; feasibility of the reported optimum is re-checked
+against the original, unscaled constraints.
 
 The ratio test has a pivot tolerance: a row may leave the basis only if
 its entry in the entering column exceeds ``_PIV_TOL`` (1e-7, relative to
@@ -42,7 +46,6 @@ __all__ = [
     "LpIterationError",
     "solve",
     "solve_transport",
-    "format_lp",
 ]
 
 _OPT_TOL = 1e-9  # reduced-cost threshold; smallest pivot element accepted
@@ -61,52 +64,35 @@ class LpIterationError(LpError):
 
 @dataclass
 class LinearProgram:
-    """min c.x  s.t.  A_eq x = b_eq,  A_le x <= b_le,  lower <= x <= upper.
+    """min c.x  s.t.  A_eq x = b_eq,  x >= 0.
 
-    ``lower`` defaults to zero and ``upper`` to +inf; entries of ``lower``
-    may be -inf to free a variable.  Matrices may be None when a block of
-    constraints is absent.
+    ``A_eq`` and ``b_eq`` may be None for a program without constraints.
+    Other forms are written in this one: a <= row gets its own slack
+    column, a bounded variable a shifted column plus a slack, and a free
+    variable the difference of two columns.
     """
 
     c: np.ndarray
     A_eq: np.ndarray | None = None
     b_eq: np.ndarray | None = None
-    A_le: np.ndarray | None = None
-    b_le: np.ndarray | None = None
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.c = np.asarray(self.c, dtype=float).ravel()
         n = self.c.size
         if n == 0:
             raise ValueError("program has no variables")
-
-        def block(a, b, name):
-            if a is None or (hasattr(a, "__len__") and len(a) == 0):
-                return np.zeros((0, n)), np.zeros(0)
-            a = np.atleast_2d(np.asarray(a, dtype=float))
-            b = np.asarray(b, dtype=float).ravel()
-            if a.shape != (b.size, n):
-                raise ValueError(f"{name} shape {a.shape} inconsistent with b ({b.size}) and n={n}")
-            return a, b
-
-        self.A_eq, self.b_eq = block(self.A_eq, self.b_eq, "A_eq")
-        self.A_le, self.b_le = block(self.A_le, self.b_le, "A_le")
-        self.lower = (
-            np.zeros(n) if self.lower is None else np.asarray(self.lower, dtype=float).ravel()
-        )
-        self.upper = (
-            np.full(n, np.inf) if self.upper is None else np.asarray(self.upper, dtype=float).ravel()
-        )
-        if self.lower.size != n or self.upper.size != n:
-            raise ValueError("bound vectors must have one entry per variable")
-        for name, arr in (("c", self.c), ("A_eq", self.A_eq), ("b_eq", self.b_eq),
-                          ("A_le", self.A_le), ("b_le", self.b_le)):
+        if self.A_eq is None or (hasattr(self.A_eq, "__len__") and len(self.A_eq) == 0):
+            self.A_eq, self.b_eq = np.zeros((0, n)), np.zeros(0)
+        else:
+            self.A_eq = np.atleast_2d(np.asarray(self.A_eq, dtype=float))
+            self.b_eq = np.asarray(self.b_eq, dtype=float).ravel()
+            if self.A_eq.shape != (self.b_eq.size, n):
+                raise ValueError(
+                    f"A_eq shape {self.A_eq.shape} inconsistent with b ({self.b_eq.size}) and n={n}"
+                )
+        for name, arr in (("c", self.c), ("A_eq", self.A_eq), ("b_eq", self.b_eq)):
             if arr.size and not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains NaN or Inf")
-        if np.isnan(self.lower).any() or np.isnan(self.upper).any():
-            raise ValueError("bounds contain NaN")
 
     @property
     def num_variables(self) -> int:
@@ -114,7 +100,7 @@ class LinearProgram:
 
     @property
     def num_constraints(self) -> int:
-        return self.A_eq.shape[0] + self.A_le.shape[0]
+        return self.A_eq.shape[0]
 
 
 @dataclass
@@ -205,94 +191,31 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
     if max_iterations is None:
         max_iterations = 50 * (n + lp.num_constraints)
 
-    # --- bound transform: every structural column becomes a z >= 0 column.
-    lower, upper = lp.lower, lp.upper
-    if (upper < lower).any():
-        return LpSolution("infeasible", None, None)
-    shift = np.where(np.isfinite(lower), lower, 0.0)
-    mirror = ~np.isfinite(lower) & np.isfinite(upper)
-    split = ~np.isfinite(lower) & ~np.isfinite(upper)
-    shift = np.where(mirror, upper, shift)
-
-    def transform_matrix(a):
-        base = a * np.where(mirror, -1.0, 1.0)[None, :]
-        extra = -a[:, split]
-        return np.hstack([base, extra]) if extra.size else base
-
-    a_eq = transform_matrix(lp.A_eq) if lp.A_eq.size else np.zeros((0, n + int(split.sum())))
-    a_le = transform_matrix(lp.A_le) if lp.A_le.size else np.zeros((0, n + int(split.sum())))
-    b_eq = lp.b_eq - lp.A_eq @ shift if lp.A_eq.size else lp.b_eq.copy()
-    b_le = lp.b_le - lp.A_le @ shift if lp.A_le.size else lp.b_le.copy()
-
-    # finite upper bounds of non-mirrored variables become extra <= rows
-    boxed = np.isfinite(upper) & np.isfinite(lower)
-    if boxed.any():
-        idx = np.nonzero(boxed)[0]
-        rows = np.zeros((idx.size, a_eq.shape[1]))
-        rows[np.arange(idx.size), idx] = 1.0
-        a_le = np.vstack([a_le, rows])
-        b_le = np.concatenate([b_le, upper[idx] - lower[idx]])
-
-    c_std = np.concatenate([lp.c * np.where(mirror, -1.0, 1.0), -lp.c[split]])
-    n_std = c_std.size
-
     # --- row equilibration to unit max magnitude (including the rhs)
-    def equilibrate(a, b):
-        if a.shape[0] == 0:
-            return a, b, np.zeros(0, dtype=bool)
-        scale = np.maximum(np.abs(a).max(axis=1), np.abs(b))
-        zero_rows = scale == 0.0
-        scale = np.where(zero_rows, 1.0, scale)
-        return a / scale[:, None], b / scale, zero_rows
-
-    a_eq, b_eq, zero_eq = equilibrate(a_eq, b_eq)
-    a_le, b_le, zero_le = equilibrate(a_le, b_le)
-    # all-zero rows: 0 = 0 / 0 <= 0 hold trivially, anything else cannot
-    coeff_zero_eq = np.abs(a_eq).max(axis=1) == 0 if a_eq.shape[0] else zero_eq
-    coeff_zero_le = np.abs(a_le).max(axis=1) == 0 if a_le.shape[0] else zero_le
-    if ((coeff_zero_eq) & (np.abs(b_eq) > _OPT_TOL)).any():
+    scale = np.maximum(np.abs(lp.A_eq).max(axis=1), np.abs(lp.b_eq))
+    scale[scale == 0.0] = 1.0
+    a = lp.A_eq / scale[:, None]
+    b = lp.b_eq / scale
+    # all-zero rows: 0 = 0 holds trivially, anything else cannot
+    zero_rows = np.abs(a).max(axis=1) == 0
+    if (zero_rows & (np.abs(b) > _OPT_TOL)).any():
         return LpSolution("infeasible", None, None)
-    if ((coeff_zero_le) & (b_le < -_OPT_TOL)).any():
-        return LpSolution("infeasible", None, None)
-    keep_eq = ~coeff_zero_eq
-    keep_le = ~coeff_zero_le
-    a_eq, b_eq = a_eq[keep_eq], b_eq[keep_eq]
-    a_le, b_le = a_le[keep_le], b_le[keep_le]
-
-    m_eq, m_le = a_eq.shape[0], a_le.shape[0]
-    m = m_eq + m_le
-    a = np.vstack([a_eq, a_le]) if m else np.zeros((0, n_std))
-    b = np.concatenate([b_eq, b_le])
-
-    # slacks for <= rows
-    slack = np.zeros((m, m_le))
-    slack[m_eq:, :] = np.eye(m_le)
-    a = np.hstack([a, slack])
+    a, b = a[~zero_rows], b[~zero_rows]
+    m = b.size
     flip = b < 0
     a[flip] *= -1.0
     b = np.abs(b)
-    a_saved = a.copy()  # standard system kept aside for the dual reconstruction
-    b_saved = b.copy()
 
-    # artificials for eq rows and for <= rows whose slack got negated.  They
-    # start basic, never re-enter, and no value in their columns is ever read
-    # (a pivot updates each column on its own), so they get basis indices
-    # art_first.. but no tableau columns.
-    needs_art = np.ones(m, dtype=bool)
-    needs_art[m_eq:] = flip[m_eq:]
-    art_rows = np.nonzero(needs_art)[0]
-    art_first = n_std + m_le
-
-    tableau = np.zeros((m + 1, art_first + 1))
-    tableau[:m, :art_first] = a
+    # every row starts with an artificial basic.  Artificials never re-enter,
+    # and no value in their columns is ever read (a pivot updates each column
+    # on its own), so they get basis indices n.. but no tableau columns.
+    tableau = np.zeros((m + 1, n + 1))
+    tableau[:m, :n] = a
     tableau[:m, -1] = b
-
-    basis = np.empty(m, dtype=np.int64)
-    basis[m_eq:] = n_std + np.arange(m_le)  # slack columns
-    basis[art_rows] = art_first + np.arange(art_rows.size)
+    basis = n + np.arange(m)
 
     # phase 1 objective: minimize the artificial mass
-    for r in art_rows:
+    for r in range(m):
         tableau[-1, :] -= tableau[r, :]
 
     status, iters = _bland_pivot(tableau, basis, max_iterations, 0)
@@ -304,7 +227,7 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
     # pivot zero-level artificials out of the basis; drop rows that resist
     drop_rows: list[int] = []
     for r in range(m):
-        if basis[r] < art_first:
+        if basis[r] < n:
             continue
         pivots = np.nonzero(np.abs(tableau[r, :-1]) > 1e-7)[0]
         if pivots.size:
@@ -313,15 +236,12 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
         else:
             drop_rows.append(r)
     if drop_rows:
-        keep = np.ones(m + 1, dtype=bool)
-        keep[drop_rows] = False
-        tableau = tableau[keep]
-        basis = basis[np.delete(np.arange(m), drop_rows)]
+        tableau = np.delete(tableau, drop_rows, axis=0)
+        basis = np.delete(basis, drop_rows)
         m = basis.size
 
     # install the phase 2 objective
-    c_ext = np.concatenate([c_std, np.zeros(m_le)])
-    tableau[-1, :-1] = c_ext
+    tableau[-1, :-1] = lp.c
     tableau[-1, -1] = 0.0
     for r in range(m):
         coef = tableau[-1, basis[r]]
@@ -332,73 +252,39 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
     if status == "unbounded":
         return LpSolution("unbounded", None, None, iterations=iters)
 
-    z = np.zeros(art_first)
-    z[basis] = tableau[:m, -1]
-
-    # map standard-form variables back to the user's coordinates
-    x = np.where(mirror, -1.0, 1.0) * z[:n] + shift
-    x[split] = z[:n][split] - z[n : n + int(split.sum())]
-
+    x = np.zeros(n)
+    x[basis] = tableau[:m, -1]
     objective = float(lp.c @ x)
 
     # post-hoc feasibility against the original, unscaled data
-    def residual(a_orig, b_orig, sense):
-        if a_orig.size == 0:
-            return 0.0
-        res = a_orig @ x - b_orig
-        if sense == "le":
-            res = np.clip(res, 0.0, None)
-        scale = 1.0 + np.abs(b_orig)
-        return float(np.max(np.abs(res) / scale))
+    if lp.A_eq.size:
+        residual = np.abs(lp.A_eq @ x - lp.b_eq) / (1.0 + np.abs(lp.b_eq))
+        worst = float(np.max(residual))
+        if worst > _FEAS_TOL:
+            raise LpError(f"optimal vertex violates original constraints by {worst:.3e}")
 
-    worst = max(
-        residual(lp.A_eq, lp.b_eq, "eq"),
-        residual(lp.A_le, lp.b_le, "le"),
-        float(np.max(np.clip(lp.lower - x, 0.0, None), initial=0.0)),
-        float(np.max(np.clip(x - lp.upper, 0.0, None), initial=0.0)),
-    )
-    if worst > _FEAS_TOL:
-        raise LpError(f"optimal vertex violates original constraints by {worst:.3e}")
-
-    gap = _duality_gap(a_saved, b_saved, basis, c_ext, z)
+    gap = _duality_gap(a, b, basis, lp.c, x)
     return LpSolution("optimal", x, objective, iterations=iters, duality_gap=gap)
 
 
-def _duality_gap(a_saved, b_saved, basis, c_ext, z) -> float | None:
+def _duality_gap(a, b, basis, c, x) -> float | None:
     """|primal - dual| objective gap, with the dual rebuilt from the final basis.
 
-    Solves A_B^T y = c_B on the scaled standard system saved before any
-    pivoting.  A_B is square unless redundant rows were dropped; then the
+    Solves A_B^T y = c_B on the equilibrated system the tableau started
+    from.  A_B is square unless redundant rows were dropped; then the
     system is underdetermined and least squares picks one solution.  The
     basic solution satisfies b = A_B x_B, so b.y is the same for every
     solution and the gap is well defined either way.
     """
-    a_basis_t = a_saved[:, basis].T
+    a_basis_t = a[:, basis].T
     try:
         if a_basis_t.shape[0] == a_basis_t.shape[1]:
-            y = np.linalg.solve(a_basis_t, c_ext[basis])
+            y = np.linalg.solve(a_basis_t, c[basis])
         else:
-            y, *_ = np.linalg.lstsq(a_basis_t, c_ext[basis], rcond=None)
-        return abs(float(c_ext @ z) - float(b_saved @ y))
+            y, *_ = np.linalg.lstsq(a_basis_t, c[basis], rcond=None)
+        return abs(float(c @ x) - float(b @ y))
     except np.linalg.LinAlgError:
         return None
-
-
-def format_lp(lp: LinearProgram) -> str:
-    """Plain-text dump for debugging: one line per objective term, constraint
-    row (``eq``/``le`` tag, coefficients, rhs), and non-default bound."""
-
-    def fmt(values) -> str:
-        return " ".join(repr(float(v)) for v in values)
-
-    lines = ["minimize " + fmt(lp.c)]
-    for tag, a, b in (("eq", lp.A_eq, lp.b_eq), ("le", lp.A_le, lp.b_le)):
-        for row, rhs in zip(a, b):
-            lines.append(f"{tag} {fmt(row)} | {float(rhs)!r}")
-    for j, (lo, up) in enumerate(zip(lp.lower, lp.upper)):
-        if lo != 0.0 or np.isfinite(up):
-            lines.append(f"bound x{j} [{float(lo)!r}, {float(up)!r}]")
-    return "\n".join(lines) + "\n"
 
 
 def solve_transport(costs: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:

@@ -359,17 +359,6 @@ class AugmentedMdp:
         mask[: final.shape[0]] = final
         return mask
 
-    def transition_row(self, h: int, s: int, g: int, a: int) -> list[tuple[tuple[int, int], float]]:
-        """Successor ((s', g'), prob) pairs of playing ``a`` in (s, g) at stage ``h``."""
-        k = int(self.increments[h, s, a])
-        row = self.base.transitions[h, s, a]
-        g_next = g + k
-        if g_next > self.grid.max_multiple(h + 1):
-            raise GridOverflowError(
-                f"g={g} + increment {k} escapes the stage-{h + 1} grid"
-            )
-        return [((s2, g_next), float(p)) for s2, p in enumerate(row) if p > 0.0]
-
 
 def build_augmented_mdp(
     mdp: TabularMdp, grid: RewardGrid, reward: np.ndarray | GridReward | None = None

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import rdmlab as rl
+from rdmlab.lp import LinearProgram
 from rdmlab.rskt import build_rskt_lp
 
 #: the desk benchmark's configuration; its rs-kt programs at ``KNOWN_BAD_PIVOT_SEEDS``
@@ -36,6 +37,37 @@ def rskt_program(mdp, data, theta):
     grid = rl.RewardGrid(theta, mdp.horizon)
     eta_hat = rl.empirical_return_distribution(data, mdp.reward, grid)
     return build_rskt_lp(rl.build_augmented_mdp(mdp, grid, reward=mdp.reward), eta_hat)
+
+
+def slack_form(c, a_eq=(), b_eq=(), a_le=(), b_le=(), upper=None):
+    """Standard form of min c.x s.t. a_eq x = b_eq, a_le x <= b_le, 0 <= x <= upper.
+
+    Each <= row, and each finite upper bound as the row x_j <= upper_j, gets
+    its own slack column after the structural ones.
+    """
+    c = np.asarray(c, dtype=float)
+    n = c.size
+    a_eq = np.asarray(a_eq, dtype=float).reshape(-1, n)
+    a_le = np.asarray(a_le, dtype=float).reshape(-1, n)
+    b_le = np.asarray(b_le, dtype=float).ravel()
+    if upper is not None:
+        a_le = np.vstack([a_le, np.eye(n)])
+        b_le = np.concatenate([b_le, upper])
+    k = a_le.shape[0]
+    a = np.block([[a_eq, np.zeros((a_eq.shape[0], k))], [a_le, np.eye(k)]])
+    b = np.concatenate([np.asarray(b_eq, dtype=float).ravel(), b_le])
+    return LinearProgram(c=np.concatenate([c, np.zeros(k)]), A_eq=a, b_eq=b)
+
+
+def markov_occupancy(mdp, policy):
+    """Occupancy d_h(s, a) of a Markovian policy, pushed forward stage by stage."""
+    occ = np.zeros((mdp.horizon, mdp.num_states, mdp.num_actions))
+    mass = np.zeros(mdp.num_states)
+    mass[mdp.initial_state] = 1.0
+    for h in range(mdp.horizon):
+        occ[h] = mass[:, None] * policy.table[h]
+        mass = np.einsum("sa,sat->t", occ[h], mdp.transitions[h])
+    return occ
 
 
 def make_instance(

@@ -6,17 +6,7 @@ import pytest
 import rdmlab as rl
 from rdmlab.baselines import bc, count_state_actions, mimic_md
 
-from conftest import make_instance
-
-
-def markov_occupancy(mdp, policy):
-    occ = np.zeros((mdp.horizon, mdp.num_states, mdp.num_actions))
-    mass = np.zeros(mdp.num_states)
-    mass[mdp.initial_state] = 1.0
-    for h in range(mdp.horizon):
-        occ[h] = mass[:, None] * policy.table[h]
-        mass = np.einsum("sa,sat->t", occ[h], mdp.transitions[h])
-    return occ
+from conftest import make_instance, markov_occupancy
 
 
 class TestBc:

@@ -242,6 +242,24 @@ class TestEmitResults:
         with pytest.raises(OSError):
             emit_results(rows, tmp_path)  # a directory is not a writable file
 
+    def test_example_distributions_score_like_the_sweep(self):
+        # one fit dispatch: the dump of a task is what run_experiment scored
+        cfg = tiny_cfg(
+            algorithms=bench_mod.KNOWN_ALGORITHMS, instances=2, n_sweep=(16, 64),
+            seeds_per_dataset=1,
+        )
+        rows = {(r.algorithm, r.n): r.per_instance for r in rl.run_experiment(cfg)}
+        for n in cfg.n_sweep:
+            for instance in range(cfg.instances):
+                dists = collect_example_distributions(cfg, n, instance)
+                truth = dists["expert"]
+                for alg in cfg.algorithms:
+                    if alg == "eta-hat":
+                        w1 = 2.0 * rl.wasserstein(dists["estimate"], truth)
+                    else:
+                        w1 = rl.wasserstein(dists[alg], truth)
+                    assert w1 == rows[(alg, n)][instance]
+
     def test_distribution_dumps_written(self, tmp_path):
         cfg = tiny_cfg(instances=2, algorithms=("bc",))
         rows = rl.run_experiment(cfg)

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rdmlab as rl
-from rdmlab.mdp import GridOverflowError
 
 
 def two_state_mdp():
@@ -177,20 +176,6 @@ class TestAugmentedMdp:
             key = (traj.steps[2][0], g)
             mass[key] = mass.get(key, 0.0) + p
         assert mass == pytest.approx({(3, 0): 0.5, (3, 1): 0.5})
-
-    def test_transition_rows_are_stochastic(self, rng):
-        mdp = two_state_mdp()
-        aug = rl.build_augmented_mdp(mdp, rl.RewardGrid(0.5, 2))
-        row = aug.transition_row(0, 0, 0, 1)
-        assert sum(p for _, p in row) == pytest.approx(1.0)
-        for (s2, g2), _ in row:
-            assert g2 == int(aug.increments[0, 0, 1])
-
-    def test_overflow_guard(self):
-        mdp = two_state_mdp()
-        aug = rl.build_augmented_mdp(mdp, rl.RewardGrid(0.5, 2))
-        with pytest.raises(GridOverflowError):
-            aug.transition_row(1, 0, 99, 0)
 
 
 class TestDataset:

@@ -8,41 +8,43 @@ import numpy as np
 import pytest
 
 import rdmlab as rl
+from rdmlab.baselines import count_state_actions, mimic_md
 from rdmlab.lp import LinearProgram, solve
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 scipy_stats = pytest.importorskip("scipy.stats")
 
-from conftest import KNOWN_BAD_PIVOT_SEEDS, desk_rskt_program, random_distribution
+from conftest import (
+    KNOWN_BAD_PIVOT_CFG,
+    KNOWN_BAD_PIVOT_SEEDS,
+    desk_rskt_program,
+    markov_occupancy,
+    random_distribution,
+    slack_form,
+)
 
 
 class TestSimplexAgainstHighs:
-    def _random_lp(self, rng, n, m_eq, m_le):
-        a_eq = rng.normal(size=(m_eq, n))
-        x0 = rng.random(n)  # interior point guarantees feasibility
-        a_le = rng.normal(size=(m_le, n))
-        return LinearProgram(
-            c=rng.normal(size=n),
-            A_eq=a_eq,
-            b_eq=a_eq @ x0,
-            A_le=a_le,
-            b_le=a_le @ x0 + rng.random(m_le),
-            upper=np.full(n, 5.0),
-        )
-
     def test_objectives_match_on_random_feasible_programs(self):
+        # HiGHS solves the program with <= rows and bounds as stated; the
+        # in-repo simplex solves its standard form with one slack per <= row
+        # and per upper bound
         rng = np.random.default_rng(42)
         for _ in range(50):
             n = int(rng.integers(2, 8))
-            lp = self._random_lp(rng, n, m_eq=int(rng.integers(0, n)), m_le=3)
-            mine = solve(lp)
+            m_eq = int(rng.integers(0, n))
+            a_eq = rng.normal(size=(m_eq, n))
+            x0 = rng.random(n)  # interior point guarantees feasibility
+            a_le = rng.normal(size=(3, n))
+            c, b_eq, b_le = rng.normal(size=n), a_eq @ x0, a_le @ x0 + rng.random(3)
+            mine = solve(slack_form(c, a_eq, b_eq, a_le, b_le, upper=np.full(n, 5.0)))
             ref = scipy_opt.linprog(
-                lp.c,
-                A_eq=lp.A_eq if lp.A_eq.size else None,
-                b_eq=lp.b_eq if lp.b_eq.size else None,
-                A_ub=lp.A_le if lp.A_le.size else None,
-                b_ub=lp.b_le if lp.b_le.size else None,
-                bounds=list(zip(lp.lower, lp.upper)),
+                c,
+                A_eq=a_eq if m_eq else None,
+                b_eq=b_eq if m_eq else None,
+                A_ub=a_le,
+                b_ub=b_le,
+                bounds=(0.0, 5.0),
                 method="highs",
             )
             assert mine.status == "optimal" and ref.status == 0
@@ -70,6 +72,64 @@ class TestSimplexAgainstHighs:
         )
         assert mine.status == "optimal" and ref.status == 0
         assert mine.objective == pytest.approx(ref.fun, abs=1e-9)
+
+
+def _abs_deviation_program(data, mdp):
+    """``mimic_md``'s program in its original form, for HiGHS.
+
+    Columns d and u; equality rows for the initial mass, the flow and the
+    pinned ratios; two <= rows per entry for |d - d_hat| <= u; objective
+    sum(u).  Returns (c, A_eq, b_eq, A_ub, b_ub, d_hat).
+    """
+    horizon, num_states, num_actions = mdp.horizon, mdp.num_states, mdp.num_actions
+    counts = count_state_actions(data)
+    state_counts = counts.sum(axis=2)
+    n_d = horizon * num_states * num_actions
+    col = np.arange(n_d).reshape(horizon, num_states, num_actions)
+    rows, rhs = [], []
+    for h in range(horizon):
+        for s in range(num_states):
+            row = np.zeros(2 * n_d)
+            row[col[h, s]] = 1.0
+            if h > 0:
+                row[col[h - 1].ravel()] -= mdp.transitions[h - 1, :, :, s].ravel()
+            rows.append(row)
+            rhs.append(float(h == 0 and s == mdp.initial_state))
+            if state_counts[h, s]:
+                for a in range(num_actions):
+                    row = np.zeros(2 * n_d)
+                    row[col[h, s]] = -counts[h, s, a] / state_counts[h, s]
+                    row[col[h, s, a]] += 1.0
+                    rows.append(row)
+                    rhs.append(0.0)
+    d_hat = (counts / len(data)).ravel()
+    eye = np.eye(n_d)
+    a_ub = np.block([[eye, -eye], [-eye, -eye]])
+    b_ub = np.concatenate([d_hat, -d_hat])
+    c = np.concatenate([np.zeros(n_d), np.ones(n_d)])
+    return c, np.array(rows), np.array(rhs), a_ub, b_ub, d_hat
+
+
+class TestMimicMdAgainstHighs:
+    @pytest.mark.parametrize("master_seed", range(1, 21))
+    def test_policy_occupancy_reaches_the_highs_optimum(self, master_seed):
+        cfg = rl.ExperimentConfig(**{**KNOWN_BAD_PIVOT_CFG, "master_seed": master_seed})
+        mdp, expert = rl.generate_instance(cfg, rl.derive_seed(master_seed, "instance", 0))
+        data = rl.sample_trajectories(
+            mdp, expert, 10_000, rl.derive_seed(master_seed, "dataset", 0, 0, 0)
+        )
+        c, a_eq, b_eq, a_ub, b_ub, d_hat = _abs_deviation_program(data, mdp)
+        ref = scipy_opt.linprog(
+            c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs"
+        )
+        assert ref.status == 0
+        occ = markov_occupancy(mdp, mimic_md(data, mdp))
+        counts = count_state_actions(data)
+        seen = counts.sum(axis=2) > 0
+        ratios = counts[seen] / counts[seen].sum(axis=1, keepdims=True)
+        pinned = occ[seen] - ratios * occ[seen].sum(axis=1, keepdims=True)
+        assert np.abs(pinned).max() <= 1e-9
+        assert np.abs(occ.ravel() - d_hat).sum() == pytest.approx(ref.fun, abs=1e-9)
 
 
 class TestWassersteinAgainstScipy:
