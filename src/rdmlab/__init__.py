@@ -38,10 +38,8 @@ from .mdp import (
     GridReward,
     RewardGrid,
     TabularMdp,
-    Trajectory,
     build_augmented_mdp,
     discretize_reward,
-    return_of_trajectory,
     validate_mdp,
 )
 from .policies import (
@@ -52,7 +50,6 @@ from .policies import (
     RewardAugmentedPolicy,
     act_parametric,
     brute_force_return_distribution,
-    construct_pi_r,
     enumerate_trajectory_distribution,
     exact_augmented_occupancy,
     exact_return_distribution,
@@ -62,7 +59,7 @@ from .policies import (
     random_reward_augmented_policy,
     sample_trajectories,
 )
-from .rsbc import rs_bc, theta_for_epsilon_rsbc
+from .rsbc import construct_pi_r, rs_bc, theta_for_epsilon_rsbc
 from .rskt import (
     OccupancySolution,
     RsktDiagnostics,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .lp import LinearProgram, LpError, solve
 from .mdp import Dataset, TabularMdp
-from .policies import MarkovianPolicy, normalize_rows
+from .policies import ZERO_MASS, MarkovianPolicy, normalize_rows
 
 __all__ = ["count_state_actions", "bc", "mimic_md"]
 
@@ -88,6 +88,4 @@ def mimic_md(data: Dataset, mdp: TabularMdp) -> MarkovianPolicy:
         raise LpError(f"occupancy-matching program reported {sol.status}")
 
     d = sol.x[:n_d].reshape(horizon, num_states, num_actions)
-    table = normalize_rows(d, min_mass=1e-12)
-    table = table / table.sum(axis=2, keepdims=True)
-    return MarkovianPolicy(table)
+    return MarkovianPolicy(normalize_rows(d, min_mass=ZERO_MASS))

@@ -471,10 +471,9 @@ def _tv_between(mdp: TabularMdp, pol_a, pol_b) -> float:
 
 def _half_l1_trajectories(mdp: TabularMdp, pol_a, pol_b) -> float:
     probs: dict[tuple, float] = {}
-    trajs, p = enumerate_trajectory_distribution(mdp, pol_a)
-    for t, v in zip(trajs, p):
-        probs[t.steps] = probs.get(t.steps, 0.0) + float(v)
-    trajs, p = enumerate_trajectory_distribution(mdp, pol_b)
-    for t, v in zip(trajs, p):
-        probs[t.steps] = probs.get(t.steps, 0.0) - float(v)
+    for pol, sign in ((pol_a, 1.0), (pol_b, -1.0)):
+        data, p = enumerate_trajectory_distribution(mdp, pol)
+        for states, actions, v in zip(data.states.tolist(), data.actions.tolist(), p.tolist()):
+            key = (tuple(states), tuple(actions))
+            probs[key] = probs.get(key, 0.0) + sign * v
     return 0.5 * sum(abs(v) for v in probs.values())

@@ -1,4 +1,4 @@
-"""Tabular finite-horizon MDPs, trajectories, reward grids, and the
+"""Tabular finite-horizon MDPs, trajectory datasets, reward grids, and the
 reward-augmented construction used by the distribution-matching algorithms.
 
 Conventions: stage indices are 0-based in code (stage ``h`` selects the
@@ -10,23 +10,19 @@ a distance is actually computed.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
     "TabularMdp",
-    "Trajectory",
     "Dataset",
     "RewardGrid",
     "GridReward",
     "AugmentedMdp",
     "GridOverflowError",
     "validate_mdp",
-    "return_of_trajectory",
     "discretize_reward",
     "build_augmented_mdp",
 ]
@@ -126,32 +122,6 @@ def validate_mdp(mdp: TabularMdp) -> list[str]:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """An episode of exactly H (state, action) pairs."""
-
-    steps: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        steps = tuple((int(s), int(a)) for s, a in self.steps)
-        if not steps:
-            raise ValueError("a trajectory must contain at least one step")
-        if any(s < 0 or a < 0 for s, a in steps):
-            raise ValueError("state and action indices must be nonnegative")
-        object.__setattr__(self, "steps", steps)
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    @property
-    def states(self) -> tuple[int, ...]:
-        return tuple(s for s, _ in self.steps)
-
-    @property
-    def actions(self) -> tuple[int, ...]:
-        return tuple(a for _, a in self.steps)
-
-
-@dataclass(frozen=True)
 class Dataset:
     """N trajectories of a common horizon, stored as (N, H) index arrays.
 
@@ -183,36 +153,12 @@ class Dataset:
         object.__setattr__(self, "states", s)
         object.__setattr__(self, "actions", a)
 
-    @classmethod
-    def from_trajectories(
-        cls,
-        trajectories: Sequence[Trajectory],
-        num_states: int,
-        num_actions: int,
-        seed: int | None = None,
-        policy_tag: str = "",
-    ) -> "Dataset":
-        if not trajectories:
-            raise ValueError("empty trajectory list")
-        horizons = {len(t) for t in trajectories}
-        if len(horizons) != 1:
-            raise ValueError(f"trajectories mix horizons {sorted(horizons)}")
-        states = [t.states for t in trajectories]
-        actions = [t.actions for t in trajectories]
-        return cls(np.array(states), np.array(actions), num_states, num_actions, seed, policy_tag)
-
     def __len__(self) -> int:
         return self.states.shape[0]
 
     @property
     def horizon(self) -> int:
         return self.states.shape[1]
-
-    def trajectory(self, i: int) -> Trajectory:
-        return Trajectory(tuple(zip(self.states[i].tolist(), self.actions[i].tolist())))
-
-    def __iter__(self) -> Iterator[Trajectory]:
-        return (self.trajectory(i) for i in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -273,31 +219,6 @@ class GridReward:
     def values(self) -> np.ndarray:
         return self.multiples * self.grid.theta
 
-    @property
-    def tag(self) -> str:
-        digest = hashlib.sha256(self.multiples.tobytes()).hexdigest()[:10]
-        return f"theta={self.grid.theta:g}/{digest}"
-
-
-def return_of_trajectory(traj: Trajectory, reward: np.ndarray, prefix_len: int) -> float:
-    """Sum of rewards over the first ``prefix_len`` steps of a trajectory.
-
-    ``prefix_len`` equal to the horizon gives the full return.
-    """
-    reward = np.asarray(reward, dtype=float)
-    horizon, num_states, num_actions = reward.shape
-    if not 0 <= prefix_len <= horizon:
-        raise ValueError(f"prefix_len {prefix_len} outside [0, {horizon}]")
-    if prefix_len > len(traj):
-        raise IndexError("trajectory shorter than requested prefix")
-    total = 0.0
-    for h in range(prefix_len):
-        s, a = traj.steps[h]
-        if s >= num_states or a >= num_actions:
-            raise IndexError(f"step {h} indexes (s={s}, a={a}) outside the reward table")
-        total += reward[h, s, a]
-    return total
-
 
 def discretize_reward(reward: np.ndarray | GridReward, grid: RewardGrid) -> GridReward:
     """Round every reward entry to the nearest one-step grid value.
@@ -347,10 +268,6 @@ class AugmentedMdp:
     def num_aug_states(self) -> int:
         """|S x Y|, with Y the full grid covering [0, horizon]."""
         return self.base.num_states * self.grid.full_size
-
-    @property
-    def initial(self) -> tuple[int, int]:
-        return (self.base.initial_state, 0)
 
     def return_support_mask(self) -> np.ndarray:
         """Boolean mask over full-grid multiples reachable as total returns."""

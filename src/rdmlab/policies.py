@@ -20,7 +20,11 @@ program sum the same rewards, so its live cells lie on a narrow band of the
 box.  This shift-and-add on a fixed grid is the categorical projection of
 Bellemare, Dabney & Munos (2017).
 The enumeration path stays outside the kernel: it is the independent oracle
-the DP is tested against.
+the DP is tested against.  Its one depth-first walk over histories returns
+a ``Dataset`` with one row per positive-probability trajectory, and their
+probabilities; the brute-force return distribution sums rewards over those
+rows, and the reward-conditioned projection pi_R is ``rs-bc``'s
+probability-weighted count table over them (``rdmlab.rsbc.construct_pi_r``).
 
 Sampling runs one stage loop, ``_rollout``, which yields each stage's
 (n,) states and actions: ``sample_trajectories`` stores them, and
@@ -61,7 +65,6 @@ from .mdp import (
     GridReward,
     RewardGrid,
     TabularMdp,
-    Trajectory,
     discretize_reward,
 )
 
@@ -75,7 +78,6 @@ __all__ = [
     "ENUMERATION_CAP",
     "act_parametric",
     "sample_trajectories",
-    "construct_pi_r",
     "exact_return_distribution",
     "exact_augmented_occupancy",
     "mc_return_distribution",
@@ -93,6 +95,10 @@ ENUMERATION_CAP = 2**20
 
 _ROW_TOL = 1e-9
 _MASS_TOL = 1e-10
+
+#: Occupancy mass at or below this counts as none when a policy or a return
+#: distribution is read off an LP solution.
+ZERO_MASS = 1e-12
 
 #: Width of the history embedding used by the parametric simulation experts.
 PROJECTION_DIM = 16
@@ -124,20 +130,20 @@ def _check_rows(table: np.ndarray, what: str) -> np.ndarray:
     return table
 
 
-def normalize_rows(
-    weights: np.ndarray, min_mass: float = 0.0, totals: np.ndarray | None = None
-) -> np.ndarray:
+def normalize_rows(weights: np.ndarray, min_mass: float = 0.0) -> np.ndarray:
     """Action table from nonnegative weights, with actions on the last axis.
 
-    A row whose total (``weights`` summed over actions unless ``totals`` is
-    given) exceeds ``min_mass`` becomes ``weights / total``; every other row
-    is uniform.
+    A row whose total exceeds ``min_mass`` becomes ``weights / total``;
+    every other row is uniform.  With ``min_mass > 0`` (an occupancy read
+    off an LP, whose round-off can leave a row a hair off one) every row is
+    then divided by its sum once more.
     """
-    if totals is None:
-        totals = weights.sum(axis=-1)
+    totals = weights.sum(axis=-1)
     table = np.full(weights.shape, 1.0 / weights.shape[-1])
     live = totals > min_mass
     table[live] = weights[live] / totals[live][..., None]
+    if min_mass > 0:
+        table /= table.sum(axis=-1, keepdims=True)
     return table
 
 
@@ -490,14 +496,15 @@ def _check_enumeration_cap(mdp: TabularMdp, cap: int) -> None:
 
 def enumerate_trajectory_distribution(
     mdp: TabularMdp, policy: PolicyHandle, cap: int = ENUMERATION_CAP
-) -> tuple[list[Trajectory], np.ndarray]:
-    """All positive-probability trajectories and their probabilities.
+) -> tuple[Dataset, np.ndarray]:
+    """All positive-probability trajectories, one row each, and their probabilities.
 
     Depth-first walk over histories; works for every policy kind and is the
-    brute-force oracle the dynamic program is checked against.
+    brute-force oracle the dynamic program is checked against.  Rows are
+    pairwise distinct and the probabilities sum to one.
     """
     _check_enumeration_cap(mdp, cap)
-    trajectories: list[Trajectory] = []
+    rows: list[list[tuple[int, int]]] = []
     probs: list[float] = []
     horizon = mdp.horizon
 
@@ -508,7 +515,7 @@ def enumerate_trajectory_distribution(
                 continue
             steps.append((state, a))
             if h + 1 == horizon:
-                trajectories.append(Trajectory(tuple(steps)))
+                rows.append(list(steps))
                 probs.append(prob * pa)
             else:
                 row = mdp.transitions[h, state, a]
@@ -517,7 +524,9 @@ def enumerate_trajectory_distribution(
             steps.pop()
 
     walk(0, mdp.initial_state, 1.0, [])
-    return trajectories, np.asarray(probs)
+    pairs = np.array(rows, dtype=np.int64).reshape(-1, horizon, 2)
+    data = Dataset(pairs[..., 0], pairs[..., 1], mdp.num_states, mdp.num_actions)
+    return data, np.asarray(probs)
 
 
 def brute_force_return_distribution(
@@ -527,10 +536,9 @@ def brute_force_return_distribution(
     cap: int = ENUMERATION_CAP,
 ) -> DiscreteReturnDistribution:
     """Exact return distribution by full trajectory enumeration."""
-    trajectories, probs = enumerate_trajectory_distribution(mdp, policy, cap)
+    data, probs = enumerate_trajectory_distribution(mdp, policy, cap)
     reward = np.asarray(reward, dtype=float)
-    idx = np.arange(mdp.horizon)
-    returns = [float(reward[idx, t.states, t.actions].sum()) for t in trajectories]
+    returns = reward[np.arange(mdp.horizon), data.states, data.actions].sum(axis=1)
     return DiscreteReturnDistribution.from_weighted(returns, probs)
 
 
@@ -553,51 +561,6 @@ def mc_return_distribution(
         steps[:, h] = reward[h, cur, a]
         del cur, a
     return DiscreteReturnDistribution.from_weighted(steps.sum(axis=1), np.full(m, 1.0 / m))
-
-
-def construct_pi_r(
-    mdp: TabularMdp,
-    expert: PolicyHandle,
-    reward: GridReward | np.ndarray,
-    grid: RewardGrid,
-) -> RewardAugmentedPolicy:
-    """The reward-conditioned projection of an arbitrary expert policy.
-
-    For every (stage, state, cumulative grid value) cell, the output action
-    row is the expert's conditional action distribution given that the cell
-    was reached, computed exactly by full trajectory enumeration.  Cells the
-    expert never reaches get the uniform row.  When the expert's reward is
-    already grid-valued, the output provably reproduces the expert's return
-    distribution exactly; with rounding, the gap is at most H * theta.
-    """
-    _check_enumeration_cap(mdp, ENUMERATION_CAP)
-    gr = reward if isinstance(reward, GridReward) else discretize_reward(reward, grid)
-    if gr.grid != grid:
-        raise ValueError("reward grid does not match the requested grid")
-    horizon, num_states, num_actions = mdp.horizon, mdp.num_states, mdp.num_actions
-    n_g = grid.num_multiples(horizon - 1)
-    numer = np.zeros((horizon, num_states, n_g, num_actions))
-    denom = np.zeros((horizon, num_states, n_g))
-
-    def walk(h: int, state: int, g: int, prob: float, steps: list[tuple[int, int]]) -> None:
-        denom[h, state, g] += prob
-        action_probs = np.asarray(expert.act(h, state, tuple(steps)), dtype=float)
-        for a, pa in enumerate(action_probs):
-            if pa <= 0.0:
-                continue
-            numer[h, state, g, a] += prob * pa
-            if h + 1 == horizon:
-                continue
-            g2 = g + int(gr.multiples[h, state, a])
-            steps.append((state, a))
-            row = mdp.transitions[h, state, a]
-            for s2 in np.nonzero(row > 0.0)[0]:
-                walk(h + 1, int(s2), g2, prob * pa * float(row[s2]), steps)
-            steps.pop()
-
-    walk(0, mdp.initial_state, 0, 1.0, [])
-    table = normalize_rows(numer, totals=denom)
-    return RewardAugmentedPolicy(grid=grid, table=table, reward=gr)
 
 
 def _dp_mass_check(total: float) -> None:

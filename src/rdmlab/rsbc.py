@@ -6,6 +6,10 @@ policy is the row-normalized count table with a uniform fallback on
 unvisited cells.  Cumulative rewards are accumulated as integer grid
 multiples along each trajectory, never by float bucketing.
 Time O(N*H + S*A*H*|grid|), memory O(S*A*H*|grid|).
+
+The reward-conditioned projection pi_R that ``rs-bc`` estimates is the
+same count table taken over the expert's whole trajectory distribution:
+``construct_pi_r`` weights every enumerated trajectory by its probability.
 """
 
 from __future__ import annotations
@@ -14,17 +18,26 @@ import math
 
 import numpy as np
 
-from .mdp import Dataset, GridReward, RewardGrid, discretize_reward
-from .policies import RewardAugmentedPolicy, normalize_rows
+from .mdp import Dataset, GridReward, RewardGrid, TabularMdp, discretize_reward
+from .policies import (
+    PolicyHandle,
+    RewardAugmentedPolicy,
+    enumerate_trajectory_distribution,
+    normalize_rows,
+)
 
-__all__ = ["count_occurrences", "rs_bc", "theta_for_epsilon_rsbc"]
+__all__ = ["count_occurrences", "rs_bc", "construct_pi_r", "theta_for_epsilon_rsbc"]
 
 
-def count_occurrences(data: Dataset, reward: GridReward) -> np.ndarray:
-    """Visit counters M[h, s, g, a] as an (H, S, G, A) int64 array.
+def count_occurrences(
+    data: Dataset, reward: GridReward, weights: np.ndarray | None = None
+) -> np.ndarray:
+    """Visit counters M[h, s, g, a] as an (H, S, G, A) array.
 
-    Every stage slice sums to the dataset size.  Each step is keyed by its
-    flat (h, s, g, a) cell index and the keys are counted with one
+    Without ``weights`` these are int64 counts and every stage slice sums
+    to the dataset size; with (N,) per-trajectory ``weights`` every visit
+    adds its trajectory's weight instead.  Each step is keyed by its flat
+    (h, s, g, a) cell index and the keys are counted with one
     ``np.bincount``.
     """
     grid = reward.grid
@@ -37,7 +50,9 @@ def count_occurrences(data: Dataset, reward: GridReward) -> np.ndarray:
     np.cumsum(step_mult[:, :-1], axis=1, out=g[:, 1:])
     shape = (horizon, data.num_states, grid.num_multiples(horizon - 1), data.num_actions)
     key = ((stage_idx * shape[1] + data.states) * shape[2] + g) * shape[3] + data.actions
-    return np.bincount(key.ravel(), minlength=math.prod(shape)).reshape(shape)
+    if weights is not None:
+        weights = np.repeat(np.asarray(weights, dtype=float), horizon)
+    return np.bincount(key.ravel(), weights, minlength=math.prod(shape)).reshape(shape)
 
 
 def rs_bc(data: Dataset, reward: np.ndarray, grid: RewardGrid) -> RewardAugmentedPolicy:
@@ -51,6 +66,30 @@ def rs_bc(data: Dataset, reward: np.ndarray, grid: RewardGrid) -> RewardAugmente
         raise ValueError("empty dataset")
     gr = discretize_reward(np.asarray(reward, dtype=float), grid)
     table = normalize_rows(count_occurrences(data, gr))
+    return RewardAugmentedPolicy(grid=grid, table=table, reward=gr)
+
+
+def construct_pi_r(
+    mdp: TabularMdp,
+    expert: PolicyHandle,
+    reward: GridReward | np.ndarray,
+    grid: RewardGrid,
+) -> RewardAugmentedPolicy:
+    """The reward-conditioned projection pi_R of an arbitrary expert policy.
+
+    ``rs-bc``'s count table over the expert's enumerated trajectories, each
+    weighted by its probability: every (stage, state, cumulative grid value)
+    row is the expert's exact conditional action distribution given that the
+    cell was reached, and cells the expert never reaches get the uniform
+    row.  When the expert's reward is already grid-valued, the output
+    provably reproduces the expert's return distribution exactly; with
+    rounding, the gap is at most H * theta.
+    """
+    gr = reward if isinstance(reward, GridReward) else discretize_reward(reward, grid)
+    if gr.grid != grid:
+        raise ValueError("reward grid does not match the requested grid")
+    data, probs = enumerate_trajectory_distribution(mdp, expert)
+    table = normalize_rows(count_occurrences(data, gr, probs))
     return RewardAugmentedPolicy(grid=grid, table=table, reward=gr)
 
 

@@ -38,7 +38,7 @@ import numpy as np
 from .distributions import DiscreteReturnDistribution, empirical_return_distribution
 from .lp import LinearProgram, LpError, LpSolution, solve
 from .mdp import AugmentedMdp, Dataset, GridReward, RewardGrid, TabularMdp, build_augmented_mdp
-from .policies import RewardAugmentedPolicy, normalize_rows
+from .policies import ZERO_MASS, RewardAugmentedPolicy, normalize_rows
 
 __all__ = [
     "OccupancySolution",
@@ -50,8 +50,6 @@ __all__ = [
     "rs_kt",
     "theta_for_epsilon_rskt",
 ]
-
-_ZERO_MASS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -253,9 +251,7 @@ def _assemble_lp(layout: RsktLayout, eta_hat_full: np.ndarray) -> LinearProgram:
 
 def occupancy_to_policy(sol: OccupancySolution, grid: RewardGrid) -> RewardAugmentedPolicy:
     """Row-normalize an occupancy into a policy; uniform rows where it has no mass."""
-    table = normalize_rows(sol.d, min_mass=_ZERO_MASS)
-    # LP round-off can leave rows a hair off one; renormalize exactly
-    table = table / table.sum(axis=3, keepdims=True)
+    table = normalize_rows(sol.d, min_mass=ZERO_MASS)
     return RewardAugmentedPolicy(grid=grid, table=table, reward=sol.reward)
 
 
@@ -283,7 +279,7 @@ def rs_kt(
     dense = layout.dense_occupancy(solution.x)
     eta_block = layout.return_distribution(solution.x)
     mass_drift = abs(float(eta_block.sum()) - 1.0)
-    support = np.nonzero(eta_block > _ZERO_MASS)[0]
+    support = np.nonzero(eta_block > ZERO_MASS)[0]
     # solver drift on the eta rows stays well inside 1e-7; renormalize and
     # surface the drift through the diagnostics
     probs = eta_block[support] / eta_block[support].sum()

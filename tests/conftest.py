@@ -70,6 +70,17 @@ def markov_occupancy(mdp, policy):
     return occ
 
 
+def half_l1_trajectories(mdp, pol_a, pol_b):
+    """Half the L1 distance between two policies' enumerated trajectory distributions."""
+    rows, signed = [], []
+    for pol, sign in ((pol_a, 1.0), (pol_b, -1.0)):
+        data, probs = rl.enumerate_trajectory_distribution(mdp, pol)
+        rows.append(np.hstack([data.states, data.actions]))
+        signed.append(sign * probs)
+    _, key = np.unique(np.vstack(rows), axis=0, return_inverse=True)
+    return 0.5 * np.abs(np.bincount(key.ravel(), np.concatenate(signed))).sum()
+
+
 def make_instance(
     seed,
     num_states=3,

@@ -16,7 +16,7 @@ from rdmlab.lp import solve_transport
 from rdmlab.policies import exact_augmented_occupancy, random_reward_augmented_policy
 from rdmlab.rskt import OccupancySolution, occupancy_to_policy
 
-from conftest import make_instance, random_distribution
+from conftest import half_l1_trajectories, make_instance, random_distribution
 
 
 def _report(num, name, ok, detail=""):
@@ -145,13 +145,7 @@ def test_c06_tv_equals_half_l1():
         da = rl.brute_force_return_distribution(mdp, pol_a, reward)
         db = rl.brute_force_return_distribution(mdp, pol_b, reward)
         tv = rl.total_variation(da, db)
-        probs = {}
-        for pol, sign in ((pol_a, 1.0), (pol_b, -1.0)):
-            trajs, p = rl.enumerate_trajectory_distribution(mdp, pol)
-            for t, v in zip(trajs, p):
-                probs[t.steps] = probs.get(t.steps, 0.0) + sign * float(v)
-        half_l1 = 0.5 * sum(abs(v) for v in probs.values())
-        worst = max(worst, abs(tv - half_l1))
+        worst = max(worst, abs(tv - half_l1_trajectories(mdp, pol_a, pol_b)))
     _report(6, "TV identity on power-of-ten reward", worst <= 1e-12,
             f"worst |TV - L1/2| = {worst:.3e}")
 

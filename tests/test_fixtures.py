@@ -4,6 +4,8 @@ import pytest
 import rdmlab as rl
 from rdmlab.fixtures import TV_HARD_DIGIT_LIMIT, make_tv_hard_reward
 
+from conftest import half_l1_trajectories
+
 
 class TestForkFixture:
     def test_mdp_is_valid(self):
@@ -16,6 +18,20 @@ class TestForkFixture:
         d = rl.brute_force_return_distribution(mdp, expert, mdp.reward)
         assert d.support.tolist() == [1.0]
         assert d.probs.tolist() == [1.0]
+
+    def test_upper_path_returns_one(self):
+        # action 0 everywhere: the upper path (0,0),(1,0),(3,0) returns 1, the lower 0
+        mdp, _ = rl.make_fork_fixture()
+        policy = rl.fork_markovian_policy(1.0)
+        data, probs = rl.enumerate_trajectory_distribution(mdp, policy)
+        rows = zip(data.states.tolist(), data.actions.tolist(), probs.tolist())
+        assert {(tuple(s), tuple(a)): p for s, a, p in rows} == {
+            ((0, 1, 3), (0, 0, 0)): 0.5,
+            ((0, 2, 3), (0, 0, 0)): 0.5,
+        }
+        d = rl.brute_force_return_distribution(mdp, policy, mdp.reward)
+        assert d.support.tolist() == [0.0, 1.0]
+        assert d.probs.tolist() == [0.5, 0.5]
 
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_markovian_family_distribution(self, alpha):
@@ -47,11 +63,12 @@ class TestTvHardReward:
         transitions = np.full((2, 2, 2, 2), 0.5)
         mdp = rl.TabularMdp(2, 2, 2, 0, transitions, reward)
         policy = rl.MarkovianPolicy(np.full((2, 2, 2), 0.5))
-        trajs, _ = rl.enumerate_trajectory_distribution(mdp, policy)
+        data, _ = rl.enumerate_trajectory_distribution(mdp, policy)
         returns = sorted(
-            rl.return_of_trajectory(t, reward, mdp.horizon) for t in trajs
+            sum(reward[h, s, a] for h, (s, a) in enumerate(zip(states, actions)))
+            for states, actions in zip(data.states.tolist(), data.actions.tolist())
         )
-        assert len(trajs) == 8  # A * S * A paths from the fixed initial state
+        assert len(data) == 8  # A * S * A paths from the fixed initial state
         assert all(b - a > 1e-12 for a, b in zip(returns, returns[1:]))
 
     def test_tv_equals_half_l1_for_random_policies(self):
@@ -65,14 +82,7 @@ class TestTvHardReward:
             da = rl.brute_force_return_distribution(mdp, pol_a, reward)
             db = rl.brute_force_return_distribution(mdp, pol_b, reward)
             tv = rl.total_variation(da, db)
-
-            probs: dict[tuple, float] = {}
-            for pol, sign in ((pol_a, 1.0), (pol_b, -1.0)):
-                trajs, p = rl.enumerate_trajectory_distribution(mdp, pol)
-                for t, v in zip(trajs, p):
-                    probs[t.steps] = probs.get(t.steps, 0.0) + sign * float(v)
-            half_l1 = 0.5 * sum(abs(v) for v in probs.values())
-            assert abs(tv - half_l1) <= 1e-12
+            assert abs(tv - half_l1_trajectories(mdp, pol_a, pol_b)) <= 1e-12
 
     def test_identical_policies_have_zero_tv(self):
         rng = np.random.default_rng(3)

@@ -43,30 +43,6 @@ class TestValidate:
             rl.TabularMdp(2, 2, 2, 5, np.zeros((2, 2, 2, 2)), np.zeros((2, 2, 2)))
 
 
-class TestReturnOfTrajectory:
-    def test_empty_prefix_is_zero(self):
-        traj = rl.Trajectory(((0, 0), (1, 1)))
-        assert rl.return_of_trajectory(traj, np.random.rand(2, 2, 2), 0) == 0.0
-
-    def test_constant_reward_full_prefix(self):
-        horizon = 4
-        traj = rl.Trajectory(tuple((0, 0) for _ in range(horizon)))
-        reward = np.ones((horizon, 1, 1))
-        assert rl.return_of_trajectory(traj, reward, horizon) == horizon
-
-    def test_fork_upper_path_returns_one(self):
-        mdp, _ = rl.make_fork_fixture()
-        traj = rl.Trajectory(((0, 0), (1, 0), (3, 0)))
-        assert rl.return_of_trajectory(traj, mdp.reward, 3) == 1.0
-
-    def test_out_of_bounds_raises(self):
-        traj = rl.Trajectory(((0, 0), (5, 0)))
-        with pytest.raises(IndexError):
-            rl.return_of_trajectory(traj, np.zeros((2, 2, 2)), 2)
-        with pytest.raises(ValueError):
-            rl.return_of_trajectory(traj, np.zeros((2, 2, 2)), 3)
-
-
 class TestDiscretize:
     def test_round_to_nearest(self):
         grid = rl.RewardGrid(0.5, 2)
@@ -168,28 +144,15 @@ class TestAugmentedMdp:
         cells = {tuple(c) for c in np.argwhere(aug.reachable[2])}
         assert cells == {(3, 0), (3, 1)}
         # each reached with probability 1/2 under the expert
-        trajs, probs = rl.enumerate_trajectory_distribution(mdp, expert)
-        gr = aug.reward
+        data, probs = rl.enumerate_trajectory_distribution(mdp, expert)
+        g = aug.reward.multiples[[0, 1], data.states[:, :2], data.actions[:, :2]].sum(axis=1)
         mass = {}
-        for traj, p in zip(trajs, probs):
-            g = sum(int(gr.multiples[i, s, a]) for i, (s, a) in enumerate(traj.steps[:2]))
-            key = (traj.steps[2][0], g)
+        for key, p in zip(zip(data.states[:, 2].tolist(), g.tolist()), probs.tolist()):
             mass[key] = mass.get(key, 0.0) + p
         assert mass == pytest.approx({(3, 0): 0.5, (3, 1): 0.5})
 
 
 class TestDataset:
-    def test_from_trajectories_roundtrip(self):
-        trajs = [rl.Trajectory(((0, 1), (1, 0))), rl.Trajectory(((1, 1), (0, 0)))]
-        data = rl.Dataset.from_trajectories(trajs, num_states=2, num_actions=2)
-        assert len(data) == 2 and data.horizon == 2
-        assert data.trajectory(0).steps == trajs[0].steps
-
-    def test_mixed_horizons_rejected(self):
-        trajs = [rl.Trajectory(((0, 0),)), rl.Trajectory(((0, 0), (0, 0)))]
-        with pytest.raises(ValueError):
-            rl.Dataset.from_trajectories(trajs, 1, 1)
-
     def test_bounds_checked(self):
         with pytest.raises(ValueError):
             rl.Dataset(np.array([[0, 3]]), np.array([[0, 0]]), num_states=2, num_actions=1)

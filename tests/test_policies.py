@@ -400,6 +400,27 @@ class TestActParametric:
         assert (probs > 0).all()
 
 
+class TestEnumeration:
+    @pytest.mark.parametrize(
+        "kind", ["markovian", "reward-augmented", "parametric-history", "callable"]
+    )
+    def test_rows_are_distinct_trajectories_with_unit_mass(self, kind):
+        if kind == "callable":
+            mdp, policy = rl.make_fork_fixture()
+        elif kind == "reward-augmented":
+            mdp, _ = make_instance(6, rho=0.5, horizon=3)
+            gr = rl.discretize_reward(mdp.reward, rl.RewardGrid(0.5, mdp.horizon))
+            policy = random_reward_augmented_policy(gr, mdp.num_states, np.random.default_rng(6))
+        else:
+            mdp, policy = make_instance(6, expert_kind=kind)
+        data, probs = rl.enumerate_trajectory_distribution(mdp, policy)
+        assert data.states.shape == data.actions.shape == (probs.size, mdp.horizon)
+        rows = np.hstack([data.states, data.actions])
+        assert np.unique(rows, axis=0).shape[0] == probs.size
+        assert (probs > 0).all()
+        assert abs(probs.sum() - 1.0) <= 1e-12
+
+
 class TestConstructPiR:
     def test_markovian_expert_ignores_g(self):
         mdp, expert = make_instance(11, expert_kind="markovian", rho=0.5)
@@ -621,10 +642,10 @@ class TestClassProjectionGuarantees:
         joint = occ.sum(axis=3)
 
         expected = np.zeros_like(joint)
-        trajs, probs = rl.enumerate_trajectory_distribution(mdp, expert)
-        for traj, p in zip(trajs, probs):
+        data, probs = rl.enumerate_trajectory_distribution(mdp, expert)
+        for states, actions, p in zip(data.states.tolist(), data.actions.tolist(), probs):
             g = 0
-            for h, (s, a) in enumerate(traj.steps):
+            for h, (s, a) in enumerate(zip(states, actions)):
                 expected[h, s, g] += p
                 g += int(gr.multiples[h, s, a])
         assert np.abs(joint - expected).max() <= 1e-9

@@ -19,6 +19,22 @@ class TestCounting:
         stage_totals = counts.sum(axis=(1, 2, 3))
         assert (stage_totals == 257).all()
 
+    def test_unit_weights_give_the_counts_as_floats(self):
+        mdp, expert = make_instance(1, rho=0.25, expert_kind="parametric-history")
+        gr = rl.discretize_reward(mdp.reward, rl.RewardGrid(0.25, mdp.horizon))
+        data = rl.sample_trajectories(mdp, expert, 257, seed=0)
+        weighted = count_occurrences(data, gr, np.ones(len(data)))
+        assert weighted.dtype == np.float64
+        assert np.array_equal(weighted, count_occurrences(data, gr).astype(float))
+
+    @pytest.mark.parametrize("kind", ["markovian", "parametric-history"])
+    def test_enumerated_probabilities_give_unit_stage_totals(self, kind):
+        mdp, expert = make_instance(2, rho=0.25, expert_kind=kind)
+        gr = rl.discretize_reward(mdp.reward, rl.RewardGrid(0.25, mdp.horizon))
+        data, probs = rl.enumerate_trajectory_distribution(mdp, expert)
+        stage_totals = count_occurrences(data, gr, probs).sum(axis=(1, 2, 3))
+        assert np.abs(stage_totals - 1.0).max() <= 1e-12
+
     def test_single_trajectory_marks_its_path(self):
         mdp, expert = rl.make_fork_fixture()
         grid = rl.RewardGrid(1.0, mdp.horizon)
