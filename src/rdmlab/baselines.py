@@ -15,7 +15,7 @@ from .lp import LinearProgram, LpError, solve
 from .mdp import Dataset, TabularMdp
 from .policies import ZERO_MASS, MarkovianPolicy, normalize_rows
 
-__all__ = ["count_state_actions", "bc", "mimic_md"]
+__all__ = ["count_state_actions", "bc_from_counts", "bc", "mimic_md"]
 
 
 def count_state_actions(data: Dataset) -> np.ndarray:
@@ -25,12 +25,21 @@ def count_state_actions(data: Dataset) -> np.ndarray:
     return np.bincount(key.ravel(), minlength=math.prod(shape)).reshape(shape)
 
 
+def bc_from_counts(counts: np.ndarray) -> MarkovianPolicy:
+    """Empirical Markovian policy from (H, S, A) visit counters: action
+    frequencies per visited (stage, state), uniform elsewhere.
+
+    The counters are ``count_state_actions(data)``, or equally the ``rs-bc``
+    counters M[h, s, g, a] summed over g.
+    """
+    return MarkovianPolicy(normalize_rows(counts))
+
+
 def bc(data: Dataset) -> MarkovianPolicy:
-    """Empirical Markovian policy: action frequencies per visited (stage, state),
-    uniform elsewhere."""
+    """Behavioral cloning: ``bc_from_counts`` on the dataset's visit counters."""
     if len(data) < 1:
         raise ValueError("empty dataset")
-    return MarkovianPolicy(normalize_rows(count_state_actions(data)))
+    return bc_from_counts(count_state_actions(data))
 
 
 def mimic_md(data: Dataset, mdp: TabularMdp) -> MarkovianPolicy:

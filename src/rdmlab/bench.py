@@ -22,15 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import bc, mimic_md
-from .distributions import (
-    DiscreteReturnDistribution,
-    empirical_return_distribution,
-    wasserstein,
-)
+from .baselines import bc_from_counts, mimic_md
+from .distributions import DiscreteReturnDistribution, wasserstein
 from .fixtures import make_fork_fixture, make_tv_hard_reward, fork_markovian_policy
 from .lp import LpError
-from .mdp import GridOverflowError, RewardGrid, TabularMdp
+from .mdp import GridOverflowError, GridReward, RewardGrid, TabularMdp, discretize_reward
 from .policies import (
     EnumerationCapError,
     MarkovianPolicy,
@@ -44,7 +40,7 @@ from .policies import (
     random_parametric_policy,
     sample_trajectories,
 )
-from .rsbc import rs_bc
+from .rsbc import count_occurrences, eta_hat_from_counts, rs_bc_from_counts
 from .rskt import rs_kt
 from .serialize import format_distribution
 
@@ -68,6 +64,10 @@ __all__ = [
 RESULTS_HEADER = "algorithm,N,mean,std,instances,seeds"
 
 KNOWN_ALGORITHMS = ("rs-bc", "rs-kt", "bc", "mimic-md", "eta-hat")
+
+#: Algorithms that read the dataset's count tensor M[h, s, g, a] rather than
+#: the trajectories, so M is counted once per dataset for all of them.
+_COUNT_READERS = frozenset({"rs-bc", "bc", "eta-hat"})
 
 _EVAL_MODES = ("exact-dp", "enumeration", "monte-carlo")
 
@@ -227,14 +227,19 @@ def _policy_distribution(
     raise TypeError(f"cannot evaluate policy kind {type(policy).__name__}")
 
 
-def _fit(algorithm: str, data, mdp: TabularMdp, grid: RewardGrid):
-    """The policy one algorithm fits to a dataset (``grid`` is the matchers' grid)."""
+def _fit(algorithm: str, data, counts, mdp: TabularMdp, reward: GridReward):
+    """The policy one algorithm fits to a dataset.
+
+    ``reward`` is the true reward on the matchers' grid and ``counts`` the
+    dataset's M[h, s, g, a] on it: ``rs-bc`` and ``bc`` read M, the LP
+    methods read the trajectories.
+    """
     if algorithm == "rs-bc":
-        return rs_bc(data, mdp.reward, grid)
+        return rs_bc_from_counts(counts, reward)
     if algorithm == "rs-kt":
-        return rs_kt(data, mdp, mdp.reward, grid)[0]
+        return rs_kt(data, mdp, mdp.reward, reward.grid)[0]
     if algorithm == "bc":
-        return bc(data)
+        return bc_from_counts(counts.sum(axis=2))
     if algorithm == "mimic-md":
         return mimic_md(data, mdp)
     raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -245,15 +250,16 @@ def _run_one(
     algorithm: str,
     mdp: TabularMdp,
     data,
+    counts,
+    reward: GridReward,
     truth: DiscreteReturnDistribution,
     eval_seed: int,
 ) -> float:
-    grid = RewardGrid(cfg.theta, mdp.horizon)
     if algorithm == "eta-hat":
-        estimate = empirical_return_distribution(data, mdp.reward, grid)
+        estimate = eta_hat_from_counts(counts, reward)
         # estimate-only diagnostic: the fitted policy is at most twice as far
         return 2.0 * wasserstein(estimate, truth)
-    policy = _fit(algorithm, data, mdp, grid)
+    policy = _fit(algorithm, data, counts, mdp, reward)
     return wasserstein(_policy_distribution(cfg, mdp, policy, eval_seed), truth)
 
 
@@ -269,22 +275,28 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
         (alg, n): [] for alg in cfg.algorithms for n in cfg.n_sweep
     }
     failures: dict[tuple[str, int], int] = {key: 0 for key in per_instance}
+    needs_counts = not _COUNT_READERS.isdisjoint(cfg.algorithms)
     for i in range(cfg.instances):
         mdp, expert = generate_instance(cfg, derive_seed(cfg.master_seed, "instance", i))
         truth = _expert_distribution(cfg, mdp, expert, i)
+        reward = discretize_reward(mdp.reward, RewardGrid(cfg.theta, mdp.horizon))
         for k, n in enumerate(cfg.n_sweep):
             seed_errors: dict[str, list[float]] = {alg: [] for alg in cfg.algorithms}
             for j in range(cfg.seeds_per_dataset):
                 data = sample_trajectories(
                     mdp, expert, n, derive_seed(cfg.master_seed, "dataset", i, k, j)
                 )
+                counts = count_occurrences(data, reward) if needs_counts else None
                 for idx, alg in enumerate(cfg.algorithms):
                     eval_seed = derive_seed(cfg.master_seed, "policy-eval", i, k, j, idx)
                     try:
-                        seed_errors[alg].append(_run_one(cfg, alg, mdp, data, truth, eval_seed))
+                        seed_errors[alg].append(
+                            _run_one(cfg, alg, mdp, data, counts, reward, truth, eval_seed)
+                        )
                     except (LpError, EnumerationCapError, GridOverflowError):
                         failures[(alg, n)] += 1
-                del data  # else it stays alive while the next dataset is sampled
+                # else both stay alive while the next dataset is sampled and counted
+                del data, counts
             for alg in cfg.algorithms:
                 errs = seed_errors[alg]
                 per_instance[(alg, n)].append(float(np.mean(errs)) if errs else math.nan)
@@ -325,14 +337,15 @@ def collect_example_distributions(
     data = sample_trajectories(
         mdp, expert, n, derive_seed(cfg.master_seed, "dataset", instance, k, 0)
     )
-    grid = RewardGrid(cfg.theta, mdp.horizon)
-    out = {"expert": truth}
-    out["estimate"] = empirical_return_distribution(data, mdp.reward, grid)
+    reward = discretize_reward(mdp.reward, RewardGrid(cfg.theta, mdp.horizon))
+    counts = count_occurrences(data, reward)
+    out = {"expert": truth, "estimate": eta_hat_from_counts(counts, reward)}
     for idx, alg in enumerate(cfg.algorithms):
         if alg == "eta-hat":
             continue
+        policy = _fit(alg, data, counts, mdp, reward)
         eval_seed = derive_seed(cfg.master_seed, "policy-eval", instance, k, 0, idx)
-        out[alg] = _policy_distribution(cfg, mdp, _fit(alg, data, mdp, grid), eval_seed)
+        out[alg] = _policy_distribution(cfg, mdp, policy, eval_seed)
     return out
 
 

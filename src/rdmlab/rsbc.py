@@ -1,15 +1,24 @@
 """Count-based estimation of the reward-conditioned expert policy.
 
 One pass over the dataset counts (stage, state, cumulative grid reward,
-action) occurrences, as one ``np.bincount`` of flat cell indices; the
-policy is the row-normalized count table with a uniform fallback on
-unvisited cells.  Cumulative rewards are accumulated as integer grid
+action) occurrences, as one ``np.bincount`` of flat cell indices
+(``count_occurrences``).  Cumulative rewards are accumulated as integer grid
 multiples along each trajectory, never by float bucketing.
 Time O(N*H + S*A*H*|grid|), memory O(S*A*H*|grid|).
 
-The reward-conditioned projection pi_R that ``rs-bc`` estimates is the
-same count table taken over the expert's whole trajectory distribution:
-``construct_pi_r`` weights every enumerated trajectory by its probability.
+Two readers turn the count tensor M[h, s, g, a] into estimates, so a caller
+that already holds M never walks the dataset again:
+
+- ``rs_bc_from_counts``: the ``rs-bc`` policy, M row-normalized with a
+  uniform fallback on unvisited cells;
+- ``eta_hat_from_counts``: the empirical grid return distribution, read off
+  M's last stage (each trajectory's return is its last cell's g plus the
+  last step's reward).
+
+``rs_bc`` is ``rs_bc_from_counts`` on a fresh count.  The reward-conditioned
+projection pi_R that ``rs-bc`` estimates is the same count table taken over
+the expert's whole trajectory distribution: ``construct_pi_r`` weights every
+enumerated trajectory by its probability.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ import math
 
 import numpy as np
 
+from .distributions import DiscreteReturnDistribution
 from .mdp import Dataset, GridReward, RewardGrid, TabularMdp, discretize_reward
 from .policies import (
     PolicyHandle,
@@ -26,7 +36,14 @@ from .policies import (
     normalize_rows,
 )
 
-__all__ = ["count_occurrences", "rs_bc", "construct_pi_r", "theta_for_epsilon_rsbc"]
+__all__ = [
+    "count_occurrences",
+    "rs_bc_from_counts",
+    "eta_hat_from_counts",
+    "rs_bc",
+    "construct_pi_r",
+    "theta_for_epsilon_rsbc",
+]
 
 
 def count_occurrences(
@@ -55,18 +72,39 @@ def count_occurrences(
     return np.bincount(key.ravel(), weights, minlength=math.prod(shape)).reshape(shape)
 
 
-def rs_bc(data: Dataset, reward: np.ndarray, grid: RewardGrid) -> RewardAugmentedPolicy:
-    """Estimate the reward-conditioned policy from expert trajectories.
+def rs_bc_from_counts(counts: np.ndarray, reward: GridReward) -> RewardAugmentedPolicy:
+    """The ``rs-bc`` policy read from the visit counters M[h, s, g, a] on ``reward``.
 
     Rows with at least one visit are the empirical action frequencies at
     that (stage, state, cumulative grid reward) cell; unvisited rows are
     uniform, exactly as specified (no smoothing).
     """
+    return RewardAugmentedPolicy(grid=reward.grid, table=normalize_rows(counts), reward=reward)
+
+
+def eta_hat_from_counts(counts: np.ndarray, reward: GridReward) -> DiscreteReturnDistribution:
+    """The empirical grid return distribution read from the counters M[h, s, g, a].
+
+    Every trajectory visits exactly one last-stage cell (s, g, a), and its
+    return is g + ``reward.multiples[H-1, s, a]`` grid steps, so the
+    histogram of returns is M[H-1] summed over those totals.  Sums of
+    integer counts are exact, so the result is the one
+    ``empirical_return_distribution(data, reward, grid)`` builds.
+    """
+    last = counts[-1]  # (S, G, A)
+    totals = np.arange(last.shape[1])[:, None] + reward.multiples[-1][:, None, :]
+    mass = np.bincount(totals.ravel(), last.ravel())
+    observed = np.flatnonzero(mass)
+    n = last.sum()  # one last-stage visit per trajectory
+    return DiscreteReturnDistribution(observed * reward.grid.theta, mass[observed] / n)
+
+
+def rs_bc(data: Dataset, reward: np.ndarray, grid: RewardGrid) -> RewardAugmentedPolicy:
+    """Estimate the reward-conditioned policy from expert trajectories."""
     if len(data) < 1:
         raise ValueError("empty dataset")
     gr = discretize_reward(np.asarray(reward, dtype=float), grid)
-    table = normalize_rows(count_occurrences(data, gr))
-    return RewardAugmentedPolicy(grid=grid, table=table, reward=gr)
+    return rs_bc_from_counts(count_occurrences(data, gr), gr)
 
 
 def construct_pi_r(
@@ -89,8 +127,7 @@ def construct_pi_r(
     if gr.grid != grid:
         raise ValueError("reward grid does not match the requested grid")
     data, probs = enumerate_trajectory_distribution(mdp, expert)
-    table = normalize_rows(count_occurrences(data, gr, probs))
-    return RewardAugmentedPolicy(grid=grid, table=table, reward=gr)
+    return rs_bc_from_counts(count_occurrences(data, gr, probs), gr)
 
 
 def theta_for_epsilon_rsbc(epsilon: float, horizon: int) -> float:

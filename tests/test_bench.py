@@ -138,19 +138,47 @@ class TestRunExperiment:
         assert {r.algorithm for r in rows} == set(cfg.algorithms)
         assert all(r.failures == 0 for r in rows)
 
+    def test_count_readers_score_like_the_dataset_walks(self):
+        # rs-bc, bc and eta-hat read one count tensor per dataset; the public
+        # functions each walk the dataset and must give the same W1, bit for bit
+        cfg = tiny_cfg(
+            theta=0.5, rho=0.25, algorithms=("rs-bc", "bc", "eta-hat"),
+            instances=2, n_sweep=(16, 64),
+        )
+        rows = {(r.algorithm, r.n): r.per_instance for r in rl.run_experiment(cfg)}
+        grid = rl.RewardGrid(cfg.theta, cfg.horizon)
+        for i in range(cfg.instances):
+            mdp, expert = rl.generate_instance(cfg, derive_seed(cfg.master_seed, "instance", i))
+            truth = bench_mod._expert_distribution(cfg, mdp, expert, i)
+            for k, n in enumerate(cfg.n_sweep):
+                errors = {alg: [] for alg in cfg.algorithms}
+                for j in range(cfg.seeds_per_dataset):
+                    data = rl.sample_trajectories(
+                        mdp, expert, n, derive_seed(cfg.master_seed, "dataset", i, k, j)
+                    )
+                    policies = (rl.rs_bc(data, mdp.reward, grid), rl.bc(data))
+                    for idx, policy in enumerate(policies):
+                        seed = derive_seed(cfg.master_seed, "policy-eval", i, k, j, idx)
+                        dist = bench_mod._policy_distribution(cfg, mdp, policy, seed)
+                        errors[cfg.algorithms[idx]].append(rl.wasserstein(dist, truth))
+                    estimate = rl.empirical_return_distribution(data, mdp.reward, grid)
+                    errors["eta-hat"].append(2.0 * rl.wasserstein(estimate, truth))
+                for alg in cfg.algorithms:
+                    assert rows[(alg, n)][i] == float(np.mean(errors[alg]))
+
     @staticmethod
     def _flaky_bc(monkeypatch, error):
-        """Make every third ``bc`` call in the harness raise ``error``."""
+        """Make every third ``bc`` fit in the harness raise ``error``."""
         calls = {"n": 0}
-        original = bench_mod.bc
+        original = bench_mod.bc_from_counts
 
-        def flaky(data):
+        def flaky(counts):
             calls["n"] += 1
             if calls["n"] % 3 == 0:
                 raise error
-            return original(data)
+            return original(counts)
 
-        monkeypatch.setattr(bench_mod, "bc", flaky)
+        monkeypatch.setattr(bench_mod, "bc_from_counts", flaky)
 
     def test_per_run_failures_recorded_not_fatal(self, monkeypatch):
         self._flaky_bc(monkeypatch, LpError("synthetic failure"))

@@ -5,9 +5,44 @@ import pytest
 
 import rdmlab as rl
 from rdmlab.policies import random_reward_augmented_policy
-from rdmlab.rsbc import count_occurrences, rs_bc, theta_for_epsilon_rsbc
+from rdmlab.baselines import count_state_actions
+from rdmlab.rsbc import (
+    count_occurrences,
+    eta_hat_from_counts,
+    rs_bc,
+    theta_for_epsilon_rsbc,
+)
 
 from conftest import make_instance
+
+#: (S, A, H) of the desk, scale and bulk benchmark workloads
+BENCH_SHAPES = {"desk": (2, 2, 5), "scale": (50, 5, 5), "bulk": (20, 5, 5)}
+#: (rho, theta): the matchers' grid equal to the reward grid, and coarser
+GRID_PAIRS = {"theta=rho": (0.02, 0.02), "theta>rho": (0.03, 0.05)}
+
+
+def counted_dataset(shape, kind, grids, seed, n=2000):
+    """A sampled dataset, the true reward on the matchers' grid, and M on it."""
+    (num_states, num_actions, horizon), (rho, theta) = BENCH_SHAPES[shape], GRID_PAIRS[grids]
+    mdp, expert = make_instance(
+        seed, num_states=num_states, num_actions=num_actions, horizon=horizon,
+        rho=rho, expert_kind=kind,
+    )
+    data = rl.sample_trajectories(mdp, expert, n, seed=seed + 1)
+    grid = rl.RewardGrid(theta, horizon)
+    gr = rl.discretize_reward(mdp.reward, grid)
+    return mdp, data, grid, gr, count_occurrences(data, gr)
+
+
+reader_cases = pytest.mark.parametrize(
+    "shape, kind, grids",
+    [
+        (shape, kind, grids)
+        for shape in BENCH_SHAPES
+        for kind in ("markovian", "parametric-history")
+        for grids in GRID_PAIRS
+    ],
+)
 
 
 class TestCounting:
@@ -56,6 +91,20 @@ class TestCounting:
         wrong = rl.discretize_reward(np.zeros((5, 4, 2)), rl.RewardGrid(1.0, 5))
         with pytest.raises(ValueError):
             count_occurrences(data, wrong)
+
+    @reader_cases
+    def test_grid_marginal_is_the_state_action_count(self, shape, kind, grids):
+        _, data, _, _, counts = counted_dataset(shape, kind, grids, seed=3)
+        assert np.array_equal(counts.sum(axis=2), count_state_actions(data))
+
+    @reader_cases
+    def test_eta_hat_from_counts_is_the_direct_sum(self, shape, kind, grids):
+        # the direct per-trajectory sum in distributions stays the oracle
+        mdp, data, grid, gr, counts = counted_dataset(shape, kind, grids, seed=4)
+        got = eta_hat_from_counts(counts, gr)
+        want = rl.empirical_return_distribution(data, mdp.reward, grid)
+        assert np.array_equal(got.support, want.support)
+        assert np.array_equal(got.probs, want.probs)
 
 
 def loop_counts(data, gr):
