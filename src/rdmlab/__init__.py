@@ -60,14 +60,7 @@ from .policies import (
     sample_trajectories,
 )
 from .rsbc import construct_pi_r, rs_bc, theta_for_epsilon_rsbc
-from .rskt import (
-    OccupancySolution,
-    RsktDiagnostics,
-    build_rskt_lp,
-    occupancy_to_policy,
-    rs_kt,
-    theta_for_epsilon_rskt,
-)
+from .rskt import RsktDiagnostics, build_rskt_lp, rs_kt, theta_for_epsilon_rskt
 
 __version__ = "0.1.0"
 

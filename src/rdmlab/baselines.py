@@ -15,7 +15,7 @@ from .lp import LinearProgram, LpError, solve
 from .mdp import Dataset, TabularMdp
 from .policies import ZERO_MASS, MarkovianPolicy, normalize_rows
 
-__all__ = ["count_state_actions", "bc_from_counts", "bc", "mimic_md"]
+__all__ = ["count_state_actions", "bc_from_counts", "bc", "mimic_md_from_counts", "mimic_md"]
 
 
 def count_state_actions(data: Dataset) -> np.ndarray:
@@ -42,23 +42,22 @@ def bc(data: Dataset) -> MarkovianPolicy:
     return bc_from_counts(count_state_actions(data))
 
 
-def mimic_md(data: Dataset, mdp: TabularMdp) -> MarkovianPolicy:
+def mimic_md_from_counts(counts: np.ndarray, mdp: TabularMdp) -> MarkovianPolicy:
     """Known-transition baseline: occupancy LP with expert ratios pinned.
 
+    ``counts`` are the (H, S, A) visit counters, as for ``bc_from_counts``.
     Searches over valid Markovian occupancy measures d_h(s, a) of the base
     MDP.  Wherever the dataset visits a (stage, state), the action split of
     d is pinned to the empirical ratio; the remaining freedom is resolved by
-    minimizing the L1 distance between d and the empirical occupancy d_hat.
-    The program is in standard form: its columns are d, p and q, all
+    minimizing the L1 distance between d and the empirical occupancy
+    d_hat, the counters over the dataset size (any stage's total).  The
+    program is in standard form: its columns are d, p and q, all
     nonnegative; its rows are the initial and flow rows, the pin rows, and
     one residual row d - p + q = d_hat per entry; the objective is
     sum(p + q).  The policy is read off by row normalization, uniform on
     zero-mass rows.
     """
-    if len(data) < 1:
-        raise ValueError("empty dataset")
     horizon, num_states, num_actions = mdp.horizon, mdp.num_states, mdp.num_actions
-    counts = count_state_actions(data)
     state_counts = counts.sum(axis=2)
     n_d = horizon * num_states * num_actions  # d column of (h, s, a): (h * S + s) * A + a
     h_seen, s_seen = np.nonzero(state_counts)
@@ -88,7 +87,7 @@ def mimic_md(data: Dataset, mdp: TabularMdp) -> MarkovianPolicy:
     a_eq[res0 + j, j] = 1.0
     a_eq[res0 + j, n_d + j] = -1.0
     a_eq[res0 + j, 2 * n_d + j] = 1.0
-    b_eq[res0:] = (counts / len(data)).ravel()
+    b_eq[res0:] = (counts / counts[0].sum()).ravel()
 
     c = np.zeros(3 * n_d)
     c[n_d:] = 1.0
@@ -98,3 +97,8 @@ def mimic_md(data: Dataset, mdp: TabularMdp) -> MarkovianPolicy:
 
     d = sol.x[:n_d].reshape(horizon, num_states, num_actions)
     return MarkovianPolicy(normalize_rows(d, min_mass=ZERO_MASS))
+
+
+def mimic_md(data: Dataset, mdp: TabularMdp) -> MarkovianPolicy:
+    """``mimic_md_from_counts`` on the dataset's visit counters."""
+    return mimic_md_from_counts(count_state_actions(data), mdp)

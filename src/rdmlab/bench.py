@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import bc_from_counts, mimic_md
+from .baselines import bc_from_counts, mimic_md_from_counts
 from .distributions import DiscreteReturnDistribution, wasserstein
 from .fixtures import make_fork_fixture, make_tv_hard_reward, fork_markovian_policy
 from .lp import LpError
@@ -41,7 +41,7 @@ from .policies import (
     sample_trajectories,
 )
 from .rsbc import count_occurrences, eta_hat_from_counts, rs_bc_from_counts
-from .rskt import rs_kt
+from .rskt import rs_kt_from_counts
 from .serialize import format_distribution
 
 __all__ = [
@@ -63,11 +63,18 @@ __all__ = [
 
 RESULTS_HEADER = "algorithm,N,mean,std,instances,seeds"
 
-KNOWN_ALGORITHMS = ("rs-bc", "rs-kt", "bc", "mimic-md", "eta-hat")
+#: Each algorithm's fit: (the dataset's M[h, s, g, a], the MDP, the true
+#: reward on the matchers' grid) -> policy.  ``bc`` and ``mimic-md`` read
+#: the (H, S, A) counters, M summed over g.
+_FITS = {
+    "rs-bc": lambda counts, mdp, reward: rs_bc_from_counts(counts, reward),
+    "rs-kt": lambda counts, mdp, reward: rs_kt_from_counts(counts, mdp, reward)[0],
+    "bc": lambda counts, mdp, reward: bc_from_counts(counts.sum(axis=2)),
+    "mimic-md": lambda counts, mdp, reward: mimic_md_from_counts(counts.sum(axis=2), mdp),
+}
 
-#: Algorithms that read the dataset's count tensor M[h, s, g, a] rather than
-#: the trajectories, so M is counted once per dataset for all of them.
-_COUNT_READERS = frozenset({"rs-bc", "bc", "eta-hat"})
+#: ``eta-hat`` fits no policy: it scores twice the estimate's own distance.
+KNOWN_ALGORITHMS = (*_FITS, "eta-hat")
 
 _EVAL_MODES = ("exact-dp", "enumeration", "monte-carlo")
 
@@ -227,40 +234,49 @@ def _policy_distribution(
     raise TypeError(f"cannot evaluate policy kind {type(policy).__name__}")
 
 
-def _fit(algorithm: str, data, counts, mdp: TabularMdp, reward: GridReward):
-    """The policy one algorithm fits to a dataset.
+def _instance(
+    cfg: ExperimentConfig, i: int
+) -> tuple[TabularMdp, PolicyHandle, DiscreteReturnDistribution, GridReward]:
+    """Instance ``i``: MDP, expert, the expert's return distribution, and the
+    true reward on the matchers' grid."""
+    mdp, expert = generate_instance(cfg, derive_seed(cfg.master_seed, "instance", i))
+    truth = _expert_distribution(cfg, mdp, expert, i)
+    reward = discretize_reward(mdp.reward, RewardGrid(cfg.theta, mdp.horizon))
+    return mdp, expert, truth, reward
 
-    ``reward`` is the true reward on the matchers' grid and ``counts`` the
-    dataset's M[h, s, g, a] on it: ``rs-bc`` and ``bc`` read M, the LP
-    methods read the trajectories.
-    """
-    if algorithm == "rs-bc":
-        return rs_bc_from_counts(counts, reward)
-    if algorithm == "rs-kt":
-        return rs_kt(data, mdp, mdp.reward, reward.grid)[0]
-    if algorithm == "bc":
-        return bc_from_counts(counts.sum(axis=2))
-    if algorithm == "mimic-md":
-        return mimic_md(data, mdp)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+
+def _sample_counts(
+    cfg: ExperimentConfig, mdp: TabularMdp, expert: PolicyHandle, reward: GridReward,
+    task: tuple[int, int, int],
+) -> np.ndarray:
+    """M[h, s, g, a] of the dataset of ``task`` = (instance, sweep index,
+    dataset seed); the dataset itself is dropped once counted."""
+    i, k, j = task
+    data = sample_trajectories(
+        mdp, expert, cfg.n_sweep[k], derive_seed(cfg.master_seed, "dataset", i, k, j)
+    )
+    return count_occurrences(data, reward)
+
+
+def _fitted_distribution(
+    cfg: ExperimentConfig, idx: int, mdp: TabularMdp, counts: np.ndarray,
+    reward: GridReward, task: tuple[int, int, int],
+) -> DiscreteReturnDistribution:
+    """Return distribution of the policy ``cfg.algorithms[idx]`` fits to ``counts``."""
+    policy = _FITS[cfg.algorithms[idx]](counts, mdp, reward)
+    eval_seed = derive_seed(cfg.master_seed, "policy-eval", *task, idx)
+    return _policy_distribution(cfg, mdp, policy, eval_seed)
 
 
 def _run_one(
-    cfg: ExperimentConfig,
-    algorithm: str,
-    mdp: TabularMdp,
-    data,
-    counts,
-    reward: GridReward,
-    truth: DiscreteReturnDistribution,
-    eval_seed: int,
+    cfg: ExperimentConfig, idx: int, mdp: TabularMdp, counts: np.ndarray,
+    reward: GridReward, truth: DiscreteReturnDistribution, task: tuple[int, int, int],
 ) -> float:
-    if algorithm == "eta-hat":
+    if cfg.algorithms[idx] == "eta-hat":
         estimate = eta_hat_from_counts(counts, reward)
         # estimate-only diagnostic: the fitted policy is at most twice as far
         return 2.0 * wasserstein(estimate, truth)
-    policy = _fit(algorithm, data, counts, mdp, reward)
-    return wasserstein(_policy_distribution(cfg, mdp, policy, eval_seed), truth)
+    return wasserstein(_fitted_distribution(cfg, idx, mdp, counts, reward, task), truth)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
@@ -275,28 +291,21 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
         (alg, n): [] for alg in cfg.algorithms for n in cfg.n_sweep
     }
     failures: dict[tuple[str, int], int] = {key: 0 for key in per_instance}
-    needs_counts = not _COUNT_READERS.isdisjoint(cfg.algorithms)
     for i in range(cfg.instances):
-        mdp, expert = generate_instance(cfg, derive_seed(cfg.master_seed, "instance", i))
-        truth = _expert_distribution(cfg, mdp, expert, i)
-        reward = discretize_reward(mdp.reward, RewardGrid(cfg.theta, mdp.horizon))
+        mdp, expert, truth, reward = _instance(cfg, i)
         for k, n in enumerate(cfg.n_sweep):
             seed_errors: dict[str, list[float]] = {alg: [] for alg in cfg.algorithms}
             for j in range(cfg.seeds_per_dataset):
-                data = sample_trajectories(
-                    mdp, expert, n, derive_seed(cfg.master_seed, "dataset", i, k, j)
-                )
-                counts = count_occurrences(data, reward) if needs_counts else None
+                counts = _sample_counts(cfg, mdp, expert, reward, (i, k, j))
                 for idx, alg in enumerate(cfg.algorithms):
-                    eval_seed = derive_seed(cfg.master_seed, "policy-eval", i, k, j, idx)
                     try:
                         seed_errors[alg].append(
-                            _run_one(cfg, alg, mdp, data, counts, reward, truth, eval_seed)
+                            _run_one(cfg, idx, mdp, counts, reward, truth, (i, k, j))
                         )
                     except (LpError, EnumerationCapError, GridOverflowError):
                         failures[(alg, n)] += 1
-                # else both stay alive while the next dataset is sampled and counted
-                del data, counts
+                # else M stays alive while the next dataset is sampled and counted
+                del counts
             for alg in cfg.algorithms:
                 errs = seed_errors[alg]
                 per_instance[(alg, n)].append(float(np.mean(errs)) if errs else math.nan)
@@ -331,21 +340,13 @@ def collect_example_distributions(
     Reuses the sweep's seed derivation, so the dump matches what
     :func:`run_experiment` scored for that (instance, N, first dataset seed).
     """
-    mdp, expert = generate_instance(cfg, derive_seed(cfg.master_seed, "instance", instance))
-    truth = _expert_distribution(cfg, mdp, expert, instance)
-    k = cfg.n_sweep.index(n)
-    data = sample_trajectories(
-        mdp, expert, n, derive_seed(cfg.master_seed, "dataset", instance, k, 0)
-    )
-    reward = discretize_reward(mdp.reward, RewardGrid(cfg.theta, mdp.horizon))
-    counts = count_occurrences(data, reward)
+    mdp, expert, truth, reward = _instance(cfg, instance)
+    task = (instance, cfg.n_sweep.index(n), 0)
+    counts = _sample_counts(cfg, mdp, expert, reward, task)
     out = {"expert": truth, "estimate": eta_hat_from_counts(counts, reward)}
     for idx, alg in enumerate(cfg.algorithms):
-        if alg == "eta-hat":
-            continue
-        policy = _fit(alg, data, counts, mdp, reward)
-        eval_seed = derive_seed(cfg.master_seed, "policy-eval", instance, k, 0, idx)
-        out[alg] = _policy_distribution(cfg, mdp, policy, eval_seed)
+        if alg != "eta-hat":
+            out[alg] = _fitted_distribution(cfg, idx, mdp, counts, reward, task)
     return out
 
 

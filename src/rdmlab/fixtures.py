@@ -77,7 +77,7 @@ def make_fork_fixture() -> tuple[TabularMdp, CallablePolicy]:
         probs[action] = 1.0
         return probs
 
-    return mdp, CallablePolicy(expert, tag="fork-expert")
+    return mdp, CallablePolicy(expert)
 
 
 def fork_markovian_policy(alpha: float) -> MarkovianPolicy:

@@ -125,19 +125,17 @@ def validate_mdp(mdp: TabularMdp) -> list[str]:
 class Dataset:
     """N trajectories of a common horizon, stored as (N, H) index arrays.
 
-    ``seed`` and ``policy_tag`` record provenance; ``num_states`` and
-    ``num_actions`` record the ambient space so estimators can size their
-    tables without guessing from observed indices.  A read-only,
-    C-contiguous int64 array that owns its data (as the sampler returns) is
-    kept as is; any other input is copied into a frozen array.
+    ``num_states`` and ``num_actions`` record the ambient space so
+    estimators can size their tables without guessing from observed
+    indices.  A read-only, C-contiguous int64 array that owns its data (as
+    the sampler returns) is kept as is; any other input is copied into a
+    frozen array.
     """
 
     states: np.ndarray  # (N, H)
     actions: np.ndarray  # (N, H)
     num_states: int
     num_actions: int
-    seed: int | None = None
-    policy_tag: str = ""
 
     def __post_init__(self) -> None:
         s = _owned_or_frozen(self.states)

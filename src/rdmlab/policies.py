@@ -213,14 +213,12 @@ class ParametricHistoryPolicy:
     The history (s_1, a_1, ..., s_{h-1}, a_{h-1}) is written as raw integer
     codes (states and actions in declaration order, interleaved), zero-padded
     to length 2H, projected to ``PROJECTION_DIM`` dimensions, and multiplied
-    by the current state's weight matrix.  The ``normalization`` tag names
-    the rule that turns that product into probabilities; "softmax" (unit
-    temperature) is the only rule implemented.
+    by the current state's weight matrix; a unit-temperature softmax turns
+    that product into probabilities.
     """
 
     projection: np.ndarray  # (2H, PROJECTION_DIM)
     state_weights: np.ndarray  # (S, PROJECTION_DIM, A)
-    normalization: str = "softmax"
 
     def __post_init__(self) -> None:
         proj = np.asarray(self.projection, dtype=float).copy()
@@ -229,8 +227,6 @@ class ParametricHistoryPolicy:
             raise ValueError(f"projection must have shape (2H, {PROJECTION_DIM})")
         if w.ndim != 3 or w.shape[1] != PROJECTION_DIM:
             raise ValueError(f"state_weights must have shape (S, {PROJECTION_DIM}, A)")
-        if self.normalization != "softmax":
-            raise ValueError(f"unknown normalization rule {self.normalization!r}")
         proj.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "projection", proj)
@@ -249,7 +245,6 @@ class CallablePolicy:
     """Wraps an exact closure (h, state, history) -> action probabilities."""
 
     fn: Callable[[int, int, History], np.ndarray]
-    tag: str = "callable"
 
     def act(self, h: int, state: int, history: History = ()) -> np.ndarray:
         return np.asarray(self.fn(h, state, history), dtype=float)
@@ -482,8 +477,7 @@ def sample_trajectories(
         del cur, a
     states.setflags(write=False)
     actions.setflags(write=False)
-    tag = getattr(policy, "tag", type(policy).__name__)
-    return Dataset(states, actions, mdp.num_states, mdp.num_actions, seed=seed, policy_tag=tag)
+    return Dataset(states, actions, mdp.num_states, mdp.num_actions)
 
 
 def _check_enumeration_cap(mdp: TabularMdp, cap: int) -> None:

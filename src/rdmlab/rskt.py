@@ -35,18 +35,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DiscreteReturnDistribution, empirical_return_distribution
+from .distributions import DiscreteReturnDistribution
 from .lp import LinearProgram, LpError, LpSolution, solve
-from .mdp import AugmentedMdp, Dataset, GridReward, RewardGrid, TabularMdp, build_augmented_mdp
+from .mdp import (
+    AugmentedMdp,
+    Dataset,
+    GridReward,
+    RewardGrid,
+    TabularMdp,
+    build_augmented_mdp,
+    discretize_reward,
+)
 from .policies import ZERO_MASS, RewardAugmentedPolicy, normalize_rows
+from .rsbc import count_occurrences, eta_hat_from_counts
 
 __all__ = [
-    "OccupancySolution",
     "RsktDiagnostics",
     "RsktLayout",
     "lp_layout",
     "build_rskt_lp",
-    "occupancy_to_policy",
+    "rs_kt_from_counts",
     "rs_kt",
     "theta_for_epsilon_rskt",
 ]
@@ -116,25 +124,6 @@ class RsktLayout:
         x[self.plus_offset : self.minus_offset] = np.maximum(cum, 0.0)
         x[self.minus_offset :] = np.maximum(-cum, 0.0)
         return x
-
-
-@dataclass(frozen=True)
-class OccupancySolution:
-    """Optimal occupancy, its return distribution, and the achieved distance.
-
-    ``objective`` is in true Wasserstein units (the raw LP objective times
-    the grid step).
-    """
-
-    d: np.ndarray  # (H, S, G, A), zeros on pruned cells
-    eta: DiscreteReturnDistribution
-    objective: float
-    reward: GridReward
-
-    def __post_init__(self) -> None:
-        stage_mass = self.d.sum(axis=(1, 2, 3))
-        if np.abs(stage_mass - 1.0).max() > 1e-6:
-            raise ValueError(f"occupancy stage masses {stage_mass} do not sum to 1")
 
 
 @dataclass(frozen=True)
@@ -249,26 +238,19 @@ def _assemble_lp(layout: RsktLayout, eta_hat_full: np.ndarray) -> LinearProgram:
     return LinearProgram(c=c, A_eq=a_eq, b_eq=b_eq)
 
 
-def occupancy_to_policy(sol: OccupancySolution, grid: RewardGrid) -> RewardAugmentedPolicy:
-    """Row-normalize an occupancy into a policy; uniform rows where it has no mass."""
-    table = normalize_rows(sol.d, min_mass=ZERO_MASS)
-    return RewardAugmentedPolicy(grid=grid, table=table, reward=sol.reward)
-
-
-def rs_kt(
-    data: Dataset,
-    mdp: TabularMdp,
-    reward: np.ndarray,
-    grid: RewardGrid,
+def rs_kt_from_counts(
+    counts: np.ndarray, mdp: TabularMdp, reward: GridReward
 ) -> tuple[RewardAugmentedPolicy, RsktDiagnostics]:
-    """Estimate the expert's return distribution, then fit the closest policy.
+    """Fit the closest policy to the return estimate read from M[h, s, g, a].
 
-    Pipeline: empirical return estimate on the grid, occupancy LP over the
+    Pipeline: the empirical return estimate on the grid of ``reward``
+    (:func:`rdmlab.rsbc.eta_hat_from_counts`), occupancy LP over the
     reward-augmented MDP, policy recovery by row normalization.  Requires
     the exact transition model (it enters the flow constraints).  LP
     failures propagate as :class:`rdmlab.lp.LpError`.
     """
-    eta_hat = empirical_return_distribution(data, reward, grid)
+    grid = reward.grid
+    eta_hat = eta_hat_from_counts(counts, reward)
     aug = build_augmented_mdp(mdp, grid, reward=reward)
     eta_hat_full = _eta_hat_on_grid(eta_hat, grid)
     layout = _layout(aug, eta_hat_full)
@@ -277,31 +259,33 @@ def rs_kt(
     if solution.status != "optimal":
         raise LpError(f"occupancy program reported {solution.status}")
     dense = layout.dense_occupancy(solution.x)
-    eta_block = layout.return_distribution(solution.x)
-    mass_drift = abs(float(eta_block.sum()) - 1.0)
-    support = np.nonzero(eta_block > ZERO_MASS)[0]
-    # solver drift on the eta rows stays well inside 1e-7; renormalize and
-    # surface the drift through the diagnostics
-    probs = eta_block[support] / eta_block[support].sum()
-    eta = DiscreteReturnDistribution(support * grid.theta, probs)
-    occupancy = OccupancySolution(
-        d=dense,
-        eta=eta,
-        objective=float(solution.objective) * grid.theta,
-        reward=aug.reward,
+    stage_mass = dense.sum(axis=(1, 2, 3))
+    if np.abs(stage_mass - 1.0).max() > 1e-6:
+        raise ValueError(f"occupancy stage masses {stage_mass} do not sum to 1")
+    policy = RewardAugmentedPolicy(
+        grid=grid, table=normalize_rows(dense, min_mass=ZERO_MASS), reward=reward
     )
-    policy = occupancy_to_policy(occupancy, grid)
+    # solver drift on the eta rows stays well inside 1e-7; surface it
+    eta_mass = float(layout.return_distribution(solution.x).sum())
     diagnostics = RsktDiagnostics(
         lp_status=solution.status,
-        objective=occupancy.objective,
+        objective=float(solution.objective) * grid.theta,
         lp_objective=float(solution.objective),
         iterations=solution.iterations,
         num_variables=lp.num_variables,
         num_constraints=lp.num_constraints,
         duality_gap=solution.duality_gap,
-        eta_mass_drift=mass_drift,
+        eta_mass_drift=abs(eta_mass - 1.0),
     )
     return policy, diagnostics
+
+
+def rs_kt(
+    data: Dataset, mdp: TabularMdp, reward: np.ndarray, grid: RewardGrid
+) -> tuple[RewardAugmentedPolicy, RsktDiagnostics]:
+    """``rs_kt_from_counts`` on the dataset's visit counters on ``grid``."""
+    gr = discretize_reward(reward, grid)
+    return rs_kt_from_counts(count_occurrences(data, gr), mdp, gr)
 
 
 def theta_for_epsilon_rskt(epsilon: float, horizon: int) -> float:

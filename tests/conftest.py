@@ -22,14 +22,29 @@ KNOWN_BAD_PIVOT_SEEDS = (
 )
 
 
-def desk_rskt_program(master_seed):
-    """The rs-kt program ``run_experiment`` solves for a desk master seed."""
+#: desk master seed (``perfbench/run.py --workload desk --seed 5``, round 332)
+#: whose mimic-md program breaks Dantzig pricing: a pivot on 1.2e-7 at
+#: iteration 9 leads to a negative basic value; Bland's rule solves it
+MIMIC_MD_DANTZIG_FAILURE_SEED = 1659218862
+
+#: desk master seeds whose mimic-md programs are checked against HiGHS
+MIMIC_MD_SEEDS = (*range(1, 21), MIMIC_MD_DANTZIG_FAILURE_SEED)
+
+
+def desk_dataset(master_seed):
+    """The MDP and first dataset ``run_experiment`` draws for a desk master seed."""
     cfg = rl.ExperimentConfig(**{**KNOWN_BAD_PIVOT_CFG, "master_seed": master_seed})
     mdp, expert = rl.generate_instance(cfg, rl.derive_seed(master_seed, "instance", 0))
     data = rl.sample_trajectories(
         mdp, expert, 10_000, rl.derive_seed(master_seed, "dataset", 0, 0, 0)
     )
-    return rskt_program(mdp, data, cfg.theta)
+    return mdp, data
+
+
+def desk_rskt_program(master_seed):
+    """The rs-kt program ``run_experiment`` solves for a desk master seed."""
+    mdp, data = desk_dataset(master_seed)
+    return rskt_program(mdp, data, KNOWN_BAD_PIVOT_CFG["theta"])
 
 
 def rskt_program(mdp, data, theta):

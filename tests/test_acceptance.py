@@ -13,8 +13,12 @@ import numpy as np
 
 import rdmlab as rl
 from rdmlab.lp import solve_transport
-from rdmlab.policies import exact_augmented_occupancy, random_reward_augmented_policy
-from rdmlab.rskt import OccupancySolution, occupancy_to_policy
+from rdmlab.policies import (
+    ZERO_MASS,
+    exact_augmented_occupancy,
+    normalize_rows,
+    random_reward_augmented_policy,
+)
 
 from conftest import half_l1_trajectories, make_instance, random_distribution
 
@@ -170,9 +174,8 @@ def test_c07_lp_lower_envelope_and_round_trip():
             worst_gap = max(worst_gap, diag.objective - rl.wasserstein(dist, eta_hat))
         probe = random_reward_augmented_policy(gr, mdp.num_states, rng)
         occ = exact_augmented_occupancy(mdp, probe, gr)
-        eta = rl.exact_return_distribution(mdp, probe, mdp.reward, grid)
-        recovered = occupancy_to_policy(
-            OccupancySolution(d=occ, eta=eta, objective=0.0, reward=gr), grid
+        recovered = rl.RewardAugmentedPolicy(
+            grid=grid, table=normalize_rows(occ, min_mass=ZERO_MASS), reward=gr
         )
         live = occ.sum(axis=3) > 1e-9
         worst_fixed_point = max(

@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 
 import rdmlab as rl
-from rdmlab.baselines import bc, count_state_actions, mimic_md
+from rdmlab.baselines import bc, count_state_actions, mimic_md, mimic_md_from_counts
+from rdmlab.rsbc import count_occurrences
 
-from conftest import make_instance, markov_occupancy
+from conftest import (
+    KNOWN_BAD_PIVOT_CFG,
+    MIMIC_MD_SEEDS,
+    desk_dataset,
+    make_instance,
+    markov_occupancy,
+)
 
 
 class TestBc:
@@ -158,6 +165,17 @@ class TestMimicMd:
         assert 0.001 < np.mean(bc_errors) < 0.007
         assert 0.001 < np.mean(md_errors) < 0.009
         assert np.mean(bc_errors) <= np.mean(rs_errors) + 0.002
+
+
+class TestMimicMdFromCounts:
+    @pytest.mark.parametrize("master_seed", MIMIC_MD_SEEDS)
+    def test_rs_bc_counters_give_the_dataset_walk_table(self, master_seed):
+        # the harness passes M summed over g; the table must match bit for bit
+        mdp, data = desk_dataset(master_seed)
+        grid = rl.RewardGrid(KNOWN_BAD_PIVOT_CFG["theta"], mdp.horizon)
+        counts = count_occurrences(data, rl.discretize_reward(mdp.reward, grid))
+        got = mimic_md_from_counts(counts.sum(axis=2), mdp)
+        assert got.table.tobytes() == mimic_md(data, mdp).table.tobytes()
 
 
 class TestSingleCellEquivalence:

@@ -139,13 +139,15 @@ class TestRunExperiment:
         assert all(r.failures == 0 for r in rows)
 
     def test_count_readers_score_like_the_dataset_walks(self):
-        # rs-bc, bc and eta-hat read one count tensor per dataset; the public
-        # functions each walk the dataset and must give the same W1, bit for bit
+        # every fit reads one count tensor per dataset; the public functions
+        # each walk the dataset and must give the same W1, bit for bit
         cfg = tiny_cfg(
-            theta=0.5, rho=0.25, algorithms=("rs-bc", "bc", "eta-hat"),
+            theta=0.5, rho=0.25, algorithms=bench_mod.KNOWN_ALGORITHMS,
             instances=2, n_sweep=(16, 64),
         )
-        rows = {(r.algorithm, r.n): r.per_instance for r in rl.run_experiment(cfg)}
+        result = rl.run_experiment(cfg)
+        assert all(r.failures == 0 for r in result)  # rs-kt's LP runs on every dataset
+        rows = {(r.algorithm, r.n): r.per_instance for r in result}
         grid = rl.RewardGrid(cfg.theta, cfg.horizon)
         for i in range(cfg.instances):
             mdp, expert = rl.generate_instance(cfg, derive_seed(cfg.master_seed, "instance", i))
@@ -156,7 +158,12 @@ class TestRunExperiment:
                     data = rl.sample_trajectories(
                         mdp, expert, n, derive_seed(cfg.master_seed, "dataset", i, k, j)
                     )
-                    policies = (rl.rs_bc(data, mdp.reward, grid), rl.bc(data))
+                    policies = (
+                        rl.rs_bc(data, mdp.reward, grid),
+                        rl.rs_kt(data, mdp, mdp.reward, grid)[0],
+                        rl.bc(data),
+                        rl.mimic_md(data, mdp),
+                    )
                     for idx, policy in enumerate(policies):
                         seed = derive_seed(cfg.master_seed, "policy-eval", i, k, j, idx)
                         dist = bench_mod._policy_distribution(cfg, mdp, policy, seed)

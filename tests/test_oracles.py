@@ -15,8 +15,9 @@ scipy_opt = pytest.importorskip("scipy.optimize")
 scipy_stats = pytest.importorskip("scipy.stats")
 
 from conftest import (
-    KNOWN_BAD_PIVOT_CFG,
     KNOWN_BAD_PIVOT_SEEDS,
+    MIMIC_MD_SEEDS,
+    desk_dataset,
     desk_rskt_program,
     markov_occupancy,
     random_distribution,
@@ -110,20 +111,10 @@ def _abs_deviation_program(data, mdp):
     return c, np.array(rows), np.array(rhs), a_ub, b_ub, d_hat
 
 
-#: desk master seed (``perfbench/run.py --workload desk --seed 5``, round 332)
-#: whose mimic-md program breaks Dantzig pricing: a pivot on 1.2e-7 at
-#: iteration 9 leads to a negative basic value; Bland's rule solves it
-MIMIC_MD_DANTZIG_FAILURE_SEED = 1659218862
-
-
 class TestMimicMdAgainstHighs:
-    @pytest.mark.parametrize("master_seed", [*range(1, 21), MIMIC_MD_DANTZIG_FAILURE_SEED])
+    @pytest.mark.parametrize("master_seed", MIMIC_MD_SEEDS)
     def test_policy_occupancy_reaches_the_highs_optimum(self, master_seed):
-        cfg = rl.ExperimentConfig(**{**KNOWN_BAD_PIVOT_CFG, "master_seed": master_seed})
-        mdp, expert = rl.generate_instance(cfg, rl.derive_seed(master_seed, "instance", 0))
-        data = rl.sample_trajectories(
-            mdp, expert, 10_000, rl.derive_seed(master_seed, "dataset", 0, 0, 0)
-        )
+        mdp, data = desk_dataset(master_seed)
         c, a_eq, b_eq, a_ub, b_ub, d_hat = _abs_deviation_program(data, mdp)
         ref = scipy_opt.linprog(
             c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs"

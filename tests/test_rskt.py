@@ -6,13 +6,18 @@ import pytest
 
 import rdmlab as rl
 from rdmlab.lp import solve
-from rdmlab.policies import exact_augmented_occupancy, random_reward_augmented_policy
+from rdmlab.policies import (
+    ZERO_MASS,
+    exact_augmented_occupancy,
+    normalize_rows,
+    random_reward_augmented_policy,
+)
+from rdmlab.rsbc import count_occurrences
 from rdmlab.rskt import (
-    OccupancySolution,
     build_rskt_lp,
     lp_layout,
-    occupancy_to_policy,
     rs_kt,
+    rs_kt_from_counts,
     theta_for_epsilon_rskt,
 )
 
@@ -161,16 +166,19 @@ class TestBuildLp:
 
 
 class TestOccupancyToPolicy:
-    def _solution(self, d, grid, reward):
-        eta = rl.DiscreteReturnDistribution.point_mass(0.0)
-        return OccupancySolution(d=d, eta=eta, objective=0.0, reward=reward)
+    """``rs_kt`` recovers its policy by row-normalizing the LP occupancy."""
+
+    @staticmethod
+    def _policy(d, grid, reward):
+        table = normalize_rows(d, min_mass=ZERO_MASS)
+        return rl.RewardAugmentedPolicy(grid=grid, table=table, reward=reward)
 
     def test_concentrated_occupancy_gives_deterministic_policy(self):
         grid = rl.RewardGrid(1.0, 1)
         reward = rl.discretize_reward(np.zeros((1, 1, 2)), grid)
         d = np.zeros((1, 1, 1, 2))
         d[0, 0, 0, 1] = 1.0
-        policy = occupancy_to_policy(self._solution(d, grid, reward), grid)
+        policy = self._policy(d, grid, reward)
         assert policy.table[0, 0, 0].tolist() == [0.0, 1.0]
 
     def test_zero_mass_cells_become_uniform(self):
@@ -178,7 +186,7 @@ class TestOccupancyToPolicy:
         reward = rl.discretize_reward(np.zeros((1, 2, 2)), grid)
         d = np.zeros((1, 2, 1, 2))
         d[0, 0, 0, 0] = 1.0
-        policy = occupancy_to_policy(self._solution(d, grid, reward), grid)
+        policy = self._policy(d, grid, reward)
         assert policy.table[0, 1, 0] == pytest.approx(np.full(2, 0.5))
 
     def test_policy_occupancy_recovery_is_a_fixed_point(self):
@@ -187,10 +195,7 @@ class TestOccupancyToPolicy:
         rng = np.random.default_rng(2)
         policy = random_reward_augmented_policy(gr, mdp.num_states, rng)
         occ = exact_augmented_occupancy(mdp, policy, gr)
-        eta = rl.exact_return_distribution(mdp, policy, mdp.reward, grid)
-        recovered = occupancy_to_policy(
-            OccupancySolution(d=occ, eta=eta, objective=0.0, reward=gr), grid
-        )
+        recovered = self._policy(occ, grid, gr)
         live = occ.sum(axis=3) > 1e-9
         diff = np.abs(recovered.table - policy.table)[live]
         assert diff.max() <= 1e-7
@@ -325,6 +330,25 @@ class TestPinnedSolves:
         assert sol.iterations == iterations
         assert hashlib.sha256(sol.x.tobytes()).hexdigest() == digest
         assert sol.objective == pytest.approx(objective, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", sorted(PINS))
+    def test_count_reader_gives_the_dataset_walk_fit(self, seed):
+        mdp, expert = rl.generate_instance(DESK_CFG, seed)
+        data = rl.sample_trajectories(mdp, expert, 10_000, seed)
+        grid = rl.RewardGrid(DESK_CFG.theta, mdp.horizon)
+        gr = rl.discretize_reward(mdp.reward, grid)
+        policy, diag = rs_kt_from_counts(count_occurrences(data, gr), mdp, gr)
+        walk_policy, walk_diag = rs_kt(data, mdp, mdp.reward, grid)
+        assert policy.table.tobytes() == walk_policy.table.tobytes()
+        assert diag == walk_diag
+        # the program built from the direct-sum estimate ends at the same vertex
+        eta_hat = rl.empirical_return_distribution(data, mdp.reward, grid)
+        aug = rl.build_augmented_mdp(mdp, grid)
+        sol = solve(build_rskt_lp(aug, eta_hat))
+        dense = lp_layout(aug, eta_hat).dense_occupancy(sol.x)
+        table = normalize_rows(dense, min_mass=ZERO_MASS)
+        assert policy.table.tobytes() == table.tobytes()
+        assert (diag.iterations, diag.lp_objective) == (sol.iterations, sol.objective)
 
 
 class TestThetaForEpsilon:
