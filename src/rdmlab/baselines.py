@@ -52,16 +52,25 @@ def mimic_md_from_counts(counts: np.ndarray, mdp: TabularMdp) -> MarkovianPolicy
     minimizing the L1 distance between d and the empirical occupancy
     d_hat, the counters over the dataset size (any stage's total).  The
     program is in standard form: its columns are d, p and q, all
-    nonnegative; its rows are the initial and flow rows, the pin rows, and
+    nonnegative; its rows are the initial and flow rows, A - 1 pin rows
+    per observed (stage, state) (the last action's pin row is minus the sum
+    of the others, so it is left out and the rows stay independent), and
     one residual row d - p + q = d_hat per entry; the objective is
-    sum(p + q).  The policy is read off by row normalization, uniform on
-    zero-mass rows.
+    sum(p + q).
+
+    The simplex starts from the vertex of the policy that plays the
+    empirical ratios where observed and action 0 elsewhere: its basis is
+    every d column of an observed (stage, state), the action-0 column of
+    the others, and p or q on each residual row by the sign of d - d_hat.
+    Ordered by stage this basis is block triangular with nonsingular
+    diagonal blocks.  The policy is read off by row normalization, uniform
+    on zero-mass rows.
     """
     horizon, num_states, num_actions = mdp.horizon, mdp.num_states, mdp.num_actions
     state_counts = counts.sum(axis=2)
     n_d = horizon * num_states * num_actions  # d column of (h, s, a): (h * S + s) * A + a
     h_seen, s_seen = np.nonzero(state_counts)
-    n_pin = h_seen.size * num_actions
+    n_pin = h_seen.size * (num_actions - 1)
     n_flow = horizon * num_states
     a_eq = np.zeros((n_flow + n_pin + n_d, 3 * n_d))
     b_eq = np.zeros(n_flow + n_pin + n_d)
@@ -75,11 +84,13 @@ def mimic_md_from_counts(counts: np.ndarray, mdp: TabularMdp) -> MarkovianPolicy
     )
     b_eq[mdp.initial_state] = 1.0
 
-    # pin rows d(h, s, a) - ratio_a * sum_a' d(h, s, a') = 0 where (h, s) is observed
+    # pin rows d(h, s, a) - ratio_a * sum_a' d(h, s, a') = 0 for a < A - 1
+    # where (h, s) is observed
     ratios = counts[h_seen, s_seen] / state_counts[h_seen, s_seen][:, None]
-    pin_rows = n_flow + np.arange(n_pin).reshape(-1, num_actions, 1)
+    pin_rows = n_flow + np.arange(n_pin).reshape(-1, num_actions - 1, 1)
     cell_cols = ((h_seen * num_states + s_seen) * num_actions)[:, None, None]
-    a_eq[pin_rows, cell_cols + np.arange(num_actions)] = np.eye(num_actions) - ratios[:, :, None]
+    pins = np.eye(num_actions) - ratios[:, :, None]
+    a_eq[pin_rows, cell_cols + np.arange(num_actions)] = pins[:, :-1]
 
     # residual rows d - p + q = d_hat
     j = np.arange(n_d)
@@ -87,11 +98,28 @@ def mimic_md_from_counts(counts: np.ndarray, mdp: TabularMdp) -> MarkovianPolicy
     a_eq[res0 + j, j] = 1.0
     a_eq[res0 + j, n_d + j] = -1.0
     a_eq[res0 + j, 2 * n_d + j] = 1.0
-    b_eq[res0:] = (counts / counts[0].sum()).ravel()
+    d_hat = (counts / counts[0].sum()).ravel()
+    b_eq[res0:] = d_hat
+
+    # crash basis: the vertex of the pinned ratios, action 0 where unobserved
+    table = np.zeros((horizon, num_states, num_actions))
+    table[..., 0] = 1.0
+    table[h_seen, s_seen] = ratios
+    d = np.zeros_like(table)
+    mass = np.zeros(num_states)
+    mass[mdp.initial_state] = 1.0
+    for h in range(horizon):
+        d[h] = mass[:, None] * table[h]
+        mass = np.einsum("sa,sat->t", d[h], mdp.transitions[h])
+    basic_d = np.zeros(table.shape, dtype=bool)
+    basic_d[..., 0] = True
+    basic_d[h_seen, s_seen] = True
+    residual_cols = np.where(d.ravel() >= d_hat, n_d, 2 * n_d) + j
+    basis = np.concatenate([np.flatnonzero(basic_d), residual_cols])
 
     c = np.zeros(3 * n_d)
     c[n_d:] = 1.0
-    sol = solve(LinearProgram(c=c, A_eq=a_eq, b_eq=b_eq))
+    sol = solve(LinearProgram(c=c, A_eq=a_eq, b_eq=b_eq), basis=basis)
     if sol.status != "optimal":
         raise LpError(f"occupancy-matching program reported {sol.status}")
 

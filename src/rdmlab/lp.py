@@ -1,4 +1,4 @@
-"""Dense linear programming in standard form and a two-phase primal simplex.
+"""Dense linear programming in standard form and a primal simplex.
 
 Every program is min c.x subject to A x = b and x >= 0 (Chvatal 1983,
 *Linear Programming*, ch. 7-8); callers write other forms in it with
@@ -9,9 +9,20 @@ deliberately deterministic: Bland's smallest-index rule picks both the
 entering column and, among tied minimum ratios, the leaving basic
 variable, so the same program always walks the same basis path and never
 cycles.  Rows are equilibrated to unit max magnitude and flipped to a
-nonnegative right-hand side before solving, and each row starts with an
-artificial basic; feasibility of the reported optimum is re-checked
-against the original, unscaled constraints.
+nonnegative right-hand side before solving; feasibility of the reported
+optimum is re-checked against the original, unscaled constraints.
+
+There are two ways in.  ``solve(lp)`` runs two phases: each row starts
+with an artificial basic, phase 1 drives the artificial mass to zero, and
+rows that prove redundant are dropped.  ``solve(lp, basis=...)`` takes a
+caller's feasible starting basis, one column per row (a crash basis,
+Bixby 1992), builds its tableau B^-1 [A | b] with one dense solve and runs
+phase 2 from there.  Its rows must be independent: a singular or
+infeasible starting basis raises :class:`LpError`, and nothing falls back
+to phase 1.  On this path the tableau is checked every ``_CHECK_PIVOTS``
+pivots and rebuilt from its basis, by the same dense solve, once round-off
+has moved it by more than ``_DRIFT_TOL``; the two-phase path has no such
+check and walks the basis path it always has.
 
 The ratio test has a pivot tolerance: a row may leave the basis only if
 its entry in the entering column exceeds ``_PIV_TOL`` (1e-7, relative to
@@ -35,6 +46,7 @@ were dropped).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +64,8 @@ _OPT_TOL = 1e-9  # reduced-cost threshold; smallest pivot element accepted
 _PIV_TOL = 1e-7  # pivot elements the ratio test prefers (rows have unit max)
 _FEAS_TOL = 1e-7  # post-hoc feasibility check on the original data
 _PHASE1_TOL = 1e-8  # residual artificial mass that still counts as feasible
+_CHECK_PIVOTS = 10  # from a caller's basis, check the tableau's drift this often
+_DRIFT_TOL = 1e-9  # drift past which the tableau is rebuilt from its basis
 
 
 class LpError(RuntimeError):
@@ -112,13 +126,15 @@ class LpSolution:
     duality_gap: float | None = None
 
 
-def _bland_pivot(tableau, basis, max_pivots, start_iter):
+def _bland_pivot(tableau, basis, max_pivots, start_iter, check=None):
     """Run simplex pivots under Bland's rule until optimal or unbounded.
 
     Returns (status, iterations).  Every column may enter the basis; the
     objective row is the last row, the rhs the last column.  The ratio test
     considers only rows whose pivot-column entry exceeds ``_PIV_TOL``, and
-    falls back to entries above ``_OPT_TOL`` when there are none.
+    falls back to entries above ``_OPT_TOL`` when there are none.  With
+    ``check``, ``check(iterations)`` runs after every ``_CHECK_PIVOTS``
+    pivots.
     """
     m = tableau.shape[0] - 1
     iters = start_iter
@@ -143,6 +159,8 @@ def _bland_pivot(tableau, basis, max_pivots, start_iter):
         basis[r] = j
         if iters > max_pivots:
             raise LpIterationError(f"pivot budget {max_pivots} exhausted")
+        if check is not None and iters % _CHECK_PIVOTS == 0:
+            check(iters)
 
 
 def _apply_pivot(tableau, r, j, iteration):
@@ -177,19 +195,35 @@ def _apply_pivot(tableau, r, j, iteration):
     np.clip(rhs, 0.0, None, out=rhs)  # shave off pivot round-off
 
 
-def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
-    """Solve a linear program with the two-phase primal simplex method.
+def solve(
+    lp: LinearProgram,
+    max_iterations: int | None = None,
+    basis: np.ndarray | None = None,
+) -> LpSolution:
+    """Solve a linear program with the primal simplex method.
 
-    Phase 1 minimizes the total artificial mass (no big-M constants);
-    artificial variables left basic at level zero are pivoted out, and rows
-    where that is impossible (redundant constraints) are dropped.  Reports
-    ``infeasible`` / ``unbounded`` faithfully and raises
-    :class:`LpIterationError` past ``max_iterations`` pivots (default
-    ``50 * (variables + constraints)``).
+    Without ``basis``, two phases: phase 1 minimizes the total artificial
+    mass (no big-M constants); artificial variables left basic at level
+    zero are pivoted out, and rows where that is impossible (redundant
+    constraints) are dropped.  With ``basis``, one column index per
+    constraint row naming a feasible starting vertex, phase 2 starts there;
+    a singular or infeasible basis raises :class:`LpError` and one of the
+    wrong length (or naming a column that does not exist) ``ValueError``,
+    with no fallback to phase 1.  Reports ``infeasible`` / ``unbounded``
+    faithfully and raises :class:`LpIterationError` past ``max_iterations``
+    pivots (default ``50 * (variables + constraints)``).
     """
     n = lp.num_variables
     if max_iterations is None:
         max_iterations = 50 * (n + lp.num_constraints)
+    if basis is not None:
+        basis = np.array(basis, dtype=np.intp).ravel()
+        if basis.size != lp.num_constraints:
+            raise ValueError(
+                f"starting basis has {basis.size} columns for {lp.num_constraints} rows"
+            )
+        if basis.size and not 0 <= basis.min() <= basis.max() < n:
+            raise ValueError(f"starting basis names a column outside 0..{n - 1}")
 
     # --- row equilibration to unit max magnitude (including the rhs)
     scale = np.maximum(np.abs(lp.A_eq).max(axis=1), np.abs(lp.b_eq))
@@ -206,49 +240,29 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
     a[flip] *= -1.0
     b = np.abs(b)
 
-    # every row starts with an artificial basic.  Artificials never re-enter,
-    # and no value in their columns is ever read (a pivot updates each column
-    # on its own), so they get basis indices n.. but no tableau columns.
     tableau = np.zeros((m + 1, n + 1))
-    tableau[:m, :n] = a
-    tableau[:m, -1] = b
-    basis = n + np.arange(m)
-
-    # phase 1 objective: minimize the artificial mass
-    for r in range(m):
-        tableau[-1, :] -= tableau[r, :]
-
-    status, iters = _bland_pivot(tableau, basis, max_iterations, 0)
-    if status != "optimal":  # phase 1 is always bounded below by 0
-        raise LpError("phase 1 reported unbounded; constraint data is corrupt")
-    if -tableau[-1, -1] > _PHASE1_TOL:
-        return LpSolution("infeasible", None, None, iterations=iters)
-
-    # pivot zero-level artificials out of the basis; drop rows that resist
-    drop_rows: list[int] = []
-    for r in range(m):
-        if basis[r] < n:
-            continue
-        pivots = np.nonzero(np.abs(tableau[r, :-1]) > 1e-7)[0]
-        if pivots.size:
-            _apply_pivot(tableau, r, int(pivots[0]), iters)
-            basis[r] = int(pivots[0])
-        else:
-            drop_rows.append(r)
-    if drop_rows:
-        tableau = np.delete(tableau, drop_rows, axis=0)
-        basis = np.delete(basis, drop_rows)
+    if basis is None:
+        tableau[:m, :n] = a
+        tableau[:m, -1] = b
+        status, tableau, basis, iters = _phase_one(tableau, n, max_iterations)
+        if status == "infeasible":
+            return LpSolution("infeasible", None, None, iterations=iters)
         m = basis.size
 
-    # install the phase 2 objective
-    tableau[-1, :-1] = lp.c
-    tableau[-1, -1] = 0.0
-    for r in range(m):
-        coef = tableau[-1, basis[r]]
-        if coef != 0.0:
-            tableau[-1, :] -= coef * tableau[r, :]
+        # install the phase 2 objective
+        tableau[-1, :-1] = lp.c
+        tableau[-1, -1] = 0.0
+        for r in range(m):
+            coef = tableau[-1, basis[r]]
+            if coef != 0.0:
+                tableau[-1, :] -= coef * tableau[r, :]
+        check = None
+    else:
+        _install_basis(tableau, a, b, lp.c, basis, 0)
+        check = functools.partial(_reinvert_on_drift, tableau, a, b, lp.c, basis)
+        iters = 0
 
-    status, iters = _bland_pivot(tableau, basis, max_iterations, iters)
+    status, iters = _bland_pivot(tableau, basis, max_iterations, iters, check)
     if status == "unbounded":
         return LpSolution("unbounded", None, None, iterations=iters)
 
@@ -265,6 +279,97 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
 
     gap = _duality_gap(a, b, basis, lp.c, x)
     return LpSolution("optimal", x, objective, iterations=iters, duality_gap=gap)
+
+
+def _phase_one(tableau, n, max_pivots):
+    """Drive an artificial basis to a feasible one.
+
+    Returns (status, tableau, basis, iterations), with status
+    ``infeasible`` when artificial mass is left at the phase-1 optimum.
+    Every row starts with an artificial basic.  Artificials never re-enter,
+    and no value in their columns is ever read (a pivot updates each column
+    on its own), so they get basis indices n.. but no tableau columns.
+    Artificials left basic at level zero are pivoted out; the rows where
+    that is impossible are redundant and are dropped from the returned
+    tableau and basis.
+    """
+    m = tableau.shape[0] - 1
+    basis = n + np.arange(m)
+
+    # phase 1 objective: minimize the artificial mass
+    for r in range(m):
+        tableau[-1, :] -= tableau[r, :]
+
+    status, iters = _bland_pivot(tableau, basis, max_pivots, 0)
+    if status != "optimal":  # phase 1 is always bounded below by 0
+        raise LpError("phase 1 reported unbounded; constraint data is corrupt")
+    if -tableau[-1, -1] > _PHASE1_TOL:
+        return "infeasible", tableau, basis, iters
+
+    # pivot zero-level artificials out of the basis; drop rows that resist
+    drop_rows: list[int] = []
+    for r in range(m):
+        if basis[r] < n:
+            continue
+        pivots = np.nonzero(np.abs(tableau[r, :-1]) > 1e-7)[0]
+        if pivots.size:
+            _apply_pivot(tableau, r, int(pivots[0]), iters)
+            basis[r] = int(pivots[0])
+        else:
+            drop_rows.append(r)
+    if drop_rows:
+        tableau = np.delete(tableau, drop_rows, axis=0)
+        basis = np.delete(basis, drop_rows)
+    return "feasible", tableau, basis, iters
+
+
+def _install_basis(tableau, a, b, c, basis, iteration):
+    """Write the tableau of ``basis``, B^-1 [A | b] and its reduced costs, in place.
+
+    ``a`` and ``b`` are the equilibrated rows the solve started from.  One
+    dense solve gives the tableau; its basic columns are then set to exact
+    unit vectors, as a pivot leaves them.  A singular basis, or one whose
+    basic values fall below ``-_FEAS_TOL``, raises :class:`LpError`;
+    round-off below zero is clipped.
+    """
+    what = "starting basis" if iteration == 0 else f"basis at pivot {iteration}"
+    m = b.size
+    tableau[:m, :-1] = a
+    tableau[:m, -1] = b
+    try:
+        tableau[:m] = np.linalg.solve(tableau[:m, basis], tableau[:m])
+    except np.linalg.LinAlgError as exc:
+        raise LpError(f"{what} is singular: {exc}") from None
+    if not np.isfinite(tableau[:m]).all():
+        raise LpError(f"{what} is singular: B^-1 [A | b] is not finite")
+    tableau[:m, basis] = np.eye(m)
+    rhs = tableau[:m, -1]
+    if rhs.min(initial=0.0) < -_FEAS_TOL:
+        r = int(np.argmin(rhs))
+        raise LpError(
+            f"{what} is infeasible: basic value {rhs[r]:.3e} (row {r}, column {basis[r]})"
+        )
+    np.clip(rhs, 0.0, None, out=rhs)
+    tableau[-1, :-1] = c
+    tableau[-1, -1] = 0.0
+    tableau[-1] -= c[basis] @ tableau[:m]
+
+
+def _reinvert_on_drift(tableau, a, b, c, basis, iteration):
+    """Rebuild the tableau from its basis once round-off has moved it.
+
+    Pivots pile up round-off: on one desk ``rs-kt`` program the tableau's
+    error grew from 1e-12 to 0.26 within 55 pivots from the crash basis,
+    then steered the ratio test into a singular basis.  The basic solution
+    alone does not show it (its residual stayed below 1e-14), so the check
+    multiplies the basic columns by the tableau's row sums, which must give
+    the row sums of [A | b].  That costs two matrix-vector products; the
+    rebuild, one dense solve, runs only when the check fails.
+    """
+    m = b.size
+    drift = np.abs(a[:, basis] @ tableau[:m].sum(axis=1) - a.sum(axis=1) - b).max()
+    if drift > _DRIFT_TOL:
+        _install_basis(tableau, a, b, c, basis, iteration)
 
 
 def _duality_gap(a, b, basis, c, x) -> float | None:

@@ -46,7 +46,12 @@ from .mdp import (
     build_augmented_mdp,
     discretize_reward,
 )
-from .policies import ZERO_MASS, RewardAugmentedPolicy, normalize_rows
+from .policies import (
+    ZERO_MASS,
+    RewardAugmentedPolicy,
+    exact_augmented_occupancy,
+    normalize_rows,
+)
 from .rsbc import count_occurrences, eta_hat_from_counts
 
 __all__ = [
@@ -114,16 +119,39 @@ class RsktLayout:
     def pack_occupancy(self, occ: np.ndarray, eta_hat_full: np.ndarray) -> np.ndarray:
         """Assemble a full LP vector from a dense occupancy (e.g. a DP output).
 
-        x+ and x- are the positive and negative parts of the CDF difference,
-        so the result is feasible iff the occupancy itself satisfies the
-        flow rows.
+        ``eta_hat_full`` is the estimate over the full grid; only its kept
+        prefix enters the CDF rows.  x+ and x- are the positive and negative
+        parts of the CDF difference, so the result is feasible iff the
+        occupancy itself satisfies the flow rows.
         """
         x = np.zeros(self.num_variables)
         x[: self.num_d] = occ[self.column >= 0].ravel()
-        cum = np.cumsum(self.return_distribution(x) - eta_hat_full)
+        cum = np.cumsum(self.return_distribution(x) - eta_hat_full[: self.n_keep])
         x[self.plus_offset : self.minus_offset] = np.maximum(cum, 0.0)
         x[self.minus_offset :] = np.maximum(-cum, 0.0)
         return x
+
+    def crash_basis(self, counts: np.ndarray, eta_hat_full: np.ndarray) -> np.ndarray:
+        """A feasible starting basis for the program, from the visit counters.
+
+        The deterministic policy playing the most visited action of M[h, s,
+        g, :] in every cell (action 0 where unvisited) gives one basic d
+        column per reachable cell, and its CDF difference at each kept grid
+        point picks x+ (difference >= 0) or x-.  Ordered by stage, the d
+        block is unit triangular and the x block bidiagonal with a unit
+        diagonal, so the basis is nonsingular; it is feasible because its
+        vertex is that policy's packed occupancy.
+        """
+        aug = self.aug
+        choice = np.argmax(counts, axis=-1)
+        table = np.eye(counts.shape[-1])[choice]
+        policy = RewardAugmentedPolicy(grid=aug.grid, table=table, reward=aug.reward)
+        occ = exact_augmented_occupancy(aug.base, policy, aug.reward)
+        x = self.pack_occupancy(occ, eta_hat_full)
+        below = x[self.minus_offset :] > 0.0
+        x_cols = np.where(below, self.minus_offset, self.plus_offset) + np.arange(self.n_keep)
+        live = self.column >= 0
+        return np.concatenate([self.column[live] + choice[live], x_cols])
 
 
 @dataclass(frozen=True)
@@ -245,7 +273,8 @@ def rs_kt_from_counts(
 
     Pipeline: the empirical return estimate on the grid of ``reward``
     (:func:`rdmlab.rsbc.eta_hat_from_counts`), occupancy LP over the
-    reward-augmented MDP, policy recovery by row normalization.  Requires
+    reward-augmented MDP solved from :meth:`RsktLayout.crash_basis`, policy
+    recovery by row normalization.  Requires
     the exact transition model (it enters the flow constraints).  LP
     failures propagate as :class:`rdmlab.lp.LpError`.
     """
@@ -255,7 +284,7 @@ def rs_kt_from_counts(
     eta_hat_full = _eta_hat_on_grid(eta_hat, grid)
     layout = _layout(aug, eta_hat_full)
     lp = _assemble_lp(layout, eta_hat_full)
-    solution: LpSolution = solve(lp)
+    solution: LpSolution = solve(lp, basis=layout.crash_basis(counts, eta_hat_full))
     if solution.status != "optimal":
         raise LpError(f"occupancy program reported {solution.status}")
     dense = layout.dense_occupancy(solution.x)

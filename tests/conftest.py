@@ -22,6 +22,12 @@ KNOWN_BAD_PIVOT_SEEDS = (
 )
 
 
+#: desk master seed (``perfbench/run.py --workload desk --seed 1621``, round
+#: 683) whose rs-kt program, solved from its crash basis without rebuilding
+#: the tableau, piles up round-off until pivot 116 leaves a negative basic
+#: value
+CRASH_DRIFT_SEED = 2657894300
+
 #: desk master seed (``perfbench/run.py --workload desk --seed 5``, round 332)
 #: whose mimic-md program breaks Dantzig pricing: a pivot on 1.2e-7 at
 #: iteration 9 leads to a negative basic value; Bland's rule solves it
@@ -31,9 +37,13 @@ MIMIC_MD_DANTZIG_FAILURE_SEED = 1659218862
 MIMIC_MD_SEEDS = (*range(1, 21), MIMIC_MD_DANTZIG_FAILURE_SEED)
 
 
-def desk_dataset(master_seed):
-    """The MDP and first dataset ``run_experiment`` draws for a desk master seed."""
-    cfg = rl.ExperimentConfig(**{**KNOWN_BAD_PIVOT_CFG, "master_seed": master_seed})
+def desk_dataset(master_seed, **shape):
+    """The MDP and first dataset ``run_experiment`` draws for a desk master seed.
+
+    Keyword arguments override the desk configuration, e.g. ``num_states=5,
+    num_actions=3`` for the (5,3,5) shape.
+    """
+    cfg = rl.ExperimentConfig(**{**KNOWN_BAD_PIVOT_CFG, **shape, "master_seed": master_seed})
     mdp, expert = rl.generate_instance(cfg, rl.derive_seed(master_seed, "instance", 0))
     data = rl.sample_trajectories(
         mdp, expert, 10_000, rl.derive_seed(master_seed, "dataset", 0, 0, 0)
@@ -72,6 +82,24 @@ def slack_form(c, a_eq=(), b_eq=(), a_le=(), b_le=(), upper=None):
     a = np.block([[a_eq, np.zeros((a_eq.shape[0], k))], [a_le, np.eye(k)]])
     b = np.concatenate([np.asarray(b_eq, dtype=float).ravel(), b_le])
     return LinearProgram(c=np.concatenate([c, np.zeros(k)]), A_eq=a, b_eq=b)
+
+
+def random_feasible_programs(seed=42, count=50):
+    """Random programs min c.x s.t. a_eq x = b_eq, a_le x <= b_le, 0 <= x <= 5.
+
+    Yields (c, a_eq, b_eq, a_le, b_le).  An interior point x0 in [0, 1)
+    satisfies every row, so each program is feasible, and the bounds keep
+    it bounded.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 8))
+        m_eq = int(rng.integers(0, n))
+        a_eq = rng.normal(size=(m_eq, n))
+        x0 = rng.random(n)
+        a_le = rng.normal(size=(3, n))
+        c, b_eq, b_le = rng.normal(size=n), a_eq @ x0, a_le @ x0 + rng.random(3)
+        yield c, a_eq, b_eq, a_le, b_le
 
 
 def markov_occupancy(mdp, policy):

@@ -8,11 +8,13 @@ from rdmlab.lp import (
     LpIterationError,
     _apply_pivot,
     _bland_pivot,
+    _install_basis,
+    _reinvert_on_drift,
     solve,
     solve_transport,
 )
 
-from conftest import slack_form
+from conftest import random_feasible_programs, slack_form
 
 
 class TestBasics:
@@ -151,6 +153,77 @@ class TestCertificates:
         assert (status, iterations) == ("optimal", 1)
         assert basis.tolist() == [1, 0]
         assert tableau[:2, -1].tolist() == [0.0, 1.0]
+
+
+class TestStartingBasis:
+    """``solve(lp, basis=...)`` runs phase 2 from a given feasible basis."""
+
+    # x0 + x1 = 1 and 2 x0 + 2 x1 + x2 = b1: columns 0 and 1 are parallel
+    @staticmethod
+    def _program(b1):
+        a_eq = [[1.0, 1.0, 0.0], [2.0, 2.0, 1.0]]
+        return LinearProgram(c=[1.0, 2.0, 0.0], A_eq=a_eq, b_eq=[1.0, b1])
+
+    def test_optimal_basis_solves_without_pivots(self):
+        for c, a_eq, b_eq, a_le, b_le in random_feasible_programs():
+            lp = slack_form(c, a_eq, b_eq, a_le, b_le, upper=np.full(c.size, 5.0))
+            two_phase = solve(lp)
+            basis = np.flatnonzero(two_phase.x > 0.0)
+            assert basis.size == lp.num_constraints  # these optima are nondegenerate
+            warm = solve(lp, basis=basis)
+            assert (warm.status, warm.iterations) == ("optimal", 0)
+            assert warm.objective == pytest.approx(two_phase.objective, abs=1e-12)
+            assert warm.x == pytest.approx(two_phase.x, abs=1e-12)
+
+    def test_slack_crash_basis_reaches_the_highs_optimum(self):
+        # a x <= b with b > 0 and 0 <= x <= 5: x = 0 is feasible, so the slack
+        # columns form a crash basis
+        scipy_opt = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(8)
+        for _ in range(25):
+            n = int(rng.integers(2, 8))
+            c, a_le, b_le = rng.normal(size=n), rng.normal(size=(3, n)), rng.random(3)
+            lp = slack_form(c, a_le=a_le, b_le=b_le, upper=np.full(n, 5.0))
+            sol = solve(lp, basis=np.arange(n, lp.num_variables))
+            ref = scipy_opt.linprog(c, A_ub=a_le, b_ub=b_le, bounds=(0.0, 5.0), method="highs")
+            assert sol.status == "optimal" and ref.status == 0
+            assert sol.objective == pytest.approx(ref.fun, abs=1e-9)
+
+    def test_feasible_basis_is_used(self):
+        sol = solve(self._program(3.0), basis=[0, 2])
+        assert (sol.status, sol.iterations) == ("optimal", 0)
+        assert sol.x.tolist() == [1.0, 0.0, 1.0]
+
+    def test_singular_basis_raises(self):
+        with pytest.raises(LpError, match=r"^starting basis is singular"):
+            solve(self._program(3.0), basis=[0, 1])
+
+    def test_infeasible_basis_raises(self):
+        # x0 = 1 leaves x2 = 1 - 2 = -1
+        with pytest.raises(LpError, match=r"^starting basis is infeasible: basic value -1\.0"):
+            solve(self._program(1.0), basis=[0, 2])
+        # the two-phase path reports the program itself as infeasible
+        assert solve(self._program(1.0)).status == "infeasible"
+
+    def test_drifted_tableau_is_rebuilt_from_its_basis(self):
+        # x + y + s1 = 4, x + 2 y + s2 = 6: the slacks form a feasible basis
+        a = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 2.0, 0.0, 1.0]])
+        b, c, basis = np.array([4.0, 6.0]), np.array([-1.0, -2.0, 0.0, 0.0]), np.array([2, 3])
+        tableau = np.zeros((3, 5))
+        _install_basis(tableau, a, b, c, basis, 0)
+        clean = tableau.copy()
+        tableau[0, 0] += 1e-12  # round-off: left alone
+        _reinvert_on_drift(tableau, a, b, c, basis, 10)
+        assert tableau[0, 0] == clean[0, 0] + 1e-12
+        tableau[0, 0] += 1e-6  # drift: rebuilt
+        _reinvert_on_drift(tableau, a, b, c, basis, 20)
+        assert np.array_equal(tableau, clean)
+
+    def test_wrong_length_basis_raises_value_error(self):
+        with pytest.raises(ValueError, match="1 columns for 2 rows"):
+            solve(self._program(3.0), basis=[0])
+        with pytest.raises(ValueError, match="outside"):
+            solve(self._program(3.0), basis=[0, 3])
 
 
 class TestTransport:

@@ -4,23 +4,32 @@ The in-repo solver and metrics are self-contained on purpose; these tests
 compare them against independent implementations on randomized inputs.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
 import rdmlab as rl
+from rdmlab import baselines
 from rdmlab.baselines import count_state_actions, mimic_md
 from rdmlab.lp import LinearProgram, solve
+from rdmlab.rsbc import count_occurrences
+from rdmlab.rskt import rs_kt_from_counts
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 scipy_stats = pytest.importorskip("scipy.stats")
 
 from conftest import (
+    CRASH_DRIFT_SEED,
+    KNOWN_BAD_PIVOT_CFG,
     KNOWN_BAD_PIVOT_SEEDS,
     MIMIC_MD_SEEDS,
     desk_dataset,
     desk_rskt_program,
     markov_occupancy,
     random_distribution,
+    random_feasible_programs,
+    rskt_program,
     slack_form,
 )
 
@@ -30,14 +39,8 @@ class TestSimplexAgainstHighs:
         # HiGHS solves the program with <= rows and bounds as stated; the
         # in-repo simplex solves its standard form with one slack per <= row
         # and per upper bound
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            n = int(rng.integers(2, 8))
-            m_eq = int(rng.integers(0, n))
-            a_eq = rng.normal(size=(m_eq, n))
-            x0 = rng.random(n)  # interior point guarantees feasibility
-            a_le = rng.normal(size=(3, n))
-            c, b_eq, b_le = rng.normal(size=n), a_eq @ x0, a_le @ x0 + rng.random(3)
+        for c, a_eq, b_eq, a_le, b_le in random_feasible_programs():
+            n, m_eq = c.size, b_eq.size
             mine = solve(slack_form(c, a_eq, b_eq, a_le, b_le, upper=np.full(n, 5.0)))
             ref = scipy_opt.linprog(
                 c,
@@ -73,6 +76,24 @@ class TestSimplexAgainstHighs:
         )
         assert mine.status == "optimal" and ref.status == 0
         assert mine.objective == pytest.approx(ref.fun, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "master_seed", [*range(1, 21), *KNOWN_BAD_PIVOT_SEEDS, CRASH_DRIFT_SEED]
+    )
+    def test_crash_basis_objectives_match_on_desk_rskt_programs(self, master_seed):
+        # the same programs, solved the way rs_kt_from_counts does: phase 2
+        # from the crash basis of the counts' argmax policy, plus the one
+        # that needs its tableau rebuilt on the way
+        mdp, data = desk_dataset(master_seed)
+        theta = KNOWN_BAD_PIVOT_CFG["theta"]
+        gr = rl.discretize_reward(mdp.reward, rl.RewardGrid(theta, mdp.horizon))
+        _, diag = rs_kt_from_counts(count_occurrences(data, gr), mdp, gr)
+        lp = rskt_program(mdp, data, theta)
+        ref = scipy_opt.linprog(
+            lp.c, A_eq=lp.A_eq, b_eq=lp.b_eq, bounds=(0, None), method="highs"
+        )
+        assert diag.lp_status == "optimal" and ref.status == 0
+        assert diag.lp_objective == pytest.approx(ref.fun, abs=1e-9)
 
 
 def _abs_deviation_program(data, mdp):
@@ -112,12 +133,29 @@ def _abs_deviation_program(data, mdp):
 
 
 class TestMimicMdAgainstHighs:
+    #: pivots allowed from the crash basis at (5,3,5); 1-10 are needed there
+    PIVOT_BUDGET_535 = 30
+
     @pytest.mark.parametrize("master_seed", MIMIC_MD_SEEDS)
     def test_policy_occupancy_reaches_the_highs_optimum(self, master_seed):
-        mdp, data = desk_dataset(master_seed)
+        self._check(*desk_dataset(master_seed))
+
+    @pytest.mark.parametrize("master_seed", range(1, 8))
+    def test_535_programs_reach_the_highs_optimum_within_budget(
+        self, master_seed, monkeypatch
+    ):
+        budget = functools.partial(solve, max_iterations=self.PIVOT_BUDGET_535)
+        monkeypatch.setattr(baselines, "solve", budget)
+        self._check(*desk_dataset(master_seed, num_states=5, num_actions=3))
+
+    @staticmethod
+    def _check(mdp, data):
         c, a_eq, b_eq, a_ub, b_ub, d_hat = _abs_deviation_program(data, mdp)
+        # HiGHS's default feasibility tolerances (1e-7) leave its (5,3,5)
+        # optima up to 6e-8 off; tightened, it agrees with the simplex to 1e-15
         ref = scipy_opt.linprog(
-            c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs"
+            c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+            options=dict(primal_feasibility_tolerance=1e-10, dual_feasibility_tolerance=1e-10),
         )
         assert ref.status == 0
         occ = markov_occupancy(mdp, mimic_md(data, mdp))

@@ -14,6 +14,7 @@ from rdmlab.policies import (
 )
 from rdmlab.rsbc import count_occurrences
 from rdmlab.rskt import (
+    _eta_hat_on_grid,
     build_rskt_lp,
     lp_layout,
     rs_kt,
@@ -32,8 +33,6 @@ DESK_CFG = rl.ExperimentConfig(
 
 def loop_built_program(aug, eta_hat):
     """The compact rs-kt program built cell by cell: (A_eq, b_eq, c)."""
-    from rdmlab.rskt import _eta_hat_on_grid
-
     base = aug.base
     horizon, num_states, num_actions = base.horizon, base.num_states, base.num_actions
     cell = {}
@@ -133,8 +132,7 @@ class TestBuildLp:
         )
         lp = build_rskt_lp(aug, eta_hat)
         layout = lp_layout(aug, eta_hat)
-        from rdmlab.rskt import _eta_hat_on_grid
-        dense_hat = _eta_hat_on_grid(eta_hat, grid)[: layout.n_keep]
+        dense_hat = _eta_hat_on_grid(eta_hat, grid)  # the full grid; the kept prefix is sliced
         for _ in range(5):
             policy = random_reward_augmented_policy(gr, mdp.num_states, rng)
             occ = exact_augmented_occupancy(mdp, policy, gr)
@@ -147,6 +145,34 @@ class TestBuildLp:
             fitted = rl.exact_return_distribution(mdp, policy, mdp.reward, grid)
             assert lp.c @ x * grid.theta == pytest.approx(
                 rl.wasserstein(fitted, eta_hat), abs=1e-12
+            )
+
+    def test_crash_basis_is_the_argmax_policy_vertex(self):
+        mdp, _, grid = tiny_grid_instance(7, horizon=3, step=0.5)
+        gr = rl.discretize_reward(mdp.reward, grid)
+        aug = rl.build_augmented_mdp(mdp, grid)
+        rng = np.random.default_rng(5)
+        eta_hat = rl.exact_return_distribution(
+            mdp, random_reward_augmented_policy(gr, mdp.num_states, rng), mdp.reward, grid
+        )
+        lp = build_rskt_lp(aug, eta_hat)
+        layout = lp_layout(aug, eta_hat)
+        dense_hat = _eta_hat_on_grid(eta_hat, grid)
+        shape = layout.column.shape + (mdp.num_actions,)
+        for _ in range(5):
+            counts = rng.integers(0, 3, size=shape) * (rng.random(shape[:3]) < 0.5)[..., None]
+            basis = layout.crash_basis(counts, dense_hat)
+            assert basis.size == lp.num_constraints == np.unique(basis).size
+            x = np.zeros(lp.num_variables)
+            x[basis] = np.linalg.solve(lp.A_eq[:, basis], lp.b_eq)
+            # the vertex is the packed occupancy of the argmax policy, action 0
+            # on unvisited cells
+            table = np.eye(mdp.num_actions)[counts.argmax(axis=-1)]
+            argmax_policy = rl.RewardAugmentedPolicy(grid=grid, table=table, reward=gr)
+            occ = exact_augmented_occupancy(mdp, argmax_policy, gr)
+            assert x == pytest.approx(layout.pack_occupancy(occ, dense_hat), abs=1e-12)
+            assert solve(lp, basis=basis).objective == pytest.approx(
+                solve(lp).objective, abs=1e-12
             )
 
     def test_matches_loop_built_program(self):
@@ -337,15 +363,19 @@ class TestPinnedSolves:
         data = rl.sample_trajectories(mdp, expert, 10_000, seed)
         grid = rl.RewardGrid(DESK_CFG.theta, mdp.horizon)
         gr = rl.discretize_reward(mdp.reward, grid)
-        policy, diag = rs_kt_from_counts(count_occurrences(data, gr), mdp, gr)
+        counts = count_occurrences(data, gr)
+        policy, diag = rs_kt_from_counts(counts, mdp, gr)
         walk_policy, walk_diag = rs_kt(data, mdp, mdp.reward, grid)
         assert policy.table.tobytes() == walk_policy.table.tobytes()
         assert diag == walk_diag
-        # the program built from the direct-sum estimate ends at the same vertex
+        # the program built from the direct-sum estimate, solved from the same
+        # crash basis, ends at the same vertex
         eta_hat = rl.empirical_return_distribution(data, mdp.reward, grid)
         aug = rl.build_augmented_mdp(mdp, grid)
-        sol = solve(build_rskt_lp(aug, eta_hat))
-        dense = lp_layout(aug, eta_hat).dense_occupancy(sol.x)
+        layout = lp_layout(aug, eta_hat)
+        basis = layout.crash_basis(counts, _eta_hat_on_grid(eta_hat, grid))
+        sol = solve(build_rskt_lp(aug, eta_hat), basis=basis)
+        dense = layout.dense_occupancy(sol.x)
         table = normalize_rows(dense, min_mass=ZERO_MASS)
         assert policy.table.tobytes() == table.tobytes()
         assert (diag.iterations, diag.lp_objective) == (sol.iterations, sol.objective)
