@@ -26,36 +26,39 @@ probabilities; the brute-force return distribution sums rewards over those
 rows, and the reward-conditioned projection pi_R is ``rs-bc``'s
 probability-weighted count table over them (``rdmlab.rsbc.construct_pi_r``).
 
-Sampling runs one stage loop, ``_rollout``, which yields each stage's
-(n,) states and actions: ``sample_trajectories`` stores them, and
-``mc_return_distribution`` gathers only their rewards into an (m x H)
-block, so Monte Carlo evaluation builds no trajectories.  Every draw takes
-one uniform per row and finds it in a flat cumulative table at a computed
-row offset (``_draw``); no (n x width) block of CDF rows is gathered.
-Tables are built once per rollout with negative round-off entries clipped
-to 0, so rows are nondecreasing.  Transition, Markovian and
-reward-augmented tables at least ``_GUIDE_MIN_WIDTH`` wide also get a
-guide table (Chen & Asau 1974) of up to ``2**_GUIDE_BITS`` buckets per row,
-never more entries than draws per stage: a uniform whose bucket holds no
-CDF entry reads its draw there, and only the rest are binary-searched.
+``sample_trajectories`` draws n episodes stage by stage as (n,) states
+and actions.  ``mc_return_distribution`` draws no rows: it carries groups,
+distinct histories with integer multiplicities, and splits each group's
+count over actions and then over next states (``_split``): a count above
+the row width by one multinomial, a smaller one by one categorical draw
+per member.  Every categorical draw takes one uniform per row and finds it
+in a flat cumulative table at a computed row offset (``_draw``); no
+(n x width) block of CDF rows is gathered.  Tables are built once per call
+with negative round-off entries clipped to 0, so rows are nondecreasing.
+Transition, Markovian and reward-augmented tables at least
+``_GUIDE_MIN_WIDTH`` wide also get a guide table (Chen & Asau 1974) of up
+to ``2**_GUIDE_BITS`` buckets per row, never more entries than the n or m
+episodes: a uniform whose bucket holds no CDF entry reads its draw there,
+and only the rest are binary-searched.
 Narrower tables (the parametric expert's per-prefix rows, the desk
 shapes) gain nothing from a guide and keep the plain search.
 The parametric expert's action distribution depends only on the (history,
 current state) prefix, and a stage has far fewer distinct prefixes than
 rows, so it is computed once per prefix (``_prefix_cdf``): features,
 logits (in blocks of ``_ROW_BLOCK`` prefixes), then softmax and cumulative
-sum in place, in buffers sized once per call.  Each row carries a prefix
-id, renumbered after every step from the trie key (parent id, action, next
-state), and draws its action from its prefix's row.  The features use
-einsum rather than a BLAS product, which made the peak RSS grow with the
-varying prefix count.
+sum in place, in buffers sized once per call.  In ``sample_trajectories``
+each row carries a prefix id, renumbered after every step from the trie
+key (parent id, action, next state), and draws its action from its
+prefix's row; in ``mc_return_distribution`` each group is one prefix.  The
+features use einsum rather than a BLAS product, which made the peak RSS
+grow with the varying prefix count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -390,17 +393,51 @@ def _draw(rng: np.random.Generator, table: _Table, rows: np.ndarray) -> np.ndarr
     return draw
 
 
-def _rollout(
-    mdp: TabularMdp, policy: PolicyHandle, n: int, seed: int
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Draw ``n`` i.i.d. episodes stage by stage, yielding ``(h, cur, a)``.
+def _split(
+    rng: np.random.Generator, table: _Table, rows: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split ``counts[i]`` draws from row ``rows[i]`` of ``table`` over its outcomes.
 
-    ``cur`` and ``a`` are the (n,) states and actions of stage ``h``.  The
-    caller must drop them before asking for the next stage, or they stay
-    alive while it is drawn.
+    Returns ``(source, outcome, count)`` for every nonzero outcome count, in
+    no particular order.  A count at most the row width draws one
+    categorical per member through ``_draw``, and equal (source, outcome)
+    members are merged by ``np.unique``.  A larger count is split by one
+    multinomial on ``p_j = min(cdf_j, 1) - min(cdf_{j-1}, 1)``, the law
+    ``_draw`` samples (the last outcome takes what the others leave); the
+    clip also keeps a row admitted a hair above one (``validate_mdp``'s
+    tolerance) within the multinomial's own check.
     """
+    width = table.width
+    big = counts > width
+    small = np.flatnonzero(~big)
+    member = np.repeat(small, counts[small])
+    keys, tally = np.unique(member * width + _draw(rng, table, rows[member]), return_counts=True)
+    if big.any():
+        big = np.flatnonzero(big)
+        cdf = np.minimum(table.cdf.reshape(-1, width)[rows[big]], 1.0)
+        split = rng.multinomial(counts[big], np.diff(cdf, axis=1, prepend=0.0))
+        src, outcome = split.nonzero()
+        keys = np.concatenate([keys, big[src] * width + outcome])
+        tally = np.concatenate([tally, split[src, outcome]])
+    return keys // width, keys % width, tally
+
+
+def sample_trajectories(
+    mdp: TabularMdp, policy: PolicyHandle, n: int, seed: int
+) -> Dataset:
+    """Draw ``n`` i.i.d. trajectories; bit-identical output for equal seeds.
+
+    Sampling is vectorized across trajectories for the table-based and
+    parametric policy kinds; callable fixtures fall back to a per-trajectory
+    loop with explicit history tuples.  The returned arrays are read-only
+    and the dataset keeps them without a copy.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
     horizon, num_states, num_actions = mdp.horizon, mdp.num_states, mdp.num_actions
+    states = np.empty((n, horizon), dtype=np.int64)
+    actions = np.empty((n, horizon), dtype=np.int64)
     cur = np.full(n, mdp.initial_state, dtype=np.int64)
     trans = _cdf_table(mdp.transitions, n)
 
@@ -439,7 +476,8 @@ def _rollout(
         else:
             raise TypeError(f"unsupported policy kind {type(policy).__name__}")
         nxt = _draw(rng, trans, row * num_actions + a)
-        yield h, cur, a
+        states[:, h] = cur
+        actions[:, h] = a
         if isinstance(policy, RewardAugmentedPolicy):
             g = g + policy.reward.multiples[h, cur, a]
         elif isinstance(policy, ParametricHistoryPolicy) and h + 1 < horizon:
@@ -455,26 +493,6 @@ def _rollout(
             for i in range(n):
                 histories[i].append((int(cur[i]), int(a[i])))
         cur = nxt
-
-
-def sample_trajectories(
-    mdp: TabularMdp, policy: PolicyHandle, n: int, seed: int
-) -> Dataset:
-    """Draw ``n`` i.i.d. trajectories; bit-identical output for equal seeds.
-
-    Sampling is vectorized across trajectories for the table-based and
-    parametric policy kinds; callable fixtures fall back to a per-trajectory
-    loop with explicit history tuples.  The returned arrays are read-only
-    and the dataset keeps them without a copy.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    states = np.empty((n, mdp.horizon), dtype=np.int64)
-    actions = np.empty((n, mdp.horizon), dtype=np.int64)
-    for h, cur, a in _rollout(mdp, policy, n, seed):
-        states[:, h] = cur
-        actions[:, h] = a
-        del cur, a
     states.setflags(write=False)
     actions.setflags(write=False)
     return Dataset(states, actions, mdp.num_states, mdp.num_actions)
@@ -539,22 +557,80 @@ def brute_force_return_distribution(
 def mc_return_distribution(
     mdp: TabularMdp, policy: PolicyHandle, reward: np.ndarray, m: int, seed: int
 ) -> DiscreteReturnDistribution:
-    """Empirical return distribution of ``m`` sampled episodes.
+    """Empirical return distribution of ``m`` i.i.d. sampled episodes.
 
-    Equal to ``empirical_return_distribution(sample_trajectories(mdp, policy,
-    m, seed), reward)`` bit for bit, without building the trajectories: each
-    stage's rewards go into an (m, H) block summed by ``sum(axis=1)``, as the
-    gathered rewards are there.  A running total over the stages would round
-    differently from H = 8 on, where numpy sums each row pairwise.
+    The episodes are drawn as counts over groups, not as m rows.  A group is
+    a distinct history with its multiplicity; there is one group of count m
+    at the initial state.  Each stage splits every group's count over its
+    action row (``policy.table[h, s]``, ``policy.table[h, s, g]``, or the
+    parametric expert's ``_prefix_cdf`` row), then every nonzero (group,
+    action) count over ``transitions[h, s, a]``; each child (parent, action,
+    next state) is a new group, a trie node.  The counts of m categorical
+    draws are Multinomial(m, p), and splitting them group by group, stage by
+    stage, gives exactly the law of the histogram of m episodes, so the
+    result has that law (not the random stream of ``sample_trajectories``).
+    ``_split`` picks, per count, a multinomial or one draw per member.  The
+    return of each path is its (H,) reward row summed as a block, the float
+    sum enumeration computes, weighted by count / m.  Supports Markovian,
+    reward-augmented and parametric history policies.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
+    if not isinstance(policy, (MarkovianPolicy, RewardAugmentedPolicy, ParametricHistoryPolicy)):
+        raise TypeError(f"Monte Carlo does not sample policy kind {type(policy).__name__}")
+    rng = np.random.default_rng(seed)
     reward = np.asarray(reward, dtype=float)
-    steps = np.empty((m, mdp.horizon))
-    for h, cur, a in _rollout(mdp, policy, m, seed):
-        steps[:, h] = reward[h, cur, a]
-        del cur, a
-    return DiscreteReturnDistribution.from_weighted(steps.sum(axis=1), np.full(m, 1.0 / m))
+    horizon, num_states, num_actions = mdp.horizon, mdp.num_states, mdp.num_actions
+    trans = _cdf_table(mdp.transitions, m)
+    count = np.full(1, m, dtype=np.int64)
+    state = np.full(1, mdp.initial_state, dtype=np.int64)
+    if isinstance(policy, ParametricHistoryPolicy):
+        # Groups never outnumber episodes; buffers hold m rows, used as [:k] views.
+        encoded = np.zeros((m, 2 * horizon))
+        features = np.empty((m, PROJECTION_DIM))
+        cdf = np.empty((m, num_actions))
+        peak = np.empty((m, 1))
+    else:
+        policy_table = _cdf_table(policy.table, m)
+    if isinstance(policy, RewardAugmentedPolicy):
+        g = np.zeros(1, dtype=np.int64)
+        n_g = policy.table.shape[2]
+
+    # Per stage, each (group, action) pair's reward and the stage before's
+    # pair it descends from.
+    trail: list[tuple[np.ndarray, np.ndarray]] = []
+    parent_pair = np.zeros(1, dtype=np.int64)
+    for h in range(horizon):
+        row = h * num_states + state
+        if isinstance(policy, MarkovianPolicy):
+            group, a, pair_count = _split(rng, policy_table, row, count)
+        elif isinstance(policy, RewardAugmentedPolicy):
+            group, a, pair_count = _split(rng, policy_table, row * n_g + g, count)
+        else:
+            _prefix_cdf(policy, state, encoded, features, cdf, peak)
+            actions = _Table(cdf.ravel(), num_actions)
+            group, a, pair_count = _split(rng, actions, np.arange(state.size), count)
+        s = state[group]
+        trail.append((reward[h, s, a], parent_pair[group]))
+        if h + 1 == horizon:
+            break
+        trans_row = (h * num_states + s) * num_actions + a
+        parent_pair, state, count = _split(rng, trans, trans_row, pair_count)
+        if isinstance(policy, RewardAugmentedPolicy):
+            g = (g[group] + policy.reward.multiples[h, s, a])[parent_pair]
+        elif isinstance(policy, ParametricHistoryPolicy):
+            k = state.size
+            encoded[:k] = encoded[group[parent_pair]]
+            encoded[:k, 2 * h] = s[parent_pair]
+            encoded[:k, 2 * h + 1] = a[parent_pair]
+
+    steps = np.empty((pair_count.size, horizon))
+    pair = np.arange(pair_count.size)
+    for h in range(horizon - 1, -1, -1):
+        rewards, parents = trail[h]
+        steps[:, h] = rewards[pair]
+        pair = parents[pair]
+    return DiscreteReturnDistribution.from_weighted(steps.sum(axis=1), pair_count / m)
 
 
 def _dp_mass_check(total: float) -> None:

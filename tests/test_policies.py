@@ -6,6 +6,7 @@ import pytest
 import rdmlab as rl
 from rdmlab import policies as policies_mod
 from rdmlab.bench import generate_instance
+from rdmlab.distributions import ATOM_MERGE_TOL
 from rdmlab.policies import (
     EnumerationCapError,
     act_parametric,
@@ -538,14 +539,25 @@ class TestExactReturnDistribution:
 
 
 class TestMonteCarlo:
-    def test_deterministic_point_mass(self):
+    def test_deterministic_point_mass(self, monkeypatch):
+        """One path at m = 10**4: every count exceeds its row width, so every split
+        is a multinomial and no member draws a categorical."""
         horizon = 3
         transitions = np.zeros((horizon, 2, 1, 2))
         transitions[:, :, 0, 0] = 1.0
         mdp = rl.TabularMdp(2, 1, horizon, 0, transitions, np.full((horizon, 2, 1), 0.5))
         policy = rl.MarkovianPolicy(np.ones((horizon, 2, 1)))
-        d = rl.mc_return_distribution(mdp, policy, mdp.reward, 100, seed=3)
-        assert d.support.size == 1
+        real_draw = policies_mod._draw
+        members = []
+
+        def spy(rng, table, rows):
+            members.append(rows.size)
+            return real_draw(rng, table, rows)
+
+        monkeypatch.setattr(policies_mod, "_draw", spy)
+        d = rl.mc_return_distribution(mdp, policy, mdp.reward, 10_000, seed=3)
+        assert d.support.tolist() == [1.5] and d.probs.tolist() == [1.0]
+        assert len(members) == 2 * horizon - 1 and not any(members)
 
     @staticmethod
     def _policy(kind, mdp, rng):
@@ -555,35 +567,113 @@ class TestMonteCarlo:
         if kind == "reward-augmented":
             gr = rl.discretize_reward(mdp.reward, rl.RewardGrid(0.25, horizon))
             return random_reward_augmented_policy(gr, num_states, rng)
-        if kind == "parametric":
-            return random_parametric_policy(num_states, num_actions, horizon, rng)
+        return random_parametric_policy(num_states, num_actions, horizon, rng)
 
-        def fn(h, state, history):
-            probs = np.full(num_actions, 0.5 / num_actions)
-            probs[(state + sum(a for _, a in history)) % num_actions] += 0.5
-            return probs
-
-        return rl.CallablePolicy(fn)
-
-    @pytest.mark.parametrize("horizon", [5, 8, 10])
-    @pytest.mark.parametrize("kind", ["markovian", "reward-augmented", "parametric", "callable"])
-    def test_equals_empirical_distribution_of_sampled_trajectories(self, kind, horizon):
-        """Bit for bit against the trajectories' empirical distribution.
-
-        At H >= 8 numpy sums the rows of an (m, H) block pairwise, so the
-        returns must be summed as a block, not by a running total."""
+    @classmethod
+    def _case(cls, kind, horizon):
+        """An enumerable instance with continuous rewards: (3,3,5) or (2,2,8)."""
+        size = 3 if horizon == 5 else 2
         mdp, _ = make_instance(
-            horizon, num_states=10, num_actions=3, horizon=horizon, continuous_reward=True
+            horizon, num_states=size, num_actions=size, horizon=horizon, continuous_reward=True
         )
-        policy = self._policy(kind, mdp, np.random.default_rng(horizon))
-        m = 400 if kind == "callable" else 6000
-        if kind != "callable":  # wide enough for a guide on the transitions
-            assert policies_mod._cdf_table(mdp.transitions, m).guide is not None
-        got = rl.mc_return_distribution(mdp, policy, mdp.reward, m, seed=5)
-        data = rl.sample_trajectories(mdp, policy, m, seed=5)
-        want = rl.empirical_return_distribution(data, mdp.reward)
-        assert np.array_equal(got.support, want.support)
-        assert np.array_equal(got.probs, want.probs)
+        return mdp, cls._policy(kind, mdp, np.random.default_rng(horizon))
+
+    @staticmethod
+    def _atom_index(exact, sampled):
+        """Index of the enumeration atom each sampled atom is; the two differ at
+        most by the round-off of ``from_weighted``'s weighted mean position."""
+        hi = np.searchsorted(exact.support, sampled.support).clip(1, exact.support.size - 1)
+        lo = hi - 1
+        gap_hi, gap_lo = (np.abs(exact.support[i] - sampled.support) for i in (hi, lo))
+        idx = np.where(gap_hi < gap_lo, hi, lo)
+        assert np.abs(exact.support[idx] - sampled.support).max() <= ATOM_MERGE_TOL
+        return idx
+
+    @pytest.mark.parametrize("horizon", [5, 8])
+    @pytest.mark.parametrize("kind", ["markovian", "reward-augmented", "parametric"])
+    def test_atom_frequencies_match_enumeration(self, monkeypatch, kind, horizon):
+        """Every atom of the enumeration within 5 binomial standard deviations plus
+        3/m, every sampled atom an atom of the enumeration.
+
+        The 3/m is for the many atoms with p far below 1/m, whose counts are
+        near Poisson(mp): with 1/m a correct sampler fails about one seed in
+        ten at H = 8, with 3/m all six cases fail together with probability
+        about 1.4e-3 (exact binomial tails).
+
+        The root count m is split by a multinomial, and some counts at most
+        their row width draw per member.  At H = 8 numpy sums the (k, H)
+        reward block pairwise; enumeration sums its rows the same way, so each
+        path's return is the same float."""
+        mdp, policy = self._case(kind, horizon)
+        exact = rl.brute_force_return_distribution(mdp, policy, mdp.reward)
+        m = 200_000
+        real_draw = policies_mod._draw
+        members = []
+
+        def spy(rng, table, rows):
+            members.append(rows.size)
+            return real_draw(rng, table, rows)
+
+        monkeypatch.setattr(policies_mod, "_draw", spy)
+        sampled = rl.mc_return_distribution(mdp, policy, mdp.reward, m, seed=5)
+        assert sum(members) > 0
+        freq = np.zeros_like(exact.probs)
+        freq[self._atom_index(exact, sampled)] = sampled.probs
+        p = exact.probs
+        assert (np.abs(freq - p) <= 5 * np.sqrt(p * (1 - p) / m) + 3 / m).all()
+
+    @pytest.mark.parametrize("m", [1, 7])
+    @pytest.mark.parametrize("kind", ["markovian", "reward-augmented", "parametric"])
+    def test_small_samples(self, kind, m):
+        mdp, policy = self._case(kind, 5)
+        exact = rl.brute_force_return_distribution(mdp, policy, mdp.reward)
+        sampled = rl.mc_return_distribution(mdp, policy, mdp.reward, m, seed=2)
+        self._atom_index(exact, sampled)
+        counts = sampled.probs * m
+        assert np.allclose(counts, np.round(counts), rtol=0, atol=1e-9) and counts.min() >= 1
+
+    def test_rejects_callable_policies(self):
+        mdp, expert = rl.make_fork_fixture()
+        with pytest.raises(TypeError):
+            rl.mc_return_distribution(mdp, expert, mdp.reward, 100, seed=1)
+
+    def test_transition_rows_a_hair_above_one(self):
+        """A row summing to 1 + 1e-10 passes ``validate_mdp``; the multinomial
+        splits it like the row sampler, which never reaches its last state."""
+        horizon = 2
+        transitions = np.zeros((horizon, 3, 1, 3))
+        transitions[:, :, 0, 0] = 1.0
+        transitions[0, 0, 0] = [0.5, 0.5 + 1e-10, 0.0]
+        reward = np.zeros((horizon, 3, 1))
+        reward[1, :, 0] = [0.0, 1.0, 0.5]
+        mdp = rl.TabularMdp(3, 1, horizon, 0, transitions, reward)
+        assert rl.validate_mdp(mdp) == []
+        policy = rl.MarkovianPolicy(np.ones((horizon, 3, 1)))
+        m = 10_000
+        d = rl.mc_return_distribution(mdp, policy, mdp.reward, m, seed=4)
+        assert d.support.tolist() == [0.0, 1.0]
+        assert abs(d.probs[0] - 0.5) <= 5 * np.sqrt(0.25 / m)
+
+    # sha256 of (support, probs) at m = 5 * 10**4, seed 11: a change to the
+    # Monte Carlo stream shows here.
+    PINNED_RETURNS = {
+        "markovian": "0b0cf7a78764b25fc88ae70d62ab411be7a3b80ef351dd3e502426b3444a0bc4",
+        "reward-augmented": "060ca029f4bea85f81a438df3f5e887c5c8b09a50934dbca6e70d2e0f13dc223",
+        "parametric": "74cc724537435642525553ca7dc5687da4c4ad3dab73583a0fb2a98639f050d2",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PINNED_RETURNS))
+    def test_returns_match_pinned_digests(self, kind):
+        mdp, _ = make_instance(
+            5, num_states=10, num_actions=3, horizon=5, continuous_reward=True
+        )
+        policy = self._policy(kind, mdp, np.random.default_rng(5))
+        d = rl.mc_return_distribution(mdp, policy, mdp.reward, 50_000, seed=11)
+        digest = hashlib.sha256(
+            np.ascontiguousarray(d.support, dtype="<f8").tobytes()
+            + np.ascontiguousarray(d.probs, dtype="<f8").tobytes()
+        ).hexdigest()
+        assert digest == self.PINNED_RETURNS[kind]
 
     def test_rejects_empty_sample(self):
         mdp, expert = make_instance(8)
@@ -602,6 +692,16 @@ class TestMonteCarlo:
         grid = rl.RewardGrid(0.25, mdp.horizon)
         rng = np.random.default_rng(3)
         policy = rl.random_markovian_policy(mdp.num_states, mdp.num_actions, mdp.horizon, rng)
+        exact = rl.exact_return_distribution(mdp, policy, mdp.reward, grid)
+        sampled = rl.mc_return_distribution(mdp, policy, mdp.reward, 100_000, seed=8)
+        assert rl.wasserstein(exact, sampled) <= mdp.horizon * rl.dkw_band(100_000, 0.01)
+
+    def test_reward_augmented_agrees_with_joint_dp_within_dkw(self):
+        """A policy on a coarser grid than the evaluation's: the joint-accumulator DP."""
+        mdp, _ = make_instance(9, rho=0.25)
+        grid = rl.RewardGrid(0.25, mdp.horizon)
+        gr = rl.discretize_reward(mdp.reward, rl.RewardGrid(0.5, mdp.horizon))
+        policy = random_reward_augmented_policy(gr, mdp.num_states, np.random.default_rng(3))
         exact = rl.exact_return_distribution(mdp, policy, mdp.reward, grid)
         sampled = rl.mc_return_distribution(mdp, policy, mdp.reward, 100_000, seed=8)
         assert rl.wasserstein(exact, sampled) <= mdp.horizon * rl.dkw_band(100_000, 0.01)
