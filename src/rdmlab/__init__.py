@@ -57,6 +57,7 @@ from .policies import (
     random_markovian_policy,
     random_parametric_policy,
     random_reward_augmented_policy,
+    sample_counts,
     sample_trajectories,
 )
 from .rsbc import construct_pi_r, rs_bc, theta_for_epsilon_rsbc

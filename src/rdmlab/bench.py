@@ -38,9 +38,9 @@ from .policies import (
     mc_return_distribution,
     random_markovian_policy,
     random_parametric_policy,
-    sample_trajectories,
+    sample_counts,
 )
-from .rsbc import count_occurrences, eta_hat_from_counts, rs_bc_from_counts
+from .rsbc import eta_hat_from_counts, rs_bc_from_counts
 from .rskt import rs_kt_from_counts
 from .serialize import format_distribution
 
@@ -250,12 +250,11 @@ def _sample_counts(
     task: tuple[int, int, int],
 ) -> np.ndarray:
     """M[h, s, g, a] of the dataset of ``task`` = (instance, sweep index,
-    dataset seed); the dataset itself is dropped once counted."""
+    dataset seed), counted inside the sampler's stage walk (``sample_counts``):
+    the episodes of ``sample_trajectories`` on the same seed, never stored."""
     i, k, j = task
-    data = sample_trajectories(
-        mdp, expert, cfg.n_sweep[k], derive_seed(cfg.master_seed, "dataset", i, k, j)
-    )
-    return count_occurrences(data, reward)
+    seed = derive_seed(cfg.master_seed, "dataset", i, k, j)
+    return sample_counts(mdp, expert, cfg.n_sweep[k], seed, reward)
 
 
 def _fitted_distribution(

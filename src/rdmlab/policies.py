@@ -26,12 +26,17 @@ probabilities; the brute-force return distribution sums rewards over those
 rows, and the reward-conditioned projection pi_R is ``rs-bc``'s
 probability-weighted count table over them (``rdmlab.rsbc.construct_pi_r``).
 
-``sample_trajectories`` draws n episodes stage by stage as (n,) states
-and actions.  ``mc_return_distribution`` draws no rows: it carries groups,
-distinct histories with integer multiplicities, and splits each group's
-count over actions and then over next states (``_split``): a count above
-the row width by one multinomial, a smaller one by one categorical draw
-per member.  Every categorical draw takes one uniform per row and finds it
+One stage walk, ``_stages``, draws n episodes stage by stage as (n,)
+states and actions, and draws no next state after the last action.  It has
+two consumers on the same random stream: ``sample_trajectories`` stores the
+(n, H) columns of a ``Dataset``, and ``sample_counts`` counts each stage
+straight into the visit tensor M[h, s, g, a] on a grid reward, carrying
+each row's cumulative grid multiple, which is ``count_occurrences`` of that
+dataset without the dataset.  ``mc_return_distribution`` draws no rows:
+it carries groups, distinct histories with integer multiplicities, and
+splits each group's count over actions and then over next states
+(``_split``): a count above the row width by one multinomial, a smaller
+one by one categorical draw per member.  Every categorical draw takes one uniform per row and finds it
 in a flat cumulative table at a computed row offset (``_draw``); no
 (n x width) block of CDF rows is gathered.  Tables are built once per call
 with negative round-off entries clipped to 0, so rows are nondecreasing.
@@ -40,8 +45,8 @@ Transition, Markovian and reward-augmented tables at least
 to ``2**_GUIDE_BITS`` buckets per row, never more entries than the n or m
 episodes: a uniform whose bucket holds no CDF entry reads its draw there,
 and only the rest are binary-searched.
-Narrower tables (the parametric expert's per-prefix rows, the desk
-shapes) gain nothing from a guide and keep the plain search.
+Two-outcome tables (the desk shapes) and the parametric expert's
+per-prefix rows gain nothing from a guide and keep the plain search.
 The parametric expert's action distribution depends only on the (history,
 current state) prefix, and a stage has far fewer distinct prefixes than
 rows, so it is computed once per prefix (``_prefix_cdf``): features,
@@ -58,7 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -81,6 +86,7 @@ __all__ = [
     "ENUMERATION_CAP",
     "act_parametric",
     "sample_trajectories",
+    "sample_counts",
     "exact_return_distribution",
     "exact_augmented_occupancy",
     "mc_return_distribution",
@@ -110,8 +116,10 @@ PROJECTION_DIM = 16
 _ROW_BLOCK = 4096
 
 #: Sampling tables with rows at least this wide get a guide table of
-#: between 2**_GUIDE_MIN_BITS and 2**_GUIDE_BITS buckets per row.
-_GUIDE_MIN_WIDTH = 8
+#: between 2**_GUIDE_MIN_BITS and 2**_GUIDE_BITS buckets per row.  At
+#: n = 3e5 draws (2 cores) a guide took a width-5 action draw from 6.5 to
+#: 3.6 ms and a width-3 one from 7.9 to 5.1 ms, but slowed width 2.
+_GUIDE_MIN_WIDTH = 3
 _GUIDE_MIN_BITS = 4
 _GUIDE_BITS = 8
 
@@ -385,9 +393,9 @@ def _draw(rng: np.random.Generator, table: _Table, rows: np.ndarray) -> np.ndarr
         return np.zeros_like(rows)
     if table.guide is None:
         return _search(table.cdf, rows * width, u, width)
-    bucket = (u * (1 << table.bits)).astype(np.intp)  # exact: a power-of-2 scaling
-    bucket += rows << table.bits
-    draw = table.guide[bucket].astype(np.int64)
+    draw = rows << table.bits
+    draw += (u * (1 << table.bits)).astype(np.intp)  # the bucket (exact scaling)
+    draw[:] = table.guide[draw]
     open_ = np.flatnonzero(draw < 0)
     draw[open_] = _search(table.cdf, rows[open_] * width, u[open_], width)
     return draw
@@ -422,22 +430,20 @@ def _split(
     return keys // width, keys % width, tally
 
 
-def sample_trajectories(
+def _stages(
     mdp: TabularMdp, policy: PolicyHandle, n: int, seed: int
-) -> Dataset:
-    """Draw ``n`` i.i.d. trajectories; bit-identical output for equal seeds.
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Walk ``n`` episodes stage by stage, yielding ``(h, cur, a)``.
 
-    Sampling is vectorized across trajectories for the table-based and
-    parametric policy kinds; callable fixtures fall back to a per-trajectory
-    loop with explicit history tuples.  The returned arrays are read-only
-    and the dataset keeps them without a copy.
+    ``cur`` and ``a`` are the (n,) states and drawn actions at stage ``h``;
+    the walk never writes them after yielding.  Each stage draws one uniform
+    per row for the actions, then, except after the last action (nothing
+    reads that state), one per row for the next states.  The table-based and
+    parametric kinds draw vectorized; callables build each row's history
+    tuple and call the closure once per row.  ``n >= 1``.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
     horizon, num_states, num_actions = mdp.horizon, mdp.num_states, mdp.num_actions
-    states = np.empty((n, horizon), dtype=np.int64)
-    actions = np.empty((n, horizon), dtype=np.int64)
     cur = np.full(n, mdp.initial_state, dtype=np.int64)
     trans = _cdf_table(mdp.transitions, n)
 
@@ -475,12 +481,13 @@ def sample_trajectories(
             a = _draw(rng, _cdf_table(probs), np.arange(n))
         else:
             raise TypeError(f"unsupported policy kind {type(policy).__name__}")
+        yield h, cur, a
+        if h + 1 == horizon:
+            return
         nxt = _draw(rng, trans, row * num_actions + a)
-        states[:, h] = cur
-        actions[:, h] = a
         if isinstance(policy, RewardAugmentedPolicy):
             g = g + policy.reward.multiples[h, cur, a]
-        elif isinstance(policy, ParametricHistoryPolicy) and h + 1 < horizon:
+        elif isinstance(policy, ParametricHistoryPolicy):
             # The key is a trie id: (parent prefix, action, next state).
             key, pid = np.unique((pid * width + a) * num_states + nxt, return_inverse=True)
             parent = key // (width * num_states)
@@ -493,9 +500,64 @@ def sample_trajectories(
             for i in range(n):
                 histories[i].append((int(cur[i]), int(a[i])))
         cur = nxt
+
+
+def sample_trajectories(
+    mdp: TabularMdp, policy: PolicyHandle, n: int, seed: int
+) -> Dataset:
+    """Draw ``n`` i.i.d. trajectories; bit-identical output for equal seeds.
+
+    The (n, H) columns of the stage walk ``_stages``.  The returned arrays
+    are read-only and the dataset keeps them without a copy.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    states = np.empty((n, mdp.horizon), dtype=np.int64)
+    actions = np.empty((n, mdp.horizon), dtype=np.int64)
+    for h, cur, a in _stages(mdp, policy, n, seed):
+        states[:, h] = cur
+        actions[:, h] = a
     states.setflags(write=False)
     actions.setflags(write=False)
     return Dataset(states, actions, mdp.num_states, mdp.num_actions)
+
+
+def sample_counts(
+    mdp: TabularMdp, policy: PolicyHandle, n: int, seed: int, reward: GridReward
+) -> np.ndarray:
+    """Visit counters M[h, s, g, a] of ``sample_trajectories(mdp, policy, n, seed)``.
+
+    Equal, dtype included, to ``rdmlab.rsbc.count_occurrences`` of that
+    dataset on ``reward``, without building it: the same stage walk draws
+    the same episodes, each row carries its cumulative grid multiple g, and
+    stage h's flat (s, g, a) keys are counted into M[h] with one
+    ``np.bincount``.  Memory is O(n + S*A*H*|grid|); no (n, H) array is made.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    horizon, num_states, num_actions = mdp.horizon, mdp.num_states, mdp.num_actions
+    if reward.grid.horizon != horizon:
+        raise ValueError("reward horizon does not match the dataset")
+    if reward.multiples.shape[1:] != (num_states, num_actions):
+        raise ValueError("reward table does not match the MDP's states and actions")
+    num_g = reward.grid.num_multiples(horizon - 1)
+    cells = num_states * num_g * num_actions
+    # A row's offset into its state's (G, A) block of M[h] is g * A; each
+    # step adds multiples[h, s, a] * A, read at the flat (s, a) index.
+    step = reward.multiples * num_actions
+    offset = np.zeros(n, dtype=np.int64)
+    key = np.empty(n, dtype=np.int64)
+    counts = np.empty((horizon, cells), dtype=np.intp)
+    for h, cur, a in _stages(mdp, policy, n, seed):
+        np.multiply(cur, num_g * num_actions, out=key)
+        key += offset
+        key += a
+        counts[h] = np.bincount(key, minlength=cells)
+        if h + 1 < horizon:
+            np.multiply(cur, num_actions, out=key)
+            key += a
+            offset += step[h].take(key)
+    return counts.reshape(horizon, num_states, num_g, num_actions)
 
 
 def _check_enumeration_cap(mdp: TabularMdp, cap: int) -> None:

@@ -4,7 +4,12 @@ One pass over the dataset counts (stage, state, cumulative grid reward,
 action) occurrences, as one ``np.bincount`` of flat cell indices
 (``count_occurrences``).  Cumulative rewards are accumulated as integer grid
 multiples along each trajectory, never by float bucketing.
-Time O(N*H + S*A*H*|grid|), memory O(S*A*H*|grid|).
+Time O(N*H + S*A*H*|grid|), memory O(S*A*H*|grid|).  The run loop never
+builds the dataset: ``rdmlab.policies.sample_counts`` counts the same
+tensor stage by stage inside the sampler, on the same random stream, and
+equals ``count_occurrences(sample_trajectories(...))`` dtype included.
+``count_occurrences`` stays for weighted counts (``construct_pi_r``), for
+the data-walk entries such as ``rs_bc``, and as the tests' oracle.
 
 Two readers turn the count tensor M[h, s, g, a] into estimates, so a caller
 that already holds M never walks the dataset again:

@@ -14,6 +14,7 @@ from rdmlab.policies import (
     random_parametric_policy,
     random_reward_augmented_policy,
 )
+from rdmlab.rsbc import count_occurrences
 
 from conftest import make_instance
 
@@ -176,7 +177,8 @@ class TestSampling:
         monkeypatch.setattr(policies_mod, "_draw", spy)
         n = 300
         data = rl.sample_trajectories(mdp, policy, n, seed=4)
-        assert len(calls) == 2 * mdp.horizon  # an action draw, then a transition draw
+        # an action draw, then a transition draw, except after the last action
+        assert len(calls) == 2 * mdp.horizon - 1
         for h, (flat_cdf, base, width) in enumerate(calls[::2]):
             assert width == 3 and base.shape == (n,)
             for i in range(n):
@@ -286,11 +288,18 @@ class TestDrawKernel:
             got = policies_mod._draw(_StubRng(np.zeros(width)), table, index)
             assert (got == 0).all()
 
-    @pytest.mark.parametrize("width", [1, 2, 5, 7])
+    @pytest.mark.parametrize("width", [1, 2])
     def test_no_guide_below_the_width_threshold(self, width):
         assert width < policies_mod._GUIDE_MIN_WIDTH
         table = policies_mod._cdf_table(np.full((3, width), 1.0 / width), n=10**6)
         assert table.guide is None
+
+    @pytest.mark.parametrize("width", [3, 5, 7])
+    def test_guide_from_the_width_threshold(self, width):
+        """Action rows as narrow as the benchmark's five actions are guided."""
+        assert width >= policies_mod._GUIDE_MIN_WIDTH
+        table = policies_mod._cdf_table(np.full((3, width), 1.0 / width), n=10**6)
+        assert table.guide is not None and table.bits == policies_mod._GUIDE_BITS
 
     @pytest.mark.parametrize("n, bits", [(0, None), (10 * 15, None), (10 * 16, 4),
                                          (10 * 100, 6), (10 * 256, 8), (10**6, 8)])
@@ -378,6 +387,77 @@ class TestGuidedSampling:
             want = rl.sample_trajectories(mdp, pol, n, seed=2)
             assert np.array_equal(got.states, want.states)
             assert np.array_equal(got.actions, want.actions)
+
+
+class TestSampleCounts:
+    """``sample_counts`` against ``count_occurrences`` of the sampled dataset."""
+
+    RHO = 0.25
+
+    def _case(self, kind):
+        """(mdp, policy, rho) with a reward on the rho grid."""
+        if kind == "callable":
+            mdp, expert = rl.make_fork_fixture()  # 0/1 rewards
+            return mdp, expert, 0.5
+        mdp, _ = make_instance(7, num_states=4, num_actions=3, horizon=4, rho=self.RHO)
+        rng = np.random.default_rng(12)
+        if kind == "markovian":
+            policy = rl.random_markovian_policy(4, 3, 4, rng)
+        elif kind == "reward-augmented":
+            policy_reward = rl.discretize_reward(mdp.reward, rl.RewardGrid(self.RHO, 4))
+            policy = random_reward_augmented_policy(policy_reward, 4, rng)
+        else:
+            policy = random_parametric_policy(4, 3, 4, rng)
+        return mdp, policy, self.RHO
+
+    @staticmethod
+    def _assert_counts_match(mdp, policy, n, seed, reward):
+        got = rl.sample_counts(mdp, policy, n, seed, reward)
+        want = count_occurrences(rl.sample_trajectories(mdp, policy, n, seed), reward)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert (got.sum(axis=(1, 2, 3)) == n).all()
+
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    @pytest.mark.parametrize("coarsen", [1, 2])  # theta = rho, theta = 2 rho
+    @pytest.mark.parametrize("kind", ["markovian", "reward-augmented", "parametric", "callable"])
+    def test_equals_count_of_sampled_dataset(self, kind, coarsen, n):
+        mdp, policy, rho = self._case(kind)
+        reward = rl.discretize_reward(mdp.reward, rl.RewardGrid(coarsen * rho, mdp.horizon))
+        self._assert_counts_match(mdp, policy, n, 5, reward)
+
+    def test_equals_count_of_sampled_dataset_at_bulk_scale(self):
+        mdp, expert = make_instance(3, num_states=20, num_actions=5, horizon=5, rho=0.02)
+        assert isinstance(expert, rl.MarkovianPolicy)
+        reward = rl.discretize_reward(mdp.reward, rl.RewardGrid(0.02, mdp.horizon))
+        self._assert_counts_match(mdp, expert, 300_000, 11, reward)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_an_empty_sample(self, n):
+        mdp, policy, rho = self._case("markovian")
+        reward = rl.discretize_reward(mdp.reward, rl.RewardGrid(rho, mdp.horizon))
+        with pytest.raises(ValueError):
+            rl.sample_trajectories(mdp, policy, n, 1)
+        with pytest.raises(ValueError):
+            rl.sample_counts(mdp, policy, n, 1, reward)
+
+    def test_rejects_a_reward_of_another_horizon(self):
+        mdp, policy, rho = self._case("markovian")
+        short = rl.GridReward(rl.RewardGrid(rho, mdp.horizon - 1),
+                              np.zeros((mdp.horizon - 1, mdp.num_states, mdp.num_actions)))
+        data = rl.sample_trajectories(mdp, policy, 10, 1)
+        with pytest.raises(ValueError, match="horizon"):
+            count_occurrences(data, short)
+        with pytest.raises(ValueError, match="horizon"):
+            rl.sample_counts(mdp, policy, 10, 1, short)
+
+    def test_rejects_a_reward_of_another_shape(self):
+        """A reward table over other states or actions is refused, never misread."""
+        mdp, policy, rho = self._case("markovian")
+        wide = rl.GridReward(rl.RewardGrid(rho, mdp.horizon),
+                             np.zeros((mdp.horizon, mdp.num_states, mdp.num_actions + 1)))
+        with pytest.raises(ValueError, match="states and actions"):
+            rl.sample_counts(mdp, policy, 10, 1, wide)
 
 
 class TestActParametric:
