@@ -43,7 +43,6 @@ from .mdp import (
     validate_mdp,
 )
 from .policies import (
-    CallablePolicy,
     MarkovianPolicy,
     ParametricHistoryPolicy,
     PolicyHandle,

@@ -108,8 +108,8 @@ class ExperimentConfig:
         if not 0 < self.theta <= 1 or not 0 < self.rho <= 1:
             raise ValueError("theta and rho must lie in (0, 1]")
         sweep = tuple(int(n) for n in self.n_sweep)
-        if any(b <= a for a, b in zip(sweep, sweep[1:])) or not sweep:
-            raise ValueError("n_sweep must be nonempty and strictly increasing")
+        if not sweep or sweep[0] < 1 or any(b <= a for a, b in zip(sweep, sweep[1:])):
+            raise ValueError("n_sweep must be nonempty, positive and strictly increasing")
         object.__setattr__(self, "n_sweep", sweep)
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         if self.expert_kind not in ("markovian", "parametric-history"):
@@ -121,6 +121,8 @@ class ExperimentConfig:
         unknown = set(self.algorithms) - set(KNOWN_ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms {sorted(unknown)}")
+        if len(set(self.algorithms)) != len(self.algorithms):
+            raise ValueError(f"duplicate algorithm names in {self.algorithms}")
         if self.instances < 1 or self.seeds_per_dataset < 1 or self.mc_samples < 1:
             raise ValueError("instances, seeds_per_dataset and mc_samples must be positive")
 

@@ -1,20 +1,21 @@
 """Hand-built MDPs with exactly known behavior, used as test oracles.
 
 Two constructions live here: a four-state, horizon-3 MDP whose
-history-dependent expert has a point-mass return distribution that no
-Markovian policy can approach closer than Wasserstein 0.5, and a reward
-table assigning every (stage, state, action) triple its own power of ten so
-that distinct trajectories always have distinct returns (which makes total
-variation between return distributions coincide with half the L1 distance
-between trajectory distributions).
+non-Markovian expert, a reward-augmented table phi_h(a | s, g), has a
+point-mass return distribution that no Markovian policy can approach closer
+than Wasserstein 0.5, and a reward table assigning every (stage, state,
+action) triple its own power of ten so that distinct trajectories always
+have distinct returns (which makes total variation between return
+distributions coincide with half the L1 distance between trajectory
+distributions).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .mdp import TabularMdp
-from .policies import CallablePolicy, MarkovianPolicy
+from .mdp import RewardGrid, TabularMdp, discretize_reward
+from .policies import MarkovianPolicy, RewardAugmentedPolicy
 
 __all__ = [
     "make_fork_fixture",
@@ -30,7 +31,7 @@ TV_HARD_DIGIT_LIMIT = 15
 _S_INIT, _S_UP, _S_DOWN, _S_MERGE = 0, 1, 2, 3
 
 
-def make_fork_fixture() -> tuple[TabularMdp, CallablePolicy]:
+def make_fork_fixture() -> tuple[TabularMdp, RewardAugmentedPolicy]:
     """The 4-state, 2-action, horizon-3 MDP with its deterministic expert.
 
     From the initial state both actions earn 0 and move to s1 or s2 with
@@ -40,6 +41,13 @@ def make_fork_fixture() -> tuple[TabularMdp, CallablePolicy]:
     so its return is always exactly 1.  Any Markovian policy splits mass
     across returns {0, 1, 2} with the middle pinned at 1/2, which keeps its
     Wasserstein distance from the expert at exactly 0.5.
+
+    The expert is a reward-augmented table on the unit grid (theta = 1).
+    The only reward collected before the merge state is s1's 1, so there
+    the cumulative grid reward g is 1 exactly when the path passed through
+    s1 and 0 when it passed through s2: the table plays action 1 at
+    (stage 2, merge, g = 0) and action 0 everywhere else, which is the
+    history rule above, decision for decision.
     """
     num_states, num_actions, horizon = 4, 2, 3
     transitions = np.zeros((horizon, num_states, num_actions, num_states))
@@ -67,17 +75,11 @@ def make_fork_fixture() -> tuple[TabularMdp, CallablePolicy]:
         reward=reward,
     )
 
-    def expert(h: int, state: int, history) -> np.ndarray:
-        if state == _S_MERGE:
-            passed_up = any(s == _S_UP for s, _ in history)
-            action = 0 if passed_up else 1
-        else:
-            action = 0
-        probs = np.zeros(num_actions)
-        probs[action] = 1.0
-        return probs
-
-    return mdp, CallablePolicy(expert)
+    grid = RewardGrid(1.0, horizon)
+    table = np.zeros((horizon, num_states, grid.num_multiples(horizon - 1), num_actions))
+    table[..., 0] = 1.0
+    table[2, _S_MERGE, 0] = (0.0, 1.0)
+    return mdp, RewardAugmentedPolicy(grid, table, discretize_reward(reward, grid))
 
 
 def fork_markovian_policy(alpha: float) -> MarkovianPolicy:

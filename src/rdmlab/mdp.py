@@ -186,10 +186,6 @@ class RewardGrid:
     def num_multiples(self, steps: int) -> int:
         return self.max_multiple(steps) + 1
 
-    def stage_values(self, steps: int) -> np.ndarray:
-        """Grid values attainable after ``steps`` steps, as floats."""
-        return np.arange(self.num_multiples(steps)) * self.theta
-
     @property
     def full_size(self) -> int:
         """Size of the final grid covering [0, horizon]."""
@@ -261,11 +257,6 @@ class AugmentedMdp:
     def increments(self) -> np.ndarray:
         """Integer g-offsets collected by each (h, s, a) step."""
         return self.reward.multiples
-
-    @property
-    def num_aug_states(self) -> int:
-        """|S x Y|, with Y the full grid covering [0, horizon]."""
-        return self.base.num_states * self.grid.full_size
 
     def return_support_mask(self) -> np.ndarray:
         """Boolean mask over full-grid multiples reachable as total returns."""

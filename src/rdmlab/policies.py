@@ -1,9 +1,9 @@
 """Policy representations, trajectory sampling, and return-distribution evaluation.
 
-Four policy kinds share one interface, ``act(h, state, history) -> action
+Three policy kinds share one interface, ``act(h, state, history) -> action
 probabilities``: Markovian tables, reward-augmented tables indexed by the
-discretized cumulative reward, the random-projection history policies used
-as simulation experts, and arbitrary callables for hand-built fixtures.
+discretized cumulative reward (the hand-built fork expert among them), and
+the random-projection history policies used as simulation experts.
 
 Exact evaluation comes in two flavors: a forward dynamic program over
 (state, cumulative grid reward) pairs for policies that condition only on
@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -80,7 +80,6 @@ __all__ = [
     "MarkovianPolicy",
     "RewardAugmentedPolicy",
     "ParametricHistoryPolicy",
-    "CallablePolicy",
     "PolicyHandle",
     "EnumerationCapError",
     "ENUMERATION_CAP",
@@ -251,17 +250,7 @@ class ParametricHistoryPolicy:
         return act_parametric(self, history, state, h)
 
 
-@dataclass(frozen=True)
-class CallablePolicy:
-    """Wraps an exact closure (h, state, history) -> action probabilities."""
-
-    fn: Callable[[int, int, History], np.ndarray]
-
-    def act(self, h: int, state: int, history: History = ()) -> np.ndarray:
-        return np.asarray(self.fn(h, state, history), dtype=float)
-
-
-PolicyHandle = Union[MarkovianPolicy, RewardAugmentedPolicy, ParametricHistoryPolicy, CallablePolicy]
+PolicyHandle = Union[MarkovianPolicy, RewardAugmentedPolicy, ParametricHistoryPolicy]
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -438,9 +427,9 @@ def _stages(
     ``cur`` and ``a`` are the (n,) states and drawn actions at stage ``h``;
     the walk never writes them after yielding.  Each stage draws one uniform
     per row for the actions, then, except after the last action (nothing
-    reads that state), one per row for the next states.  The table-based and
-    parametric kinds draw vectorized; callables build each row's history
-    tuple and call the closure once per row.  ``n >= 1``.
+    reads that state), one per row for the next states.  All rows draw at
+    once: a table policy reads row (h, s) or (h, s, g), the parametric
+    expert the row of each row's (history, state) prefix.  ``n >= 1``.
     """
     rng = np.random.default_rng(seed)
     horizon, num_states, num_actions = mdp.horizon, mdp.num_states, mdp.num_actions
@@ -462,8 +451,6 @@ def _stages(
         features = np.empty((n, PROJECTION_DIM))
         cdf = np.empty((n, width))
         peak = np.empty((n, 1))
-    elif isinstance(policy, CallablePolicy):
-        histories: list[list[tuple[int, int]]] = [[] for _ in range(n)]
 
     for h in range(horizon):
         row = h * num_states + cur  # flat (stage, state) index
@@ -474,11 +461,6 @@ def _stages(
         elif isinstance(policy, ParametricHistoryPolicy):
             _prefix_cdf(policy, prefix_state, encoded, features, cdf, peak)
             a = _draw(rng, _Table(cdf.ravel(), width), pid)
-        elif isinstance(policy, CallablePolicy):
-            probs = np.stack(
-                [policy.act(h, int(cur[i]), tuple(histories[i])) for i in range(n)]
-            )
-            a = _draw(rng, _cdf_table(probs), np.arange(n))
         else:
             raise TypeError(f"unsupported policy kind {type(policy).__name__}")
         yield h, cur, a
@@ -496,9 +478,6 @@ def _stages(
             encoded[:m, 2 * h] = prefix_state[parent]
             encoded[:m, 2 * h + 1] = key // num_states % width
             prefix_state = key % num_states
-        elif isinstance(policy, CallablePolicy):
-            for i in range(n):
-                histories[i].append((int(cur[i]), int(a[i])))
         cur = nxt
 
 

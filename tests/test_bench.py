@@ -48,6 +48,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             tiny_cfg(expert_kind="parametric-history")  # exact-dp needs markovian
 
+    @pytest.mark.parametrize(
+        "override, match",
+        [
+            ({"n_sweep": (0, 5)}, "positive"),
+            ({"n_sweep": (-3,)}, "positive"),
+            ({"algorithms": ("bc", "bc")}, "duplicate"),
+            ({"algorithms": ("rs-bc", "bc", "rs-bc")}, "duplicate"),
+        ],
+    )
+    def test_rejects_input_it_cannot_run(self, override, match):
+        """A sample size below one or an algorithm named twice is refused when
+        the config is built, before any instance is generated."""
+        with pytest.raises(ValueError, match=match):
+            tiny_cfg(**override)
+
     def test_json_round_trip(self, tmp_path):
         import json
 

@@ -57,6 +57,43 @@ class TestForkFixture:
             rl.fork_markovian_policy(1.5)
 
 
+class TestForkExpertOracles:
+    """The fork expert is a reward-augmented table, so the exact DP, trajectory
+    enumeration and Monte Carlo all evaluate it, and must agree."""
+
+    POINT_MASS = ([1.0], [1.0])
+
+    def test_exact_dp_equals_enumeration(self):
+        mdp, expert = rl.make_fork_fixture()
+        assert isinstance(expert, rl.RewardAugmentedPolicy)
+        dp = rl.exact_return_distribution(mdp, expert, mdp.reward, expert.grid)
+        brute = rl.brute_force_return_distribution(mdp, expert, mdp.reward)
+        for d in (dp, brute):
+            assert (d.support.tolist(), d.probs.tolist()) == self.POINT_MASS
+
+    @pytest.mark.parametrize("m", [1, 7, 10_000])
+    def test_monte_carlo_gives_the_point_mass(self, m):
+        mdp, expert = rl.make_fork_fixture()
+        d = rl.mc_return_distribution(mdp, expert, mdp.reward, m, seed=3)
+        assert (d.support.tolist(), d.probs.tolist()) == self.POINT_MASS
+
+    def test_sampled_actions_follow_the_history_rule(self):
+        """Action 1 exactly in the merge state after s2, action 0 elsewhere."""
+        mdp, expert = rl.make_fork_fixture()
+        data = rl.sample_trajectories(mdp, expert, 1000, seed=0)
+        assert set(data.states[:, 1].tolist()) == {1, 2}
+        want = np.zeros_like(data.actions)
+        want[:, 2] = data.states[:, 1] == 2
+        assert np.array_equal(data.actions, want)
+
+    def test_projection_reproduces_the_table_where_reached(self):
+        mdp, expert = rl.make_fork_fixture()
+        pi_r = rl.construct_pi_r(mdp, expert, expert.reward, expert.grid)
+        reached = rl.exact_augmented_occupancy(mdp, expert, expert.reward).sum(axis=3) > 0
+        assert reached.sum() == 5  # s0; s1 and s2; the merge state with g = 0 and g = 1
+        assert np.array_equal(pi_r.table[reached], expert.table[reached])
+
+
 class TestTvHardReward:
     def test_all_returns_distinct_at_222(self):
         reward = make_tv_hard_reward(2, 2, 2)

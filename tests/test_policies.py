@@ -58,10 +58,6 @@ class TestSampling:
             "8694740ba00fcf8ac78beadb4956f87de02d421c4e097cdb6b6c7e5285f092eb",
             "154169f57895db018d9c51081dcf0351c37c16be6e78be9db5b83e9aa9e2e961",
         ),
-        "callable": (
-            "4facbe90bd623082a3ed9130b8bf224b701635f02729e69dd491d5200d93dbdd",
-            "9ed407d49bfcd68864b09e43ffed4fe6752d67c534b528cb5fde77627a227434",
-        ),
     }
 
     @pytest.mark.parametrize("kind", sorted(PINNED_DRAWS))
@@ -69,19 +65,12 @@ class TestSampling:
         mdp, _ = make_instance(7, num_states=4, num_actions=3, horizon=4)
         rng = np.random.default_rng(2024)
         grid = rl.RewardGrid(0.25, mdp.horizon)
-
-        def callable_fn(h, state, history):
-            probs = np.full(3, 0.2)
-            probs[(state + len(history) + sum(a for _, a in history)) % 3] = 0.6
-            return probs
-
         policies = {
             "markovian": rl.random_markovian_policy(4, 3, 4, rng),
             "reward-augmented": random_reward_augmented_policy(
                 rl.discretize_reward(mdp.reward, grid), 4, rng
             ),
             "parametric": random_parametric_policy(4, 3, 4, rng),
-            "callable": rl.CallablePolicy(callable_fn),
         }
         data = rl.sample_trajectories(mdp, policies[kind], 500, seed=11)
         digests = tuple(
@@ -396,7 +385,7 @@ class TestSampleCounts:
 
     def _case(self, kind):
         """(mdp, policy, rho) with a reward on the rho grid."""
-        if kind == "callable":
+        if kind == "fork":
             mdp, expert = rl.make_fork_fixture()  # 0/1 rewards
             return mdp, expert, 0.5
         mdp, _ = make_instance(7, num_states=4, num_actions=3, horizon=4, rho=self.RHO)
@@ -420,7 +409,7 @@ class TestSampleCounts:
 
     @pytest.mark.parametrize("n", [1, 7, 1000])
     @pytest.mark.parametrize("coarsen", [1, 2])  # theta = rho, theta = 2 rho
-    @pytest.mark.parametrize("kind", ["markovian", "reward-augmented", "parametric", "callable"])
+    @pytest.mark.parametrize("kind", ["markovian", "reward-augmented", "parametric", "fork"])
     def test_equals_count_of_sampled_dataset(self, kind, coarsen, n):
         mdp, policy, rho = self._case(kind)
         reward = rl.discretize_reward(mdp.reward, rl.RewardGrid(coarsen * rho, mdp.horizon))
@@ -483,10 +472,10 @@ class TestActParametric:
 
 class TestEnumeration:
     @pytest.mark.parametrize(
-        "kind", ["markovian", "reward-augmented", "parametric-history", "callable"]
+        "kind", ["markovian", "reward-augmented", "parametric-history", "fork"]
     )
     def test_rows_are_distinct_trajectories_with_unit_mass(self, kind):
-        if kind == "callable":
+        if kind == "fork":
             mdp, policy = rl.make_fork_fixture()
         elif kind == "reward-augmented":
             mdp, _ = make_instance(6, rho=0.5, horizon=3)
@@ -613,9 +602,9 @@ class TestExactReturnDistribution:
         assert rl.wasserstein(got, expected) <= 1e-12
 
     def test_rejects_non_dp_policies(self):
-        mdp, expert = rl.make_fork_fixture()
+        mdp, expert = make_instance(6, expert_kind="parametric-history", rho=0.5)
         with pytest.raises(TypeError):
-            rl.exact_return_distribution(mdp, expert, mdp.reward, rl.RewardGrid(1.0, 3))
+            rl.exact_return_distribution(mdp, expert, mdp.reward, rl.RewardGrid(0.5, mdp.horizon))
 
 
 class TestMonteCarlo:
@@ -712,10 +701,12 @@ class TestMonteCarlo:
         counts = sampled.probs * m
         assert np.allclose(counts, np.round(counts), rtol=0, atol=1e-9) and counts.min() >= 1
 
-    def test_rejects_callable_policies(self):
-        mdp, expert = rl.make_fork_fixture()
+    def test_rejects_objects_that_are_not_policies(self):
+        """Anything outside the three kinds is refused, never read as the
+        parametric expert."""
+        mdp, _ = rl.make_fork_fixture()
         with pytest.raises(TypeError):
-            rl.mc_return_distribution(mdp, expert, mdp.reward, 100, seed=1)
+            rl.mc_return_distribution(mdp, object(), mdp.reward, 100, seed=1)
 
     def test_transition_rows_a_hair_above_one(self):
         """A row summing to 1 + 1e-10 passes ``validate_mdp``; the multinomial
