@@ -12,8 +12,8 @@ import math
 import numpy as np
 
 from .lp import LinearProgram, LpError, solve
-from .mdp import Dataset, TabularMdp
-from .policies import ZERO_MASS, MarkovianPolicy, normalize_rows
+from .mdp import Dataset, GridReward, RewardGrid, TabularMdp
+from .policies import ZERO_MASS, MarkovianPolicy, exact_augmented_occupancy, normalize_rows
 
 __all__ = ["count_state_actions", "bc_from_counts", "bc", "mimic_md_from_counts", "mimic_md"]
 
@@ -101,16 +101,13 @@ def mimic_md_from_counts(counts: np.ndarray, mdp: TabularMdp) -> MarkovianPolicy
     d_hat = (counts / counts[0].sum()).ravel()
     b_eq[res0:] = d_hat
 
-    # crash basis: the vertex of the pinned ratios, action 0 where unobserved
+    # crash basis: the vertex of the pinned ratios, action 0 where unobserved;
+    # its occupancy is the augmented one on a zero reward, summed over g
     table = np.zeros((horizon, num_states, num_actions))
     table[..., 0] = 1.0
     table[h_seen, s_seen] = ratios
-    d = np.zeros_like(table)
-    mass = np.zeros(num_states)
-    mass[mdp.initial_state] = 1.0
-    for h in range(horizon):
-        d[h] = mass[:, None] * table[h]
-        mass = np.einsum("sa,sat->t", d[h], mdp.transitions[h])
+    zero = GridReward(RewardGrid(1.0, horizon), np.zeros(table.shape, dtype=np.int64))
+    d = exact_augmented_occupancy(mdp, MarkovianPolicy(table), zero).sum(axis=2)
     basic_d = np.zeros(table.shape, dtype=bool)
     basic_d[..., 0] = True
     basic_d[h_seen, s_seen] = True

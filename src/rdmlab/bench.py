@@ -26,7 +26,7 @@ from .baselines import bc_from_counts, mimic_md_from_counts
 from .distributions import DiscreteReturnDistribution, wasserstein
 from .fixtures import make_fork_fixture, make_tv_hard_reward, fork_markovian_policy
 from .lp import LpError
-from .mdp import GridOverflowError, GridReward, RewardGrid, TabularMdp, discretize_reward
+from .mdp import GridReward, RewardGrid, TabularMdp, discretize_reward
 from .policies import (
     EnumerationCapError,
     MarkovianPolicy,
@@ -107,7 +107,11 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not 0 < self.theta <= 1 or not 0 < self.rho <= 1:
             raise ValueError("theta and rho must lie in (0, 1]")
+        for step in (self.theta, self.rho):
+            RewardGrid(step, self.horizon)  # refuses a step whose grids do not nest
         sweep = tuple(int(n) for n in self.n_sweep)
+        if sweep != tuple(self.n_sweep):
+            raise ValueError(f"n_sweep entries must be whole numbers, got {self.n_sweep}")
         if not sweep or sweep[0] < 1 or any(b <= a for a, b in zip(sweep, sweep[1:])):
             raise ValueError("n_sweep must be nonempty, positive and strictly increasing")
         object.__setattr__(self, "n_sweep", sweep)
@@ -284,9 +288,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """Full protocol: instances x dataset sizes x dataset seeds x algorithms.
 
     Per-run failures of an algorithm (``LpError``, including the simplex's
-    ``LpIterationError``, ``EnumerationCapError`` and ``GridOverflowError``)
-    are recorded and excluded from the aggregates rather than aborting the
-    sweep; any other exception is a programming error and propagates.
+    ``LpIterationError``, and ``EnumerationCapError``) are recorded and
+    excluded from the aggregates rather than aborting the sweep; any other
+    exception is a programming error and propagates.
     """
     per_instance: dict[tuple[str, int], list[float]] = {
         (alg, n): [] for alg in cfg.algorithms for n in cfg.n_sweep
@@ -303,7 +307,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
                         seed_errors[alg].append(
                             _run_one(cfg, idx, mdp, counts, reward, truth, (i, k, j))
                         )
-                    except (LpError, EnumerationCapError, GridOverflowError):
+                    except (LpError, EnumerationCapError):
                         failures[(alg, n)] += 1
                 # else M stays alive while the next dataset is sampled and counted
                 del counts

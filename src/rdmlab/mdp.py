@@ -6,12 +6,26 @@ h-th action, ``h in range(horizon)``); prose that counts stages from 1 maps
 to index ``h - 1``.  Cumulative rewards on a grid are stored as integer
 multiples of the step size; they become floats only when a distribution or
 a distance is actually computed.
+
+Every forward pass of mass over the reward-augmented states (s, g) runs
+through one stage kernel, ``_push_stage``: mass lives only on the live
+cells of the accumulator box, and per action the action-weighted mass,
+shifted by that step's grid multiples, goes to the next stage in one
+``P_h[:, a, :].T @ slab`` GEMM.  This shift-and-add on a fixed grid is the
+categorical projection of Bellemare, Dabney & Munos (2017).  Its five
+consumers: the return DP and the joint policy x return DP
+(``policies.exact_return_distribution``; both accumulators sum the same
+rewards, so the joint live cells lie on a narrow band of the box), the
+augmented occupancy (``policies.exact_augmented_occupancy``), ``rs-kt``'s
+reachable cells (``build_augmented_mdp``) and ``mimic-md``'s crash vertex
+(``baselines``: its crash policy's occupancy on a zero reward, summed over g).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -21,7 +35,6 @@ __all__ = [
     "RewardGrid",
     "GridReward",
     "AugmentedMdp",
-    "GridOverflowError",
     "validate_mdp",
     "discretize_reward",
     "build_augmented_mdp",
@@ -33,10 +46,6 @@ _FLOOR_SLACK = 1e-9
 
 #: Tolerance for probability rows summing to one.
 PROB_TOL = 1e-9
-
-
-class GridOverflowError(RuntimeError):
-    """A cumulative grid value escaped its per-stage range (discretization bug)."""
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -165,7 +174,10 @@ class RewardGrid:
 
     After ``k`` steps the attainable grid covers [0, k], i.e. the multiples
     ``{0, 1, ..., floor(k / theta)}`` of ``theta``.  ``num_multiples(1)`` is
-    the one-step grid that reward discretization rounds onto.
+    the one-step grid that reward discretization rounds onto.  The grids
+    must nest, ``k * max_multiple(1) <= max_multiple(k)`` for k up to the
+    horizon, so a cumulative multiple never leaves its stage's grid (the
+    tolerant floor breaks this only within ~1e-9 below 1/n, e.g. 1/(10 - 5e-10)).
     """
 
     theta: float
@@ -176,6 +188,13 @@ class RewardGrid:
             raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
         if self.horizon < 1:
             raise ValueError("horizon must be positive")
+        one = self.max_multiple(1)
+        for k in range(2, self.horizon + 1):
+            if k * one > self.max_multiple(k):
+                raise ValueError(
+                    f"theta={self.theta!r}: grids do not nest at k={k} "
+                    f"({k} * {one} > max_multiple({k}) = {self.max_multiple(k)})"
+                )
 
     def max_multiple(self, steps: int) -> int:
         """Largest integer k with k * theta <= steps (decimal-tolerant floor)."""
@@ -235,16 +254,75 @@ def discretize_reward(reward: np.ndarray | GridReward, grid: RewardGrid) -> Grid
     return GridReward(grid, k)
 
 
+def _push_stage(
+    cells: np.ndarray,
+    mass: np.ndarray,
+    phi: np.ndarray,
+    transitions: np.ndarray,
+    shifts: np.ndarray,
+    limits: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """One forward stage of probability mass over (state, live grid accumulators).
+
+    ``cells`` is the sorted array of live accumulator cells, as flat keys
+    row-major over the box ``limits`` (one axis per accumulator), and
+    ``mass`` is (S, K): the probability of each state with each live cell.
+    ``phi`` holds the action probabilities at those cells with the action
+    axis last; it broadcasts against (S, K, A).  ``transitions`` is this
+    stage's (S, A, S) tensor and ``shifts`` the (S, A, len(limits)) grid
+    multiples each (state, action) adds to the accumulators.  Returns the
+    next stage's sorted live keys and their (S, K') mass.  Mass shifted past
+    a per-axis limit is dropped, never wrapped into the next row of the flat
+    key, so callers size their grids so that none is, and check the total.
+
+    The next keys are ``cell + flat shift`` over every (state, cell) with
+    mass and every action, found with a presence map over the box.  For each
+    action the action-weighted mass fills one zeroed (S, K') slab by one
+    fancy-index assignment (one (state, action) never sends two cells to one
+    key; mass with nowhere to go lands in a spare column), and a single
+    transition GEMM pushes the slab into the next stage.
+    """
+    num_states, num_actions = transitions.shape[:2]
+    size = math.prod(limits)
+    strides = [math.prod(limits[d + 1 :]) for d in range(len(limits))]
+    dst = cells + (shifts @ strides)[:, :, None]  # (S, A, K); key ``size`` is dropped
+    for d, (coord, n) in enumerate(zip(np.unravel_index(cells, limits), limits)):
+        dst[shifts[:, :, d, None] >= n - coord] = size  # past a limit
+    np.copyto(dst, size, where=(mass == 0.0)[:, None, :])  # no mass to move
+    present = np.zeros(size + 1, dtype=bool)
+    present[dst] = True
+    nxt_cells = present[:size].nonzero()[0]
+    pos = np.empty(size + 1, dtype=np.intp)
+    pos[nxt_cells] = np.arange(nxt_cells.size)
+    pos[size] = nxt_cells.size  # dropped mass goes to a spare column
+    cols = pos[dst]
+    rows = np.arange(num_states)[:, None]
+    weighted = np.empty_like(mass)
+    slab = np.empty((num_states, nxt_cells.size + 1))
+    nxt = np.empty((num_states, nxt_cells.size))
+    pushed = np.empty_like(nxt)
+    for a in range(num_actions):
+        slab.fill(0.0)
+        np.multiply(mass, phi[:, :, a], out=weighted)
+        slab[rows, cols[:, a]] = weighted
+        # The first action's GEMM writes the next stage, saving a zero fill and an add.
+        np.matmul(transitions[:, a, :].T, slab[:, :-1], out=pushed if a else nxt)
+        if a:
+            nxt += pushed
+    return nxt_cells, nxt
+
+
 @dataclass(frozen=True)
 class AugmentedMdp:
     """The base MDP with the discretized cumulative reward folded into the state.
 
     Augmented states are pairs (s, g) with g an integer grid multiple; the
     initial state is (s0, 0).  Playing ``a`` in (s, g) at stage ``h`` moves
-    to (s', g + increments[h, s, a]) with the base probability p_h(s'|s, a),
-    so rows of the augmented kernel sum to one whenever the base rows do.
-    ``reachable[h]`` masks the (s, g) pairs attainable at stage ``h`` under
-    some action sequence; ``reachable[horizon]`` holds the post-episode pairs,
+    to (s', g + reward.multiples[h, s, a]) with the base probability
+    p_h(s'|s, a), so rows of the augmented kernel sum to one whenever the
+    base rows do.  ``reachable[h]`` is the (S, num_multiples(h)) mask of the
+    (s, g) pairs attainable at stage ``h`` under some action sequence;
+    ``reachable[horizon]`` holds the post-episode pairs over the full grid,
     whose g-marginal is the attainable return support.
     """
 
@@ -253,17 +331,9 @@ class AugmentedMdp:
     reward: GridReward
     reachable: tuple[np.ndarray, ...]
 
-    @property
-    def increments(self) -> np.ndarray:
-        """Integer g-offsets collected by each (h, s, a) step."""
-        return self.reward.multiples
-
     def return_support_mask(self) -> np.ndarray:
         """Boolean mask over full-grid multiples reachable as total returns."""
-        final = self.reachable[self.base.horizon].any(axis=0)
-        mask = np.zeros(self.grid.full_size, dtype=bool)
-        mask[: final.shape[0]] = final
-        return mask
+        return self.reachable[self.base.horizon].any(axis=0)
 
 
 def build_augmented_mdp(
@@ -273,34 +343,26 @@ def build_augmented_mdp(
 
     ``reward`` defaults to ``mdp.reward``; passing an explicit table lets the
     caller augment with a reward different from the one stored in the MDP.
-    A forward reachability pass over (s, g) pairs is run here once and reused
-    by the occupancy LP to prune variables.
+    Reachability, which the occupancy LP uses to prune variables, is one
+    ``_push_stage`` walk with weight 1 on every action and the support
+    ``transitions > 0`` as the kernel: a cell's mass counts the paths into
+    it, capped at 1 after each stage (an inf count would make the GEMM
+    NaN), and only ``> 0`` is read.
     """
     if grid.horizon != mdp.horizon:
         raise ValueError("grid horizon does not match MDP horizon")
     gr = discretize_reward(mdp.reward if reward is None else reward, grid)
-    horizon, num_states = mdp.horizon, mdp.num_states
-    reachable: list[np.ndarray] = [
-        np.zeros((num_states, grid.num_multiples(h)), dtype=bool)
-        for h in range(horizon + 1)
-    ]
-    reachable[0][mdp.initial_state, 0] = True
-    for h in range(horizon):
-        cur, nxt = reachable[h], reachable[h + 1]
-        g_cap = grid.max_multiple(h + 1)
-        for s in range(num_states):
-            live = cur[s]
-            if not live.any():
-                continue
-            g_top = int(np.nonzero(live)[0][-1])
-            for a in range(mdp.num_actions):
-                k = int(gr.multiples[h, s, a])
-                if g_top + k > g_cap:
-                    raise GridOverflowError(
-                        f"stage {h}: g={g_top} + increment {k} escapes the stage-{h + 1} grid"
-                    )
-                targets = mdp.transitions[h, s, a] > 0.0
-                if targets.any():
-                    nxt[targets, k : k + g_top + 1] |= live[: g_top + 1]
+    support = (mdp.transitions > 0.0).astype(float)
+    every_action = np.ones((1, 1, mdp.num_actions))
+    cells, paths = np.zeros(1, dtype=np.intp), np.zeros((mdp.num_states, 1))
+    paths[mdp.initial_state] = 1.0
+    reachable = []
+    for h in range(mdp.horizon + 1):
+        reachable.append(np.zeros((mdp.num_states, grid.num_multiples(h)), dtype=bool))
+        reachable[h][:, cells] = paths > 0.0
+        if h < mdp.horizon:
+            shifts, limits = gr.multiples[h][..., None], (grid.full_size,)
+            cells, paths = _push_stage(cells, paths, every_action, support[h], shifts, limits)
+            np.minimum(paths, 1.0, out=paths)
     frozen = tuple(_frozen(m, bool) for m in reachable)
     return AugmentedMdp(base=mdp, grid=grid, reward=gr, reachable=frozen)

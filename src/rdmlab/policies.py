@@ -8,17 +8,9 @@ the random-projection history policies used as simulation experts.
 Exact evaluation comes in two flavors: a forward dynamic program over
 (state, cumulative grid reward) pairs for policies that condition only on
 that pair, and full trajectory enumeration (capped at ``(S*A)^H <= 2^20``)
-for everything else.  Every forward pass (Markovian and reward-augmented
+for everything else.  The dynamic programs (Markovian and reward-augmented
 return distributions, the joint policy x return accumulator, augmented
-occupancy) runs through one stage kernel, ``_push_stage``, which keeps
-mass only on live accumulator cells: a sorted array of flat keys into the
-accumulator box and an (S, K) mass.  Per action it scatters the
-action-weighted mass of every state, shifted by that step's grid multiples,
-into one zeroed slab over the next stage's live keys and adds
-``P_h[:, a, :].T @ slab`` to the next stage.  Both accumulators of the joint
-program sum the same rewards, so its live cells lie on a narrow band of the
-box.  This shift-and-add on a fixed grid is the categorical projection of
-Bellemare, Dabney & Munos (2017).
+occupancy) run through the stage kernel of ``rdmlab.mdp``, ``_push_stage``.
 The enumeration path stays outside the kernel: it is the independent oracle
 the DP is tested against.  Its one depth-first walk over histories returns
 a ``Dataset`` with one row per positive-probability trajectory, and their
@@ -61,7 +53,6 @@ grow with the varying prefix count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence, Union
 
@@ -73,6 +64,7 @@ from .mdp import (
     GridReward,
     RewardGrid,
     TabularMdp,
+    _push_stage,
     discretize_reward,
 )
 
@@ -677,64 +669,6 @@ def mc_return_distribution(
 def _dp_mass_check(total: float) -> None:
     if abs(total - 1.0) > _MASS_TOL:
         raise AssertionError(f"dynamic program lost probability mass: total {total!r}")
-
-
-def _push_stage(
-    cells: np.ndarray,
-    mass: np.ndarray,
-    phi: np.ndarray,
-    transitions: np.ndarray,
-    shifts: np.ndarray,
-    limits: Sequence[int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """One forward stage of probability mass over (state, live grid accumulators).
-
-    ``cells`` is the sorted array of live accumulator cells, as flat keys
-    row-major over the box ``limits`` (one axis per accumulator), and
-    ``mass`` is (S, K): the probability of each state with each live cell.
-    ``phi`` holds the action probabilities at those cells with the action
-    axis last; it broadcasts against (S, K, A).  ``transitions`` is this
-    stage's (S, A, S) tensor and ``shifts`` the (S, A, len(limits)) grid
-    multiples each (state, action) adds to the accumulators.  Returns the
-    next stage's sorted live keys and their (S, K') mass.  Mass shifted past
-    a per-axis limit is dropped, never wrapped into the next row of the flat
-    key, so callers size their grids so that none is, and check the total.
-
-    The next keys are ``cell + flat shift`` over every (state, cell) with
-    mass and every action, found with a presence map over the box.  For each
-    action the action-weighted mass fills one zeroed (S, K') slab by one
-    fancy-index assignment (one (state, action) never sends two cells to one
-    key; mass with nowhere to go lands in a spare column), and a single
-    transition GEMM pushes the slab into the next stage.
-    """
-    num_states, num_actions = transitions.shape[:2]
-    size = math.prod(limits)
-    strides = [math.prod(limits[d + 1 :]) for d in range(len(limits))]
-    dst = cells + (shifts @ strides)[:, :, None]  # (S, A, K); key ``size`` is dropped
-    for d, (coord, n) in enumerate(zip(np.unravel_index(cells, limits), limits)):
-        dst[shifts[:, :, d, None] >= n - coord] = size  # past a limit
-    np.copyto(dst, size, where=(mass == 0.0)[:, None, :])  # no mass to move
-    present = np.zeros(size + 1, dtype=bool)
-    present[dst] = True
-    nxt_cells = present[:size].nonzero()[0]
-    pos = np.empty(size + 1, dtype=np.intp)
-    pos[nxt_cells] = np.arange(nxt_cells.size)
-    pos[size] = nxt_cells.size  # dropped mass goes to a spare column
-    cols = pos[dst]
-    rows = np.arange(num_states)[:, None]
-    weighted = np.empty_like(mass)
-    slab = np.empty((num_states, nxt_cells.size + 1))
-    nxt = np.empty((num_states, nxt_cells.size))
-    pushed = np.empty_like(nxt)
-    for a in range(num_actions):
-        slab.fill(0.0)
-        np.multiply(mass, phi[:, :, a], out=weighted)
-        slab[rows, cols[:, a]] = weighted
-        # The first action's GEMM writes the next stage, saving a zero fill and an add.
-        np.matmul(transitions[:, a, :].T, slab[:, :-1], out=pushed if a else nxt)
-        if a:
-            nxt += pushed
-    return nxt_cells, nxt
 
 
 def exact_return_distribution(

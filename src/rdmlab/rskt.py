@@ -102,7 +102,7 @@ class RsktLayout:
         return dense
 
     def return_distribution(self, x: np.ndarray) -> np.ndarray:
-        """eta over the kept grid: final-stage d pushed through the last increments."""
+        """eta over the kept grid: final-stage d shifted by the last reward multiples."""
         cols, returns = self._final_entries()
         return np.bincount(returns, weights=x[cols], minlength=self.n_keep)
 
@@ -113,7 +113,7 @@ class RsktLayout:
         s, g = np.nonzero(self.column[last] >= 0)
         actions = np.arange(num_actions)
         cols = self.column[last, s, g][:, None] + actions
-        returns = g[:, None] + self.aug.increments[last][s]
+        returns = g[:, None] + self.aug.reward.multiples[last][s]
         return cols.ravel(), returns.ravel()
 
     def pack_occupancy(self, occ: np.ndarray, eta_hat_full: np.ndarray) -> np.ndarray:
@@ -247,7 +247,7 @@ def _assemble_lp(layout: RsktLayout, eta_hat_full: np.ndarray) -> LinearProgram:
     h, s, g = np.nonzero(column[:-1] >= 0)
     p = base.transitions[h, s]  # (cells, A, S')
     i, a, s_next = np.nonzero(p > 0.0)
-    g_next = g[i] + aug.increments[h[i], s[i], a]
+    g_next = g[i] + aug.reward.multiples[h[i], s[i], a]
     a_eq[row_of[h[i] + 1, s_next, g_next], column[h[i], s[i], g[i]] + a] = -p[i, a, s_next]
 
     # CDF rows: x+_g - x-_g - x+_{g-1} + x-_{g-1} - eta_g = -eta_hat_g

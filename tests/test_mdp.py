@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 import rdmlab as rl
 
+from conftest import make_instance
+
 
 def two_state_mdp():
     transitions = np.zeros((2, 2, 2, 2))
@@ -114,6 +116,15 @@ class TestRewardGrid:
         with pytest.raises(ValueError):
             rl.RewardGrid(1.5, 3)
 
+    def test_non_nesting_step_is_refused(self):
+        # max_multiple(1) = 10 but max_multiple(3) = 29: three rounded rewards
+        # of 10 multiples each would leave the three-step grid
+        theta = 1 / (10 - 5e-10)
+        with pytest.raises(ValueError, match=rf"theta={theta!r}.*k=3"):
+            rl.RewardGrid(theta, 5)
+        grid = rl.RewardGrid(theta, 2)  # nests up to two steps
+        assert 2 * grid.max_multiple(1) <= grid.max_multiple(2)
+
 
 class TestAugmentedMdp:
     def test_deterministic_chain_accumulates(self):
@@ -141,6 +152,50 @@ class TestAugmentedMdp:
         for key, p in zip(zip(data.states[:, 2].tolist(), g.tolist()), probs.tolist()):
             mass[key] = mass.get(key, 0.0) + p
         assert mass == pytest.approx({(3, 0): 0.5, (3, 1): 0.5})
+
+
+def enumerated_cells(mdp, reward):
+    """(h, s, g) cells, h = 0..H, on the uniform Markovian policy's enumerated
+    trajectories.  One appended stage (action 0, zero reward) makes the
+    post-episode state of every path a column of the enumeration."""
+    horizon, num_states, num_actions = mdp.horizon, mdp.num_states, mdp.num_actions
+    table = np.full((horizon + 1, num_states, num_actions), 1.0 / num_actions)
+    table[horizon] = np.eye(num_actions)[0]
+    extended = rl.TabularMdp(
+        num_states, num_actions, horizon + 1, mdp.initial_state,
+        np.concatenate([mdp.transitions, np.full((1, num_states, num_actions, num_states),
+                                                 1.0 / num_states)]),
+        np.concatenate([mdp.reward, np.zeros((1, num_states, num_actions))]),
+    )
+    data, _ = rl.enumerate_trajectory_distribution(extended, rl.MarkovianPolicy(table))
+    steps = reward.multiples[np.arange(horizon), data.states[:, :horizon], data.actions[:, :horizon]]
+    g = np.concatenate([np.zeros((len(data), 1), dtype=np.int64), steps.cumsum(axis=1)], axis=1)
+    return {
+        (h, int(s), int(v)) for h in range(horizon + 1) for s, v in zip(data.states[:, h], g[:, h])
+    }
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 5), (3, 3, 4)])
+@pytest.mark.parametrize("seed, continuous", [(0, False), (1, False), (2, True)])
+@pytest.mark.parametrize("theta", [1.0, 0.25, 0.05])
+def test_reachable_cells_match_enumeration(shape, seed, continuous, theta):
+    """``reachable[h]``, and the return support, are exactly the cells that
+    trajectory enumeration visits: an oracle that shares no code with the
+    stage kernel.  Seed 2's reward is not grid-valued."""
+    num_states, num_actions, horizon = shape
+    mdp, _ = make_instance(seed, num_states, num_actions, horizon, continuous_reward=continuous)
+    grid = rl.RewardGrid(theta, horizon)
+    aug = rl.build_augmented_mdp(mdp, grid)
+    visited = enumerated_cells(mdp, aug.reward)
+    for h in range(horizon + 1):
+        assert aug.reachable[h].shape == (num_states, grid.num_multiples(h))
+        assert aug.reachable[h].dtype == bool
+    assert {
+        (h, int(s), int(g)) for h in range(horizon + 1) for s, g in np.argwhere(aug.reachable[h])
+    } == visited
+    returns = np.zeros(grid.full_size, dtype=bool)
+    returns[[g for h, _, g in visited if h == horizon]] = True
+    assert np.array_equal(aug.return_support_mask(), returns)
 
 
 class TestDataset:

@@ -7,6 +7,7 @@ import rdmlab as rl
 from rdmlab import policies as policies_mod
 from rdmlab.bench import generate_instance
 from rdmlab.distributions import ATOM_MERGE_TOL
+from rdmlab.mdp import _push_stage
 from rdmlab.policies import (
     EnumerationCapError,
     act_parametric,
@@ -997,7 +998,7 @@ class TestLiveCellKernel:
         mass = np.array([[0.25, 0.75]])
         transitions = np.ones((1, 1, 1))
         shifts = np.array([[[0, 1]]])
-        nxt_cells, nxt = policies_mod._push_stage(
+        nxt_cells, nxt = _push_stage(
             cells, mass, np.ones((1, 2, 1)), transitions, shifts, (2, 3)
         )
         assert nxt_cells.tolist() == [2]
@@ -1019,7 +1020,7 @@ class TestLiveCellKernel:
         cells = np.flatnonzero(padded.any(axis=0))
         mass = padded.reshape(num_states, -1)[:, cells]
         pol = phi.reshape(num_states, -1, num_actions)[:, cells]
-        nxt_cells, nxt = policies_mod._push_stage(cells, mass, pol, transitions, shifts, limits)
+        nxt_cells, nxt = _push_stage(cells, mass, pol, transitions, shifts, limits)
 
         got = np.zeros((num_states, *limits))
         got.reshape(num_states, -1)[:, nxt_cells] = nxt

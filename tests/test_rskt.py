@@ -52,7 +52,7 @@ def loop_built_program(aug, eta_hat):
         for a in range(num_actions):
             col = k * num_actions + a
             a_eq[k, col] = 1.0
-            g_next = g + int(aug.increments[h, s, a])
+            g_next = g + int(aug.reward.multiples[h, s, a])
             if h == horizon - 1:
                 a_eq[n_cells + g_next, col] = -1.0
                 continue
