@@ -177,7 +177,8 @@ class RewardGrid:
     the one-step grid that reward discretization rounds onto.  The grids
     must nest, ``k * max_multiple(1) <= max_multiple(k)`` for k up to the
     horizon, so a cumulative multiple never leaves its stage's grid (the
-    tolerant floor breaks this only within ~1e-9 below 1/n, e.g. 1/(10 - 5e-10)).
+    tolerant floor breaks this only when 1/theta lies within 1e-9 below an
+    integer, as for theta = 1/(10 - 5e-10)).
     """
 
     theta: float
