@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .lp import LinearProgram, LpError, solve
-from .mdp import Dataset, GridReward, RewardGrid, TabularMdp
+from .mdp import Dataset, GridReward, RewardGrid, TabularMdp, _flow_rows
 from .policies import ZERO_MASS, MarkovianPolicy, exact_augmented_occupancy, normalize_rows
 
 __all__ = ["count_state_actions", "bc_from_counts", "bc", "mimic_md_from_counts", "mimic_md"]
@@ -75,14 +75,10 @@ def mimic_md_from_counts(counts: np.ndarray, mdp: TabularMdp) -> MarkovianPolicy
     a_eq = np.zeros((n_flow + n_pin + n_d, 3 * n_d))
     b_eq = np.zeros(n_flow + n_pin + n_d)
 
-    # row h * S + s: outflow of (h, s) minus, past stage 0, its inflow; the
-    # stage-0 rows put all mass on the initial state
-    a_eq[np.arange(n_flow)[:, None], np.arange(n_d).reshape(n_flow, num_actions)] = 1.0
-    h, s, a, s_next = np.nonzero(mdp.transitions[:-1] > 0.0)
-    a_eq[(h + 1) * num_states + s_next, (h * num_states + s) * num_actions + a] = (
-        -mdp.transitions[h, s, a, s_next]
-    )
-    b_eq[mdp.initial_state] = 1.0
+    # row h * S + s: the flow row of (h, s), as the one cell of a zero reward
+    zero = GridReward(RewardGrid(1.0, horizon), np.zeros(counts.shape, dtype=np.int64))
+    column = (np.arange(n_flow) * num_actions).reshape(horizon, num_states, 1)
+    _flow_rows(column, mdp, zero.multiples, a_eq, b_eq)
 
     # pin rows d(h, s, a) - ratio_a * sum_a' d(h, s, a') = 0 for a < A - 1
     # where (h, s) is observed
@@ -106,7 +102,6 @@ def mimic_md_from_counts(counts: np.ndarray, mdp: TabularMdp) -> MarkovianPolicy
     table = np.zeros((horizon, num_states, num_actions))
     table[..., 0] = 1.0
     table[h_seen, s_seen] = ratios
-    zero = GridReward(RewardGrid(1.0, horizon), np.zeros(table.shape, dtype=np.int64))
     d = exact_augmented_occupancy(mdp, MarkovianPolicy(table), zero).sum(axis=2)
     basic_d = np.zeros(table.shape, dtype=bool)
     basic_d[..., 0] = True

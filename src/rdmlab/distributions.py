@@ -80,13 +80,8 @@ class DiscreteReturnDistribution:
         weights = np.asarray(weights, dtype=float).ravel()
         if values.size != weights.size or values.size == 0:
             raise ValueError("values and weights must be matching nonempty arrays")
-        if (weights == weights[0]).all():
-            # Equal weights: the order among tied values cannot change any sum,
-            # so an unstable sort gives the stable sort's groups and sums.
-            v, w = np.sort(values), weights
-        else:
-            order = np.argsort(values, kind="stable")
-            v, w = values[order], weights[order]
+        order = np.argsort(values, kind="stable")
+        v, w = values[order], weights[order]
         _, (mass, pos) = _merge_atoms(v, w, v * w)
         keep = mass > 0
         return cls(pos[keep] / mass[keep], mass[keep])

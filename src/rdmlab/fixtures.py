@@ -79,7 +79,7 @@ def make_fork_fixture() -> tuple[TabularMdp, RewardAugmentedPolicy]:
     table = np.zeros((horizon, num_states, grid.num_multiples(horizon - 1), num_actions))
     table[..., 0] = 1.0
     table[2, _S_MERGE, 0] = (0.0, 1.0)
-    return mdp, RewardAugmentedPolicy(grid, table, discretize_reward(reward, grid))
+    return mdp, RewardAugmentedPolicy(table, discretize_reward(reward, grid))
 
 
 def fork_markovian_policy(alpha: float) -> MarkovianPolicy:

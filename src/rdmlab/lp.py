@@ -12,17 +12,17 @@ cycles.  Rows are equilibrated to unit max magnitude and flipped to a
 nonnegative right-hand side before solving; feasibility of the reported
 optimum is re-checked against the original, unscaled constraints.
 
-There are two ways in.  ``solve(lp)`` runs two phases: each row starts
-with an artificial basic, phase 1 drives the artificial mass to zero, and
-rows that prove redundant are dropped.  ``solve(lp, basis=...)`` takes a
-caller's feasible starting basis, one column per row (a crash basis,
-Bixby 1992), builds its tableau B^-1 [A | b] with one dense solve and runs
-phase 2 from there.  Its rows must be independent: a singular or
-infeasible starting basis raises :class:`LpError`, and nothing falls back
-to phase 1.  On this path the tableau is checked every ``_CHECK_PIVOTS``
-pivots and rebuilt from its basis, by the same dense solve, once round-off
-has moved it by more than ``_DRIFT_TOL``; the two-phase path has no such
-check and walks the basis path it always has.
+There are two ways in.  ``solve(lp)`` starts with phase 1: each row
+starts with an artificial basic, phase 1 drives the artificial mass to
+zero, and rows that prove redundant are dropped from the program.
+``solve(lp, basis=...)`` takes a caller's feasible starting basis, one
+column per row (a crash basis, Bixby 1992), and builds its tableau
+B^-1 [A | b] with one dense solve.  Its rows must be independent: a
+singular or infeasible starting basis raises :class:`LpError`, and nothing
+falls back to phase 1.  Both then run the same phase 2: the objective row
+is installed as c - c_B B^-1 A, and the tableau is checked every
+``_CHECK_PIVOTS`` pivots and rebuilt from its basis, by the same dense
+solve, once round-off has moved it by more than ``_DRIFT_TOL``.
 
 The ratio test has a pivot tolerance: a row may leave the basis only if
 its entry in the entering column exceeds ``_PIV_TOL`` (1e-7, relative to
@@ -39,9 +39,8 @@ basis path, the pivot count and the answer are those of the full rank-1
 update.  Pivot cost therefore grows with fill-in, the nonzeros earlier
 pivots leave behind, rather than with the tableau's size.  Artificial
 variables have no tableau columns, since phase 1 never reads them.  The
-duality gap rebuilds the dual y from the final basis by solving
-A_B^T y = c_B on the equilibrated system (least squares when redundant rows
-were dropped).
+duality gap rebuilds the dual y from the final basis by solving the square
+system A_B^T y = c_B on the equilibrated rows phase 2 ran on.
 """
 
 from __future__ import annotations
@@ -244,24 +243,17 @@ def solve(
     if basis is None:
         tableau[:m, :n] = a
         tableau[:m, -1] = b
-        status, tableau, basis, iters = _phase_one(tableau, n, max_iterations)
+        status, keep, basis, iters = _phase_one(tableau, n, max_iterations)
         if status == "infeasible":
             return LpSolution("infeasible", None, None, iterations=iters)
-        m = basis.size
-
-        # install the phase 2 objective
-        tableau[-1, :-1] = lp.c
-        tableau[-1, -1] = 0.0
-        for r in range(m):
-            coef = tableau[-1, basis[r]]
-            if coef != 0.0:
-                tableau[-1, :] -= coef * tableau[r, :]
-        check = None
+        tableau = tableau[np.append(keep, m)]
+        a, b, m = a[keep], b[keep], basis.size
+        _install_objective(tableau, lp.c, basis)
     else:
         _install_basis(tableau, a, b, lp.c, basis, 0)
-        check = functools.partial(_reinvert_on_drift, tableau, a, b, lp.c, basis)
         iters = 0
 
+    check = functools.partial(_reinvert_on_drift, tableau, a, b, lp.c, basis)
     status, iters = _bland_pivot(tableau, basis, max_iterations, iters, check)
     if status == "unbounded":
         return LpSolution("unbounded", None, None, iterations=iters)
@@ -282,16 +274,16 @@ def solve(
 
 
 def _phase_one(tableau, n, max_pivots):
-    """Drive an artificial basis to a feasible one.
+    """Drive an artificial basis to a feasible one, in place.
 
-    Returns (status, tableau, basis, iterations), with status
-    ``infeasible`` when artificial mass is left at the phase-1 optimum.
-    Every row starts with an artificial basic.  Artificials never re-enter,
-    and no value in their columns is ever read (a pivot updates each column
-    on its own), so they get basis indices n.. but no tableau columns.
-    Artificials left basic at level zero are pivoted out; the rows where
-    that is impossible are redundant and are dropped from the returned
-    tableau and basis.
+    Returns (status, keep, basis, iterations), with status ``infeasible``
+    when artificial mass is left at the phase-1 optimum.  Every row starts
+    with an artificial basic.  Artificials never re-enter, and no value in
+    their columns is ever read (a pivot updates each column on its own), so
+    they get basis indices n.. but no tableau columns.  Artificials left
+    basic at level zero are pivoted out; a row where that is impossible is
+    a combination of the kept rows, and is left out of ``keep`` (the kept
+    row indices) and of the returned basis.
     """
     m = tableau.shape[0] - 1
     basis = n + np.arange(m)
@@ -304,10 +296,10 @@ def _phase_one(tableau, n, max_pivots):
     if status != "optimal":  # phase 1 is always bounded below by 0
         raise LpError("phase 1 reported unbounded; constraint data is corrupt")
     if -tableau[-1, -1] > _PHASE1_TOL:
-        return "infeasible", tableau, basis, iters
+        return "infeasible", None, basis, iters
 
     # pivot zero-level artificials out of the basis; drop rows that resist
-    drop_rows: list[int] = []
+    keep = np.ones(m, dtype=bool)
     for r in range(m):
         if basis[r] < n:
             continue
@@ -316,11 +308,16 @@ def _phase_one(tableau, n, max_pivots):
             _apply_pivot(tableau, r, int(pivots[0]), iters)
             basis[r] = int(pivots[0])
         else:
-            drop_rows.append(r)
-    if drop_rows:
-        tableau = np.delete(tableau, drop_rows, axis=0)
-        basis = np.delete(basis, drop_rows)
-    return "feasible", tableau, basis, iters
+            keep[r] = False
+    return "feasible", np.flatnonzero(keep), basis[keep], iters
+
+
+def _install_objective(tableau, c, basis):
+    """Write the reduced costs c - c_B T of the tableau's basis into its last row."""
+    m = basis.size
+    tableau[-1, :-1] = c
+    tableau[-1, -1] = 0.0
+    tableau[-1] -= c[basis] @ tableau[:m]
 
 
 def _install_basis(tableau, a, b, c, basis, iteration):
@@ -350,9 +347,7 @@ def _install_basis(tableau, a, b, c, basis, iteration):
             f"{what} is infeasible: basic value {rhs[r]:.3e} (row {r}, column {basis[r]})"
         )
     np.clip(rhs, 0.0, None, out=rhs)
-    tableau[-1, :-1] = c
-    tableau[-1, -1] = 0.0
-    tableau[-1] -= c[basis] @ tableau[:m]
+    _install_objective(tableau, c, basis)
 
 
 def _reinvert_on_drift(tableau, a, b, c, basis, iteration):
@@ -375,21 +370,14 @@ def _reinvert_on_drift(tableau, a, b, c, basis, iteration):
 def _duality_gap(a, b, basis, c, x) -> float | None:
     """|primal - dual| objective gap, with the dual rebuilt from the final basis.
 
-    Solves A_B^T y = c_B on the equilibrated system the tableau started
-    from.  A_B is square unless redundant rows were dropped; then the
-    system is underdetermined and least squares picks one solution.  The
-    basic solution satisfies b = A_B x_B, so b.y is the same for every
-    solution and the gap is well defined either way.
+    Solves the square system A_B^T y = c_B on the equilibrated rows the
+    tableau started from (phase 1 has dropped the redundant ones).
     """
-    a_basis_t = a[:, basis].T
     try:
-        if a_basis_t.shape[0] == a_basis_t.shape[1]:
-            y = np.linalg.solve(a_basis_t, c[basis])
-        else:
-            y, *_ = np.linalg.lstsq(a_basis_t, c[basis], rcond=None)
-        return abs(float(c @ x) - float(b @ y))
+        y = np.linalg.solve(a[:, basis].T, c[basis])
     except np.linalg.LinAlgError:
         return None
+    return abs(float(c @ x) - float(b @ y))
 
 
 def solve_transport(costs: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:

@@ -19,6 +19,10 @@ rewards, so the joint live cells lie on a narrow band of the box), the
 augmented occupancy (``policies.exact_augmented_occupancy``), ``rs-kt``'s
 reachable cells (``build_augmented_mdp``) and ``mimic-md``'s crash vertex
 (``baselines``: its crash policy's occupancy on a zero reward, summed over g).
+
+The flow rows of an occupancy polytope (Altman 1999) are written in one
+place, ``_flow_rows``: ``rs-kt`` passes its reachable (h, s, g) cells, and
+``mimic-md`` every (h, s) cell on a zero reward.
 """
 
 from __future__ import annotations
@@ -313,6 +317,27 @@ def _push_stage(
     return nxt_cells, nxt
 
 
+def _flow_rows(column, mdp, multiples, a_eq, b_eq):
+    """Write the flow rows of an occupancy polytope into ``a_eq`` and ``b_eq``.
+
+    ``column[h, s, g]`` is the column of action 0 in cell (h, s, g), the
+    other actions following it, or -1 off the cells; row ``column // A`` is
+    the cell's outflow minus its inflow from the cells one stage earlier,
+    where (s, g) moves to (s', g + ``multiples[h, s, a]``).  The initial
+    cell (s0, 0) carries unit mass.
+    """
+    num_actions = mdp.num_actions
+    live = column >= 0
+    row_of = column // num_actions
+    a_eq[row_of[live][:, None], column[live][:, None] + np.arange(num_actions)] = 1.0
+    b_eq[row_of[0, mdp.initial_state, 0]] = 1.0
+    h, s, g = np.nonzero(live[:-1])
+    p = mdp.transitions[h, s]  # (cells, A, S')
+    i, a, s_next = np.nonzero(p > 0.0)
+    g_next = g[i] + multiples[h[i], s[i], a]
+    a_eq[row_of[h[i] + 1, s_next, g_next], column[h[i], s[i], g[i]] + a] = -p[i, a, s_next]
+
+
 @dataclass(frozen=True)
 class AugmentedMdp:
     """The base MDP with the discretized cumulative reward folded into the state.
@@ -321,16 +346,16 @@ class AugmentedMdp:
     initial state is (s0, 0).  Playing ``a`` in (s, g) at stage ``h`` moves
     to (s', g + reward.multiples[h, s, a]) with the base probability
     p_h(s'|s, a), so rows of the augmented kernel sum to one whenever the
-    base rows do.  ``reachable[h]`` is the (S, num_multiples(h)) mask of the
-    (s, g) pairs attainable at stage ``h`` under some action sequence;
-    ``reachable[horizon]`` holds the post-episode pairs over the full grid,
-    whose g-marginal is the attainable return support.
+    base rows do.  ``reachable[h]`` is the read-only (S, full_size) mask of
+    the (s, g) pairs attainable at stage ``h`` under some action sequence,
+    all with g < ``num_multiples(h)``; ``reachable[horizon]`` holds the
+    post-episode pairs, whose g-marginal is the attainable return support.
     """
 
     base: TabularMdp
     grid: RewardGrid
     reward: GridReward
-    reachable: tuple[np.ndarray, ...]
+    reachable: np.ndarray  # (H + 1, S, full_size) bool
 
     def return_support_mask(self) -> np.ndarray:
         """Boolean mask over full-grid multiples reachable as total returns."""
@@ -357,13 +382,12 @@ def build_augmented_mdp(
     every_action = np.ones((1, 1, mdp.num_actions))
     cells, paths = np.zeros(1, dtype=np.intp), np.zeros((mdp.num_states, 1))
     paths[mdp.initial_state] = 1.0
-    reachable = []
+    reachable = np.zeros((mdp.horizon + 1, mdp.num_states, grid.full_size), dtype=bool)
     for h in range(mdp.horizon + 1):
-        reachable.append(np.zeros((mdp.num_states, grid.num_multiples(h)), dtype=bool))
         reachable[h][:, cells] = paths > 0.0
         if h < mdp.horizon:
             shifts, limits = gr.multiples[h][..., None], (grid.full_size,)
             cells, paths = _push_stage(cells, paths, every_action, support[h], shifts, limits)
             np.minimum(paths, 1.0, out=paths)
-    frozen = tuple(_frozen(m, bool) for m in reachable)
-    return AugmentedMdp(base=mdp, grid=grid, reward=gr, reachable=frozen)
+    reachable.setflags(write=False)
+    return AugmentedMdp(base=mdp, grid=grid, reward=gr, reachable=reachable)

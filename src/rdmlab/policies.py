@@ -176,10 +176,9 @@ class RewardAugmentedPolicy:
     ``g`` is the integer grid multiple of the rewards collected so far under
     the stored :class:`GridReward`, which both identifies the reward this
     policy conditions on and lets ``act`` recompute ``g`` from a raw history
-    by exact integer accumulation.
+    by exact integer accumulation.  ``grid`` is the reward's grid.
     """
 
-    grid: RewardGrid
     table: np.ndarray  # (H, S, G, A) with G = num_multiples(H - 1)
     reward: GridReward
 
@@ -188,13 +187,17 @@ class RewardAugmentedPolicy:
         if t.ndim != 4:
             raise ValueError("table must have shape (H, S, G, A)")
         horizon = t.shape[0]
-        if self.grid.horizon != horizon or self.reward.grid != self.grid:
-            raise ValueError("grid, reward and table horizons must agree")
+        if self.grid.horizon != horizon:
+            raise ValueError("reward and table horizons must agree")
         if t.shape[2] != self.grid.num_multiples(horizon - 1):
             raise ValueError(
                 f"g-axis has {t.shape[2]} cells, expected {self.grid.num_multiples(horizon - 1)}"
             )
         object.__setattr__(self, "table", t)
+
+    @property
+    def grid(self) -> RewardGrid:
+        return self.reward.grid
 
     @property
     def horizon(self) -> int:
@@ -777,7 +780,7 @@ def random_reward_augmented_policy(
     num_actions = reward.multiples.shape[2]
     n_g = grid.num_multiples(horizon - 1)
     table = rng.dirichlet(np.ones(num_actions), size=(horizon, num_states, n_g))
-    return RewardAugmentedPolicy(grid=grid, table=table, reward=reward)
+    return RewardAugmentedPolicy(table=table, reward=reward)
 
 
 def random_parametric_policy(

@@ -84,7 +84,7 @@ def rs_bc_from_counts(counts: np.ndarray, reward: GridReward) -> RewardAugmented
     that (stage, state, cumulative grid reward) cell; unvisited rows are
     uniform, exactly as specified (no smoothing).
     """
-    return RewardAugmentedPolicy(grid=reward.grid, table=normalize_rows(counts), reward=reward)
+    return RewardAugmentedPolicy(table=normalize_rows(counts), reward=reward)
 
 
 def eta_hat_from_counts(counts: np.ndarray, reward: GridReward) -> DiscreteReturnDistribution:

@@ -25,8 +25,9 @@ so x+_g - x-_g is the CDF difference at g.  The objective is
 sum(x+ + x-).  The return distribution eta is not a column: it is read off
 the final-stage occupancy (:meth:`RsktLayout.return_distribution`).  The
 matrix is built by array indexing over the reachable cells, each entry
-written once.  ``RsktDiagnostics.num_variables`` and ``num_constraints``
-count these columns and rows.
+written once; the flow rows by ``mdp._flow_rows``, which ``mimic-md``
+shares.  ``RsktDiagnostics.num_variables`` and ``num_constraints`` count
+these columns and rows.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .mdp import (
     GridReward,
     RewardGrid,
     TabularMdp,
+    _flow_rows,
     build_augmented_mdp,
     discretize_reward,
 )
@@ -67,20 +69,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RsktLayout:
-    """Column indexing of the occupancy LP, derived from the augmented MDP.
+    """The occupancy LP of one augmented MDP and target estimate.
 
     Column order: occupancy d over the reachable (h, s, g) cells in C order
     times actions, then x+ and x- over the kept grid prefix
-    ``0..n_keep-1``.  ``column[h, s, g]`` is the d column of action 0 in
-    cell (h, s, g), or -1 where the cell is unreachable; row ``k`` of the
-    program is the flow row of the k-th reachable cell (row 0, the initial
-    cell's, is the initial-mass row).
+    ``0..n_keep-1``, on which ``eta_hat`` holds the estimate.
+    ``column[h, s, g]`` is the d column of action 0 in cell (h, s, g), or -1
+    where the cell is unreachable; row ``k`` of the program is the flow row
+    of the k-th reachable cell (row 0, the initial cell's, is the
+    initial-mass row).
     """
 
     aug: AugmentedMdp
-    n_keep: int
+    eta_hat: np.ndarray  # (n_keep,)
     column: np.ndarray  # (H, S, G) int64
     num_d: int
+
+    @property
+    def n_keep(self) -> int:
+        return self.eta_hat.size
 
     @property
     def plus_offset(self) -> int:
@@ -116,22 +123,43 @@ class RsktLayout:
         returns = g[:, None] + self.aug.reward.multiples[last][s]
         return cols.ravel(), returns.ravel()
 
-    def pack_occupancy(self, occ: np.ndarray, eta_hat_full: np.ndarray) -> np.ndarray:
+    def program(self) -> LinearProgram:
+        """The compact distribution-matching LP of the module docstring; its
+        objective times the grid step is in Wasserstein units."""
+        n_cells, n_keep = self.num_d // self.aug.base.num_actions, self.n_keep
+        a_eq = np.zeros((n_cells + n_keep, self.num_variables))
+        b_eq = np.zeros(n_cells + n_keep)
+        _flow_rows(self.column, self.aug.base, self.aug.reward.multiples, a_eq, b_eq)
+
+        # CDF rows: x+_g - x-_g - x+_{g-1} + x-_{g-1} - eta_g = -eta_hat_g
+        g = np.arange(n_keep)
+        a_eq[n_cells + g, self.plus_offset + g] = 1.0
+        a_eq[n_cells + g, self.minus_offset + g] = -1.0
+        a_eq[n_cells + g[1:], self.plus_offset + g[:-1]] = -1.0
+        a_eq[n_cells + g[1:], self.minus_offset + g[:-1]] = 1.0
+        cols, returns = self._final_entries()
+        a_eq[n_cells + returns, cols] = -1.0
+        b_eq[n_cells:] = -self.eta_hat
+
+        c = np.zeros(self.num_variables)
+        c[self.plus_offset :] = 1.0
+        return LinearProgram(c=c, A_eq=a_eq, b_eq=b_eq)
+
+    def pack_occupancy(self, occ: np.ndarray) -> np.ndarray:
         """Assemble a full LP vector from a dense occupancy (e.g. a DP output).
 
-        ``eta_hat_full`` is the estimate over the full grid; only its kept
-        prefix enters the CDF rows.  x+ and x- are the positive and negative
-        parts of the CDF difference, so the result is feasible iff the
-        occupancy itself satisfies the flow rows.
+        x+ and x- are the positive and negative parts of the CDF difference,
+        so the result is feasible iff the occupancy itself satisfies the
+        flow rows.
         """
         x = np.zeros(self.num_variables)
         x[: self.num_d] = occ[self.column >= 0].ravel()
-        cum = np.cumsum(self.return_distribution(x) - eta_hat_full[: self.n_keep])
+        cum = np.cumsum(self.return_distribution(x) - self.eta_hat)
         x[self.plus_offset : self.minus_offset] = np.maximum(cum, 0.0)
         x[self.minus_offset :] = np.maximum(-cum, 0.0)
         return x
 
-    def crash_basis(self, counts: np.ndarray, eta_hat_full: np.ndarray) -> np.ndarray:
+    def crash_basis(self, counts: np.ndarray) -> np.ndarray:
         """A feasible starting basis for the program, from the visit counters.
 
         The deterministic policy playing the most visited action of M[h, s,
@@ -145,9 +173,9 @@ class RsktLayout:
         aug = self.aug
         choice = np.argmax(counts, axis=-1)
         table = np.eye(counts.shape[-1])[choice]
-        policy = RewardAugmentedPolicy(grid=aug.grid, table=table, reward=aug.reward)
+        policy = RewardAugmentedPolicy(table=table, reward=aug.reward)
         occ = exact_augmented_occupancy(aug.base, policy, aug.reward)
-        x = self.pack_occupancy(occ, eta_hat_full)
+        x = self.pack_occupancy(occ)
         below = x[self.minus_offset :] > 0.0
         x_cols = np.where(below, self.minus_offset, self.plus_offset) + np.arange(self.n_keep)
         live = self.column >= 0
@@ -194,76 +222,29 @@ def _eta_hat_on_grid(eta_hat: DiscreteReturnDistribution, grid: RewardGrid) -> n
 
 
 def lp_layout(aug: AugmentedMdp, eta_hat: DiscreteReturnDistribution) -> RsktLayout:
-    """Index the LP variables for a given augmented MDP and target estimate."""
-    return _layout(aug, _eta_hat_on_grid(eta_hat, aug.grid))
-
-
-def _layout(aug: AugmentedMdp, eta_hat_full: np.ndarray) -> RsktLayout:
+    """The LP layout of an augmented MDP and target estimate; ``.program()`` is the LP."""
+    eta_hat_full = _eta_hat_on_grid(eta_hat, aug.grid)
     reach_max = int(np.nonzero(aug.return_support_mask())[0][-1])
     hat_max = int(np.nonzero(eta_hat_full > 0)[0][-1])
     n_keep = max(reach_max, hat_max) + 1
-    horizon, num_states = aug.base.horizon, aug.base.num_states
-    live = np.zeros((horizon, num_states, aug.grid.num_multiples(horizon - 1)), dtype=bool)
-    for h in range(horizon):
-        live[h, :, : aug.reachable[h].shape[1]] = aug.reachable[h]
+    horizon = aug.base.horizon
+    live = aug.reachable[:horizon, :, : aug.grid.num_multiples(horizon - 1)]
     num_cells = int(live.sum())
     column = np.full(live.shape, -1, dtype=np.int64)
     column[live] = np.arange(num_cells) * aug.base.num_actions
     return RsktLayout(
-        aug=aug, n_keep=n_keep, column=column, num_d=num_cells * aug.base.num_actions
+        aug=aug,
+        eta_hat=eta_hat_full[:n_keep],
+        column=column,
+        num_d=num_cells * aug.base.num_actions,
     )
 
 
 def build_rskt_lp(
     aug: AugmentedMdp, eta_hat: DiscreteReturnDistribution
 ) -> LinearProgram:
-    """Assemble the compact distribution-matching LP over augmented occupancies.
-
-    Rows: one initial-mass condition, flow conservation per reachable cell
-    at stages 1..H-1, and one bidiagonal CDF row per kept grid point (see
-    the module docstring).  The objective is sum(x+ + x-); multiply by the
-    grid step for Wasserstein units.
-    """
-    eta_hat_full = _eta_hat_on_grid(eta_hat, aug.grid)
-    return _assemble_lp(_layout(aug, eta_hat_full), eta_hat_full)
-
-
-def _assemble_lp(layout: RsktLayout, eta_hat_full: np.ndarray) -> LinearProgram:
-    aug = layout.aug
-    base = aug.base
-    num_actions = base.num_actions
-    n_keep, n_cells = layout.n_keep, layout.num_d // num_actions
-    column = layout.column
-    a_eq = np.zeros((n_cells + n_keep, layout.num_variables))
-    b_eq = np.zeros(n_cells + n_keep)
-
-    # row k is the flow row of reachable cell k: outflow at its stage ...
-    cell_cols = column[column >= 0][:, None] + np.arange(num_actions)
-    a_eq[np.arange(n_cells)[:, None], cell_cols] = 1.0
-    b_eq[0] = 1.0  # ... and cell 0, the initial one, carries the unit mass
-    row_of = column // num_actions  # -1 stays -1 on unreachable cells
-
-    # ... minus the inflow from every reachable cell one stage earlier
-    h, s, g = np.nonzero(column[:-1] >= 0)
-    p = base.transitions[h, s]  # (cells, A, S')
-    i, a, s_next = np.nonzero(p > 0.0)
-    g_next = g[i] + aug.reward.multiples[h[i], s[i], a]
-    a_eq[row_of[h[i] + 1, s_next, g_next], column[h[i], s[i], g[i]] + a] = -p[i, a, s_next]
-
-    # CDF rows: x+_g - x-_g - x+_{g-1} + x-_{g-1} - eta_g = -eta_hat_g
-    cdf0 = n_cells
-    g = np.arange(n_keep)
-    a_eq[cdf0 + g, layout.plus_offset + g] = 1.0
-    a_eq[cdf0 + g, layout.minus_offset + g] = -1.0
-    a_eq[cdf0 + g[1:], layout.plus_offset + g[:-1]] = -1.0
-    a_eq[cdf0 + g[1:], layout.minus_offset + g[:-1]] = 1.0
-    cols, returns = layout._final_entries()
-    a_eq[cdf0 + returns, cols] = -1.0
-    b_eq[cdf0:] = -eta_hat_full[:n_keep]
-
-    c = np.zeros(layout.num_variables)
-    c[layout.plus_offset :] = 1.0
-    return LinearProgram(c=c, A_eq=a_eq, b_eq=b_eq)
+    """Assemble the compact distribution-matching LP over augmented occupancies."""
+    return lp_layout(aug, eta_hat).program()
 
 
 def rs_kt_from_counts(
@@ -281,19 +262,16 @@ def rs_kt_from_counts(
     grid = reward.grid
     eta_hat = eta_hat_from_counts(counts, reward)
     aug = build_augmented_mdp(mdp, grid, reward=reward)
-    eta_hat_full = _eta_hat_on_grid(eta_hat, grid)
-    layout = _layout(aug, eta_hat_full)
-    lp = _assemble_lp(layout, eta_hat_full)
-    solution: LpSolution = solve(lp, basis=layout.crash_basis(counts, eta_hat_full))
+    layout = lp_layout(aug, eta_hat)
+    lp = layout.program()
+    solution: LpSolution = solve(lp, basis=layout.crash_basis(counts))
     if solution.status != "optimal":
         raise LpError(f"occupancy program reported {solution.status}")
     dense = layout.dense_occupancy(solution.x)
     stage_mass = dense.sum(axis=(1, 2, 3))
     if np.abs(stage_mass - 1.0).max() > 1e-6:
         raise ValueError(f"occupancy stage masses {stage_mass} do not sum to 1")
-    policy = RewardAugmentedPolicy(
-        grid=grid, table=normalize_rows(dense, min_mass=ZERO_MASS), reward=reward
-    )
+    policy = RewardAugmentedPolicy(table=normalize_rows(dense, min_mass=ZERO_MASS), reward=reward)
     # solver drift on the eta rows stays well inside 1e-7; surface it
     eta_mass = float(layout.return_distribution(solution.x).sum())
     diagnostics = RsktDiagnostics(

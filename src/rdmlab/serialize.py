@@ -162,7 +162,7 @@ def parse_policy(text: str) -> MarkovianPolicy | RewardAugmentedPolicy:
             parts = ln.split()
             h, s, g = int(parts[0]), int(parts[1]), int(parts[2])
             table[h, s, g] = [float(p) for p in parts[3:]]
-        return RewardAugmentedPolicy(grid=grid, table=table, reward=reward)
+        return RewardAugmentedPolicy(table=table, reward=reward)
     raise ValueError(f"unknown policy kind {kind!r}")
 
 

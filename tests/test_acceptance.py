@@ -175,7 +175,7 @@ def test_c07_lp_lower_envelope_and_round_trip():
         probe = random_reward_augmented_policy(gr, mdp.num_states, rng)
         occ = exact_augmented_occupancy(mdp, probe, gr)
         recovered = rl.RewardAugmentedPolicy(
-            grid=grid, table=normalize_rows(occ, min_mass=ZERO_MASS), reward=gr
+            table=normalize_rows(occ, min_mass=ZERO_MASS), reward=gr
         )
         live = occ.sum(axis=3) > 1e-9
         worst_fixed_point = max(

@@ -219,6 +219,26 @@ class TestStartingBasis:
         _reinvert_on_drift(tableau, a, b, c, basis, 20)
         assert np.array_equal(tableau, clean)
 
+    def test_two_phase_solve_is_drift_checked(self, monkeypatch):
+        # a 6 x 6 transport program: one of its 12 rows is redundant, and
+        # phase 2 runs past pivot 10 on the 11 rows phase 1 keeps
+        checked = []
+
+        def spy(*args):
+            checked.append(args[-1])
+            _reinvert_on_drift(*args)
+
+        monkeypatch.setattr(rl.lp, "_reinvert_on_drift", spy)
+        rng = np.random.default_rng(0)
+        n = 6
+        a_eq = np.vstack([np.kron(np.eye(n), np.ones(n)), np.kron(np.ones(n), np.eye(n))])
+        b_eq = np.concatenate([rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))])
+        sol = solve(LinearProgram(c=rng.random(n * n), A_eq=a_eq, b_eq=b_eq))
+        assert sol.status == "optimal" and sol.iterations > 10
+        assert checked and all(i % 10 == 0 for i in checked)
+        assert checked[-1] == sol.iterations // 10 * 10
+        assert sol.duality_gap <= 1e-9
+
     def test_wrong_length_basis_raises_value_error(self):
         with pytest.raises(ValueError, match="1 columns for 2 rows"):
             solve(self._program(3.0), basis=[0])

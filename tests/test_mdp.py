@@ -187,9 +187,10 @@ def test_reachable_cells_match_enumeration(shape, seed, continuous, theta):
     grid = rl.RewardGrid(theta, horizon)
     aug = rl.build_augmented_mdp(mdp, grid)
     visited = enumerated_cells(mdp, aug.reward)
+    assert aug.reachable.shape == (horizon + 1, num_states, grid.full_size)
+    assert aug.reachable.dtype == bool and not aug.reachable.flags.writeable
     for h in range(horizon + 1):
-        assert aug.reachable[h].shape == (num_states, grid.num_multiples(h))
-        assert aug.reachable[h].dtype == bool
+        assert not aug.reachable[h, :, grid.num_multiples(h) :].any()
     assert {
         (h, int(s), int(g)) for h in range(horizon + 1) for s, g in np.argwhere(aug.reachable[h])
     } == visited

@@ -340,7 +340,7 @@ class TestRowCheck:
         augmented[0, 1, -1] = bad
         return [
             lambda: rl.MarkovianPolicy(markov),
-            lambda: rl.RewardAugmentedPolicy(grid=gr.grid, table=augmented, reward=gr),
+            lambda: rl.RewardAugmentedPolicy(table=augmented, reward=gr),
         ]
 
     @pytest.mark.parametrize("kind", [0, 1], ids=["markovian", "reward-augmented"])
@@ -592,7 +592,6 @@ class TestExactReturnDistribution:
         pol_grid = rl.RewardGrid(theta, mdp.horizon)
         n_g = pol_grid.num_multiples(mdp.horizon - 1)
         lifted = rl.RewardAugmentedPolicy(
-            grid=pol_grid,
             table=np.repeat(markov.table[:, :, None, :], n_g, axis=2),
             reward=rl.discretize_reward(mdp.reward, pol_grid),
         )

@@ -6,6 +6,7 @@ import pytest
 
 import rdmlab as rl
 from rdmlab.lp import solve
+from rdmlab.mdp import _flow_rows
 from rdmlab.policies import (
     ZERO_MASS,
     exact_augmented_occupancy,
@@ -31,14 +32,40 @@ DESK_CFG = rl.ExperimentConfig(
 )
 
 
+def loop_built_flow(cell, mdp, multiples, num_columns):
+    """Flow rows over ``cell``, a map (h, s, g) -> k, built entry by entry:
+    row k and the d columns k * A.. belong to cell k."""
+    horizon, num_states, num_actions = mdp.horizon, mdp.num_states, mdp.num_actions
+    a_eq = np.zeros((len(cell), num_columns))
+    b_eq = np.zeros(len(cell))
+    b_eq[cell[(0, mdp.initial_state, 0)]] = 1.0
+    for (h, s, g), k in cell.items():
+        for a in range(num_actions):
+            a_eq[k, k * num_actions + a] = 1.0
+            if h == horizon - 1:
+                continue
+            g_next = g + int(multiples[h, s, a])
+            for s_next in range(num_states):
+                p = mdp.transitions[h, s, a, s_next]
+                if p > 0.0:
+                    a_eq[cell[(h + 1, s_next, g_next)], k * num_actions + a] = -p
+    return a_eq, b_eq
+
+
+def reachable_cells(aug):
+    """The reachable (h, s, g) cells of stages 0..H-1, numbered in C order."""
+    cell = {}
+    for h in range(aug.base.horizon):
+        for s, g in np.argwhere(aug.reachable[h]):
+            cell[(h, int(s), int(g))] = len(cell)
+    return cell
+
+
 def loop_built_program(aug, eta_hat):
     """The compact rs-kt program built cell by cell: (A_eq, b_eq, c)."""
     base = aug.base
-    horizon, num_states, num_actions = base.horizon, base.num_states, base.num_actions
-    cell = {}
-    for h in range(horizon):
-        for s, g in np.argwhere(aug.reachable[h]):
-            cell[(h, int(s), int(g))] = len(cell)
+    horizon, num_actions = base.horizon, base.num_actions
+    cell = reachable_cells(aug)
     eta_full = _eta_hat_on_grid(eta_hat, aug.grid)
     n_keep = max(
         int(np.nonzero(aug.return_support_mask())[0][-1]),
@@ -47,19 +74,13 @@ def loop_built_program(aug, eta_hat):
     n_cells, n_d = len(cell), len(cell) * num_actions
     a_eq = np.zeros((n_cells + n_keep, n_d + 2 * n_keep))
     b_eq = np.zeros(n_cells + n_keep)
-    b_eq[0] = 1.0
+    flow = loop_built_flow(cell, base, aug.reward.multiples, n_d + 2 * n_keep)
+    a_eq[:n_cells], b_eq[:n_cells] = flow
     for (h, s, g), k in cell.items():
-        for a in range(num_actions):
-            col = k * num_actions + a
-            a_eq[k, col] = 1.0
-            g_next = g + int(aug.reward.multiples[h, s, a])
-            if h == horizon - 1:
-                a_eq[n_cells + g_next, col] = -1.0
-                continue
-            for s_next in range(num_states):
-                p = base.transitions[h, s, a, s_next]
-                if p > 0.0:
-                    a_eq[cell[(h + 1, s_next, g_next)], col] = -p
+        if h == horizon - 1:
+            for a in range(num_actions):
+                g_next = g + int(aug.reward.multiples[h, s, a])
+                a_eq[n_cells + g_next, k * num_actions + a] = -1.0
     for g in range(n_keep):
         row = n_cells + g
         a_eq[row, n_d + g] = 1.0
@@ -132,11 +153,10 @@ class TestBuildLp:
         )
         lp = build_rskt_lp(aug, eta_hat)
         layout = lp_layout(aug, eta_hat)
-        dense_hat = _eta_hat_on_grid(eta_hat, grid)  # the full grid; the kept prefix is sliced
         for _ in range(5):
             policy = random_reward_augmented_policy(gr, mdp.num_states, rng)
             occ = exact_augmented_occupancy(mdp, policy, gr)
-            x = layout.pack_occupancy(occ, dense_hat)
+            x = layout.pack_occupancy(occ)
             residual = np.abs(lp.A_eq @ x - lp.b_eq).max()
             assert residual <= 1e-9
             assert x.min() >= 0.0  # every column is nonnegative
@@ -157,20 +177,19 @@ class TestBuildLp:
         )
         lp = build_rskt_lp(aug, eta_hat)
         layout = lp_layout(aug, eta_hat)
-        dense_hat = _eta_hat_on_grid(eta_hat, grid)
         shape = layout.column.shape + (mdp.num_actions,)
         for _ in range(5):
             counts = rng.integers(0, 3, size=shape) * (rng.random(shape[:3]) < 0.5)[..., None]
-            basis = layout.crash_basis(counts, dense_hat)
+            basis = layout.crash_basis(counts)
             assert basis.size == lp.num_constraints == np.unique(basis).size
             x = np.zeros(lp.num_variables)
             x[basis] = np.linalg.solve(lp.A_eq[:, basis], lp.b_eq)
             # the vertex is the packed occupancy of the argmax policy, action 0
             # on unvisited cells
             table = np.eye(mdp.num_actions)[counts.argmax(axis=-1)]
-            argmax_policy = rl.RewardAugmentedPolicy(grid=grid, table=table, reward=gr)
+            argmax_policy = rl.RewardAugmentedPolicy(table=table, reward=gr)
             occ = exact_augmented_occupancy(mdp, argmax_policy, gr)
-            assert x == pytest.approx(layout.pack_occupancy(occ, dense_hat), abs=1e-12)
+            assert x == pytest.approx(layout.pack_occupancy(occ), abs=1e-12)
             assert solve(lp, basis=basis).objective == pytest.approx(
                 solve(lp).objective, abs=1e-12
             )
@@ -191,20 +210,58 @@ class TestBuildLp:
             assert lp.c.tobytes() == c.tobytes()
 
 
+class TestFlowRows:
+    """``mdp._flow_rows`` against the entry-by-entry loop, on both callers' cells."""
+
+    @staticmethod
+    def _written(column, mdp, multiples, num_rows, num_columns):
+        a_eq, b_eq = np.zeros((num_rows, num_columns)), np.zeros(num_rows)
+        _flow_rows(column, mdp, multiples, a_eq, b_eq)
+        return a_eq, b_eq
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reward_augmented_cells(self, seed):
+        mdp, _ = rl.generate_instance(DESK_CFG, seed)
+        aug = rl.build_augmented_mdp(mdp, rl.RewardGrid(DESK_CFG.theta, mdp.horizon))
+        cell = reachable_cells(aug)
+        column = np.full(aug.reachable[: mdp.horizon].shape, -1, dtype=np.int64)
+        for (h, s, g), k in cell.items():
+            column[h, s, g] = k * mdp.num_actions
+        n_d = len(cell) * mdp.num_actions
+        got = self._written(column, mdp, aug.reward.multiples, len(cell), n_d)
+        want = loop_built_flow(cell, mdp, aug.reward.multiples, n_d)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("shape", [(2, 2, 5), (4, 3, 3)])
+    def test_every_state_on_a_zero_reward(self, shape):
+        # mimic-md's cells: every (h, s), reachable or not, as cell h * S + s
+        num_states, num_actions, horizon = shape
+        mdp, _ = make_instance(3, num_states, num_actions, horizon)
+        cell = {(h, s, 0): h * num_states + s for h in range(horizon) for s in range(num_states)}
+        column = (np.arange(len(cell)) * num_actions).reshape(horizon, num_states, 1)
+        zero = np.zeros((horizon, num_states, num_actions), dtype=np.int64)
+        n_d = len(cell) * num_actions
+        got = self._written(column, mdp, zero, len(cell), 3 * n_d)
+        want = loop_built_flow(cell, mdp, zero, 3 * n_d)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+
 class TestOccupancyToPolicy:
     """``rs_kt`` recovers its policy by row-normalizing the LP occupancy."""
 
     @staticmethod
-    def _policy(d, grid, reward):
+    def _policy(d, reward):
         table = normalize_rows(d, min_mass=ZERO_MASS)
-        return rl.RewardAugmentedPolicy(grid=grid, table=table, reward=reward)
+        return rl.RewardAugmentedPolicy(table=table, reward=reward)
 
     def test_concentrated_occupancy_gives_deterministic_policy(self):
         grid = rl.RewardGrid(1.0, 1)
         reward = rl.discretize_reward(np.zeros((1, 1, 2)), grid)
         d = np.zeros((1, 1, 1, 2))
         d[0, 0, 0, 1] = 1.0
-        policy = self._policy(d, grid, reward)
+        policy = self._policy(d, reward)
         assert policy.table[0, 0, 0].tolist() == [0.0, 1.0]
 
     def test_zero_mass_cells_become_uniform(self):
@@ -212,7 +269,7 @@ class TestOccupancyToPolicy:
         reward = rl.discretize_reward(np.zeros((1, 2, 2)), grid)
         d = np.zeros((1, 2, 1, 2))
         d[0, 0, 0, 0] = 1.0
-        policy = self._policy(d, grid, reward)
+        policy = self._policy(d, reward)
         assert policy.table[0, 1, 0] == pytest.approx(np.full(2, 0.5))
 
     def test_policy_occupancy_recovery_is_a_fixed_point(self):
@@ -221,7 +278,7 @@ class TestOccupancyToPolicy:
         rng = np.random.default_rng(2)
         policy = random_reward_augmented_policy(gr, mdp.num_states, rng)
         occ = exact_augmented_occupancy(mdp, policy, gr)
-        recovered = self._policy(occ, grid, gr)
+        recovered = self._policy(occ, gr)
         live = occ.sum(axis=3) > 1e-9
         diff = np.abs(recovered.table - policy.table)[live]
         assert diff.max() <= 1e-7
@@ -253,7 +310,7 @@ class TestRsKt:
             table = np.zeros(shape + (mdp.num_actions,))
             for cell, action in zip(cells, choice):
                 table[cell + (action,)] = 1.0
-            candidate = rl.RewardAugmentedPolicy(grid=grid, table=table, reward=gr)
+            candidate = rl.RewardAugmentedPolicy(table=table, reward=gr)
             d = rl.exact_return_distribution(mdp, candidate, mdp.reward, grid)
             best = min(best, rl.wasserstein(d, eta_hat))
         assert diag.objective == pytest.approx(best, abs=1e-7)
@@ -373,7 +430,7 @@ class TestPinnedSolves:
         eta_hat = rl.empirical_return_distribution(data, mdp.reward, grid)
         aug = rl.build_augmented_mdp(mdp, grid)
         layout = lp_layout(aug, eta_hat)
-        basis = layout.crash_basis(counts, _eta_hat_on_grid(eta_hat, grid))
+        basis = layout.crash_basis(counts)
         sol = solve(build_rskt_lp(aug, eta_hat), basis=basis)
         dense = layout.dense_occupancy(sol.x)
         table = normalize_rows(dense, min_mass=ZERO_MASS)
