@@ -15,7 +15,8 @@ shifted by that step's grid multiples, goes to the next stage in one
 categorical projection of Bellemare, Dabney & Munos (2017).  Its five
 consumers: the return DP and the joint policy x return DP
 (``policies.exact_return_distribution``; both accumulators sum the same
-rewards, so the joint live cells lie on a narrow band of the box), the
+rewards, so the joint live cells lie on a narrow band of the box; both push
+H - 1 stages, as no one reads the post-episode state), the
 augmented occupancy (``policies.exact_augmented_occupancy``), ``rs-kt``'s
 reachable cells (``build_augmented_mdp``) and ``mimic-md``'s crash vertex
 (``baselines``: its crash policy's occupancy on a zero reward, summed over g).

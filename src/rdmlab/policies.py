@@ -11,12 +11,16 @@ that pair, and full trajectory enumeration (capped at ``(S*A)^H <= 2^20``)
 for everything else.  The dynamic programs (Markovian and reward-augmented
 return distributions, the joint policy x return accumulator, augmented
 occupancy) run through the stage kernel of ``rdmlab.mdp``, ``_push_stage``.
-The enumeration path stays outside the kernel: it is the independent oracle
-the DP is tested against.  Its one depth-first walk over histories returns
-a ``Dataset`` with one row per positive-probability trajectory, and their
-probabilities; the brute-force return distribution sums rewards over those
-rows, and the reward-conditioned projection pi_R is ``rs-bc``'s
-probability-weighted count table over them (``rdmlab.rsbc.construct_pi_r``).
+Nothing reads the post-episode state, so the return DPs push H - 1 stages
+and drop the last action's mass straight onto its return cell, still
+checking that stage's row sums.  The mass checks allow the drift of rows
+``validate_mdp`` admits, ``PROB_TOL`` per stage.  The enumeration path
+stays outside the kernel: it is the independent oracle the DP is tested
+against.  Its one depth-first walk over histories returns a ``Dataset``
+with one row per positive-probability trajectory, and their probabilities;
+the brute-force return distribution sums rewards over those rows, and the
+reward-conditioned projection pi_R is ``rs-bc``'s probability-weighted
+count table over them (``rdmlab.rsbc.construct_pi_r``).
 
 One stage walk, ``_stages``, draws n episodes stage by stage as (n,)
 states and actions, and draws no next state after the last action.  It has
@@ -41,25 +45,29 @@ Two-outcome tables (the desk shapes) and the parametric expert's
 per-prefix rows gain nothing from a guide and keep the plain search.
 The parametric expert's action distribution depends only on the (history,
 current state) prefix, and a stage has far fewer distinct prefixes than
-rows, so it is computed once per prefix (``_prefix_cdf``): features,
-logits (in blocks of ``_ROW_BLOCK`` prefixes), then softmax and cumulative
-sum in place, in buffers sized once per call.  In ``sample_trajectories``
-each row carries a prefix id, renumbered after every step from the trie
-key (parent id, action, next state), and draws its action from its
-prefix's row; in ``mc_return_distribution`` each group is one prefix.  The
-features use einsum rather than a BLAS product, which made the peak RSS
-grow with the varying prefix count.
+rows, so it is computed once per prefix (``_prefix_cdf``): logits (in
+blocks of ``_ROW_BLOCK`` prefixes), then softmax and cumulative sum in
+place, in one (k, A) array per stage.  Each prefix carries its projected
+history, (k, ``PROJECTION_DIM``), not its (2H,) encoding: the encoding is
+linear, so a child's features are its parent's plus two projected terms
+(``_extend_features``), summed in the order of ``encoded @ projection``.
+In ``sample_trajectories`` each row carries a prefix id, renumbered after
+every step from the trie key (parent id, action, next state), and draws its
+action from its prefix's row; in ``mc_return_distribution`` each group is
+one prefix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .distributions import DiscreteReturnDistribution
 from .mdp import (
+    PROB_TOL,
     Dataset,
     GridReward,
     RewardGrid,
@@ -103,8 +111,9 @@ ZERO_MASS = 1e-12
 #: Width of the history embedding used by the parametric simulation experts.
 PROJECTION_DIM = 16
 
-#: Prefixes per block when sampling gathers the parametric expert's state weights.
-_ROW_BLOCK = 4096
+#: Prefixes per gather of the parametric expert's state weights.  In Monte Carlo
+#: at (50,5,5), m = 5e4, 4096 (2.6 MB) cost ~1,500 page faults per call, 512 six.
+_ROW_BLOCK = 512
 
 #: Sampling tables with rows at least this wide get a guide table of
 #: between 2**_GUIDE_MIN_BITS and 2**_GUIDE_BITS buckets per row.  At
@@ -317,35 +326,36 @@ def _cdf_table(probs: np.ndarray, n: int = 0) -> _Table:
 
 
 def _prefix_cdf(
-    pol: ParametricHistoryPolicy,
-    state: np.ndarray,
-    encoded: np.ndarray,
-    features: np.ndarray,
-    cdf: np.ndarray,
-    peak: np.ndarray,
-) -> None:
-    """Write the cumulative action distribution of ``m = state.size`` prefixes.
+    pol: ParametricHistoryPolicy, state: np.ndarray, features: np.ndarray
+) -> np.ndarray:
+    """Cumulative action distributions of ``k = state.size`` prefixes, (k, A).
 
-    Prefix ``i`` is the history encoding ``encoded[i]`` at current state
-    ``state[i]``; its row goes to ``cdf[i]``.  ``features`` and ``peak`` are
-    scratch.  Every buffer has at least m rows.  The softmax runs in place
-    in the operation order of ``_softmax`` then ``_cdf_table`` (whose clip
-    is a no-op on exponentials).
+    Prefix ``i`` has the projected history ``features[i]`` at current state
+    ``state[i]``.  The logits are formed in blocks of ``_ROW_BLOCK``
+    prefixes; the softmax runs in place in the operation order of
+    ``_softmax`` then ``_cdf_table`` (whose clip is a no-op on exponentials),
+    one action column at a time: numpy reduces a few-wide last axis slowly.
     """
-    m = state.size
-    features, out, peak = features[:m], cdf[:m], peak[:m]
-    # einsum, not BLAS: with a BLAS product over the varying prefix count the
-    # scale workload's peak RSS rose from 65 to 75 MB (2-core host).
-    np.einsum("nk,kf->nf", encoded[:m], pol.projection, out=features)
-    for block in (slice(i, i + _ROW_BLOCK) for i in range(0, m, _ROW_BLOCK)):
+    cdf = np.empty((state.size, pol.state_weights.shape[2]))
+    for block in (slice(i, i + _ROW_BLOCK) for i in range(0, state.size, _ROW_BLOCK)):
         weights = pol.state_weights[state[block]]
-        np.einsum("nf,nfa->na", features[block], weights, out=out[block])
-    np.max(out, axis=-1, keepdims=True, out=peak)
-    np.subtract(out, peak, out=out)
-    np.exp(out, out=out)
-    np.sum(out, axis=-1, keepdims=True, out=peak)
-    np.divide(out, peak, out=out)
-    np.cumsum(out, axis=-1, out=out)
+        np.einsum("nf,nfa->na", features[block], weights, out=cdf[block])
+    cols = cdf.T
+    cdf -= reduce(np.maximum, cols)[:, None]
+    np.exp(cdf, out=cdf)
+    cdf /= reduce(np.add, cols)[:, None]
+    for prev, col in zip(cols, cols[1:]):
+        col += prev
+    return cdf
+
+
+def _extend_features(pol, features, parent, h, s, a) -> np.ndarray:
+    """Features of the prefixes ``parent`` extended by the stage-h step (s, a),
+    added in the order of ``encoded @ projection`` (the encoding is linear)."""
+    out = features[parent]
+    out += s[:, None] * pol.projection[2 * h]
+    out += a[:, None] * pol.projection[2 * h + 1]
+    return out
 
 
 def _search(flat_cdf: np.ndarray, base: np.ndarray, u: np.ndarray, width: int) -> np.ndarray:
@@ -438,14 +448,11 @@ def _stages(
         n_g = policy.table.shape[2]
     elif isinstance(policy, ParametricHistoryPolicy):
         # One row per distinct (history, current state) prefix; row pid[i]
-        # is trajectory i's.  Buffers hold n rows and are used as [:m] views.
+        # is trajectory i's.
         width = policy.state_weights.shape[2]
         pid = np.zeros(n, dtype=np.int64)
         prefix_state = np.full(1, mdp.initial_state, dtype=np.int64)
-        encoded = np.zeros((n, 2 * horizon))
-        features = np.empty((n, PROJECTION_DIM))
-        cdf = np.empty((n, width))
-        peak = np.empty((n, 1))
+        features = np.zeros((1, PROJECTION_DIM))
 
     for h in range(horizon):
         row = h * num_states + cur  # flat (stage, state) index
@@ -454,7 +461,7 @@ def _stages(
         elif isinstance(policy, RewardAugmentedPolicy):
             a = _draw(rng, policy_table, row * n_g + g)
         elif isinstance(policy, ParametricHistoryPolicy):
-            _prefix_cdf(policy, prefix_state, encoded, features, cdf, peak)
+            cdf = _prefix_cdf(policy, prefix_state, features)
             a = _draw(rng, _Table(cdf.ravel(), width), pid)
         else:
             raise TypeError(f"unsupported policy kind {type(policy).__name__}")
@@ -468,10 +475,9 @@ def _stages(
             # The key is a trie id: (parent prefix, action, next state).
             key, pid = np.unique((pid * width + a) * num_states + nxt, return_inverse=True)
             parent = key // (width * num_states)
-            m = key.size
-            encoded[:m] = encoded[parent]
-            encoded[:m, 2 * h] = prefix_state[parent]
-            encoded[:m, 2 * h + 1] = key // num_states % width
+            features = _extend_features(
+                policy, features, parent, h, prefix_state[parent], key // num_states % width
+            )
             prefix_state = key % num_states
         cur = nxt
 
@@ -621,11 +627,7 @@ def mc_return_distribution(
     count = np.full(1, m, dtype=np.int64)
     state = np.full(1, mdp.initial_state, dtype=np.int64)
     if isinstance(policy, ParametricHistoryPolicy):
-        # Groups never outnumber episodes; buffers hold m rows, used as [:k] views.
-        encoded = np.zeros((m, 2 * horizon))
-        features = np.empty((m, PROJECTION_DIM))
-        cdf = np.empty((m, num_actions))
-        peak = np.empty((m, 1))
+        features = np.zeros((1, PROJECTION_DIM))
     else:
         policy_table = _cdf_table(policy.table, m)
     if isinstance(policy, RewardAugmentedPolicy):
@@ -643,8 +645,7 @@ def mc_return_distribution(
         elif isinstance(policy, RewardAugmentedPolicy):
             group, a, pair_count = _split(rng, policy_table, row * n_g + g, count)
         else:
-            _prefix_cdf(policy, state, encoded, features, cdf, peak)
-            actions = _Table(cdf.ravel(), num_actions)
+            actions = _Table(_prefix_cdf(policy, state, features).ravel(), num_actions)
             group, a, pair_count = _split(rng, actions, np.arange(state.size), count)
         s = state[group]
         trail.append((reward[h, s, a], parent_pair[group]))
@@ -655,10 +656,9 @@ def mc_return_distribution(
         if isinstance(policy, RewardAugmentedPolicy):
             g = (g[group] + policy.reward.multiples[h, s, a])[parent_pair]
         elif isinstance(policy, ParametricHistoryPolicy):
-            k = state.size
-            encoded[:k] = encoded[group[parent_pair]]
-            encoded[:k, 2 * h] = s[parent_pair]
-            encoded[:k, 2 * h + 1] = a[parent_pair]
+            features = _extend_features(
+                policy, features, group[parent_pair], h, s[parent_pair], a[parent_pair]
+            )
 
     steps = np.empty((pair_count.size, horizon))
     pair = np.arange(pair_count.size)
@@ -669,8 +669,9 @@ def mc_return_distribution(
     return DiscreteReturnDistribution.from_weighted(steps.sum(axis=1), pair_count / m)
 
 
-def _dp_mass_check(total: float) -> None:
-    if abs(total - 1.0) > _MASS_TOL:
+def _dp_mass_check(total: float, horizon: int) -> None:
+    # each transition stage may scale the mass by a row sum within PROB_TOL of one
+    if abs(total - 1.0) > horizon * PROB_TOL + _MASS_TOL:
         raise AssertionError(f"dynamic program lost probability mass: total {total!r}")
 
 
@@ -706,13 +707,10 @@ def exact_return_distribution(
         )
         table, stride = policy.table, 1
         if not same_reward:
-            # Policy accumulator x evaluation return.  After the last action
-            # the policy accumulator is never read again, so it need not
-            # advance (it could overflow its table).
+            # Policy accumulator x evaluation return.  Only the H - 1 pushed
+            # stages advance it, so it stays within the policy's table.
             stride = grid.full_size
-            pol_shifts = policy.reward.multiples.copy()
-            pol_shifts[-1] = 0
-            shifts = np.stack([pol_shifts, gr_eval.multiples], axis=-1)
+            shifts = np.stack([policy.reward.multiples, gr_eval.multiples], axis=-1)
             limits = (policy.table.shape[2], grid.full_size)
     else:
         raise TypeError(
@@ -722,15 +720,21 @@ def exact_return_distribution(
 
     cells, mass = np.zeros(1, dtype=np.intp), np.zeros((num_states, 1))
     mass[mdp.initial_state] = 1.0
-    for h in range(horizon):
+    for h in range(horizon - 1):
         phi = table[h][:, cells // stride]
         cells, mass = _push_stage(cells, mass, phi, mdp.transitions[h], shifts[h], limits)
-    # Summed in (state, cell) order, as a dense box sums over its leading axes.
-    ret = np.broadcast_to(cells % grid.full_size, mass.shape)
-    totals = np.bincount(ret.ravel(), weights=mass.ravel())
-    _dp_mass_check(float(totals.sum()))
+    # Nothing reads the post-episode state: the last action's mass lands on
+    # its return cell directly, summed in (state, cell, action) order.
+    weighted = mass[:, :, None] * table[-1][:, cells // stride]
+    ret = (cells % grid.full_size)[:, None] + gr_eval.multiples[-1][:, None, :]
+    totals = np.bincount(ret.ravel(), weights=weighted.ravel())
+    # The last stage's rows still carry the mass: a leaking row must show.
+    row_mass = mdp.transitions[-1].sum(axis=-1)
+    _dp_mass_check(float((weighted.sum(axis=1) * row_mass).sum()), horizon)
     support = np.nonzero(totals > 0.0)[0]
-    return DiscreteReturnDistribution(support * grid.theta, totals[support])
+    # Rows admitted off one leave the total up to H * PROB_TOL off one.
+    probs = totals[support] / totals[support].sum()
+    return DiscreteReturnDistribution(support * grid.theta, probs)
 
 
 def exact_augmented_occupancy(
@@ -759,7 +763,7 @@ def exact_augmented_occupancy(
             cells, mass = _push_stage(
                 cells, mass, phi, mdp.transitions[h], reward.multiples[h][..., None], (n_g,)
             )
-        _dp_mass_check(float(occ[h].sum()))
+        _dp_mass_check(float(occ[h].sum()), horizon)
     return occ
 
 

@@ -258,7 +258,7 @@ class TestRunExperiment:
         target = tmp_path / "pinned.csv"
         emit_results(rows, target)
         assert hashlib.sha256(target.read_bytes()).hexdigest() == (
-            "c412a722baef7547c80734c6d07ce8e8eee7b752bde7fea683211ca6d1f3ad8e"
+            "22cd914659c5126f03594767202d7d87c2e01e02f127f69c870245c4c4f5f77f"
         )
 
 

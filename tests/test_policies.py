@@ -6,8 +6,9 @@ import pytest
 import rdmlab as rl
 from rdmlab import policies as policies_mod
 from rdmlab.bench import generate_instance
+from rdmlab.baselines import count_state_actions, mimic_md_from_counts
 from rdmlab.distributions import ATOM_MERGE_TOL
-from rdmlab.mdp import _push_stage
+from rdmlab.mdp import PROB_TOL, _push_stage
 from rdmlab.policies import (
     EnumerationCapError,
     act_parametric,
@@ -471,6 +472,61 @@ class TestActParametric:
         assert (probs > 0).all()
 
 
+def _record_prefixes(monkeypatch):
+    """Spy on ``_prefix_cdf``: the (state, features) of every stage's prefixes, in call order."""
+    calls = []
+    real = policies_mod._prefix_cdf
+
+    def spy(pol, state, features):
+        calls.append((state.copy(), features.copy()))
+        return real(pol, state, features)
+
+    monkeypatch.setattr(policies_mod, "_prefix_cdf", spy)
+    return calls
+
+
+class TestCarriedFeatures:
+    """Prefixes carry projected features; each must be its history encoding's projection."""
+
+    def test_stage_walk(self, monkeypatch):
+        mdp, expert = make_instance(41, num_states=4, num_actions=3, horizon=5,
+                                    expert_kind="parametric-history")
+        calls = _record_prefixes(monkeypatch)
+        data = rl.sample_trajectories(mdp, expert, 3000, seed=8)
+        assert len(calls) == mdp.horizon
+        for h, (state, features) in enumerate(calls):
+            # prefix ids follow the trie order, lexicographic in (a_0, s_1, ..., s_h)
+            encoded = np.zeros((len(data), 2 * mdp.horizon + 1))
+            encoded[:, 0 : 2 * h : 2] = data.states[:, :h]
+            encoded[:, 1 : 2 * h : 2] = data.actions[:, :h]
+            encoded[:, -1] = data.states[:, h]
+            prefixes = np.unique(encoded, axis=0)
+            assert np.array_equal(state, prefixes[:, -1])
+            expected = prefixes[:, :-1] @ expert.projection
+            assert np.abs(features - expected).max() <= 1e-12
+
+    def test_monte_carlo(self, monkeypatch):
+        mdp, expert = make_instance(42, num_states=4, num_actions=3, horizon=5,
+                                    expert_kind="parametric-history")
+        calls = _record_prefixes(monkeypatch)
+        rl.mc_return_distribution(mdp, expert, mdp.reward, 20_000, seed=9)
+        assert len(calls) == mdp.horizon
+        seen = {(0.0,) * (2 * mdp.horizon) + (mdp.initial_state,)}
+        for h, (state, features) in enumerate(calls):
+            # the projection has full row rank: its features determine an encoding
+            solved = np.linalg.lstsq(expert.projection.T, features.T, rcond=None)[0].T
+            encoded = np.rint(solved)
+            assert np.abs(features - encoded @ expert.projection).max() <= 1e-12
+            assert not encoded[:, 2 * h :].any()
+            prefixes = {(*row, s) for row, s in zip(encoded.tolist(), state.tolist())}
+            assert len(prefixes) == state.size  # one group per distinct prefix
+            if h:  # every prefix extends a prefix of the stage before
+                parents = {(*p[: 2 * h - 2], *(0.0,) * (2 * mdp.horizon - 2 * h + 2), p[2 * h - 2])
+                           for p in prefixes}
+                assert parents <= seen
+            seen = prefixes
+
+
 class TestEnumeration:
     @pytest.mark.parametrize(
         "kind", ["markovian", "reward-augmented", "parametric-history", "fork"]
@@ -878,7 +934,10 @@ def _dense_push_stage(mass, phi, transitions, shifts, limits):
 
 
 def _dense_return_distribution(mdp, policy, reward, grid):
-    """``exact_return_distribution`` on the dense-box kernel (reference)."""
+    """``exact_return_distribution`` on the dense-box kernel (reference).
+
+    H - 1 stages are pushed; the last action's mass lands on its return cell.
+    """
     gr_eval = rl.discretize_reward(reward, grid)
     shifts, limits = gr_eval.multiples[..., None], (grid.full_size,)
     if isinstance(policy, rl.MarkovianPolicy):
@@ -887,17 +946,21 @@ def _dense_return_distribution(mdp, policy, reward, grid):
         phi = policy.table
     else:
         phi = policy.table[:, :, :, None, :]
-        pol_shifts = policy.reward.multiples.copy()
-        pol_shifts[-1] = 0
-        shifts = np.stack([pol_shifts, gr_eval.multiples], axis=-1)
+        shifts = np.stack([policy.reward.multiples, gr_eval.multiples], axis=-1)
         limits = (policy.table.shape[2], grid.full_size)
     mass = np.zeros((mdp.num_states,) + (1,) * len(limits))
     mass[mdp.initial_state] = 1.0
-    for h in range(mdp.horizon):
+    for h in range(mdp.horizon - 1):
         mass = _dense_push_stage(mass, phi[h], mdp.transitions[h], shifts[h], limits)
-    totals = mass.sum(axis=tuple(range(mass.ndim - 1)))
+    box = mass.shape[1:]
+    weighted = mass[..., None] * phi[-1][(slice(None), *(slice(0, b) for b in box))]
+    shift = gr_eval.multiples[-1].reshape(mdp.num_states, *(1,) * len(box), mdp.num_actions)
+    ret = np.arange(box[-1])[:, None] + shift
+    ret, weighted = np.broadcast_arrays(ret, weighted)
+    totals = np.bincount(ret.ravel(), weights=weighted.ravel())
     support = np.nonzero(totals > 0.0)[0]
-    return rl.DiscreteReturnDistribution(support * grid.theta, totals[support])
+    probs = totals[support] / totals[support].sum()
+    return rl.DiscreteReturnDistribution(support * grid.theta, probs)
 
 
 def _dense_occupancy(mdp, policy, reward):
@@ -988,6 +1051,55 @@ class TestLiveCellKernel:
         ):
             with pytest.raises(AssertionError, match="lost probability mass"):
                 exact_augmented_occupancy(mdp, policy, gr)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_last_stage_kernel_is_never_read(self, seed):
+        # the last action's mass lands on its return cell, so swapping
+        # transitions[H - 1] for another kernel moves no bit
+        mdp = _mass_leak_mdp(0)
+        rng = np.random.default_rng(seed)
+        transitions = rng.dirichlet(np.ones(3), size=(4, 3, 2))
+        swapped = transitions.copy()
+        swapped[-1] = rng.dirichlet(np.ones(3), size=(3, 2))
+        fine, coarse = rl.RewardGrid(0.25, 4), rl.RewardGrid(0.5, 4)
+        policies = (
+            rl.random_markovian_policy(3, 2, 4, rng),
+            random_reward_augmented_policy(rl.discretize_reward(mdp.reward, fine), 3, rng),
+            random_reward_augmented_policy(rl.discretize_reward(mdp.reward, coarse), 3, rng),
+        )
+        for policy in policies:  # Markov, single, joint
+            a, b = (
+                rl.exact_return_distribution(
+                    rl.TabularMdp(3, 2, 4, 0, kernel, mdp.reward), policy, mdp.reward, fine
+                )
+                for kernel in (transitions, swapped)
+            )
+            assert np.array_equal(a.support, b.support)
+            assert np.array_equal(a.probs, b.probs)
+
+    def test_rows_admitted_off_one_evaluate_on_every_path(self):
+        # every row sums to 1 + 9e-10, within validate_mdp's tolerance; the
+        # totals drift by up to H times that
+        rng = np.random.default_rng(5)
+        transitions = rng.dirichlet(np.ones(3), size=(5, 3, 2))
+        transitions *= (1 + 9e-10) / transitions.sum(axis=-1, keepdims=True)
+        reward = rng.integers(0, 5, size=(5, 3, 2)) * 0.25
+        mdp = rl.TabularMdp(3, 2, 5, 0, transitions, reward)
+        assert rl.validate_mdp(mdp) == []
+        fine, coarse = rl.RewardGrid(0.25, 5), rl.RewardGrid(0.5, 5)
+        gr = rl.discretize_reward(reward, fine)
+        markov = rl.random_markovian_policy(3, 2, 5, rng)
+        single = random_reward_augmented_policy(gr, 3, rng)
+        joint = random_reward_augmented_policy(rl.discretize_reward(reward, coarse), 3, rng)
+        for policy in (markov, single, joint):
+            dist = rl.exact_return_distribution(mdp, policy, reward, fine)
+            assert dist.probs.sum() == pytest.approx(1.0, abs=1e-15)
+        for policy in (markov, single):
+            occ = exact_augmented_occupancy(mdp, policy, gr)
+            assert occ.sum(axis=(1, 2, 3)) == pytest.approx(np.ones(5), abs=5 * PROB_TOL)
+        counts = count_state_actions(rl.sample_trajectories(mdp, markov, 200, seed=0))
+        policy = mimic_md_from_counts(counts, mdp)
+        assert np.abs(policy.table.sum(axis=-1) - 1.0).max() <= 1e-12
 
     def test_mass_past_a_limit_is_dropped_not_wrapped(self):
         # box (2, 3); cells (0, 1) and (0, 2) shifted by (0, 1): (0, 2) stays in
