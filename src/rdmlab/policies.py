@@ -22,10 +22,13 @@ the brute-force return distribution sums rewards over those rows, and the
 reward-conditioned projection pi_R is ``rs-bc``'s probability-weighted
 count table over them (``rdmlab.rsbc.construct_pi_r``).
 
-One stage walk, ``_stages``, draws n episodes stage by stage as (n,)
-states and actions, and draws no next state after the last action.  It has
-two consumers on the same random stream: ``sample_trajectories`` stores the
-(n, H) columns of a ``Dataset``, and ``sample_counts`` counts each stage
+One stage walk, ``_stages``, draws n episodes stage by stage in blocks of
+at most ``_STAGE_BLOCK`` consecutive rows, whose temporaries stay in cache:
+an action pass draws every block's actions, then a transition pass every
+block's next states (none after the last action).  Each pass takes the
+stage's uniforms in row order, as one whole-n block would.  Its two
+consumers take each block's (h, rows, states, actions): ``sample_trajectories``
+writes the (n, H) columns of a ``Dataset``, and ``sample_counts`` adds them
 straight into the visit tensor M[h, s, g, a] on a grid reward, carrying
 each row's cumulative grid multiple, which is ``count_occurrences`` of that
 dataset without the dataset.  ``mc_return_distribution`` draws no rows:
@@ -51,10 +54,10 @@ place, in one (k, A) array per stage.  Each prefix carries its projected
 history, (k, ``PROJECTION_DIM``), not its (2H,) encoding: the encoding is
 linear, so a child's features are its parent's plus two projected terms
 (``_extend_features``), summed in the order of ``encoded @ projection``.
-In ``sample_trajectories`` each row carries a prefix id, renumbered after
-every step from the trie key (parent id, action, next state), and draws its
-action from its prefix's row; in ``mc_return_distribution`` each group is
-one prefix.
+In the stage walk each row carries a prefix id, renumbered over all n rows
+after every transition pass from the trie key (parent id, action, next
+state), and draws its action from its prefix's row; in
+``mc_return_distribution`` each group is one prefix.
 """
 
 from __future__ import annotations
@@ -114,6 +117,11 @@ PROJECTION_DIM = 16
 #: Prefixes per gather of the parametric expert's state weights.  In Monte Carlo
 #: at (50,5,5), m = 5e4, 4096 (2.6 MB) cost ~1,500 page faults per call, 512 six.
 _ROW_BLOCK = 512
+
+#: Rows per block of the sampler's stage walk.  An n = 3e5 ``sample_counts``
+#: call on ``bulk`` instances (2 cores, median) took 54 ms in one block, 37 in
+#: blocks of 2**13 rows and 33 in blocks of 2**14 to 2**16.
+_STAGE_BLOCK = 2**15
 
 #: Sampling tables with rows at least this wide get a guide table of
 #: between 2**_GUIDE_MIN_BITS and 2**_GUIDE_BITS buckets per row.  At
@@ -426,19 +434,25 @@ def _split(
 
 def _stages(
     mdp: TabularMdp, policy: PolicyHandle, n: int, seed: int
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Walk ``n`` episodes stage by stage, yielding ``(h, cur, a)``.
+) -> Iterator[tuple[int, slice, np.ndarray, np.ndarray]]:
+    """Walk ``n`` episodes stage by stage in row blocks, yielding ``(h, rows, cur, a)``.
 
-    ``cur`` and ``a`` are the (n,) states and drawn actions at stage ``h``;
-    the walk never writes them after yielding.  Each stage draws one uniform
-    per row for the actions, then, except after the last action (nothing
-    reads that state), one per row for the next states.  All rows draw at
-    once: a table policy reads row (h, s) or (h, s, g), the parametric
-    expert the row of each row's (history, state) prefix.  ``n >= 1``.
+    A block, the slice ``rows``, holds at most ``_STAGE_BLOCK`` episodes;
+    ``cur`` and ``a`` are views of its states and actions at stage ``h`` that
+    the walk overwrites after the stage.  Per stage an action pass draws each
+    block's actions, one uniform per row, and yields it; then a transition
+    pass, skipped after the last action (nothing reads that state), draws
+    each block's next states.  Both passes go in row order, and
+    ``Generator.random`` gives the same doubles block by block as at once, so
+    every draw is the one-block walk's.  A table policy reads row (h, s) or
+    (h, s, g), the parametric expert its prefix row, from one prefix table
+    per stage renumbered over all n rows after the transition pass.  ``n >= 1``.
     """
     rng = np.random.default_rng(seed)
     horizon, num_states, num_actions = mdp.horizon, mdp.num_states, mdp.num_actions
+    blocks = [slice(i, i + _STAGE_BLOCK) for i in range(0, n, _STAGE_BLOCK)]
     cur = np.full(n, mdp.initial_state, dtype=np.int64)
+    a = np.empty(n, dtype=np.int64)
     trans = _cdf_table(mdp.transitions, n)
 
     if isinstance(policy, (MarkovianPolicy, RewardAugmentedPolicy)):
@@ -455,31 +469,35 @@ def _stages(
         features = np.zeros((1, PROJECTION_DIM))
 
     for h in range(horizon):
-        row = h * num_states + cur  # flat (stage, state) index
-        if isinstance(policy, MarkovianPolicy):
-            a = _draw(rng, policy_table, row)
-        elif isinstance(policy, RewardAugmentedPolicy):
-            a = _draw(rng, policy_table, row * n_g + g)
-        elif isinstance(policy, ParametricHistoryPolicy):
-            cdf = _prefix_cdf(policy, prefix_state, features)
-            a = _draw(rng, _Table(cdf.ravel(), width), pid)
-        else:
-            raise TypeError(f"unsupported policy kind {type(policy).__name__}")
-        yield h, cur, a
+        if isinstance(policy, ParametricHistoryPolicy):
+            prefix_table = _Table(_prefix_cdf(policy, prefix_state, features).ravel(), width)
+        for rows in blocks:
+            s = cur[rows]
+            if isinstance(policy, MarkovianPolicy):
+                a[rows] = _draw(rng, policy_table, h * num_states + s)
+            elif isinstance(policy, RewardAugmentedPolicy):
+                a[rows] = _draw(rng, policy_table, (h * num_states + s) * n_g + g[rows])
+            elif isinstance(policy, ParametricHistoryPolicy):
+                a[rows] = _draw(rng, prefix_table, pid[rows])
+            else:
+                raise TypeError(f"unsupported policy kind {type(policy).__name__}")
+            yield h, rows, s, a[rows]
         if h + 1 == horizon:
             return
-        nxt = _draw(rng, trans, row * num_actions + a)
-        if isinstance(policy, RewardAugmentedPolicy):
-            g = g + policy.reward.multiples[h, cur, a]
-        elif isinstance(policy, ParametricHistoryPolicy):
+        for rows in blocks:
+            s, act = cur[rows], a[rows]
+            nxt = _draw(rng, trans, (h * num_states + s) * num_actions + act)
+            if isinstance(policy, RewardAugmentedPolicy):
+                g[rows] += policy.reward.multiples[h, s, act]
+            cur[rows] = nxt
+        if isinstance(policy, ParametricHistoryPolicy):
             # The key is a trie id: (parent prefix, action, next state).
-            key, pid = np.unique((pid * width + a) * num_states + nxt, return_inverse=True)
+            key, pid = np.unique((pid * width + a) * num_states + cur, return_inverse=True)
             parent = key // (width * num_states)
             features = _extend_features(
                 policy, features, parent, h, prefix_state[parent], key // num_states % width
             )
             prefix_state = key % num_states
-        cur = nxt
 
 
 def sample_trajectories(
@@ -487,16 +505,16 @@ def sample_trajectories(
 ) -> Dataset:
     """Draw ``n`` i.i.d. trajectories; bit-identical output for equal seeds.
 
-    The (n, H) columns of the stage walk ``_stages``.  The returned arrays
-    are read-only and the dataset keeps them without a copy.
+    The (n, H) columns of the stage walk ``_stages``, block by block.  The
+    returned arrays are read-only and the dataset keeps them without a copy.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     states = np.empty((n, mdp.horizon), dtype=np.int64)
     actions = np.empty((n, mdp.horizon), dtype=np.int64)
-    for h, cur, a in _stages(mdp, policy, n, seed):
-        states[:, h] = cur
-        actions[:, h] = a
+    for h, rows, cur, a in _stages(mdp, policy, n, seed):
+        states[rows, h] = cur
+        actions[rows, h] = a
     states.setflags(write=False)
     actions.setflags(write=False)
     return Dataset(states, actions, mdp.num_states, mdp.num_actions)
@@ -510,8 +528,9 @@ def sample_counts(
     Equal, dtype included, to ``rdmlab.rsbc.count_occurrences`` of that
     dataset on ``reward``, without building it: the same stage walk draws
     the same episodes, each row carries its cumulative grid multiple g, and
-    stage h's flat (s, g, a) keys are counted into M[h] with one
-    ``np.bincount``.  Memory is O(n + S*A*H*|grid|); no (n, H) array is made.
+    each block's flat (s, g, a) keys at stage h are added into M[h] by one
+    ``np.bincount``.  Memory is three (n,) arrays (states, actions, g
+    offsets), M, and per-block temporaries; no (n, H) array is made.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -526,17 +545,16 @@ def sample_counts(
     # step adds multiples[h, s, a] * A, read at the flat (s, a) index.
     step = reward.multiples * num_actions
     offset = np.zeros(n, dtype=np.int64)
-    key = np.empty(n, dtype=np.int64)
-    counts = np.empty((horizon, cells), dtype=np.intp)
-    for h, cur, a in _stages(mdp, policy, n, seed):
-        np.multiply(cur, num_g * num_actions, out=key)
-        key += offset
+    counts = np.zeros((horizon, cells), dtype=np.intp)
+    for h, rows, cur, a in _stages(mdp, policy, n, seed):
+        key = cur * (num_g * num_actions)
+        key += offset[rows]
         key += a
-        counts[h] = np.bincount(key, minlength=cells)
+        counts[h] += np.bincount(key, minlength=cells)
         if h + 1 < horizon:
             np.multiply(cur, num_actions, out=key)
             key += a
-            offset += step[h].take(key)
+            offset[rows] += step[h].take(key)
     return counts.reshape(horizon, num_states, num_g, num_actions)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -422,6 +423,52 @@ class TestSampleCounts:
         assert isinstance(expert, rl.MarkovianPolicy)
         reward = rl.discretize_reward(mdp.reward, rl.RewardGrid(0.02, mdp.horizon))
         self._assert_counts_match(mdp, expert, 300_000, 11, reward)
+
+    def test_peak_memory_within_six_int64_per_episode(self):
+        """One bulk-sized call peaks within six (n,) int64 arrays plus M itself."""
+        mdp, expert = make_instance(3, num_states=20, num_actions=5, horizon=5, rho=0.02)
+        reward = rl.discretize_reward(mdp.reward, rl.RewardGrid(0.02, mdp.horizon))
+        n = 300_000
+        tracemalloc.start()
+        try:
+            counts = rl.sample_counts(mdp, expert, n, 11, reward)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * n * 8 + counts.nbytes
+
+    @staticmethod
+    def _assert_blocks_match(monkeypatch, mdp, policy, n, block, reward):
+        """The walk in blocks of ``block`` rows against the one-block walk, bit for bit."""
+        def draw(rows_per_block):
+            monkeypatch.setattr(policies_mod, "_STAGE_BLOCK", rows_per_block)
+            data = rl.sample_trajectories(mdp, policy, n, 5)
+            return data.states, data.actions, rl.sample_counts(mdp, policy, n, 5, reward)
+
+        for got, want in zip(draw(block), draw(n)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("kind", ["markovian", "reward-augmented", "parametric", "fork"])
+    def test_row_blocks_match_one_block(self, monkeypatch, kind, block):
+        """Samples of one row, one whole block, one block and a row, and a ragged last block."""
+        mdp, policy, rho = self._case(kind)
+        reward = rl.discretize_reward(mdp.reward, rl.RewardGrid(rho, mdp.horizon))
+        for n in (1, 7, block + 1, 3 * block - 1):
+            self._assert_blocks_match(monkeypatch, mdp, policy, n, block, reward)
+
+    @pytest.mark.parametrize("kind", ["markovian", "reward-augmented", "parametric", "fork"])
+    def test_row_blocks_match_one_block_across_guides(self, monkeypatch, kind):
+        """At n = 1000 the transition tables and the Markovian action table are
+        guided; the fork expert's two-wide action table never is."""
+        mdp, policy, rho = self._case(kind)
+        n = 1000
+        assert policies_mod._cdf_table(mdp.transitions, n).guide is not None
+        if kind in ("markovian", "fork"):
+            guided = policies_mod._cdf_table(policy.table, n).guide is not None
+            assert guided == (kind == "markovian")
+        reward = rl.discretize_reward(mdp.reward, rl.RewardGrid(rho, mdp.horizon))
+        self._assert_blocks_match(monkeypatch, mdp, policy, n, 7, reward)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_rejects_an_empty_sample(self, n):
