@@ -37,8 +37,6 @@ def bc_from_counts(counts: np.ndarray) -> MarkovianPolicy:
 
 def bc(data: Dataset) -> MarkovianPolicy:
     """Behavioral cloning: ``bc_from_counts`` on the dataset's visit counters."""
-    if len(data) < 1:
-        raise ValueError("empty dataset")
     return bc_from_counts(count_state_actions(data))
 
 

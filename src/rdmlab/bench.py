@@ -29,7 +29,6 @@ from .lp import LpError
 from .mdp import GridReward, RewardGrid, TabularMdp, discretize_reward
 from .policies import (
     EnumerationCapError,
-    MarkovianPolicy,
     PolicyHandle,
     RewardAugmentedPolicy,
     brute_force_return_distribution,
@@ -221,23 +220,19 @@ def _policy_distribution(
 ) -> DiscreteReturnDistribution:
     """Return distribution of an algorithm's output under the true reward.
 
-    Markovian outputs always admit an exact DP on the generation grid.  A
-    reward-augmented output needs the joint (policy grid x return grid)
-    program; past the cell budget it falls back to Monte Carlo.
+    A reward-augmented output whose joint (policy grid x return grid)
+    program is past the cell budget falls back to Monte Carlo.  Every other
+    output goes to the exact DP on the generation grid, which refuses the
+    kinds it cannot evaluate.
     """
     eval_grid = RewardGrid(cfg.rho, mdp.horizon)
-    if isinstance(policy, MarkovianPolicy):
-        return exact_return_distribution(mdp, policy, mdp.reward, eval_grid)
-    if isinstance(policy, RewardAugmentedPolicy):
-        cells = (
-            mdp.num_states
-            * policy.grid.num_multiples(mdp.horizon - 1)
-            * eval_grid.full_size
-        )
-        if cells <= _DP_CELL_BUDGET:
-            return exact_return_distribution(mdp, policy, mdp.reward, eval_grid)
+    if (
+        isinstance(policy, RewardAugmentedPolicy)
+        and mdp.num_states * policy.grid.num_multiples(mdp.horizon - 1) * eval_grid.full_size
+        > _DP_CELL_BUDGET
+    ):
         return mc_return_distribution(mdp, policy, mdp.reward, cfg.mc_samples, eval_seed)
-    raise TypeError(f"cannot evaluate policy kind {type(policy).__name__}")
+    return exact_return_distribution(mdp, policy, mdp.reward, eval_grid)
 
 
 def _instance(

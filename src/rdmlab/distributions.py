@@ -87,6 +87,14 @@ class DiscreteReturnDistribution:
         return cls(pos[keep] / mass[keep], mass[keep])
 
     @classmethod
+    def on_grid(cls, mass, theta: float) -> "DiscreteReturnDistribution":
+        """Positive ``mass[k]`` at ``k * theta``, divided by its sum (exact for
+        integer counts below 2**53, so counts give the law of count / N)."""
+        mass = np.asarray(mass)
+        support = np.flatnonzero(mass > 0)
+        return cls(support * theta, mass[support] / mass[support].sum())
+
+    @classmethod
     def point_mass(cls, value: float) -> "DiscreteReturnDistribution":
         return cls(np.array([float(value)]), np.array([1.0]))
 
@@ -183,8 +191,6 @@ def empirical_return_distribution(
     never visited carry no atoms (zero entries cannot affect any metric
     computed here).
     """
-    if len(data) < 1:
-        raise ValueError("empty dataset")
     reward = np.asarray(reward, dtype=float)
     n, horizon = data.states.shape
     stage_idx = np.arange(horizon)[None, :]
@@ -194,7 +200,4 @@ def empirical_return_distribution(
         return DiscreteReturnDistribution.from_weighted(returns, np.full(n, 1.0 / n))
     gr = discretize_reward(reward, grid)
     steps = gr.multiples[stage_idx, data.states, data.actions]
-    totals = steps.sum(axis=1)
-    counts = np.bincount(totals)
-    observed = np.nonzero(counts)[0]
-    return DiscreteReturnDistribution(observed * grid.theta, counts[observed] / n)
+    return DiscreteReturnDistribution.on_grid(np.bincount(steps.sum(axis=1)), grid.theta)

@@ -59,20 +59,6 @@ def _frozen(values, dtype) -> np.ndarray:
     return arr
 
 
-def _owned_or_frozen(values) -> np.ndarray:
-    """``values`` itself if it is a read-only, C-contiguous int64 array that
-    owns its data (as ``sample_trajectories`` returns), else a frozen copy."""
-    if (
-        isinstance(values, np.ndarray)
-        and values.dtype == np.int64
-        and values.flags.c_contiguous
-        and values.flags.owndata
-        and not values.flags.writeable
-    ):
-        return values
-    return _frozen(values, np.int64)
-
-
 @dataclass(frozen=True)
 class TabularMdp:
     """Finite state/action MDP with horizon H and deterministic reward in [0, 1].
@@ -141,9 +127,7 @@ class Dataset:
 
     ``num_states`` and ``num_actions`` record the ambient space so
     estimators can size their tables without guessing from observed
-    indices.  A read-only, C-contiguous int64 array that owns its data (as
-    the sampler returns) is kept as is; any other input is copied into a
-    frozen array.
+    indices.  Both arrays are always copied into frozen int64 arrays.
     """
 
     states: np.ndarray  # (N, H)
@@ -152,8 +136,8 @@ class Dataset:
     num_actions: int
 
     def __post_init__(self) -> None:
-        s = _owned_or_frozen(self.states)
-        a = _owned_or_frozen(self.actions)
+        s = _frozen(self.states, np.int64)
+        a = _frozen(self.actions, np.int64)
         if s.ndim != 2 or s.shape != a.shape:
             raise ValueError("states and actions must be matching (N, H) arrays")
         if s.shape[0] < 1 or s.shape[1] < 1:

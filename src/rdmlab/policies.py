@@ -505,8 +505,8 @@ def sample_trajectories(
 ) -> Dataset:
     """Draw ``n`` i.i.d. trajectories; bit-identical output for equal seeds.
 
-    The (n, H) columns of the stage walk ``_stages``, block by block.  The
-    returned arrays are read-only and the dataset keeps them without a copy.
+    The (n, H) columns of the stage walk ``_stages``, block by block; the
+    ``Dataset`` keeps a frozen copy of them.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -515,8 +515,6 @@ def sample_trajectories(
     for h, rows, cur, a in _stages(mdp, policy, n, seed):
         states[rows, h] = cur
         actions[rows, h] = a
-    states.setflags(write=False)
-    actions.setflags(write=False)
     return Dataset(states, actions, mdp.num_states, mdp.num_actions)
 
 
@@ -609,6 +607,10 @@ def brute_force_return_distribution(
 ) -> DiscreteReturnDistribution:
     """Exact return distribution by full trajectory enumeration."""
     data, probs = enumerate_trajectory_distribution(mdp, policy, cap)
+    total = probs.sum()
+    _dp_mass_check(total, mdp.horizon)  # rows admitted off one, as in the return DP
+    if abs(total - 1.0) > _MASS_TOL:  # a total closer to one keeps its bits
+        probs = probs / total
     reward = np.asarray(reward, dtype=float)
     returns = reward[np.arange(mdp.horizon), data.states, data.actions].sum(axis=1)
     return DiscreteReturnDistribution.from_weighted(returns, probs)
@@ -690,7 +692,7 @@ def mc_return_distribution(
 def _dp_mass_check(total: float, horizon: int) -> None:
     # each transition stage may scale the mass by a row sum within PROB_TOL of one
     if abs(total - 1.0) > horizon * PROB_TOL + _MASS_TOL:
-        raise AssertionError(f"dynamic program lost probability mass: total {total!r}")
+        raise AssertionError(f"lost probability mass: total {total!r}")
 
 
 def exact_return_distribution(
@@ -749,10 +751,8 @@ def exact_return_distribution(
     # The last stage's rows still carry the mass: a leaking row must show.
     row_mass = mdp.transitions[-1].sum(axis=-1)
     _dp_mass_check(float((weighted.sum(axis=1) * row_mass).sum()), horizon)
-    support = np.nonzero(totals > 0.0)[0]
     # Rows admitted off one leave the total up to H * PROB_TOL off one.
-    probs = totals[support] / totals[support].sum()
-    return DiscreteReturnDistribution(support * grid.theta, probs)
+    return DiscreteReturnDistribution.on_grid(totals, grid.theta)
 
 
 def exact_augmented_occupancy(

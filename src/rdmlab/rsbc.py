@@ -92,22 +92,18 @@ def eta_hat_from_counts(counts: np.ndarray, reward: GridReward) -> DiscreteRetur
 
     Every trajectory visits exactly one last-stage cell (s, g, a), and its
     return is g + ``reward.multiples[H-1, s, a]`` grid steps, so the
-    histogram of returns is M[H-1] summed over those totals.  Sums of
-    integer counts are exact, so the result is the one
+    histogram of returns is M[H-1] summed over those totals; its exact sum
+    is N, so ``DiscreteReturnDistribution.on_grid`` gives the law
     ``empirical_return_distribution(data, reward, grid)`` builds.
     """
     last = counts[-1]  # (S, G, A)
     totals = np.arange(last.shape[1])[:, None] + reward.multiples[-1][:, None, :]
     mass = np.bincount(totals.ravel(), last.ravel())
-    observed = np.flatnonzero(mass)
-    n = last.sum()  # one last-stage visit per trajectory
-    return DiscreteReturnDistribution(observed * reward.grid.theta, mass[observed] / n)
+    return DiscreteReturnDistribution.on_grid(mass, reward.grid.theta)
 
 
 def rs_bc(data: Dataset, reward: np.ndarray, grid: RewardGrid) -> RewardAugmentedPolicy:
     """Estimate the reward-conditioned policy from expert trajectories."""
-    if len(data) < 1:
-        raise ValueError("empty dataset")
     gr = discretize_reward(np.asarray(reward, dtype=float), grid)
     return rs_bc_from_counts(count_occurrences(data, gr), gr)
 

@@ -92,38 +92,40 @@ def parse_distribution(text: str) -> DiscreteReturnDistribution:
 
 # --- policy tables ---------------------------------------------------------
 
+def _rows(table: np.ndarray) -> list[str]:
+    """One line per cell of ``table.shape[:-1]``: its indices, then its entries."""
+    return [
+        " ".join([*map(str, idx), *map(_fmt, table[idx])])
+        for idx in np.ndindex(table.shape[:-1])
+    ]
+
+
+def _read_rows(lines: list[str], shape: tuple[int, ...], dtype=float) -> np.ndarray:
+    """The ``shape`` table whose ``_rows`` are ``lines``; cells not listed stay 0."""
+    table = np.zeros(shape, dtype=dtype)
+    depth = len(shape) - 1
+    for ln in lines:
+        parts = ln.split()
+        table[tuple(int(tok) for tok in parts[:depth])] = [float(p) for p in parts[depth:]]
+    return table
+
+
 def format_policy(policy: MarkovianPolicy | RewardAugmentedPolicy) -> str:
-    lines: list[str] = []
-    if isinstance(policy, MarkovianPolicy):
-        horizon, num_states, num_actions = policy.table.shape
-        lines.append("rdmlab-policy markovian")
-        lines.append(f"horizon {horizon} states {num_states} actions {num_actions}")
-        lines.append("policy")
-        for h in range(horizon):
-            for s in range(num_states):
-                probs = " ".join(_fmt(p) for p in policy.table[h, s])
-                lines.append(f"{h} {s} {probs}")
-    elif isinstance(policy, RewardAugmentedPolicy):
-        horizon, num_states, n_g, num_actions = policy.table.shape
-        lines.append("rdmlab-policy reward-augmented")
-        lines.append(
-            f"horizon {horizon} states {num_states} actions {num_actions} "
-            f"theta {_fmt(policy.grid.theta)}"
-        )
-        lines.append("reward")
-        for h in range(horizon):
-            for s in range(num_states):
-                for a in range(num_actions):
-                    lines.append(f"{h} {s} {a} {policy.reward.multiples[h, s, a]}")
-        lines.append("policy")
-        for h in range(horizon):
-            for s in range(num_states):
-                for g in range(n_g):
-                    probs = " ".join(_fmt(p) for p in policy.table[h, s, g])
-                    lines.append(f"{h} {s} {g} {probs}")
-    else:
+    """A header, a reward-augmented policy's (h, s, a) reward multiples, then the table."""
+    if not isinstance(policy, (MarkovianPolicy, RewardAugmentedPolicy)):
         raise TypeError(f"cannot serialize policy kind {type(policy).__name__}")
-    return "\n".join(lines) + "\n"
+    horizon, num_states, *_, num_actions = policy.table.shape
+    head = f"horizon {horizon} states {num_states} actions {num_actions}"
+    if isinstance(policy, MarkovianPolicy):
+        lines = ["rdmlab-policy markovian", head]
+    else:
+        lines = [
+            "rdmlab-policy reward-augmented",
+            f"{head} theta {_fmt(policy.grid.theta)}",
+            "reward",
+            *_rows(policy.reward.multiples[..., None]),
+        ]
+    return "\n".join([*lines, "policy", *_rows(policy.table)]) + "\n"
 
 
 def parse_policy(text: str) -> MarkovianPolicy | RewardAugmentedPolicy:
@@ -136,33 +138,16 @@ def parse_policy(text: str) -> MarkovianPolicy | RewardAugmentedPolicy:
     horizon = int(fields["horizon"])
     num_states = int(fields["states"])
     num_actions = int(fields["actions"])
+    split = lines.index("policy")
     if kind == "markovian":
-        if lines[2] != "policy":
-            raise ValueError("malformed markovian policy document")
-        table = np.zeros((horizon, num_states, num_actions))
-        for ln in lines[3:]:
-            parts = ln.split()
-            h, s = int(parts[0]), int(parts[1])
-            table[h, s] = [float(p) for p in parts[2:]]
-        return MarkovianPolicy(table)
+        return MarkovianPolicy(_read_rows(lines[split + 1 :], (horizon, num_states, num_actions)))
     if kind == "reward-augmented":
-        theta = float(fields["theta"])
-        grid = RewardGrid(theta, horizon)
-        idx = lines.index("reward")
-        multiples = np.zeros((horizon, num_states, num_actions), dtype=np.int64)
-        body = lines[idx + 1 :]
-        split = body.index("policy")
-        for ln in body[:split]:
-            h, s, a, k = (int(tok) for tok in ln.split())
-            multiples[h, s, a] = k
-        reward = GridReward(grid, multiples)
+        grid = RewardGrid(float(fields["theta"]), horizon)
+        reward_rows = lines[lines.index("reward") + 1 : split]
+        multiples = _read_rows(reward_rows, (horizon, num_states, num_actions, 1), np.int64)
         n_g = grid.num_multiples(horizon - 1)
-        table = np.zeros((horizon, num_states, n_g, num_actions))
-        for ln in body[split + 1 :]:
-            parts = ln.split()
-            h, s, g = int(parts[0]), int(parts[1]), int(parts[2])
-            table[h, s, g] = [float(p) for p in parts[3:]]
-        return RewardAugmentedPolicy(table=table, reward=reward)
+        table = _read_rows(lines[split + 1 :], (horizon, num_states, n_g, num_actions))
+        return RewardAugmentedPolicy(table=table, reward=GridReward(grid, multiples[..., 0]))
     raise ValueError(f"unknown policy kind {kind!r}")
 
 

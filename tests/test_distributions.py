@@ -52,6 +52,34 @@ class TestConstruction:
             DiscreteReturnDistribution(np.array([0.0, 1.0]), np.array([0.5, 0.4]))
 
 
+class TestOnGrid:
+    def test_zero_entries_are_dropped_and_support_is_grid_multiples(self):
+        d = DiscreteReturnDistribution.on_grid(np.array([0.0, 0.5, 0.0, 0.25, 0.25]), 0.1)
+        assert d.support.tolist() == [1 * 0.1, 3 * 0.1, 4 * 0.1]
+        assert d.probs.tolist() == [0.5, 0.25, 0.25]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_integer_counts_give_the_law_of_count_over_n(self, seed):
+        # the constructor divides by the float sum of count / N once more, so
+        # compare with the distribution built from count / N itself
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 4, size=40) * rng.integers(0, 10**6, size=40)
+        counts[0] = 1
+        n = int(counts.sum())
+        keep = np.flatnonzero(counts)
+        expected = DiscreteReturnDistribution(keep * 0.05, counts[keep] / n)
+        for mass in (counts, counts.astype(float)):
+            d = DiscreteReturnDistribution.on_grid(mass, 0.05)
+            assert np.array_equal(d.support, expected.support)
+            assert np.array_equal(d.probs, expected.probs)
+            assert d.probs == pytest.approx(counts[keep] / n, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("mass", [np.zeros(3), np.zeros(3, dtype=np.int64)])
+    def test_all_zero_mass_is_refused(self, mass):
+        with pytest.raises(ValueError):
+            DiscreteReturnDistribution.on_grid(mass, 0.5)
+
+
 class TestWasserstein:
     def test_identical_is_zero(self):
         d = dist({0.0: 0.3, 1.5: 0.7})

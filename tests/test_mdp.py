@@ -219,27 +219,3 @@ class TestDataset:
         view.setflags(write=False)
         data = rl.Dataset(view, view, num_states=1, num_actions=1)
         assert not np.shares_memory(data.states, base)
-
-    def test_owned_read_only_input_is_kept(self):
-        states = np.zeros((3, 2), dtype=np.int64)
-        states.setflags(write=False)
-        data = rl.Dataset(states, states.copy(), num_states=1, num_actions=1)
-        assert data.states is states
-
-    def test_sampler_output_is_not_copied(self, monkeypatch):
-        from rdmlab import policies
-
-        seen = []
-
-        def spy(states, actions, *args, **kwargs):
-            seen.append((states, actions))
-            return rl.Dataset(states, actions, *args, **kwargs)
-
-        monkeypatch.setattr(policies, "Dataset", spy)
-        mdp = two_state_mdp()
-        pol = rl.MarkovianPolicy(np.full((2, 2, 2), 0.5))
-        data = rl.sample_trajectories(mdp, pol, 50, seed=3)
-        (states, actions), = seen
-        assert np.shares_memory(data.states, states)
-        assert np.shares_memory(data.actions, actions)
-        assert not data.states.flags.writeable

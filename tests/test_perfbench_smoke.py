@@ -25,8 +25,11 @@ ROOT = Path(__file__).resolve().parent.parent
         # One round and its replica check at N = 3e5: the counts run_experiment
         # reads from the sampler must give the replica's W1 bit for bit.
         ("bulk", ["--seconds", "1", "--trace", "0"]),
+        # The only workload whose truth is expert Monte Carlo and whose outputs
+        # go through the joint DP, checked against the DKW oracle.
+        ("scale", ["--seconds", "1", "--trace", "0"]),
     ],
-    ids=["desk", "bulk"],
+    ids=["desk", "bulk", "scale"],
 )
 def test_workload_runs_correctly(workload, args):
     proc = subprocess.run(

@@ -1141,6 +1141,9 @@ class TestLiveCellKernel:
         for policy in (markov, single, joint):
             dist = rl.exact_return_distribution(mdp, policy, reward, fine)
             assert dist.probs.sum() == pytest.approx(1.0, abs=1e-15)
+            brute = rl.brute_force_return_distribution(mdp, policy, reward)
+            assert brute.probs.sum() == pytest.approx(1.0, abs=1e-15)
+            assert rl.wasserstein(dist, brute) < 1e-12
         for policy in (markov, single):
             occ = exact_augmented_occupancy(mdp, policy, gr)
             assert occ.sum(axis=(1, 2, 3)) == pytest.approx(np.ones(5), abs=5 * PROB_TOL)

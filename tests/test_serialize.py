@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,22 @@ from rdmlab.serialize import (
 )
 
 from conftest import make_instance
+
+
+def _pinned_policies():
+    markov = rl.random_markovian_policy(3, 2, 4, np.random.default_rng(0))
+    mdp, _ = make_instance(6, rho=0.5)
+    gr = rl.discretize_reward(mdp.reward, rl.RewardGrid(0.5, mdp.horizon))
+    augmented = random_reward_augmented_policy(gr, mdp.num_states, np.random.default_rng(1))
+    return {"markovian": markov, "reward-augmented": augmented, "fork": rl.make_fork_fixture()[1]}
+
+
+# sha256 of each document, written before the policy writer became one row writer
+POLICY_DOCUMENT_SHA256 = {
+    "markovian": "c3a538b0ab2c02357d92e959c9142138bf35394e3a34df23fcd1ca638b2ded5c",
+    "reward-augmented": "4bae4bdeb2b395367f7a65f999af4ea8a934c8d32f5b97f215755867f37292d3",
+    "fork": "4c0cc3a67d8e31807d86e3131a57ddf08c55a3d2ebed2f5c0a72b1fe9a6f3d28",
+}
 
 
 class TestMdpDocuments:
@@ -88,6 +106,18 @@ class TestPolicyDocuments:
         start = lines.index("policy") + 1
         h, s, g = (int(tok) for tok in lines[start].split()[:3])
         assert (h, s, g) == (0, 0, 0)
+
+    @pytest.mark.parametrize("name", sorted(POLICY_DOCUMENT_SHA256))
+    def test_document_bytes_are_pinned(self, name):
+        pol = _pinned_policies()[name]
+        text = format_policy(pol)
+        assert hashlib.sha256(text.encode()).hexdigest() == POLICY_DOCUMENT_SHA256[name]
+        again = parse_policy(text)
+        assert type(again) is type(pol)
+        assert np.array_equal(again.table, pol.table)
+        if isinstance(pol, rl.RewardAugmentedPolicy):
+            assert np.array_equal(again.reward.multiples, pol.reward.multiples)
+            assert again.grid == pol.grid
 
     def test_unknown_document_rejected(self):
         with pytest.raises(ValueError):
