@@ -12,14 +12,12 @@ through one stage kernel, ``_push_stage``: mass lives only on the live
 cells of the accumulator box, and per action the action-weighted mass,
 shifted by that step's grid multiples, goes to the next stage in one
 ``P_h[:, a, :].T @ slab`` GEMM.  This shift-and-add on a fixed grid is the
-categorical projection of Bellemare, Dabney & Munos (2017).  Its five
-consumers: the return DP and the joint policy x return DP
-(``policies.exact_return_distribution``; both accumulators sum the same
-rewards, so the joint live cells lie on a narrow band of the box; both push
-H - 1 stages, as no one reads the post-episode state), the
-augmented occupancy (``policies.exact_augmented_occupancy``), ``rs-kt``'s
-reachable cells (``build_augmented_mdp``) and ``mimic-md``'s crash vertex
-(``baselines``: its crash policy's occupancy on a zero reward, summed over g).
+categorical projection of Bellemare, Dabney & Munos (2017).  It has two
+callers: ``rs-kt``'s reachable cells (``build_augmented_mdp``) and the walk
+of a table policy over the box (policy accumulator x target accumulator),
+``policies._table_walk``, which the return DP, the augmented occupancy and
+so ``mimic-md``'s crash vertex read.  Where both accumulators sum one reward
+on two grids, the live cells lie on a narrow band of the box.
 
 The flow rows of an occupancy polytope (Altman 1999) are written in one
 place, ``_flow_rows``: ``rs-kt`` passes its reachable (h, s, g) cells, and

@@ -574,6 +574,39 @@ class TestCarriedFeatures:
             seen = prefixes
 
 
+#: Every entry point that walks a policy over an MDP, as (mdp, policy, grid reward) -> result.
+_HORIZON_ENTRY_POINTS = {
+    "sample_trajectories": lambda mdp, pol, gr: rl.sample_trajectories(mdp, pol, 10, seed=0),
+    "sample_counts": lambda mdp, pol, gr: rl.sample_counts(mdp, pol, 10, 0, gr),
+    "mc_return_distribution": lambda mdp, pol, gr: rl.mc_return_distribution(
+        mdp, pol, mdp.reward, 10, seed=0
+    ),
+    "exact_return_distribution": lambda mdp, pol, gr: rl.exact_return_distribution(
+        mdp, pol, gr, gr.grid
+    ),
+    "exact_augmented_occupancy": lambda mdp, pol, gr: exact_augmented_occupancy(mdp, pol, gr),
+    "enumerate_trajectory_distribution": lambda mdp, pol, gr: (
+        rl.enumerate_trajectory_distribution(mdp, pol)
+    ),
+    "brute_force_return_distribution": lambda mdp, pol, gr: (
+        rl.brute_force_return_distribution(mdp, pol, mdp.reward)
+    ),
+}
+
+
+@pytest.mark.parametrize("offset", [2, -1], ids=["longer", "shorter"])
+@pytest.mark.parametrize("entry", sorted(_HORIZON_ENTRY_POINTS))
+def test_policy_horizon_must_match_the_mdp(entry, offset):
+    # a longer policy was read for its first H stages, a shorter one ran off its table
+    mdp, _ = make_instance(3)
+    policy = rl.random_markovian_policy(
+        mdp.num_states, mdp.num_actions, mdp.horizon + offset, np.random.default_rng(3)
+    )
+    gr = rl.discretize_reward(mdp.reward, rl.RewardGrid(0.25, mdp.horizon))
+    with pytest.raises(ValueError, match="policy horizon does not match the MDP"):
+        _HORIZON_ENTRY_POINTS[entry](mdp, policy, gr)
+
+
 class TestEnumeration:
     @pytest.mark.parametrize(
         "kind", ["markovian", "reward-augmented", "parametric-history", "fork"]
@@ -687,8 +720,9 @@ class TestExactReturnDistribution:
 
     @pytest.mark.parametrize("theta", [0.05, 0.03], ids=["joint", "single"])
     def test_lifted_markovian_policy_matches_markovian_path(self, theta):
-        # a Markovian table broadcast over g, on a benchmark-sized instance:
-        # theta != rho runs the joint-accumulator path, theta == rho the single
+        # a Markovian table broadcast over g, on a benchmark-sized instance: the
+        # Markovian table walks a one-cell policy accumulator, the lifted one its
+        # own grid's, coarser than rho's (joint) or rho's (single)
         mdp, _ = make_instance(5, num_states=50, num_actions=5, horizon=5, rho=0.03)
         eval_grid = rl.RewardGrid(0.03, mdp.horizon)
         markov = rl.random_markovian_policy(50, 5, 5, np.random.default_rng(5))
@@ -942,6 +976,19 @@ class TestAugmentedOccupancy:
             mass = np.einsum("sa,sat->t", base[h], mdp.transitions[h])
         assert np.abs(marginal - base).max() <= 1e-10
 
+    def test_policy_on_another_reward(self):
+        # the policy reads its own accumulator, not the occupancy's: a
+        # reward-augmented policy conditioned on a second reward on the same grid
+        mdp, _ = make_instance(23, num_states=3, num_actions=2, horizon=3)
+        grid = rl.RewardGrid(0.25, mdp.horizon)
+        gr = rl.discretize_reward(mdp.reward, grid)
+        other = rl.discretize_reward(np.random.default_rng(23).random(mdp.reward.shape), grid)
+        assert not np.array_equal(other.multiples, gr.multiples)
+        policy = random_reward_augmented_policy(other, mdp.num_states, np.random.default_rng(7))
+        occ = exact_augmented_occupancy(mdp, policy, gr)
+        data, probs = rl.enumerate_trajectory_distribution(mdp, policy)
+        assert np.abs(occ - count_occurrences(data, gr, probs)).max() <= 1e-12
+
     def test_stage_masses_are_one(self):
         mdp, _ = make_instance(19, rho=0.5)
         grid = rl.RewardGrid(0.5, mdp.horizon)
@@ -950,6 +997,48 @@ class TestAugmentedOccupancy:
         policy = random_reward_augmented_policy(gr, mdp.num_states, rng)
         occ = exact_augmented_occupancy(mdp, policy, gr)
         assert occ.sum(axis=(1, 2, 3)) == pytest.approx(np.ones(mdp.horizon), abs=1e-10)
+
+
+class TestExactPassDigests:
+    """sha256 of the exact passes' output bytes on one (10,3,5) instance with a
+    continuous reward, evaluated on the 0.05 grid: a Markovian policy, a
+    reward-augmented one on the evaluation reward, and one on the 0.1 grid
+    (the joint accumulator); the occupancy of the first two on that reward."""
+
+    PINNED = {
+        "return-markovian": "7d8cf63cee9e6cd6d6c7dc7e6105b5d01554b0b93668a85b4ee355d6b19f0bdd",
+        "return-same-reward": "92c6faee1c500e9ca5904bcf2c4eb0c6e20a9013381b27a09eb6d7fd5b9e0c39",
+        "return-coarser-grid": "9ee678fc5ecf8b274680ad57c46a625a0cf0e47b77f77d06b3c61c961609b8c3",
+        "occupancy-markovian": "fc5f3215da55924d3d5d8e9bc85479e2fc9ee313136cc0e822afa40452481837",
+        "occupancy-same-reward": "597356a623998c66f46d821663e88f7128383e2fb7466b0a4675ad831b05ecf5",
+    }
+
+    @staticmethod
+    def _digest(*arrays):
+        return hashlib.sha256(
+            b"".join(np.ascontiguousarray(x, dtype="<f8").tobytes() for x in arrays)
+        ).hexdigest()
+
+    def test_exact_passes_match_pinned_digests(self):
+        mdp, _ = make_instance(21, num_states=10, num_actions=3, horizon=5, continuous_reward=True)
+        fine, coarse = rl.RewardGrid(0.05, 5), rl.RewardGrid(0.1, 5)
+        gr = rl.discretize_reward(mdp.reward, fine)
+        rng = np.random.default_rng(21)
+        policies = {
+            "markovian": rl.random_markovian_policy(10, 3, 5, rng),
+            "same-reward": random_reward_augmented_policy(gr, 10, rng),
+            "coarser-grid": random_reward_augmented_policy(
+                rl.discretize_reward(mdp.reward, coarse), 10, rng
+            ),
+        }
+        got = {}
+        for kind, policy in policies.items():
+            dist = rl.exact_return_distribution(mdp, policy, mdp.reward, fine)
+            got[f"return-{kind}"] = self._digest(dist.support, dist.probs)
+        for kind in ("markovian", "same-reward"):
+            occ = exact_augmented_occupancy(mdp, policies[kind], gr)
+            got[f"occupancy-{kind}"] = self._digest(occ)
+        assert got == self.PINNED
 
 
 def _dense_push_stage(mass, phi, transitions, shifts, limits):
