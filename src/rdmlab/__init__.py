@@ -47,7 +47,6 @@ from .policies import (
     ParametricHistoryPolicy,
     PolicyHandle,
     RewardAugmentedPolicy,
-    act_parametric,
     brute_force_return_distribution,
     enumerate_trajectory_distribution,
     exact_augmented_occupancy,

@@ -228,7 +228,7 @@ def _policy_distribution(
     eval_grid = RewardGrid(cfg.rho, mdp.horizon)
     if (
         isinstance(policy, RewardAugmentedPolicy)
-        and mdp.num_states * policy.grid.num_multiples(mdp.horizon - 1) * eval_grid.full_size
+        and mdp.num_states * policy.grid.table_size * eval_grid.full_size
         > _DP_CELL_BUDGET
     ):
         return mc_return_distribution(mdp, policy, mdp.reward, cfg.mc_samples, eval_seed)

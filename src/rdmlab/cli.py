@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from . import bench, serialize
 from .distributions import wasserstein
@@ -57,21 +58,21 @@ def _cmd_gen_instance(args: argparse.Namespace) -> int:
         seeds_per_dataset=1,
     )
     mdp, expert = bench.generate_instance(cfg, args.seed)
-    serialize.save_mdp(mdp, args.out)
+    Path(args.out).write_text(serialize.mdp_to_json(mdp))
     print(f"wrote {args.out} (S={mdp.num_states} A={mdp.num_actions} H={mdp.horizon} "
           f"s0={mdp.initial_state} expert={cfg.expert_kind})")
     if args.expert_out is not None:
         if not isinstance(expert, MarkovianPolicy):
             print("only markovian experts can be serialized", file=sys.stderr)
             return 2
-        serialize.save_policy(expert, args.expert_out)
+        Path(args.expert_out).write_text(serialize.format_policy(expert))
         print(f"wrote {args.expert_out}")
     return 0
 
 
 def _cmd_eval_policy(args: argparse.Namespace) -> int:
-    mdp = serialize.load_mdp(args.mdp)
-    policy = serialize.load_policy(args.policy)
+    mdp = serialize.mdp_from_json(Path(args.mdp).read_text())
+    policy = serialize.parse_policy(Path(args.policy).read_text())
     if args.grid_step is not None:
         step = args.grid_step
     elif isinstance(policy, RewardAugmentedPolicy):
@@ -83,8 +84,7 @@ def _cmd_eval_policy(args: argparse.Namespace) -> int:
     dist = exact_return_distribution(mdp, policy, mdp.reward, grid)
     sys.stdout.write(serialize.format_distribution(dist))
     if args.against is not None:
-        with open(args.against) as fh:
-            reference = serialize.parse_distribution(fh.read())
+        reference = serialize.parse_distribution(Path(args.against).read_text())
         print(f"wasserstein {wasserstein(dist, reference)!r}")
     return 0
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import Dataset, RewardGrid, discretize_reward
+from .mdp import Dataset, GridReward, RewardGrid, discretize_reward
 
 __all__ = [
     "DiscreteReturnDistribution",
@@ -181,21 +181,20 @@ def dkw_band(n: int, delta: float) -> float:
 
 
 def empirical_return_distribution(
-    data: Dataset, reward: np.ndarray, grid: RewardGrid | None = None
+    data: Dataset, reward: np.ndarray | GridReward, grid: RewardGrid | None = None
 ) -> DiscreteReturnDistribution:
     """Empirical distribution of trajectory returns, one atom per observed value.
 
-    With a ``grid``, the reward is first rounded onto it and returns are
-    accumulated as exact integer multiples, so equal grid sums always land
-    on the same atom.  Only observed values enter the support; grid points
-    never visited carry no atoms (zero entries cannot affect any metric
-    computed here).
+    With a ``grid``, the reward is first put on it by ``discretize_reward``
+    and returns are accumulated as exact integer multiples, so equal grid
+    sums always land on the same atom.  Only observed values enter the
+    support; grid points never visited carry no atoms (zero entries cannot
+    affect any metric computed here).
     """
-    reward = np.asarray(reward, dtype=float)
     n, horizon = data.states.shape
     stage_idx = np.arange(horizon)[None, :]
     if grid is None:
-        steps = reward[stage_idx, data.states, data.actions]
+        steps = np.asarray(reward, dtype=float)[stage_idx, data.states, data.actions]
         returns = steps.sum(axis=1)
         return DiscreteReturnDistribution.from_weighted(returns, np.full(n, 1.0 / n))
     gr = discretize_reward(reward, grid)

@@ -76,7 +76,7 @@ def make_fork_fixture() -> tuple[TabularMdp, RewardAugmentedPolicy]:
     )
 
     grid = RewardGrid(1.0, horizon)
-    table = np.zeros((horizon, num_states, grid.num_multiples(horizon - 1), num_actions))
+    table = np.zeros((horizon, num_states, grid.table_size, num_actions))
     table[..., 0] = 1.0
     table[2, _S_MERGE, 0] = (0.0, 1.0)
     return mdp, RewardAugmentedPolicy(table, discretize_reward(reward, grid))

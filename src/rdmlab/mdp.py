@@ -198,6 +198,11 @@ class RewardGrid:
         """Size of the final grid covering [0, horizon]."""
         return self.num_multiples(self.horizon)
 
+    @property
+    def table_size(self) -> int:
+        """Width of every stage table's g axis: ``num_multiples(horizon - 1)``."""
+        return self.num_multiples(self.horizon - 1)
+
 
 @dataclass(frozen=True)
 class GridReward:
@@ -220,18 +225,25 @@ class GridReward:
     def values(self) -> np.ndarray:
         return self.multiples * self.grid.theta
 
+    def returns(self, g: np.ndarray) -> np.ndarray:
+        """The return multiple each last action reaches from the last-stage
+        cells ``g``: ``g + multiples[H-1, s, a]`` as an (S, g.size, A) array."""
+        return g[:, None] + self.multiples[-1][:, None, :]
+
 
 def discretize_reward(reward: np.ndarray | GridReward, grid: RewardGrid) -> GridReward:
-    """Round every reward entry to the nearest one-step grid value.
+    """The reward on ``grid``: the one rule every (reward, grid) entry point reads.
 
-    Ties are broken toward the smaller grid value, so the map is
-    deterministic and idempotent.  The result stores integer multiples of
-    ``grid.theta``; use ``.values`` for the rounded float table.
+    A raw (H, S, A) table is rounded entrywise to the nearest one-step grid
+    value, ties toward the smaller, so the map is deterministic and
+    idempotent (``.values`` is the rounded table).  A ``GridReward`` on
+    ``grid`` is returned as it is; one on another grid raises ``ValueError``
+    rather than be silently rounded again.
     """
     if isinstance(reward, GridReward):
-        if reward.grid == grid:
-            return reward
-        reward = reward.values
+        if reward.grid != grid:
+            raise ValueError("reward grid does not match the requested grid")
+        return reward
     r = np.asarray(reward, dtype=float)
     if r.ndim != 3 or r.shape[0] != grid.horizon:
         raise ValueError("reward must be a (H, S, A) table matching the grid horizon")

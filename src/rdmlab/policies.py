@@ -29,7 +29,9 @@ One stage walk, ``_stages``, draws n episodes stage by stage in blocks of
 at most ``_STAGE_BLOCK`` consecutive rows, whose temporaries stay in cache:
 an action pass draws every block's actions, then a transition pass every
 block's next states (none after the last action).  Each pass takes the
-stage's uniforms in row order, as one whole-n block would.  Its two
+stage's uniforms in row order, as one whole-n block would.  A table policy
+draws from its ``_grid_table`` lift, as the exact walk and Monte Carlo
+read it; a one-cell (Markovian) table keeps no per-row g.  Its two
 consumers take each block's (h, rows, states, actions): ``sample_trajectories``
 writes the (n, H) columns of a ``Dataset``, and ``sample_counts`` adds them
 straight into the visit tensor M[h, s, g, a] on a grid reward, carrying
@@ -38,10 +40,10 @@ dataset without the dataset.  ``mc_return_distribution`` draws no rows:
 it carries groups, distinct histories with integer multiplicities, and
 splits each group's count over actions and then over next states
 (``_split``): a count above the row width by one multinomial, a smaller
-one by one categorical draw per member.  Every categorical draw takes one uniform per row and finds it
-in a flat cumulative table at a computed row offset (``_draw``); no
-(n x width) block of CDF rows is gathered.  Tables are built once per call
-with negative round-off entries clipped to 0, so rows are nondecreasing.
+one by one categorical draw per member.  Every categorical draw takes one
+uniform per row and finds it in a flat cumulative table at a computed row
+offset (``_draw``); no (n x width) block of CDF rows is gathered.  Tables
+are built once per call with negative round-off entries clipped to 0.
 Transition, Markovian and reward-augmented tables at least
 ``_GUIDE_MIN_WIDTH`` wide also get a guide table (Chen & Asau 1974) of up
 to ``2**_GUIDE_BITS`` buckets per row, never more entries than the n or m
@@ -78,6 +80,7 @@ from .mdp import (
     GridReward,
     RewardGrid,
     TabularMdp,
+    _frozen,
     _push_stage,
     discretize_reward,
 )
@@ -89,7 +92,6 @@ __all__ = [
     "PolicyHandle",
     "EnumerationCapError",
     "ENUMERATION_CAP",
-    "act_parametric",
     "sample_trajectories",
     "sample_counts",
     "exact_return_distribution",
@@ -140,15 +142,13 @@ class EnumerationCapError(RuntimeError):
 
 
 def _check_rows(table: np.ndarray, what: str) -> np.ndarray:
-    table = np.asarray(table, dtype=float)
+    table = _frozen(table, float)
     if (
         not np.isfinite(table).all()
         or np.abs(table.sum(axis=-1) - 1.0).max() > _ROW_TOL
         or table.min() < -_ROW_TOL
     ):
         raise ValueError(f"{what}: action rows must be probability vectors")
-    table = table.copy()
-    table.setflags(write=False)
     return table
 
 
@@ -199,7 +199,7 @@ class RewardAugmentedPolicy:
     by exact integer accumulation.  ``grid`` is the reward's grid.
     """
 
-    table: np.ndarray  # (H, S, G, A) with G = num_multiples(H - 1)
+    table: np.ndarray  # (H, S, G, A) with G = grid.table_size
     reward: GridReward
 
     def __post_init__(self) -> None:
@@ -209,10 +209,8 @@ class RewardAugmentedPolicy:
         horizon = t.shape[0]
         if self.grid.horizon != horizon:
             raise ValueError("reward and table horizons must agree")
-        if t.shape[2] != self.grid.num_multiples(horizon - 1):
-            raise ValueError(
-                f"g-axis has {t.shape[2]} cells, expected {self.grid.num_multiples(horizon - 1)}"
-            )
+        if t.shape[2] != self.grid.table_size:
+            raise ValueError(f"g-axis has {t.shape[2]} cells, expected {self.grid.table_size}")
         object.__setattr__(self, "table", t)
 
     @property
@@ -243,14 +241,12 @@ class ParametricHistoryPolicy:
     state_weights: np.ndarray  # (S, PROJECTION_DIM, A)
 
     def __post_init__(self) -> None:
-        proj = np.asarray(self.projection, dtype=float).copy()
-        w = np.asarray(self.state_weights, dtype=float).copy()
+        proj = _frozen(self.projection, float)
+        w = _frozen(self.state_weights, float)
         if proj.ndim != 2 or proj.shape[1] != PROJECTION_DIM or proj.shape[0] % 2:
             raise ValueError(f"projection must have shape (2H, {PROJECTION_DIM})")
         if w.ndim != 3 or w.shape[1] != PROJECTION_DIM:
             raise ValueError(f"state_weights must have shape (S, {PROJECTION_DIM}, A)")
-        proj.setflags(write=False)
-        w.setflags(write=False)
         object.__setattr__(self, "projection", proj)
         object.__setattr__(self, "state_weights", w)
 
@@ -259,7 +255,11 @@ class ParametricHistoryPolicy:
         return self.projection.shape[0] // 2
 
     def act(self, h: int, state: int, history: History = ()) -> np.ndarray:
-        return act_parametric(self, history, state, h)
+        encoded = np.zeros(self.projection.shape[0])
+        for i, (s, a) in enumerate(history):
+            encoded[2 * i] = s
+            encoded[2 * i + 1] = a
+        return _softmax((encoded @ self.projection) @ self.state_weights[state])
 
 
 PolicyHandle = Union[MarkovianPolicy, RewardAugmentedPolicy, ParametricHistoryPolicy]
@@ -269,18 +269,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def act_parametric(
-    pol: ParametricHistoryPolicy, history: History, state: int, h: int
-) -> np.ndarray:
-    """Action distribution of a parametric history policy at one decision point."""
-    encoded = np.zeros(pol.projection.shape[0])
-    for i, (s, a) in enumerate(history):
-        encoded[2 * i] = s
-        encoded[2 * i + 1] = a
-    features = encoded @ pol.projection
-    return _softmax(features @ pol.state_weights[state])
 
 
 class _Table(NamedTuple):
@@ -444,9 +432,10 @@ def _stages(
     pass, skipped after the last action (nothing reads that state), draws
     each block's next states.  Both passes go in row order, and
     ``Generator.random`` gives the same doubles block by block as at once, so
-    every draw is the one-block walk's.  A table policy reads row (h, s) or
-    (h, s, g), the parametric expert its prefix row, from one prefix table
-    per stage renumbered over all n rows after the transition pass.  ``n >= 1``.
+    every draw is the one-block walk's.  A table policy reads row (h, s, g)
+    of its ``_grid_table`` lift (``_grid_table`` refuses other kinds), the
+    parametric expert its prefix row, from one prefix table per stage
+    renumbered over all n rows after the transition pass.  ``n >= 1``.
     """
     _check_horizon(mdp, policy)
     rng = np.random.default_rng(seed)
@@ -455,46 +444,45 @@ def _stages(
     cur = np.full(n, mdp.initial_state, dtype=np.int64)
     a = np.empty(n, dtype=np.int64)
     trans = _cdf_table(mdp.transitions, n)
-
-    # A Markovian table keeps its (h, s) rows, not ``_grid_table``'s lift: a zero g
-    # per row made ``sample_counts`` at bulk's n = 3e5 about 25% slower (2 cores,
-    # best of 15 summed over 5 instances: 176-264 against 227-334 ms).
-    if isinstance(policy, (MarkovianPolicy, RewardAugmentedPolicy)):
-        policy_table = _cdf_table(policy.table, n)
-    if isinstance(policy, RewardAugmentedPolicy):
-        g = np.zeros(n, dtype=np.int64)
-        n_g = policy.table.shape[2]
-    elif isinstance(policy, ParametricHistoryPolicy):
+    prefix = isinstance(policy, ParametricHistoryPolicy)
+    if prefix:
         # One row per distinct (history, current state) prefix; row pid[i]
         # is trajectory i's.
         width = policy.state_weights.shape[2]
         pid = np.zeros(n, dtype=np.int64)
         prefix_state = np.full(1, mdp.initial_state, dtype=np.int64)
         features = np.zeros((1, PROJECTION_DIM))
+        g = None
+    else:
+        table, own_multiples = _grid_table(policy)
+        policy_table = _cdf_table(table, n)
+        n_g = table.shape[2]
+        # The lift costs nothing: it is a view with the same flat CDF rows, and
+        # a one-cell table (G = 1, a Markovian one) keeps no per-row g, whose
+        # zeros made ``sample_counts`` at bulk's n = 3e5 about 25% slower.
+        g = np.zeros(n, dtype=np.int64) if n_g > 1 else None
 
     for h in range(horizon):
-        if isinstance(policy, ParametricHistoryPolicy):
+        if prefix:
             prefix_table = _Table(_prefix_cdf(policy, prefix_state, features).ravel(), width)
         for rows in blocks:
             s = cur[rows]
-            if isinstance(policy, MarkovianPolicy):
-                a[rows] = _draw(rng, policy_table, h * num_states + s)
-            elif isinstance(policy, RewardAugmentedPolicy):
-                a[rows] = _draw(rng, policy_table, (h * num_states + s) * n_g + g[rows])
-            elif isinstance(policy, ParametricHistoryPolicy):
+            if prefix:
                 a[rows] = _draw(rng, prefix_table, pid[rows])
+            elif g is None:
+                a[rows] = _draw(rng, policy_table, h * num_states + s)
             else:
-                raise TypeError(f"unsupported policy kind {type(policy).__name__}")
+                a[rows] = _draw(rng, policy_table, (h * num_states + s) * n_g + g[rows])
             yield h, rows, s, a[rows]
         if h + 1 == horizon:
             return
         for rows in blocks:
             s, act = cur[rows], a[rows]
             nxt = _draw(rng, trans, (h * num_states + s) * num_actions + act)
-            if isinstance(policy, RewardAugmentedPolicy):
-                g[rows] += policy.reward.multiples[h, s, act]
+            if g is not None:
+                g[rows] += own_multiples[h, s, act]
             cur[rows] = nxt
-        if isinstance(policy, ParametricHistoryPolicy):
+        if prefix:
             # The key is a trie id: (parent prefix, action, next state).
             key, pid = np.unique((pid * width + a) * num_states + cur, return_inverse=True)
             parent = key // (width * num_states)
@@ -541,7 +529,7 @@ def sample_counts(
         raise ValueError("reward horizon does not match the dataset")
     if reward.multiples.shape[1:] != (num_states, num_actions):
         raise ValueError("reward table does not match the MDP's states and actions")
-    num_g = reward.grid.num_multiples(horizon - 1)
+    num_g = reward.grid.table_size
     cells = num_states * num_g * num_actions
     # A row's offset into its state's (G, A) block of M[h] is g * A; each
     # step adds multiples[h, s, a] * A, read at the flat (s, a) index.
@@ -567,7 +555,7 @@ def _check_horizon(mdp: TabularMdp, policy: PolicyHandle) -> None:
 
 
 def enumerate_trajectory_distribution(
-    mdp: TabularMdp, policy: PolicyHandle, cap: int = ENUMERATION_CAP
+    mdp: TabularMdp, policy: PolicyHandle
 ) -> tuple[Dataset, np.ndarray]:
     """All positive-probability trajectories, one row each, and their probabilities.
 
@@ -577,8 +565,8 @@ def enumerate_trajectory_distribution(
     """
     _check_horizon(mdp, policy)
     size = (mdp.num_states * mdp.num_actions) ** mdp.horizon
-    if size > cap:
-        raise EnumerationCapError(f"trajectory space (S*A)^H = {size} exceeds the cap {cap}")
+    if size > ENUMERATION_CAP:
+        raise EnumerationCapError(f"trajectory space (S*A)^H = {size} exceeds {ENUMERATION_CAP}")
     rows: list[list[tuple[int, int]]] = []
     probs: list[float] = []
     horizon = mdp.horizon
@@ -605,13 +593,10 @@ def enumerate_trajectory_distribution(
 
 
 def brute_force_return_distribution(
-    mdp: TabularMdp,
-    policy: PolicyHandle,
-    reward: np.ndarray,
-    cap: int = ENUMERATION_CAP,
+    mdp: TabularMdp, policy: PolicyHandle, reward: np.ndarray
 ) -> DiscreteReturnDistribution:
     """Exact return distribution by full trajectory enumeration."""
-    data, probs = enumerate_trajectory_distribution(mdp, policy, cap)
+    data, probs = enumerate_trajectory_distribution(mdp, policy)
     total = probs.sum()
     _dp_mass_check(total, mdp.horizon)  # rows admitted off one, as in the return DP
     if abs(total - 1.0) > _MASS_TOL:  # a total closer to one keeps its bits
@@ -650,7 +635,8 @@ def mc_return_distribution(
     trans = _cdf_table(mdp.transitions, m)
     count = np.full(1, m, dtype=np.int64)
     state = np.full(1, mdp.initial_state, dtype=np.int64)
-    if isinstance(policy, ParametricHistoryPolicy):
+    prefix = isinstance(policy, ParametricHistoryPolicy)
+    if prefix:
         features = np.zeros((1, PROJECTION_DIM))
     else:
         table, own_multiples = _grid_table(policy)
@@ -663,7 +649,7 @@ def mc_return_distribution(
     trail: list[tuple[np.ndarray, np.ndarray]] = []
     parent_pair = np.zeros(1, dtype=np.int64)
     for h in range(horizon):
-        if isinstance(policy, ParametricHistoryPolicy):
+        if prefix:
             actions = _Table(_prefix_cdf(policy, state, features).ravel(), num_actions)
             group, a, pair_count = _split(rng, actions, np.arange(state.size), count)
         else:
@@ -675,7 +661,7 @@ def mc_return_distribution(
             break
         trans_row = (h * num_states + s) * num_actions + a
         parent_pair, state, count = _split(rng, trans, trans_row, pair_count)
-        if isinstance(policy, ParametricHistoryPolicy):
+        if prefix:
             features = _extend_features(
                 policy, features, group[parent_pair], h, s[parent_pair], a[parent_pair]
             )
@@ -732,27 +718,22 @@ def _table_walk(mdp: TabularMdp, policy: PolicyHandle, multiples: np.ndarray, si
 
 
 def exact_return_distribution(
-    mdp: TabularMdp,
-    policy: MarkovianPolicy | RewardAugmentedPolicy,
-    reward: np.ndarray | GridReward,
-    grid: RewardGrid,
+    mdp: TabularMdp, policy: MarkovianPolicy | RewardAugmentedPolicy,
+    reward: np.ndarray | GridReward, grid: RewardGrid,
 ) -> DiscreteReturnDistribution:
     """Exact return distribution of a dynamic-programmable policy.
 
-    The evaluation reward is rounded onto ``grid`` (a no-op if it is already
-    grid-valued) and the return is accumulated as integer multiples, jointly
-    with the multiple the policy reads (``_table_walk``), so the result is
-    exact whichever reward the policy conditions on.
+    The evaluation reward is put on ``grid`` by ``discretize_reward`` and the
+    return is accumulated as integer multiples, jointly with the multiple the
+    policy reads (``_table_walk``), so the result is exact whichever reward
+    the policy conditions on.
     """
-    gr_eval = reward if isinstance(reward, GridReward) else discretize_reward(reward, grid)
-    if gr_eval.grid != grid:
-        raise ValueError("evaluation reward grid does not match the requested grid")
+    gr_eval = discretize_reward(reward, grid)
     for cells, mass, phi in _table_walk(mdp, policy, gr_eval.multiples, grid.full_size):
         pass
     # The last action's mass lands on its return cell, summed in (state, cell, action) order.
     weighted = mass[:, :, None] * phi
-    ret = (cells % grid.full_size)[:, None] + gr_eval.multiples[-1][:, None, :]
-    totals = np.bincount(ret.ravel(), weights=weighted.ravel())
+    totals = np.bincount(gr_eval.returns(cells % grid.full_size).ravel(), weighted.ravel())
     # The last stage's rows still carry the mass: a leaking row must show.
     row_mass = mdp.transitions[-1].sum(axis=-1)
     _dp_mass_check(float((weighted.sum(axis=1) * row_mass).sum()), mdp.horizon)
@@ -770,7 +751,7 @@ def exact_augmented_occupancy(
     action ``a``.  The policy reads its own accumulator (``_table_walk``),
     which may sum another reward; each stage's mass is summed over it.
     """
-    n_g = reward.grid.num_multiples(mdp.horizon - 1)
+    n_g = reward.grid.table_size
     occ = np.zeros((mdp.horizon, mdp.num_states, n_g, mdp.num_actions))
     for h, (cells, mass, phi) in enumerate(_table_walk(mdp, policy, reward.multiples, n_g)):
         np.add.at(occ[h], (slice(None), cells % n_g), mass[:, :, None] * phi)
@@ -791,10 +772,8 @@ def random_reward_augmented_policy(
 ) -> RewardAugmentedPolicy:
     """Uniform-simplex rows over every (stage, state, grid value) cell."""
     grid = reward.grid
-    horizon = grid.horizon
     num_actions = reward.multiples.shape[2]
-    n_g = grid.num_multiples(horizon - 1)
-    table = rng.dirichlet(np.ones(num_actions), size=(horizon, num_states, n_g))
+    table = rng.dirichlet(np.ones(num_actions), size=(grid.horizon, num_states, grid.table_size))
     return RewardAugmentedPolicy(table=table, reward=reward)
 
 

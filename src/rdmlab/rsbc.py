@@ -70,7 +70,7 @@ def count_occurrences(
     step_mult = reward.multiples[stage_idx, data.states, data.actions]  # (N, H)
     g = np.zeros_like(step_mult)
     np.cumsum(step_mult[:, :-1], axis=1, out=g[:, 1:])
-    shape = (horizon, data.num_states, grid.num_multiples(horizon - 1), data.num_actions)
+    shape = (horizon, data.num_states, grid.table_size, data.num_actions)
     key = ((stage_idx * shape[1] + data.states) * shape[2] + g) * shape[3] + data.actions
     if weights is not None:
         weights = np.repeat(np.asarray(weights, dtype=float), horizon)
@@ -91,20 +91,21 @@ def eta_hat_from_counts(counts: np.ndarray, reward: GridReward) -> DiscreteRetur
     """The empirical grid return distribution read from the counters M[h, s, g, a].
 
     Every trajectory visits exactly one last-stage cell (s, g, a), and its
-    return is g + ``reward.multiples[H-1, s, a]`` grid steps, so the
-    histogram of returns is M[H-1] summed over those totals; its exact sum
-    is N, so ``DiscreteReturnDistribution.on_grid`` gives the law
+    return is ``reward.returns(g)`` grid steps, so the histogram of returns
+    is M[H-1] summed over those totals; its exact sum is N, so
+    ``DiscreteReturnDistribution.on_grid`` gives the law
     ``empirical_return_distribution(data, reward, grid)`` builds.
     """
     last = counts[-1]  # (S, G, A)
-    totals = np.arange(last.shape[1])[:, None] + reward.multiples[-1][:, None, :]
-    mass = np.bincount(totals.ravel(), last.ravel())
+    mass = np.bincount(reward.returns(np.arange(last.shape[1])).ravel(), last.ravel())
     return DiscreteReturnDistribution.on_grid(mass, reward.grid.theta)
 
 
-def rs_bc(data: Dataset, reward: np.ndarray, grid: RewardGrid) -> RewardAugmentedPolicy:
+def rs_bc(
+    data: Dataset, reward: np.ndarray | GridReward, grid: RewardGrid
+) -> RewardAugmentedPolicy:
     """Estimate the reward-conditioned policy from expert trajectories."""
-    gr = discretize_reward(np.asarray(reward, dtype=float), grid)
+    gr = discretize_reward(reward, grid)
     return rs_bc_from_counts(count_occurrences(data, gr), gr)
 
 
@@ -124,9 +125,7 @@ def construct_pi_r(
     provably reproduces the expert's return distribution exactly; with
     rounding, the gap is at most H * theta.
     """
-    gr = reward if isinstance(reward, GridReward) else discretize_reward(reward, grid)
-    if gr.grid != grid:
-        raise ValueError("reward grid does not match the requested grid")
+    gr = discretize_reward(reward, grid)
     data, probs = enumerate_trajectory_distribution(mdp, expert)
     return rs_bc_from_counts(count_occurrences(data, gr, probs), gr)
 

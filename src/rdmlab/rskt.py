@@ -114,13 +114,11 @@ class RsktLayout:
         return np.bincount(returns, weights=x[cols], minlength=self.n_keep)
 
     def _final_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """d columns of the final stage and the return multiple each one reaches."""
-        last = self.aug.base.horizon - 1
-        num_actions = self.aug.base.num_actions
-        s, g = np.nonzero(self.column[last] >= 0)
-        actions = np.arange(num_actions)
-        cols = self.column[last, s, g][:, None] + actions
-        returns = g[:, None] + self.aug.reward.multiples[last][s]
+        """d columns of the final stage and the return each reaches, cells in C order."""
+        last = self.column[-1]
+        live = last >= 0
+        cols = last[live][:, None] + np.arange(self.aug.base.num_actions)
+        returns = self.aug.reward.returns(np.arange(last.shape[1]))[live]
         return cols.ravel(), returns.ravel()
 
     def program(self) -> LinearProgram:
@@ -228,7 +226,7 @@ def lp_layout(aug: AugmentedMdp, eta_hat: DiscreteReturnDistribution) -> RsktLay
     hat_max = int(np.nonzero(eta_hat_full > 0)[0][-1])
     n_keep = max(reach_max, hat_max) + 1
     horizon = aug.base.horizon
-    live = aug.reachable[:horizon, :, : aug.grid.num_multiples(horizon - 1)]
+    live = aug.reachable[:horizon, :, : aug.grid.table_size]
     num_cells = int(live.sum())
     column = np.full(live.shape, -1, dtype=np.int64)
     column[live] = np.arange(num_cells) * aug.base.num_actions
@@ -288,7 +286,7 @@ def rs_kt_from_counts(
 
 
 def rs_kt(
-    data: Dataset, mdp: TabularMdp, reward: np.ndarray, grid: RewardGrid
+    data: Dataset, mdp: TabularMdp, reward: np.ndarray | GridReward, grid: RewardGrid
 ) -> tuple[RewardAugmentedPolicy, RsktDiagnostics]:
     """``rs_kt_from_counts`` on the dataset's visit counters on ``grid``."""
     gr = discretize_reward(reward, grid)

@@ -8,7 +8,6 @@ as the line ``1 1``).
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import numpy as np
 
@@ -17,14 +16,10 @@ from .mdp import GridReward, RewardGrid, TabularMdp
 from .policies import MarkovianPolicy, RewardAugmentedPolicy
 
 __all__ = [
-    "save_mdp",
-    "load_mdp",
     "mdp_to_json",
     "mdp_from_json",
     "format_distribution",
     "parse_distribution",
-    "save_policy",
-    "load_policy",
     "format_policy",
     "parse_policy",
 ]
@@ -60,14 +55,6 @@ def mdp_from_json(text: str) -> TabularMdp:
         transitions=np.array(doc["transitions"], dtype=float),
         reward=np.array(doc["reward"], dtype=float),
     )
-
-
-def save_mdp(mdp: TabularMdp, path: str | Path) -> None:
-    Path(path).write_text(mdp_to_json(mdp))
-
-
-def load_mdp(path: str | Path) -> TabularMdp:
-    return mdp_from_json(Path(path).read_text())
 
 
 # --- distribution dumps ----------------------------------------------------
@@ -145,15 +132,6 @@ def parse_policy(text: str) -> MarkovianPolicy | RewardAugmentedPolicy:
         grid = RewardGrid(float(fields["theta"]), horizon)
         reward_rows = lines[lines.index("reward") + 1 : split]
         multiples = _read_rows(reward_rows, (horizon, num_states, num_actions, 1), np.int64)
-        n_g = grid.num_multiples(horizon - 1)
-        table = _read_rows(lines[split + 1 :], (horizon, num_states, n_g, num_actions))
+        table = _read_rows(lines[split + 1 :], (horizon, num_states, grid.table_size, num_actions))
         return RewardAugmentedPolicy(table=table, reward=GridReward(grid, multiples[..., 0]))
     raise ValueError(f"unknown policy kind {kind!r}")
-
-
-def save_policy(policy, path: str | Path) -> None:
-    Path(path).write_text(format_policy(policy))
-
-
-def load_policy(path: str | Path):
-    return parse_policy(Path(path).read_text())

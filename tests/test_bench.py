@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import rdmlab as rl
+import rdmlab.baselines as baselines_mod
 import rdmlab.bench as bench_mod
+import rdmlab.rskt as rskt_mod
 from rdmlab.bench import (
     RESULTS_HEADER,
     collect_example_distributions,
@@ -260,6 +262,38 @@ class TestRunExperiment:
         assert hashlib.sha256(target.read_bytes()).hexdigest() == (
             "22cd914659c5126f03594767202d7d87c2e01e02f127f69c870245c4c4f5f77f"
         )
+
+
+class _Captured(Exception):
+    """Raised in place of a simplex solve once its inputs are hashed."""
+
+
+def test_desk_lp_inputs_are_pinned(monkeypatch):
+    """sha256 over (c, A_eq, b_eq, starting basis) of every program the desk
+    run loop hands the simplex, ``rs-kt``'s and ``mimic-md``'s, for master
+    seeds 0-99, captured at each module's ``solve`` call: a moved LP input
+    fails here rather than only as a failed benchmark operation."""
+    digest = hashlib.sha256()
+
+    def capture(lp, basis=None):
+        for arr in (lp.c, lp.A_eq, lp.b_eq, np.asarray(basis, dtype=np.int64)):
+            digest.update(repr(arr.shape).encode())
+            digest.update(np.ascontiguousarray(arr).tobytes())
+        raise _Captured
+
+    monkeypatch.setattr(rskt_mod, "solve", capture)
+    monkeypatch.setattr(baselines_mod, "solve", capture)
+    for seed in range(100):
+        cfg = rl.ExperimentConfig(**{**KNOWN_BAD_PIVOT_CFG, "master_seed": seed})
+        mdp, expert = rl.generate_instance(cfg, derive_seed(seed, "instance", 0))
+        reward = rl.discretize_reward(mdp.reward, rl.RewardGrid(cfg.theta, mdp.horizon))
+        counts = bench_mod._sample_counts(cfg, mdp, expert, reward, (0, 0, 0))
+        for alg in ("rs-kt", "mimic-md"):
+            with pytest.raises(_Captured):
+                bench_mod._FITS[alg](counts, mdp, reward)
+    assert digest.hexdigest() == (
+        "e39ea510419629caaf6e678e6981aa9a9c7a70795707b21cab3879a55a7be3d5"
+    )
 
 
 @pytest.mark.parametrize("master_seed", KNOWN_BAD_PIVOT_SEEDS)

@@ -4,7 +4,7 @@ import pytest
 
 import rdmlab as rl
 from rdmlab.cli import main
-from rdmlab.serialize import format_distribution, load_mdp, load_policy, parse_distribution
+from rdmlab.serialize import format_distribution, mdp_from_json, parse_distribution, parse_policy
 
 
 def test_fixtures_subcommand_passes(capsys):
@@ -21,9 +21,9 @@ def test_gen_instance_writes_loadable_mdp(tmp_path, capsys):
         "--horizon", "4", "--out", str(out), "--expert-out", str(expert_out),
     ])
     assert code == 0
-    mdp = load_mdp(out)
+    mdp = mdp_from_json(out.read_text())
     assert rl.validate_mdp(mdp) == []
-    policy = load_policy(expert_out)
+    policy = parse_policy(expert_out.read_text())
     assert isinstance(policy, rl.MarkovianPolicy)
 
 

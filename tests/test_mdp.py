@@ -97,6 +97,52 @@ class TestDiscretize:
             assert 0 <= total <= grid.max_multiple(5)
 
 
+#: Every (reward, grid) entry point, called as (mdp, table policy, data, reward, grid).
+GRID_ENTRY_POINTS = {
+    "discretize_reward": lambda mdp, pol, data, r, grid: rl.discretize_reward(r, grid),
+    "build_augmented_mdp": lambda mdp, pol, data, r, grid: rl.build_augmented_mdp(mdp, grid, r),
+    "exact_return_distribution":
+        lambda mdp, pol, data, r, grid: rl.exact_return_distribution(mdp, pol, r, grid),
+    "construct_pi_r": lambda mdp, pol, data, r, grid: rl.construct_pi_r(mdp, pol, r, grid),
+    "rs_bc": lambda mdp, pol, data, r, grid: rl.rs_bc(data, r, grid),
+    "rs_kt": lambda mdp, pol, data, r, grid: rl.rs_kt(data, mdp, r, grid)[0],
+    "empirical_return_distribution":
+        lambda mdp, pol, data, r, grid: rl.empirical_return_distribution(data, r, grid),
+}
+
+
+def _result_arrays(result):
+    """The arrays an entry point's result is made of."""
+    if isinstance(result, rl.GridReward):
+        return [result.multiples]
+    if isinstance(result, rl.AugmentedMdp):
+        return [result.reachable, result.reward.multiples]
+    if isinstance(result, rl.DiscreteReturnDistribution):
+        return [result.support, result.probs]
+    return [result.table, result.reward.multiples]
+
+
+@pytest.mark.parametrize("entry", list(GRID_ENTRY_POINTS))
+def test_grid_reward_resolves_through_discretize_reward(entry):
+    """A ``GridReward`` on the requested grid gives the result of the raw
+    table, bit for bit; one on another grid is refused, never re-rounded."""
+    mdp, expert = make_instance(4, num_states=3, num_actions=2, horizon=3, rho=0.25)
+    data = rl.sample_trajectories(mdp, expert, 200, 1)
+    grid = rl.RewardGrid(0.25, mdp.horizon)
+    other = rl.discretize_reward(mdp.reward, rl.RewardGrid(0.5, mdp.horizon))
+
+    def call(reward):
+        return GRID_ENTRY_POINTS[entry](mdp, expert, data, reward, grid)
+
+    with pytest.raises(ValueError, match="does not match the requested grid"):
+        call(other)
+    got = _result_arrays(call(rl.discretize_reward(mdp.reward, grid)))
+    want = _result_arrays(call(mdp.reward))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
 class TestRewardGrid:
     @pytest.mark.parametrize("theta", [0.5, 0.1, 0.3, 1.0])
     @pytest.mark.parametrize("steps", [0, 1, 2, 4, 7])

@@ -12,7 +12,6 @@ from rdmlab.distributions import ATOM_MERGE_TOL
 from rdmlab.mdp import PROB_TOL, _push_stage
 from rdmlab.policies import (
     EnumerationCapError,
-    act_parametric,
     exact_augmented_occupancy,
     random_parametric_policy,
     random_reward_augmented_policy,
@@ -156,7 +155,7 @@ class TestSampling:
         assert rl.wasserstein(d, rl.DiscreteReturnDistribution.point_mass(1.0)) <= band
 
     def test_parametric_cdf_rows_match_act_parametric(self, monkeypatch):
-        """Every drawn expert CDF row against ``act_parametric`` on that row's history."""
+        """Every drawn expert CDF row against ``act`` on that row's history."""
         mdp, _ = make_instance(5, num_states=4, num_actions=3, horizon=4)
         policy = random_parametric_policy(4, 3, 4, np.random.default_rng(8))
         calls = []
@@ -175,7 +174,7 @@ class TestSampling:
             assert width == 3 and base.shape == (n,)
             for i in range(n):
                 history = list(zip(data.states[i, :h], data.actions[i, :h]))
-                want = np.cumsum(act_parametric(policy, history, data.states[i, h], h))
+                want = np.cumsum(policy.act(h, data.states[i, h], history))
                 got = flat_cdf[base[i] : base[i] + width]
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -501,20 +500,20 @@ class TestSampleCounts:
 class TestActParametric:
     def test_zero_weights_give_uniform(self):
         pol = rl.ParametricHistoryPolicy(np.zeros((6, 16)), np.zeros((2, 16, 3)))
-        probs = act_parametric(pol, [(0, 1)], state=1, h=1)
+        probs = pol.act(1, 1, [(0, 1)])
         assert probs == pytest.approx(np.full(3, 1 / 3))
 
     def test_equal_encodings_equal_outputs(self, rng):
         pol = random_parametric_policy(3, 2, 3, rng)
-        a = act_parametric(pol, [(2, 1), (0, 0)], state=1, h=2)
-        b = act_parametric(pol, [(2, 1), (0, 0)], state=1, h=2)
+        a = pol.act(2, 1, [(2, 1), (0, 0)])
+        b = pol.act(2, 1, [(2, 1), (0, 0)])
         assert np.array_equal(a, b)
-        c = act_parametric(pol, [(2, 1), (1, 0)], state=1, h=2)
+        c = pol.act(2, 1, [(2, 1), (1, 0)])
         assert not np.array_equal(a, c)
 
     def test_distribution_is_valid(self, rng):
         pol = random_parametric_policy(4, 3, 4, rng)
-        probs = act_parametric(pol, [(3, 2), (1, 0), (2, 1)], state=0, h=3)
+        probs = pol.act(3, 0, [(3, 2), (1, 0), (2, 1)])
         assert probs.sum() == pytest.approx(1.0)
         assert (probs > 0).all()
 
@@ -742,6 +741,41 @@ class TestExactReturnDistribution:
         mdp, expert = make_instance(6, expert_kind="parametric-history", rho=0.5)
         with pytest.raises(TypeError):
             rl.exact_return_distribution(mdp, expert, mdp.reward, rl.RewardGrid(0.5, mdp.horizon))
+
+
+class _NotAPolicy:
+    """An object of no policy kind."""
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "sample_trajectories",
+        "sample_counts",
+        "mc_return_distribution",
+        "exact_return_distribution",
+        "exact_augmented_occupancy",
+    ],
+)
+def test_refuses_an_object_of_no_policy_kind(entry):
+    """Every walk of a policy over an MDP refuses an object of no policy
+    kind with a ``TypeError`` that names its kind."""
+    mdp, _ = make_instance(4)
+    grid = rl.RewardGrid(0.25, mdp.horizon)
+    reward = rl.discretize_reward(mdp.reward, grid)
+    calls = {
+        "sample_trajectories": lambda pol: rl.sample_trajectories(mdp, pol, 10, 1),
+        "sample_counts": lambda pol: rl.sample_counts(mdp, pol, 10, 1, reward),
+        "mc_return_distribution": lambda pol: rl.mc_return_distribution(
+            mdp, pol, mdp.reward, 10, 1
+        ),
+        "exact_return_distribution": lambda pol: rl.exact_return_distribution(
+            mdp, pol, mdp.reward, grid
+        ),
+        "exact_augmented_occupancy": lambda pol: exact_augmented_occupancy(mdp, pol, reward),
+    }
+    with pytest.raises(TypeError, match="_NotAPolicy"):
+        calls[entry](_NotAPolicy())
 
 
 class TestMonteCarlo:

@@ -8,14 +8,10 @@ from rdmlab.policies import random_reward_augmented_policy
 from rdmlab.serialize import (
     format_distribution,
     format_policy,
-    load_mdp,
-    load_policy,
     mdp_from_json,
     mdp_to_json,
     parse_distribution,
     parse_policy,
-    save_mdp,
-    save_policy,
 )
 
 from conftest import make_instance
@@ -41,8 +37,8 @@ class TestMdpDocuments:
     def test_round_trip_is_value_exact(self, tmp_path):
         mdp, _ = make_instance(4, rho=0.03)
         path = tmp_path / "mdp.json"
-        save_mdp(mdp, path)
-        loaded = load_mdp(path)
+        path.write_text(mdp_to_json(mdp))
+        loaded = mdp_from_json(path.read_text())
         assert np.array_equal(loaded.transitions, mdp.transitions)
         assert np.array_equal(loaded.reward, mdp.reward)
         assert loaded.initial_state == mdp.initial_state
@@ -79,8 +75,8 @@ class TestPolicyDocuments:
         rng = np.random.default_rng(0)
         pol = rl.random_markovian_policy(3, 2, 4, rng)
         path = tmp_path / "policy.txt"
-        save_policy(pol, path)
-        again = load_policy(path)
+        path.write_text(format_policy(pol))
+        again = parse_policy(path.read_text())
         assert isinstance(again, rl.MarkovianPolicy)
         assert np.array_equal(again.table, pol.table)
 
