@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import Dataset, GridReward, RewardGrid, discretize_reward
+from .mdp import Dataset, GridReward, RewardGrid, _raw_reward, discretize_reward
 
 __all__ = [
     "DiscreteReturnDistribution",
@@ -189,13 +189,14 @@ def empirical_return_distribution(
     and returns are accumulated as exact integer multiples, so equal grid
     sums always land on the same atom.  Only observed values enter the
     support; grid points never visited carry no atoms (zero entries cannot
-    affect any metric computed here).
+    affect any metric computed here).  Without a grid the reward must be a
+    raw (H, S, A) table.
     """
     n, horizon = data.states.shape
     stage_idx = np.arange(horizon)[None, :]
     if grid is None:
-        steps = np.asarray(reward, dtype=float)[stage_idx, data.states, data.actions]
-        returns = steps.sum(axis=1)
+        reward = _raw_reward(reward, "empirical_return_distribution without a grid")
+        returns = reward[stage_idx, data.states, data.actions].sum(axis=1)
         return DiscreteReturnDistribution.from_weighted(returns, np.full(n, 1.0 / n))
     gr = discretize_reward(reward, grid)
     steps = gr.multiples[stage_idx, data.states, data.actions]

@@ -254,6 +254,13 @@ def discretize_reward(reward: np.ndarray | GridReward, grid: RewardGrid) -> Grid
     return GridReward(grid, k)
 
 
+def _raw_reward(reward: np.ndarray | GridReward, entry: str) -> np.ndarray:
+    """A raw (H, S, A) reward table as floats; a ``GridReward`` is refused by name."""
+    if isinstance(reward, GridReward):
+        raise TypeError(f"{entry} takes a raw (H, S, A) reward table, not a GridReward")
+    return np.asarray(reward, dtype=float)
+
+
 def _push_stage(
     cells: np.ndarray,
     mass: np.ndarray,

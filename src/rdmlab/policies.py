@@ -25,13 +25,16 @@ projection pi_R is ``rs-bc``'s probability-weighted count table over them
 (``rdmlab.rsbc.construct_pi_r``).  Every entry point that walks a policy
 over an MDP refuses one of another horizon (``_check_horizon``).
 
-One stage walk, ``_stages``, draws n episodes stage by stage in blocks of
-at most ``_STAGE_BLOCK`` consecutive rows, whose temporaries stay in cache:
-an action pass draws every block's actions, then a transition pass every
-block's next states (none after the last action).  Each pass takes the
-stage's uniforms in row order, as one whole-n block would.  A table policy
-draws from its ``_grid_table`` lift, as the exact walk and Monte Carlo
-read it; a one-cell (Markovian) table keeps no per-row g.  Its two
+One stage walk, ``_stages``, draws n episodes in blocks of at most
+``_STAGE_BLOCK`` consecutive rows, each walked through all H stages before
+the next starts, so its memory is one block's, whatever n is: per stage an
+action pass draws the block's actions, then a transition pass its next
+states (none after the last action).  Every block reads its own stretch of
+the stream of ``default_rng(seed)``, a ``PCG64`` moved there by
+``advance``: the stretches that a stage-by-stage walk over all n rows
+would read, so every draw is the same whatever the block size.  A table
+policy draws from its ``_grid_table`` lift, as the exact walk and Monte
+Carlo read it; a one-cell (Markovian) table keeps no per-row g.  Its two
 consumers take each block's (h, rows, states, actions): ``sample_trajectories``
 writes the (n, H) columns of a ``Dataset``, and ``sample_counts`` adds them
 straight into the visit tensor M[h, s, g, a] on a grid reward, carrying
@@ -40,15 +43,17 @@ dataset without the dataset.  ``mc_return_distribution`` draws no rows:
 it carries groups, distinct histories with integer multiplicities, and
 splits each group's count over actions and then over next states
 (``_split``): a count above the row width by one multinomial, a smaller
-one by one categorical draw per member.  Every categorical draw takes one
-uniform per row and finds it in a flat cumulative table at a computed row
-offset (``_draw``); no (n x width) block of CDF rows is gathered.  Tables
-are built once per call with negative round-off entries clipped to 0.
+one by one categorical draw per member.  Every categorical draw reads one
+raw 64-bit output per row, the uniform ``Generator.random`` would make of
+it, and finds it in a flat cumulative table at a computed row offset
+(``_draw``); no (n x width) block of CDF rows is gathered.  Tables are
+built once per call with negative round-off entries clipped to 0.
 Transition, Markovian and reward-augmented tables at least
 ``_GUIDE_MIN_WIDTH`` wide also get a guide table (Chen & Asau 1974) of up
 to ``2**_GUIDE_BITS`` buckets per row, never more entries than the n or m
-episodes: a uniform whose bucket holds no CDF entry reads its draw there,
-and only the rest are binary-searched.
+episodes: a uniform whose bucket, read off its output's top bits, holds no CDF
+entry reads its draw there, and only the rest are formed as doubles and
+binary-searched.
 Two-outcome tables (the desk shapes) and the parametric expert's
 per-prefix rows gain nothing from a guide and keep the plain search.
 The parametric expert's action distribution depends only on the (history,
@@ -59,10 +64,11 @@ place, in one (k, A) array per stage.  Each prefix carries its projected
 history, (k, ``PROJECTION_DIM``), not its (2H,) encoding: the encoding is
 linear, so a child's features are its parent's plus two projected terms
 (``_extend_features``), summed in the order of ``encoded @ projection``.
-In the stage walk each row carries a prefix id, renumbered over all n rows
+In the stage walk each row carries a prefix id, renumbered over its block
 after every transition pass from the trie key (parent id, action, next
-state), and draws its action from its prefix's row; in
-``mc_return_distribution`` each group is one prefix.
+state), and draws its action from its prefix's row: a prefix two blocks
+share gets its row once per block, the same row, as it depends on the
+prefix alone.  In ``mc_return_distribution`` each group is one prefix.
 """
 
 from __future__ import annotations
@@ -82,6 +88,7 @@ from .mdp import (
     TabularMdp,
     _frozen,
     _push_stage,
+    _raw_reward,
     discretize_reward,
 )
 
@@ -123,9 +130,10 @@ PROJECTION_DIM = 16
 #: at (50,5,5), m = 5e4, 4096 (2.6 MB) cost ~1,500 page faults per call, 512 six.
 _ROW_BLOCK = 512
 
-#: Rows per block of the sampler's stage walk.  An n = 3e5 ``sample_counts``
-#: call on ``bulk`` instances (2 cores, median) took 54 ms in one block, 37 in
-#: blocks of 2**13 rows and 33 in blocks of 2**14 to 2**16.
+#: Rows per block of the sampler's stage walk; every draw is the same
+#: whatever it is.  An n = 3e5 ``sample_counts`` call on ``bulk`` instances
+#: (2 cores, median) took 65 ms in one block (a 21.6 MB traced peak), 59 in
+#: blocks of 2**13 rows, 48 of 2**14, 41 of 2**15 (3.3 MB) and 47 of 2**16.
 _STAGE_BLOCK = 2**15
 
 #: Sampling tables with rows at least this wide get a guide table of
@@ -135,6 +143,9 @@ _STAGE_BLOCK = 2**15
 _GUIDE_MIN_WIDTH = 3
 _GUIDE_MIN_BITS = 4
 _GUIDE_BITS = 8
+
+#: ``Generator.random`` makes the double ``(x >> 11) * _UNIT`` of a 64-bit output x.
+_UNIT = 2.0**-53
 
 
 class EnumerationCapError(RuntimeError):
@@ -300,10 +311,12 @@ def _guide(cdf: np.ndarray, width: int, bits: int) -> np.ndarray:
     num_rows = searched.shape[0]
     at = np.minimum(np.floor(searched * buckets), buckets).astype(np.intp)
     at += np.arange(num_rows)[:, None] * (buckets + 1)
-    hits = np.bincount(at.ravel(), minlength=num_rows * (buckets + 1))
+    # Counts stay below the width, so the guide's own small dtype holds them
+    # and only the bincount is as wide as an int64 per guide entry.
+    dtype = np.min_scalar_type(-width)
+    hits = np.bincount(at.ravel(), minlength=num_rows * (buckets + 1)).astype(dtype)
     hits = hits.reshape(num_rows, buckets + 1)[:, :-1]
-    guide = np.where(hits > 0, -1, np.cumsum(hits, axis=1))
-    return guide.astype(np.min_scalar_type(-width)).ravel()
+    return np.where(hits > 0, -1, np.cumsum(hits, axis=1, dtype=dtype)).ravel()
 
 
 def _cdf_table(probs: np.ndarray, n: int = 0) -> _Table:
@@ -370,24 +383,27 @@ def _search(flat_cdf: np.ndarray, base: np.ndarray, u: np.ndarray, width: int) -
     return pos - base
 
 
-def _draw(rng: np.random.Generator, table: _Table, rows: np.ndarray) -> np.ndarray:
-    """One categorical draw from each given row of ``table``, on one uniform each.
+def _draw(bitgen: np.random.BitGenerator, table: _Table, rows: np.ndarray) -> np.ndarray:
+    """One categorical draw from each given row of ``table``, on one 64-bit output each.
 
-    The draw is ``min((row < u).sum(), width - 1)``.  With a guide, a uniform
-    whose bucket holds no row entry reads its draw there; the rest are
-    binary-searched.
+    Output ``x`` stands for the uniform ``u = (x >> 11) * 2**-53``, the double
+    ``Generator.random`` makes of it, and the draw is
+    ``min((row < u).sum(), width - 1)``.  With a guide, ``x >> (64 - bits)``
+    is u's bucket, ``floor(u * 2**bits)`` exactly: a uniform whose bucket
+    holds no row entry reads its draw there, and only the rest form ``u``
+    and are binary-searched.
     """
-    u = rng.random(rows.shape[0])
+    raw = bitgen.random_raw(rows.shape[0])
     width = table.width
     if width == 1:
         return np.zeros_like(rows)
     if table.guide is None:
-        return _search(table.cdf, rows * width, u, width)
+        return _search(table.cdf, rows * width, (raw >> 11) * _UNIT, width)
     draw = rows << table.bits
-    draw += (u * (1 << table.bits)).astype(np.intp)  # the bucket (exact scaling)
+    draw += (raw >> (64 - table.bits)).view(np.int64)  # the bucket
     draw[:] = table.guide[draw]
     open_ = np.flatnonzero(draw < 0)
-    draw[open_] = _search(table.cdf, rows[open_] * width, u[open_], width)
+    draw[open_] = _search(table.cdf, rows[open_] * width, (raw[open_] >> 11) * _UNIT, width)
     return draw
 
 
@@ -409,7 +425,8 @@ def _split(
     big = counts > width
     small = np.flatnonzero(~big)
     member = np.repeat(small, counts[small])
-    keys, tally = np.unique(member * width + _draw(rng, table, rows[member]), return_counts=True)
+    draw = _draw(rng.bit_generator, table, rows[member])
+    keys, tally = np.unique(member * width + draw, return_counts=True)
     if big.any():
         big = np.flatnonzero(big)
         cdf = np.minimum(table.cdf.reshape(-1, width)[rows[big]], 1.0)
@@ -420,76 +437,99 @@ def _split(
     return keys // width, keys % width, tally
 
 
+def _renumber(key: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(key, return_inverse=True)`` for keys in ``[0, space)``.
+
+    A key space at most twice the rows is renumbered by a presence map over
+    it and a running count, which gives the same sorted keys and inverse
+    without a sort.  At 10**4 rows (2 cores) the map took 52-114 us to
+    np.unique's 230-270 us up to twice the rows, but 360 to 235 us at four
+    times; at scale's 10**3 rows and key space 2.5e5 np.unique is far ahead.
+    """
+    if space > 2 * key.size:
+        return np.unique(key, return_inverse=True)
+    present = np.zeros(space, dtype=bool)
+    present[key] = True
+    ids = np.cumsum(present, dtype=np.intp)
+    ids -= 1
+    return np.flatnonzero(present), ids[key]
+
+
 def _stages(
     mdp: TabularMdp, policy: PolicyHandle, n: int, seed: int
 ) -> Iterator[tuple[int, slice, np.ndarray, np.ndarray]]:
-    """Walk ``n`` episodes stage by stage in row blocks, yielding ``(h, rows, cur, a)``.
+    """Walk ``n`` episodes block by block through every stage, yielding ``(h, rows, cur, a)``.
 
-    A block, the slice ``rows``, holds at most ``_STAGE_BLOCK`` episodes;
-    ``cur`` and ``a`` are views of its states and actions at stage ``h`` that
-    the walk overwrites after the stage.  Per stage an action pass draws each
-    block's actions, one uniform per row, and yields it; then a transition
-    pass, skipped after the last action (nothing reads that state), draws
-    each block's next states.  Both passes go in row order, and
-    ``Generator.random`` gives the same doubles block by block as at once, so
-    every draw is the one-block walk's.  A table policy reads row (h, s, g)
-    of its ``_grid_table`` lift (``_grid_table`` refuses other kinds), the
-    parametric expert its prefix row, from one prefix table per stage
-    renumbered over all n rows after the transition pass.  ``n >= 1``.
+    A block, the slice ``rows``, holds at most ``_STAGE_BLOCK`` episodes and
+    is walked through all H stages before the next starts; ``cur`` and ``a``
+    are its states and actions at stage ``h``.  Per stage an action pass
+    draws the block's actions and yields them, then a transition pass
+    (none after the last action: nothing reads that state) its next states.
+    Each pass reads the block's stretch of the stream of
+    ``default_rng(seed)`` that a stage-by-stage walk over all n rows reads:
+    stage h's action draw of row i takes output ``2hn + i``, its transition
+    draw output ``(2h + 1)n + i`` (``PCG64.advance`` skips the other rows).
+    So every draw is the one-block walk's whatever ``_STAGE_BLOCK`` is, and
+    the walk holds O(block) memory.  A table policy reads row (h, s, g) of
+    its ``_grid_table`` lift (``_grid_table`` refuses other kinds), the
+    parametric expert its prefix row, from one prefix table per stage and
+    block, renumbered after each transition pass (``_renumber``).  ``n >= 1``.
     """
     _check_horizon(mdp, policy)
-    rng = np.random.default_rng(seed)
     horizon, num_states, num_actions = mdp.horizon, mdp.num_states, mdp.num_actions
-    blocks = [slice(i, i + _STAGE_BLOCK) for i in range(0, n, _STAGE_BLOCK)]
-    cur = np.full(n, mdp.initial_state, dtype=np.int64)
-    a = np.empty(n, dtype=np.int64)
     trans = _cdf_table(mdp.transitions, n)
     prefix = isinstance(policy, ParametricHistoryPolicy)
     if prefix:
-        # One row per distinct (history, current state) prefix; row pid[i]
-        # is trajectory i's.
         width = policy.state_weights.shape[2]
-        pid = np.zeros(n, dtype=np.int64)
-        prefix_state = np.full(1, mdp.initial_state, dtype=np.int64)
-        features = np.zeros((1, PROJECTION_DIM))
-        g = None
     else:
         table, own_multiples = _grid_table(policy)
         policy_table = _cdf_table(table, n)
         n_g = table.shape[2]
-        # The lift costs nothing: it is a view with the same flat CDF rows, and
-        # a one-cell table (G = 1, a Markovian one) keeps no per-row g, whose
-        # zeros made ``sample_counts`` at bulk's n = 3e5 about 25% slower.
-        g = np.zeros(n, dtype=np.int64) if n_g > 1 else None
 
-    for h in range(horizon):
+    for start in range(0, n, _STAGE_BLOCK):
+        rows = slice(start, min(start + _STAGE_BLOCK, n))
+        k = rows.stop - start
+        bitgen = np.random.PCG64(seed)  # the bit generator of default_rng(seed)
+        bitgen.advance(start)
+        cur = np.full(k, mdp.initial_state, dtype=np.int64)
         if prefix:
-            prefix_table = _Table(_prefix_cdf(policy, prefix_state, features).ravel(), width)
-        for rows in blocks:
-            s = cur[rows]
+            # One row per distinct (history, current state) prefix; row pid[i]
+            # is the block's trajectory i's.
+            pid = np.zeros(k, dtype=np.intp)
+            prefix_state = np.full(1, mdp.initial_state, dtype=np.int64)
+            features = np.zeros((1, PROJECTION_DIM))
+            g = None
+        else:
+            # A one-cell table (G = 1, a Markovian one) keeps no per-row g, whose
+            # zeros made ``sample_counts`` at bulk's n = 3e5 about 25% slower.
+            g = np.zeros(k, dtype=np.int64) if n_g > 1 else None
+        for h in range(horizon):
             if prefix:
-                a[rows] = _draw(rng, prefix_table, pid[rows])
+                prefix_table = _Table(_prefix_cdf(policy, prefix_state, features).ravel(), width)
+                a = _draw(bitgen, prefix_table, pid)
             elif g is None:
-                a[rows] = _draw(rng, policy_table, h * num_states + s)
+                a = _draw(bitgen, policy_table, h * num_states + cur)
             else:
-                a[rows] = _draw(rng, policy_table, (h * num_states + s) * n_g + g[rows])
-            yield h, rows, s, a[rows]
-        if h + 1 == horizon:
-            return
-        for rows in blocks:
-            s, act = cur[rows], a[rows]
-            nxt = _draw(rng, trans, (h * num_states + s) * num_actions + act)
+                a = _draw(bitgen, policy_table, (h * num_states + cur) * n_g + g)
+            yield h, rows, cur, a
+            if h + 1 == horizon:
+                break
+            bitgen.advance(n - k)
+            nxt = _draw(bitgen, trans, (h * num_states + cur) * num_actions + a)
+            bitgen.advance(n - k)
             if g is not None:
-                g[rows] += own_multiples[h, s, act]
-            cur[rows] = nxt
-        if prefix:
-            # The key is a trie id: (parent prefix, action, next state).
-            key, pid = np.unique((pid * width + a) * num_states + cur, return_inverse=True)
-            parent = key // (width * num_states)
-            features = _extend_features(
-                policy, features, parent, h, prefix_state[parent], key // num_states % width
-            )
-            prefix_state = key % num_states
+                g += own_multiples[h, cur, a]
+            cur = nxt
+            if prefix:
+                # The key is a trie id: (parent prefix, action, next state).
+                key, pid = _renumber(
+                    (pid * width + a) * num_states + cur, prefix_state.size * width * num_states
+                )
+                parent = key // (width * num_states)
+                features = _extend_features(
+                    policy, features, parent, h, prefix_state[parent], key // num_states % width
+                )
+                prefix_state = key % num_states
 
 
 def sample_trajectories(
@@ -519,8 +559,8 @@ def sample_counts(
     dataset on ``reward``, without building it: the same stage walk draws
     the same episodes, each row carries its cumulative grid multiple g, and
     each block's flat (s, g, a) keys at stage h are added into M[h] by one
-    ``np.bincount``.  Memory is three (n,) arrays (states, actions, g
-    offsets), M, and per-block temporaries; no (n, H) array is made.
+    ``np.bincount``.  Memory is M and per-block temporaries (states,
+    actions, g offsets, keys): none grows with n.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -534,17 +574,18 @@ def sample_counts(
     # A row's offset into its state's (G, A) block of M[h] is g * A; each
     # step adds multiples[h, s, a] * A, read at the flat (s, a) index.
     step = reward.multiples * num_actions
-    offset = np.zeros(n, dtype=np.int64)
     counts = np.zeros((horizon, cells), dtype=np.intp)
     for h, rows, cur, a in _stages(mdp, policy, n, seed):
+        if h == 0:
+            offset = 0  # a new block: its rows start at g = 0
         key = cur * (num_g * num_actions)
-        key += offset[rows]
+        key += offset
         key += a
         counts[h] += np.bincount(key, minlength=cells)
         if h + 1 < horizon:
             np.multiply(cur, num_actions, out=key)
             key += a
-            offset[rows] += step[h].take(key)
+            offset = offset + step[h].take(key)
     return counts.reshape(horizon, num_states, num_g, num_actions)
 
 
@@ -601,7 +642,7 @@ def brute_force_return_distribution(
     _dp_mass_check(total, mdp.horizon)  # rows admitted off one, as in the return DP
     if abs(total - 1.0) > _MASS_TOL:  # a total closer to one keeps its bits
         probs = probs / total
-    reward = np.asarray(reward, dtype=float)
+    reward = _raw_reward(reward, "brute_force_return_distribution")
     returns = reward[np.arange(mdp.horizon), data.states, data.actions].sum(axis=1)
     return DiscreteReturnDistribution.from_weighted(returns, probs)
 
@@ -630,7 +671,7 @@ def mc_return_distribution(
         raise ValueError("m must be at least 1")
     _check_horizon(mdp, policy)
     rng = np.random.default_rng(seed)
-    reward = np.asarray(reward, dtype=float)
+    reward = _raw_reward(reward, "mc_return_distribution")
     horizon, num_states, num_actions = mdp.horizon, mdp.num_states, mdp.num_actions
     trans = _cdf_table(mdp.transitions, m)
     count = np.full(1, m, dtype=np.int64)

@@ -180,14 +180,18 @@ class TestSampling:
 
 
 class _StubRng:
-    """Stands in for a Generator: ``random(n)`` returns the chosen values."""
+    """Stands in for a bit generator: ``random_raw(n)`` returns 64-bit outputs
+    that ``Generator.random`` turns into the chosen uniforms, which must lie on
+    its 2**-53 lattice.  Their low 11 bits, which that double drops, are set."""
 
     def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
+        steps = np.asarray(values, dtype=float) * 2.0**53
+        assert (steps == np.floor(steps)).all() and (steps < 2.0**53).all()
+        self.raw = (steps.astype(np.uint64) << np.uint64(11)) | np.uint64(0x7FF)
 
-    def random(self, n):
-        assert n == self.values.size
-        return self.values
+    def random_raw(self, n):
+        assert n == self.raw.size
+        return self.raw
 
 
 #: Guide sizes the draw-kernel cases run through, as bits (2**bits buckets per row).
@@ -209,14 +213,13 @@ class TestDrawKernel:
 
     @staticmethod
     def _uniforms(cdf):
-        """0, every row value exactly (``<`` is strict), every bucket edge of the
-        checked guides, the neighbours of both, and the top uniform."""
+        """The uniforms ``Generator.random`` can return (the 2**-53 lattice) just
+        below, at and just above every row value (``<`` is strict) and every
+        bucket edge of the checked guides, and 0, one half and the top uniform."""
         edges = np.arange(2**8) / 2**8  # holds the edges of every smaller guide
-        exact = np.concatenate([cdf, edges])
-        below = np.nextafter(exact, -np.inf).clip(0.0)
-        above = np.nextafter(exact, np.inf)
-        picks = np.concatenate([[0.0, 0.5, 1.0 - 2.0**-53], exact, below, above])
-        return np.unique(picks[picks < 1.0])
+        steps = np.floor(np.concatenate([cdf, edges]) * 2.0**53)
+        picks = np.concatenate([[0.0, 2.0**52, 2.0**53 - 1], steps - 1, steps, steps + 1])
+        return np.unique(picks[(picks >= 0) & (picks < 2.0**53)]) * 2.0**-53
 
     @staticmethod
     def _tables(flat_cdf, width):
@@ -244,6 +247,21 @@ class TestDrawKernel:
     def test_matches_strict_count_with_clamp(self, width):
         table = self._rows(width, np.random.default_rng(width))
         self._check(policies_mod._cdf_table(table).cdf, width)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 5, 8, 20, 50])
+    def test_raw_outputs_draw_like_generator_random(self, width):
+        """``_draw`` on ``PCG64(s).random_raw(k)`` against the strict count with
+        clamp on ``Generator(PCG64(s)).random(k)``, through every checked guide:
+        the equality that keeps every sampled row what it was on doubles."""
+        flat_cdf = policies_mod._cdf_table(self._rows(width, np.random.default_rng(width))).cdf
+        rows = flat_cdf.reshape(-1, width)
+        k = 4096
+        index = np.random.default_rng(width + 100).integers(0, rows.shape[0], k)
+        for seed, table in enumerate(self._tables(flat_cdf, width)):
+            u = np.random.Generator(np.random.PCG64(seed)).random(k)
+            want = np.minimum((rows[index] < u[:, None]).sum(axis=1), width - 1)
+            got = policies_mod._draw(np.random.PCG64(seed), table, index)
+            assert np.array_equal(got, want), table.bits
 
     @pytest.mark.parametrize("width", [2, 3, 5, 8, 20, 50])
     def test_last_entry_below_one_is_clamped(self, width):
@@ -310,7 +328,7 @@ class TestDrawKernel:
         assert np.array_equal(flat_cdf, np.cumsum(clipped))
         self._check(flat_cdf, 3)
         # unclipped, the dip would count entry 1 below u and draw its zero-mass action
-        u = 0.5 - 0.5e-12
+        u = np.floor((0.5 - 0.5e-12) * 2.0**53) * 2.0**-53
         assert (np.cumsum(row) < u).sum() == 1
         for table in self._tables(flat_cdf, 3):
             assert policies_mod._draw(_StubRng([u]), table, np.zeros(1, np.int64))[0] == 0
@@ -355,6 +373,23 @@ class TestRowCheck:
     @pytest.mark.parametrize("kind", [0, 1], ids=["markovian", "reward-augmented"])
     def test_accepts_probability_rows(self, kind):
         self._tables([0.25, 0.75])[kind]()
+
+
+class TestRenumber:
+    """``_renumber`` against ``np.unique(key, return_inverse=True)``, on both
+    sides of the presence map's size rule."""
+
+    @pytest.mark.parametrize("rows, space, distinct", [
+        (1, 1, 1), (7, 3, 3), (1000, 1024, 1024), (10_000, 1024, 40),
+        (1000, 2000, 2000), (1000, 2001, 2001), (1000, 250_000, 300),
+    ])
+    def test_matches_np_unique(self, rows, space, distinct):
+        rng = np.random.default_rng(rows + space)
+        key = rng.choice(space, distinct, replace=False)[rng.integers(0, distinct, rows)]
+        got = policies_mod._renumber(key, space)
+        want = np.unique(key, return_inverse=True)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 class TestGuidedSampling:
@@ -423,18 +458,22 @@ class TestSampleCounts:
         reward = rl.discretize_reward(mdp.reward, rl.RewardGrid(0.02, mdp.horizon))
         self._assert_counts_match(mdp, expert, 300_000, 11, reward)
 
-    def test_peak_memory_within_six_int64_per_episode(self):
-        """One bulk-sized call peaks within six (n,) int64 arrays plus M itself."""
+    def test_peak_memory_does_not_grow_with_n(self):
+        """A bulk-sized call (n = 3e5, several row blocks) peaks less than 1 MB
+        above an n = 3e4 call: the walk holds M and one block, never n rows."""
         mdp, expert = make_instance(3, num_states=20, num_actions=5, horizon=5, rho=0.02)
         reward = rl.discretize_reward(mdp.reward, rl.RewardGrid(0.02, mdp.horizon))
-        n = 300_000
-        tracemalloc.start()
-        try:
-            counts = rl.sample_counts(mdp, expert, n, 11, reward)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 6 * n * 8 + counts.nbytes
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                rl.sample_counts(mdp, expert, n, 11, reward)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert policies_mod._STAGE_BLOCK < 300_000
+        assert peak(300_000) - peak(30_000) < 2**20
 
     @staticmethod
     def _assert_blocks_match(monkeypatch, mdp, policy, n, block, reward):
@@ -604,6 +643,30 @@ def test_policy_horizon_must_match_the_mdp(entry, offset):
     gr = rl.discretize_reward(mdp.reward, rl.RewardGrid(0.25, mdp.horizon))
     with pytest.raises(ValueError, match="policy horizon does not match the MDP"):
         _HORIZON_ENTRY_POINTS[entry](mdp, policy, gr)
+
+
+#: The entries that read a float reward, as (mdp, policy, grid reward) -> result.
+_FLOAT_REWARD_ENTRY_POINTS = {
+    "brute_force_return_distribution": lambda mdp, pol, gr: (
+        rl.brute_force_return_distribution(mdp, pol, gr)
+    ),
+    "mc_return_distribution": lambda mdp, pol, gr: rl.mc_return_distribution(
+        mdp, pol, gr, 10, seed=0
+    ),
+    "empirical_return_distribution": lambda mdp, pol, gr: rl.empirical_return_distribution(
+        rl.sample_trajectories(mdp, pol, 10, seed=0), gr
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_FLOAT_REWARD_ENTRY_POINTS))
+def test_float_reward_entries_name_a_grid_reward(entry):
+    """A ``GridReward`` where a raw table is read is refused by name, not by
+    numpy's ``float()`` of an object."""
+    mdp, policy = make_instance(3, num_states=3, num_actions=2, horizon=3)
+    gr = rl.discretize_reward(mdp.reward, rl.RewardGrid(0.25, mdp.horizon))
+    with pytest.raises(TypeError, match=r"takes a raw \(H, S, A\) reward table, not a GridReward"):
+        _FLOAT_REWARD_ENTRY_POINTS[entry](mdp, policy, gr)
 
 
 class TestEnumeration:
