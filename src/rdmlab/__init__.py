@@ -24,7 +24,6 @@ from .distributions import (
     DiscreteReturnDistribution,
     cvar,
     dkw_band,
-    empirical_return_distribution,
     mean,
     total_variation,
     variance,
@@ -58,7 +57,7 @@ from .policies import (
     sample_counts,
     sample_trajectories,
 )
-from .rsbc import construct_pi_r, rs_bc, theta_for_epsilon_rsbc
+from .rsbc import construct_pi_r, empirical_return_distribution, rs_bc, theta_for_epsilon_rsbc
 from .rskt import RsktDiagnostics, build_rskt_lp, rs_kt, theta_for_epsilon_rskt
 
 __version__ = "0.1.0"

@@ -187,14 +187,7 @@ def generate_instance(cfg: ExperimentConfig, seed: int) -> tuple[TabularMdp, Pol
     h_idx, s_idx, a_idx = np.indices(deterministic.shape)
     onehot[h_idx, s_idx, a_idx, targets] = 1.0
     transitions = np.where(deterministic[..., None], onehot, transitions)
-    mdp = TabularMdp(
-        num_states=num_states,
-        num_actions=num_actions,
-        horizon=horizon,
-        initial_state=initial_state,
-        transitions=transitions,
-        reward=reward,
-    )
+    mdp = TabularMdp(initial_state, transitions, reward)
     if cfg.expert_kind == "markovian":
         expert: PolicyHandle = random_markovian_policy(num_states, num_actions, horizon, rng)
     else:
@@ -453,14 +446,7 @@ def run_fixture_suite() -> FixtureReport:
     num_states, num_actions, horizon = 2, 2, 2
     transitions = rng.dirichlet(np.ones(num_states), size=(horizon, num_states, num_actions))
     reward = make_tv_hard_reward(num_states, num_actions, horizon)
-    hard = TabularMdp(
-        num_states=num_states,
-        num_actions=num_actions,
-        horizon=horizon,
-        initial_state=0,
-        transitions=transitions,
-        reward=reward,
-    )
+    hard = TabularMdp(0, transitions, reward)
     pol_a = random_markovian_policy(num_states, num_actions, horizon, rng)
     pol_b = random_markovian_policy(num_states, num_actions, horizon, rng)
     tv = _tv_between(hard, pol_a, pol_b)

@@ -71,7 +71,11 @@ def _cmd_gen_instance(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval_policy(args: argparse.Namespace) -> int:
-    mdp = serialize.mdp_from_json(Path(args.mdp).read_text())
+    try:
+        mdp = serialize.mdp_from_json(Path(args.mdp).read_text())
+    except ValueError as err:
+        print(err, file=sys.stderr)
+        return 2
     policy = serialize.parse_policy(Path(args.policy).read_text())
     if args.grid_step is not None:
         step = args.grid_step

@@ -4,7 +4,8 @@ Everything here works on exact atom lists.  The 1-Wasserstein distance is
 the area between the two CDFs, computed by one sweep over the merged
 support; the CVaR at level ``alpha`` integrates the left-continuous
 generalized inverse ``inf{z : F(z) >= u}`` over (0, alpha], splitting the
-atom that straddles ``alpha`` proportionally.
+atom that straddles ``alpha`` proportionally.  Laws and metrics only: this
+module imports nothing from the rest of the package.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .mdp import Dataset, GridReward, RewardGrid, _raw_reward, discretize_reward
 
 __all__ = [
     "DiscreteReturnDistribution",
@@ -25,7 +24,6 @@ __all__ = [
     "mean",
     "variance",
     "dkw_band",
-    "empirical_return_distribution",
 ]
 
 #: Support values closer than this are treated as the same atom.
@@ -178,26 +176,3 @@ def dkw_band(n: int, delta: float) -> float:
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     return math.sqrt(math.log(2.0 / delta) / (2.0 * n))
-
-
-def empirical_return_distribution(
-    data: Dataset, reward: np.ndarray | GridReward, grid: RewardGrid | None = None
-) -> DiscreteReturnDistribution:
-    """Empirical distribution of trajectory returns, one atom per observed value.
-
-    With a ``grid``, the reward is first put on it by ``discretize_reward``
-    and returns are accumulated as exact integer multiples, so equal grid
-    sums always land on the same atom.  Only observed values enter the
-    support; grid points never visited carry no atoms (zero entries cannot
-    affect any metric computed here).  Without a grid the reward must be a
-    raw (H, S, A) table.
-    """
-    n, horizon = data.states.shape
-    stage_idx = np.arange(horizon)[None, :]
-    if grid is None:
-        reward = _raw_reward(reward, "empirical_return_distribution without a grid")
-        returns = reward[stage_idx, data.states, data.actions].sum(axis=1)
-        return DiscreteReturnDistribution.from_weighted(returns, np.full(n, 1.0 / n))
-    gr = discretize_reward(reward, grid)
-    steps = gr.multiples[stage_idx, data.states, data.actions]
-    return DiscreteReturnDistribution.on_grid(np.bincount(steps.sum(axis=1)), grid.theta)

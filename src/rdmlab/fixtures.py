@@ -66,14 +66,7 @@ def make_fork_fixture() -> tuple[TabularMdp, RewardAugmentedPolicy]:
     reward[1, _S_UP, :] = 1.0
     reward[2, _S_MERGE, 1] = 1.0
 
-    mdp = TabularMdp(
-        num_states=num_states,
-        num_actions=num_actions,
-        horizon=horizon,
-        initial_state=_S_INIT,
-        transitions=transitions,
-        reward=reward,
-    )
+    mdp = TabularMdp(_S_INIT, transitions, reward)
 
     grid = RewardGrid(1.0, horizon)
     table = np.zeros((horizon, num_states, grid.table_size, num_actions))

@@ -27,7 +27,7 @@ place, ``_flow_rows``: ``rs-kt`` passes its reachable (h, s, g) cells, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -63,33 +63,31 @@ class TabularMdp:
 
     ``transitions[h, s, a]`` is the probability vector over next states when
     action ``a`` is taken in state ``s`` at stage ``h``; ``reward[h, s, a]``
-    is the reward collected by that step.  Instances are immutable; value
-    invariants are checked by :func:`validate_mdp`, which reports violations
-    instead of raising so that tests can build broken instances on purpose.
+    is the reward collected by that step; H, S and A are read off their
+    shape.  Instances are immutable; value invariants are checked by
+    :func:`validate_mdp`, which reports violations instead of raising so
+    that tests can build broken instances on purpose.
     """
 
-    num_states: int
-    num_actions: int
-    horizon: int
     initial_state: int
     transitions: np.ndarray  # (H, S, A, S)
     reward: np.ndarray  # (H, S, A)
+    horizon: int = field(init=False)
+    num_states: int = field(init=False)
+    num_actions: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.num_states < 1 or self.num_actions < 1 or self.horizon < 1:
-            raise ValueError("num_states, num_actions and horizon must be positive")
-        if not 0 <= self.initial_state < self.num_states:
-            raise ValueError(f"initial_state {self.initial_state} out of range")
         t = _frozen(self.transitions, float)
         r = _frozen(self.reward, float)
-        shape_t = (self.horizon, self.num_states, self.num_actions, self.num_states)
-        shape_r = shape_t[:3]
-        if t.shape != shape_t:
-            raise ValueError(f"transitions shape {t.shape}, expected {shape_t}")
-        if r.shape != shape_r:
-            raise ValueError(f"reward shape {r.shape}, expected {shape_r}")
-        object.__setattr__(self, "transitions", t)
-        object.__setattr__(self, "reward", r)
+        if t.ndim != 4 or t.shape[1] != t.shape[3] or 0 in t.shape:
+            raise ValueError(f"transitions shape {t.shape}, expected a nonempty (H, S, A, S)")
+        if r.shape != t.shape[:3]:
+            raise ValueError(f"reward shape {r.shape}, expected {t.shape[:3]}")
+        if not 0 <= self.initial_state < t.shape[1]:
+            raise ValueError(f"initial_state {self.initial_state} out of range")
+        dims = zip(("horizon", "num_states", "num_actions"), t.shape)
+        for name, value in (("transitions", t), ("reward", r), *dims):
+            object.__setattr__(self, name, value)
 
 
 def validate_mdp(mdp: TabularMdp) -> list[str]:
@@ -352,12 +350,16 @@ class AugmentedMdp:
     the (s, g) pairs attainable at stage ``h`` under some action sequence,
     all with g < ``num_multiples(h)``; ``reachable[horizon]`` holds the
     post-episode pairs, whose g-marginal is the attainable return support.
+    ``grid`` is the reward's grid.
     """
 
     base: TabularMdp
-    grid: RewardGrid
     reward: GridReward
     reachable: np.ndarray  # (H + 1, S, full_size) bool
+
+    @property
+    def grid(self) -> RewardGrid:
+        return self.reward.grid
 
     def return_support_mask(self) -> np.ndarray:
         """Boolean mask over full-grid multiples reachable as total returns."""
@@ -365,21 +367,20 @@ class AugmentedMdp:
 
 
 def build_augmented_mdp(
-    mdp: TabularMdp, grid: RewardGrid, reward: np.ndarray | GridReward | None = None
+    mdp: TabularMdp, grid: RewardGrid, reward: np.ndarray | GridReward
 ) -> AugmentedMdp:
-    """Discretize the reward and derive the reward-augmented MDP.
+    """Put ``reward`` on ``grid`` and derive the reward-augmented MDP.
 
-    ``reward`` defaults to ``mdp.reward``; passing an explicit table lets the
-    caller augment with a reward different from the one stored in the MDP.
-    Reachability, which the occupancy LP uses to prune variables, is one
-    ``_push_stage`` walk with weight 1 on every action and the support
-    ``transitions > 0`` as the kernel: a cell's mass counts the paths into
-    it, capped at 1 after each stage (an inf count would make the GEMM
-    NaN), and only ``> 0`` is read.
+    The reward may differ from the one stored in the MDP.  Reachability,
+    which the occupancy LP uses to prune variables, is one ``_push_stage``
+    walk with weight 1 on every action and the support ``transitions > 0``
+    as the kernel: a cell's mass counts the paths into it, capped at 1
+    after each stage (an inf count would make the GEMM NaN), and only
+    ``> 0`` is read.
     """
     if grid.horizon != mdp.horizon:
         raise ValueError("grid horizon does not match MDP horizon")
-    gr = discretize_reward(mdp.reward if reward is None else reward, grid)
+    gr = discretize_reward(reward, grid)
     support = (mdp.transitions > 0.0).astype(float)
     every_action = np.ones((1, 1, mdp.num_actions))
     cells, paths = np.zeros(1, dtype=np.intp), np.zeros((mdp.num_states, 1))
@@ -392,4 +393,4 @@ def build_augmented_mdp(
             cells, paths = _push_stage(cells, paths, every_action, support[h], shifts, limits)
             np.minimum(paths, 1.0, out=paths)
     reachable.setflags(write=False)
-    return AugmentedMdp(base=mdp, grid=grid, reward=gr, reachable=reachable)
+    return AugmentedMdp(base=mdp, reward=gr, reachable=reachable)

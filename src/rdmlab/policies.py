@@ -23,7 +23,8 @@ positive-probability trajectory, and their probabilities; the brute-force
 return distribution sums rewards over those rows, and the reward-conditioned
 projection pi_R is ``rs-bc``'s probability-weighted count table over them
 (``rdmlab.rsbc.construct_pi_r``).  Every entry point that walks a policy
-over an MDP refuses one of another horizon (``_check_horizon``).
+over an MDP refuses one of another horizon, state or action count
+(``_check_dims``).
 
 One stage walk, ``_stages``, draws n episodes in blocks of at most
 ``_STAGE_BLOCK`` consecutive rows, each walked through all H stages before
@@ -475,7 +476,7 @@ def _stages(
     parametric expert its prefix row, from one prefix table per stage and
     block, renumbered after each transition pass (``_renumber``).  ``n >= 1``.
     """
-    _check_horizon(mdp, policy)
+    _check_dims(mdp, policy)
     horizon, num_states, num_actions = mdp.horizon, mdp.num_states, mdp.num_actions
     trans = _cdf_table(mdp.transitions, n)
     prefix = isinstance(policy, ParametricHistoryPolicy)
@@ -589,10 +590,19 @@ def sample_counts(
     return counts.reshape(horizon, num_states, num_g, num_actions)
 
 
-def _check_horizon(mdp: TabularMdp, policy: PolicyHandle) -> None:
-    # an object without a horizon is left to the caller's kind check
+def _check_dims(mdp: TabularMdp, policy: PolicyHandle) -> None:
+    # refuse another (H, S, A); an object of another kind is left to the caller's kind check
     if getattr(policy, "horizon", mdp.horizon) != mdp.horizon:
         raise ValueError("policy horizon does not match the MDP")
+    if isinstance(policy, ParametricHistoryPolicy):
+        dims = policy.state_weights.shape[::2]  # (S, PROJECTION_DIM, A)
+    elif isinstance(policy, (MarkovianPolicy, RewardAugmentedPolicy)):
+        dims = policy.table.shape[1], policy.table.shape[-1]
+    else:
+        return
+    want = mdp.num_states, mdp.num_actions
+    if dims != want:
+        raise ValueError(f"policy states and actions {dims} do not match the MDP's {want}")
 
 
 def enumerate_trajectory_distribution(
@@ -604,7 +614,7 @@ def enumerate_trajectory_distribution(
     brute-force oracle the dynamic program is checked against.  Rows are
     pairwise distinct and the probabilities sum to one.
     """
-    _check_horizon(mdp, policy)
+    _check_dims(mdp, policy)
     size = (mdp.num_states * mdp.num_actions) ** mdp.horizon
     if size > ENUMERATION_CAP:
         raise EnumerationCapError(f"trajectory space (S*A)^H = {size} exceeds {ENUMERATION_CAP}")
@@ -669,7 +679,7 @@ def mc_return_distribution(
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    _check_horizon(mdp, policy)
+    _check_dims(mdp, policy)
     rng = np.random.default_rng(seed)
     reward = _raw_reward(reward, "mc_return_distribution")
     horizon, num_states, num_actions = mdp.horizon, mdp.num_states, mdp.num_actions
@@ -745,7 +755,7 @@ def _table_walk(mdp: TabularMdp, policy: PolicyHandle, multiples: np.ndarray, si
     target reward keeps both coordinates equal, so its keys and pushes are,
     bit for bit, those of a walk over the target accumulator alone.
     """
-    _check_horizon(mdp, policy)
+    _check_dims(mdp, policy)
     table, own_multiples = _grid_table(policy)
     shifts = np.stack([own_multiples, multiples], axis=-1)
     limits = (table.shape[2], size)

@@ -20,10 +20,12 @@ that already holds M never walks the dataset again:
   M's last stage (each trajectory's return is its last cell's g plus the
   last step's reward).
 
-``rs_bc`` is ``rs_bc_from_counts`` on a fresh count.  The reward-conditioned
-projection pi_R that ``rs-bc`` estimates is the same count table taken over
-the expert's whole trajectory distribution: ``construct_pi_r`` weights every
-enumerated trajectory by its probability.
+``rs_bc`` is ``rs_bc_from_counts`` on a fresh count, and
+``empirical_return_distribution`` on a grid is ``eta_hat_from_counts`` on
+one: the grid law of a dataset has that one implementation.  The
+reward-conditioned projection pi_R that ``rs-bc`` estimates is the same
+count table taken over the expert's whole trajectory distribution:
+``construct_pi_r`` weights every enumerated trajectory by its probability.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import math
 import numpy as np
 
 from .distributions import DiscreteReturnDistribution
-from .mdp import Dataset, GridReward, RewardGrid, TabularMdp, discretize_reward
+from .mdp import Dataset, GridReward, RewardGrid, TabularMdp, _raw_reward, discretize_reward
 from .policies import (
     PolicyHandle,
     RewardAugmentedPolicy,
@@ -45,6 +47,7 @@ __all__ = [
     "count_occurrences",
     "rs_bc_from_counts",
     "eta_hat_from_counts",
+    "empirical_return_distribution",
     "rs_bc",
     "construct_pi_r",
     "theta_for_epsilon_rsbc",
@@ -93,12 +96,29 @@ def eta_hat_from_counts(counts: np.ndarray, reward: GridReward) -> DiscreteRetur
     Every trajectory visits exactly one last-stage cell (s, g, a), and its
     return is ``reward.returns(g)`` grid steps, so the histogram of returns
     is M[H-1] summed over those totals; its exact sum is N, so
-    ``DiscreteReturnDistribution.on_grid`` gives the law
-    ``empirical_return_distribution(data, reward, grid)`` builds.
+    ``DiscreteReturnDistribution.on_grid`` gives the law of the returns
+    (count / N at each observed total).
     """
     last = counts[-1]  # (S, G, A)
     mass = np.bincount(reward.returns(np.arange(last.shape[1])).ravel(), last.ravel())
     return DiscreteReturnDistribution.on_grid(mass, reward.grid.theta)
+
+
+def empirical_return_distribution(
+    data: Dataset, reward: np.ndarray | GridReward, grid: RewardGrid | None = None
+) -> DiscreteReturnDistribution:
+    """Empirical distribution of trajectory returns, one atom per observed value.
+
+    With a ``grid`` it is ``eta_hat_from_counts`` of the dataset's counts on
+    the reward put on the grid; without one the reward is a raw (H, S, A) table.
+    """
+    if grid is None:
+        reward = _raw_reward(reward, "empirical_return_distribution without a grid")
+        n, horizon = data.states.shape
+        returns = reward[np.arange(horizon), data.states, data.actions].sum(axis=1)
+        return DiscreteReturnDistribution.from_weighted(returns, np.full(n, 1.0 / n))
+    gr = discretize_reward(reward, grid)
+    return eta_hat_from_counts(count_occurrences(data, gr), gr)
 
 
 def rs_bc(

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .distributions import DiscreteReturnDistribution
-from .mdp import GridReward, RewardGrid, TabularMdp
+from .mdp import GridReward, RewardGrid, TabularMdp, validate_mdp
 from .policies import MarkovianPolicy, RewardAugmentedPolicy
 
 __all__ = [
@@ -46,15 +46,23 @@ def mdp_to_json(mdp: TabularMdp) -> str:
 
 
 def mdp_from_json(text: str) -> TabularMdp:
+    """The MDP a document describes; ``ValueError`` names every fault: a
+    dimension key that disagrees with the arrays, or a ``validate_mdp`` one."""
     doc = json.loads(text)
-    return TabularMdp(
-        num_states=int(doc["num_states"]),
-        num_actions=int(doc["num_actions"]),
-        horizon=int(doc["horizon"]),
+    mdp = TabularMdp(
         initial_state=int(doc["initial_state"]),
         transitions=np.array(doc["transitions"], dtype=float),
         reward=np.array(doc["reward"], dtype=float),
     )
+    faults = [
+        f"{key} is {doc[key]}, the arrays give {getattr(mdp, key)}"
+        for key in ("num_states", "num_actions", "horizon")
+        if doc[key] != getattr(mdp, key)
+    ]
+    faults += validate_mdp(mdp)
+    if faults:
+        raise ValueError("invalid MDP document: " + "; ".join(faults))
+    return mdp
 
 
 # --- distribution dumps ----------------------------------------------------

@@ -151,9 +151,6 @@ def make_instance(
     if continuous_reward:
         rng = np.random.default_rng(seed + 77_000)
         mdp = rl.TabularMdp(
-            num_states=mdp.num_states,
-            num_actions=mdp.num_actions,
-            horizon=mdp.horizon,
             initial_state=mdp.initial_state,
             transitions=mdp.transitions,
             reward=rng.uniform(0.0, 1.0, size=mdp.reward.shape),

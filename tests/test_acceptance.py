@@ -141,7 +141,7 @@ def test_c06_tv_equals_half_l1():
     rng = np.random.default_rng(161)
     reward = rl.make_tv_hard_reward(2, 2, 2)
     transitions = rng.dirichlet(np.ones(2), size=(2, 2, 2))
-    mdp = rl.TabularMdp(2, 2, 2, 0, transitions, reward)
+    mdp = rl.TabularMdp(0, transitions, reward)
     worst = 0.0
     for _ in range(5):
         pol_a = rl.random_markovian_policy(2, 2, 2, rng)

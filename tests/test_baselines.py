@@ -113,7 +113,7 @@ class TestMimicMd:
         horizon = 2
         transitions = np.zeros((horizon, 2, 2, 2))
         transitions[:, :, :, 0] = 1.0  # everything funnels into state 0
-        mdp = rl.TabularMdp(2, 2, horizon, 0, transitions, np.zeros((horizon, 2, 2)))
+        mdp = rl.TabularMdp(0, transitions, np.zeros((horizon, 2, 2)))
         data = rl.Dataset(np.array([[0, 0]]), np.array([[1, 1]]), 2, 2)
         matched = mimic_md(data, mdp)
         assert matched.table[0, 1] == pytest.approx(np.full(2, 0.5))
@@ -189,10 +189,7 @@ class TestSingleCellEquivalence:
 
     def test_zero_rewards_reduce_rsbc_to_bc(self):
         mdp, expert = make_instance(91, horizon=4, expert_kind="parametric-history")
-        mdp = rl.TabularMdp(
-            mdp.num_states, mdp.num_actions, mdp.horizon, mdp.initial_state,
-            mdp.transitions, np.zeros_like(mdp.reward),
-        )
+        mdp = rl.TabularMdp(mdp.initial_state, mdp.transitions, np.zeros_like(mdp.reward))
         data = rl.sample_trajectories(mdp, expert, 200, seed=0)
         grid = rl.RewardGrid(0.5, mdp.horizon)
         augmented = rl.rs_bc(data, mdp.reward, grid)

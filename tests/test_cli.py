@@ -55,6 +55,40 @@ def test_eval_policy_needs_grid_for_markovian(tmp_path, capsys):
     assert main(["eval-policy", "--mdp", str(mdp_path), "--policy", str(pol_path)]) == 2
 
 
+def _bad_rows(doc):
+    doc["transitions"][0][0][0] = [1.5, -0.5]
+    return "transitions[h=0,s=0,a=0,s'=1] is negative"
+
+
+def _big_rewards(doc):
+    doc["reward"] = [[[7.0] * 2] * 2] * 5
+    return "reward[h=0,s=0,a=0] = 7.0 outside [0, 1]"
+
+
+def _wrong_key(doc):
+    doc["num_states"] = 3
+    return "num_states is 3, the arrays give 2"
+
+
+@pytest.mark.parametrize("corrupt", [_bad_rows, _big_rewards, _wrong_key])
+def test_eval_policy_refuses_invalid_mdp_document(tmp_path, capsys, corrupt):
+    # each document was once evaluated, printing a distribution and exiting 0
+    mdp_path = tmp_path / "mdp.json"
+    pol_path = tmp_path / "expert.txt"
+    main(["gen-instance", "--seed", "5", "--rho", "0.5", "--out", str(mdp_path),
+          "--expert-out", str(pol_path)])
+    doc = json.loads(mdp_path.read_text())
+    fault = corrupt(doc)
+    mdp_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["eval-policy", "--mdp", str(mdp_path), "--policy", str(pol_path),
+                 "--grid-step", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid MDP document: ")
+    assert fault in captured.err
+
+
 def test_run_subcommand_writes_csv(tmp_path, capsys):
     cfg = {
         "num_states": 2, "num_actions": 2, "horizon": 3,

@@ -98,7 +98,7 @@ class TestTvHardReward:
     def test_all_returns_distinct_at_222(self):
         reward = make_tv_hard_reward(2, 2, 2)
         transitions = np.full((2, 2, 2, 2), 0.5)
-        mdp = rl.TabularMdp(2, 2, 2, 0, transitions, reward)
+        mdp = rl.TabularMdp(0, transitions, reward)
         policy = rl.MarkovianPolicy(np.full((2, 2, 2), 0.5))
         data, _ = rl.enumerate_trajectory_distribution(mdp, policy)
         returns = sorted(
@@ -113,7 +113,7 @@ class TestTvHardReward:
         reward = make_tv_hard_reward(2, 2, 2)
         for _ in range(5):
             transitions = rng.dirichlet(np.ones(2), size=(2, 2, 2))
-            mdp = rl.TabularMdp(2, 2, 2, 0, transitions, reward)
+            mdp = rl.TabularMdp(0, transitions, reward)
             pol_a = rl.random_markovian_policy(2, 2, 2, rng)
             pol_b = rl.random_markovian_policy(2, 2, 2, rng)
             da = rl.brute_force_return_distribution(mdp, pol_a, reward)
@@ -125,7 +125,7 @@ class TestTvHardReward:
         rng = np.random.default_rng(3)
         reward = make_tv_hard_reward(2, 2, 2)
         transitions = rng.dirichlet(np.ones(2), size=(2, 2, 2))
-        mdp = rl.TabularMdp(2, 2, 2, 0, transitions, reward)
+        mdp = rl.TabularMdp(0, transitions, reward)
         pol = rl.random_markovian_policy(2, 2, 2, rng)
         d = rl.brute_force_return_distribution(mdp, pol, reward)
         assert rl.total_variation(d, d) == 0.0

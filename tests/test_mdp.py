@@ -13,7 +13,7 @@ def two_state_mdp():
     transitions[..., 0] = 0.25
     transitions[..., 1] = 0.75
     reward = np.full((2, 2, 2), 0.5)
-    return rl.TabularMdp(2, 2, 2, 0, transitions, reward)
+    return rl.TabularMdp(0, transitions, reward)
 
 
 class TestValidate:
@@ -24,7 +24,7 @@ class TestValidate:
         mdp = two_state_mdp()
         t = mdp.transitions.copy()
         t[1, 0, 1] = [0.4, 0.5]
-        bad = rl.TabularMdp(2, 2, 2, 0, t, mdp.reward)
+        bad = rl.TabularMdp(0, t, mdp.reward)
         report = rl.validate_mdp(bad)
         assert len(report) == 1
         assert "h=1" in report[0] and "s=0" in report[0] and "a=1" in report[0]
@@ -33,16 +33,16 @@ class TestValidate:
         mdp = two_state_mdp()
         r = mdp.reward.copy()
         r[0, 1, 0] = 1.5
-        bad = rl.TabularMdp(2, 2, 2, 0, mdp.transitions, r)
+        bad = rl.TabularMdp(0, mdp.transitions, r)
         report = rl.validate_mdp(bad)
         assert len(report) == 1
         assert "h=0" in report[0] and "1.5" in report[0]
 
     def test_shape_errors_raise(self):
         with pytest.raises(ValueError):
-            rl.TabularMdp(2, 2, 2, 0, np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
+            rl.TabularMdp(0, np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
         with pytest.raises(ValueError):
-            rl.TabularMdp(2, 2, 2, 5, np.zeros((2, 2, 2, 2)), np.zeros((2, 2, 2)))
+            rl.TabularMdp(5, np.zeros((2, 2, 2, 2)), np.zeros((2, 2, 2)))
 
 
 class TestDiscretize:
@@ -180,15 +180,15 @@ class TestAugmentedMdp:
             for s in range(num_states):
                 transitions[h, s, 0, min(s + 1, num_states - 1)] = 1.0
         reward = np.ones((horizon, num_states, 1))
-        mdp = rl.TabularMdp(num_states, 1, horizon, 0, transitions, reward)
-        aug = rl.build_augmented_mdp(mdp, rl.RewardGrid(1.0, horizon))
+        mdp = rl.TabularMdp(0, transitions, reward)
+        aug = rl.build_augmented_mdp(mdp, rl.RewardGrid(1.0, horizon), mdp.reward)
         for h in range(horizon):
             cells = np.argwhere(aug.reachable[h])
             assert cells.tolist() == [[h, h]]  # state h with g = h
 
     def test_fork_reachable_merge_states(self):
         mdp, expert = rl.make_fork_fixture()
-        aug = rl.build_augmented_mdp(mdp, rl.RewardGrid(1.0, 3))
+        aug = rl.build_augmented_mdp(mdp, rl.RewardGrid(1.0, 3), mdp.reward)
         cells = {tuple(c) for c in np.argwhere(aug.reachable[2])}
         assert cells == {(3, 0), (3, 1)}
         # each reached with probability 1/2 under the expert
@@ -208,7 +208,7 @@ def enumerated_cells(mdp, reward):
     table = np.full((horizon + 1, num_states, num_actions), 1.0 / num_actions)
     table[horizon] = np.eye(num_actions)[0]
     extended = rl.TabularMdp(
-        num_states, num_actions, horizon + 1, mdp.initial_state,
+        mdp.initial_state,
         np.concatenate([mdp.transitions, np.full((1, num_states, num_actions, num_states),
                                                  1.0 / num_states)]),
         np.concatenate([mdp.reward, np.zeros((1, num_states, num_actions))]),
@@ -231,7 +231,7 @@ def test_reachable_cells_match_enumeration(shape, seed, continuous, theta):
     num_states, num_actions, horizon = shape
     mdp, _ = make_instance(seed, num_states, num_actions, horizon, continuous_reward=continuous)
     grid = rl.RewardGrid(theta, horizon)
-    aug = rl.build_augmented_mdp(mdp, grid)
+    aug = rl.build_augmented_mdp(mdp, grid, mdp.reward)
     visited = enumerated_cells(mdp, aug.reward)
     assert aug.reachable.shape == (horizon + 1, num_states, grid.full_size)
     assert aug.reachable.dtype == bool and not aug.reachable.flags.writeable

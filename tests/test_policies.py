@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -39,8 +40,7 @@ class TestSampling:
         for h in range(horizon):
             for s in range(num_states):
                 transitions[h, s, 0, (s + 1) % num_states] = 1.0
-        mdp = rl.TabularMdp(num_states, 1, horizon, 0, transitions,
-                            np.zeros((horizon, num_states, 1)))
+        mdp = rl.TabularMdp(0, transitions, np.zeros((horizon, num_states, 1)))
         policy = rl.MarkovianPolicy(np.ones((horizon, num_states, 1)))
         data = rl.sample_trajectories(mdp, policy, 16, seed=0)
         assert (data.states == data.states[0]).all()
@@ -632,17 +632,39 @@ _HORIZON_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("offset", [2, -1], ids=["longer", "shorter"])
+_HORIZON = "policy horizon does not match the MDP"
+_STATES = re.escape("policy states and actions (4, 2) do not match the MDP's (3, 2)")
+_ACTIONS = re.escape("policy states and actions (3, 1) do not match the MDP's (3, 2)")
+
+#: A policy of another (H, S, A) than the (H = 4, 3 states, 2 actions)
+#: instance, as (grid reward, rng) -> policy, and the error it raises.
+_MISMATCHED_POLICIES = {
+    "longer": (lambda gr, rng: rl.random_markovian_policy(3, 2, 6, rng), _HORIZON),
+    "shorter": (lambda gr, rng: rl.random_markovian_policy(3, 2, 3, rng), _HORIZON),
+    "markovian-states": (lambda gr, rng: rl.random_markovian_policy(4, 2, 4, rng), _STATES),
+    "markovian-actions": (lambda gr, rng: rl.random_markovian_policy(3, 1, 4, rng), _ACTIONS),
+    "augmented-states": (lambda gr, rng: random_reward_augmented_policy(gr, 4, rng), _STATES),
+    "augmented-actions": (
+        lambda gr, rng: random_reward_augmented_policy(
+            rl.GridReward(gr.grid, gr.multiples[..., :1]), 3, rng
+        ),
+        _ACTIONS,
+    ),
+    "parametric-states": (lambda gr, rng: rl.random_parametric_policy(4, 2, 4, rng), _STATES),
+    "parametric-actions": (lambda gr, rng: rl.random_parametric_policy(3, 1, 4, rng), _ACTIONS),
+}
+
+
+@pytest.mark.parametrize("mismatch", list(_MISMATCHED_POLICIES))
 @pytest.mark.parametrize("entry", sorted(_HORIZON_ENTRY_POINTS))
-def test_policy_horizon_must_match_the_mdp(entry, offset):
-    # a longer policy was read for its first H stages, a shorter one ran off its table
+def test_policy_horizon_must_match_the_mdp(entry, mismatch):
+    # a longer policy was read for its first H stages, a shorter one ran off
+    # its table; one action too few was played as action 0 alone
     mdp, _ = make_instance(3)
-    policy = rl.random_markovian_policy(
-        mdp.num_states, mdp.num_actions, mdp.horizon + offset, np.random.default_rng(3)
-    )
     gr = rl.discretize_reward(mdp.reward, rl.RewardGrid(0.25, mdp.horizon))
-    with pytest.raises(ValueError, match="policy horizon does not match the MDP"):
-        _HORIZON_ENTRY_POINTS[entry](mdp, policy, gr)
+    make_policy, match = _MISMATCHED_POLICIES[mismatch]
+    with pytest.raises(ValueError, match=match):
+        _HORIZON_ENTRY_POINTS[entry](mdp, make_policy(gr, np.random.default_rng(3)), gr)
 
 
 #: The entries that read a float reward, as (mdp, policy, grid reward) -> result.
@@ -720,7 +742,7 @@ class TestConstructPiR:
     def test_cap_exceeded_raises(self):
         horizon = 12
         transitions = np.full((horizon, 4, 4, 4), 0.25)
-        mdp = rl.TabularMdp(4, 4, horizon, 0, transitions, np.zeros((horizon, 4, 4)))
+        mdp = rl.TabularMdp(0, transitions, np.zeros((horizon, 4, 4)))
         grid = rl.RewardGrid(1.0, horizon)
         expert = rl.MarkovianPolicy(np.full((horizon, 4, 4), 0.25))
         with pytest.raises(EnumerationCapError):
@@ -745,7 +767,7 @@ class TestExactReturnDistribution:
         horizon = 4
         transitions = np.zeros((horizon, 2, 1, 2))
         transitions[:, :, 0, 1] = 1.0
-        mdp = rl.TabularMdp(2, 1, horizon, 0, transitions, np.ones((horizon, 2, 1)))
+        mdp = rl.TabularMdp(0, transitions, np.ones((horizon, 2, 1)))
         policy = rl.MarkovianPolicy(np.ones((horizon, 2, 1)))
         dist = rl.exact_return_distribution(mdp, policy, mdp.reward, rl.RewardGrid(1.0, horizon))
         assert dist.support.tolist() == [float(horizon)]
@@ -848,7 +870,7 @@ class TestMonteCarlo:
         horizon = 3
         transitions = np.zeros((horizon, 2, 1, 2))
         transitions[:, :, 0, 0] = 1.0
-        mdp = rl.TabularMdp(2, 1, horizon, 0, transitions, np.full((horizon, 2, 1), 0.5))
+        mdp = rl.TabularMdp(0, transitions, np.full((horizon, 2, 1), 0.5))
         policy = rl.MarkovianPolicy(np.ones((horizon, 2, 1)))
         real_draw = policies_mod._draw
         members = []
@@ -951,7 +973,7 @@ class TestMonteCarlo:
         transitions[0, 0, 0] = [0.5, 0.5 + 1e-10, 0.0]
         reward = np.zeros((horizon, 3, 1))
         reward[1, :, 0] = [0.0, 1.0, 0.5]
-        mdp = rl.TabularMdp(3, 1, horizon, 0, transitions, reward)
+        mdp = rl.TabularMdp(0, transitions, reward)
         assert rl.validate_mdp(mdp) == []
         policy = rl.MarkovianPolicy(np.ones((horizon, 3, 1)))
         m = 10_000
@@ -1233,7 +1255,7 @@ def _mass_leak_mdp(stage):
     transitions = rng.dirichlet(np.ones(3), size=(4, 3, 2))
     transitions[stage, 0, 0] *= 0.9
     reward = rng.integers(0, 5, size=(4, 3, 2)) * 0.25
-    return rl.TabularMdp(3, 2, 4, 0, transitions, reward)
+    return rl.TabularMdp(0, transitions, reward)
 
 
 class TestLiveCellKernel:
@@ -1303,7 +1325,7 @@ class TestLiveCellKernel:
         for policy in policies:  # Markov, single, joint
             a, b = (
                 rl.exact_return_distribution(
-                    rl.TabularMdp(3, 2, 4, 0, kernel, mdp.reward), policy, mdp.reward, fine
+                    rl.TabularMdp(0, kernel, mdp.reward), policy, mdp.reward, fine
                 )
                 for kernel in (transitions, swapped)
             )
@@ -1317,7 +1339,7 @@ class TestLiveCellKernel:
         transitions = rng.dirichlet(np.ones(3), size=(5, 3, 2))
         transitions *= (1 + 9e-10) / transitions.sum(axis=-1, keepdims=True)
         reward = rng.integers(0, 5, size=(5, 3, 2)) * 0.25
-        mdp = rl.TabularMdp(3, 2, 5, 0, transitions, reward)
+        mdp = rl.TabularMdp(0, transitions, reward)
         assert rl.validate_mdp(mdp) == []
         fine, coarse = rl.RewardGrid(0.25, 5), rl.RewardGrid(0.5, 5)
         gr = rl.discretize_reward(reward, fine)

@@ -106,9 +106,8 @@ class TestBuildLp:
     def test_single_action_horizon_one(self):
         transitions = np.ones((1, 1, 1, 1))
         for forced_reward, target, expect_zero in ((1.0, 1.0, True), (1.0, 0.0, False)):
-            mdp = rl.TabularMdp(1, 1, 1, 0, transitions,
-                                np.full((1, 1, 1), forced_reward))
-            aug = rl.build_augmented_mdp(mdp, rl.RewardGrid(1.0, 1))
+            mdp = rl.TabularMdp(0, transitions, np.full((1, 1, 1), forced_reward))
+            aug = rl.build_augmented_mdp(mdp, rl.RewardGrid(1.0, 1), mdp.reward)
             eta_hat = rl.DiscreteReturnDistribution.point_mass(target)
             sol = solve(build_rskt_lp(aug, eta_hat))
             assert sol.status == "optimal"
@@ -123,7 +122,7 @@ class TestBuildLp:
         gr = rl.discretize_reward(mdp.reward, grid)
         member = random_reward_augmented_policy(gr, mdp.num_states, rng)
         eta_hat = rl.exact_return_distribution(mdp, member, mdp.reward, grid)
-        aug = rl.build_augmented_mdp(mdp, grid)
+        aug = rl.build_augmented_mdp(mdp, grid, mdp.reward)
         sol = solve(build_rskt_lp(aug, eta_hat))
         assert sol.objective == pytest.approx(0.0, abs=1e-8)
 
@@ -138,7 +137,7 @@ class TestBuildLp:
 
     def test_off_grid_estimate_rejected(self):
         mdp, _, grid = tiny_grid_instance(1)
-        aug = rl.build_augmented_mdp(mdp, grid)
+        aug = rl.build_augmented_mdp(mdp, grid, mdp.reward)
         eta_hat = rl.DiscreteReturnDistribution.point_mass(0.4243)
         with pytest.raises(ValueError):
             build_rskt_lp(aug, eta_hat)
@@ -146,7 +145,7 @@ class TestBuildLp:
     def test_feasible_set_contains_every_dp_occupancy(self):
         mdp, _, grid = tiny_grid_instance(7, horizon=3, step=0.5)
         gr = rl.discretize_reward(mdp.reward, grid)
-        aug = rl.build_augmented_mdp(mdp, grid)
+        aug = rl.build_augmented_mdp(mdp, grid, mdp.reward)
         rng = np.random.default_rng(4)
         eta_hat = rl.exact_return_distribution(
             mdp, random_reward_augmented_policy(gr, mdp.num_states, rng), mdp.reward, grid
@@ -170,7 +169,7 @@ class TestBuildLp:
     def test_crash_basis_is_the_argmax_policy_vertex(self):
         mdp, _, grid = tiny_grid_instance(7, horizon=3, step=0.5)
         gr = rl.discretize_reward(mdp.reward, grid)
-        aug = rl.build_augmented_mdp(mdp, grid)
+        aug = rl.build_augmented_mdp(mdp, grid, mdp.reward)
         rng = np.random.default_rng(5)
         eta_hat = rl.exact_return_distribution(
             mdp, random_reward_augmented_policy(gr, mdp.num_states, rng), mdp.reward, grid
@@ -222,7 +221,7 @@ class TestFlowRows:
     @pytest.mark.parametrize("seed", range(3))
     def test_reward_augmented_cells(self, seed):
         mdp, _ = rl.generate_instance(DESK_CFG, seed)
-        aug = rl.build_augmented_mdp(mdp, rl.RewardGrid(DESK_CFG.theta, mdp.horizon))
+        aug = rl.build_augmented_mdp(mdp, rl.RewardGrid(DESK_CFG.theta, mdp.horizon), mdp.reward)
         cell = reachable_cells(aug)
         column = np.full(aug.reachable[: mdp.horizon].shape, -1, dtype=np.int64)
         for (h, s, g), k in cell.items():
@@ -343,7 +342,7 @@ class TestRsKt:
         data = rl.sample_trajectories(mdp, expert, 256, seed=9)
         policy, diag = rs_kt(data, mdp, mdp.reward, grid)
         eta_hat = rl.empirical_return_distribution(data, mdp.reward, grid)
-        aug = rl.build_augmented_mdp(mdp, grid)
+        aug = rl.build_augmented_mdp(mdp, grid, mdp.reward)
         layout = lp_layout(aug, eta_hat)
         lp = build_rskt_lp(aug, eta_hat)
         sol = solve(lp)
@@ -428,7 +427,7 @@ class TestPinnedSolves:
         # the program built from the direct-sum estimate, solved from the same
         # crash basis, ends at the same vertex
         eta_hat = rl.empirical_return_distribution(data, mdp.reward, grid)
-        aug = rl.build_augmented_mdp(mdp, grid)
+        aug = rl.build_augmented_mdp(mdp, grid, mdp.reward)
         layout = lp_layout(aug, eta_hat)
         basis = layout.crash_basis(counts)
         sol = solve(build_rskt_lp(aug, eta_hat), basis=basis)

@@ -51,7 +51,7 @@ class TestMdpDocuments:
         transitions[0, :, 0, 0] = 0.1
         transitions[0, :, 0, 1] = 0.9
         reward = np.full((1, 2, 1), 0.3)
-        mdp = rl.TabularMdp(2, 1, 1, 0, transitions, reward)
+        mdp = rl.TabularMdp(0, transitions, reward)
         again = mdp_from_json(mdp_to_json(mdp))
         assert np.array_equal(again.transitions, mdp.transitions)
         assert np.array_equal(again.reward, mdp.reward)
