@@ -45,23 +45,26 @@ def mdp_to_json(mdp: TabularMdp) -> str:
     return json.dumps(doc, indent=1)
 
 
+#: The keys of an MDP document; the first three must agree with its arrays.
+_MDP_KEYS = ("num_states", "num_actions", "horizon", "initial_state", "transitions", "reward")
+
+
 def mdp_from_json(text: str) -> TabularMdp:
-    """The MDP a document describes; ``ValueError`` names every fault: a
-    dimension key that disagrees with the arrays, or a ``validate_mdp`` one."""
+    """The MDP a document describes; ``ValueError`` names up to 20 faults (a
+    missing key, a dimension key off the arrays' shape, a ``validate_mdp`` one)."""
     doc = json.loads(text)
-    mdp = TabularMdp(
-        initial_state=int(doc["initial_state"]),
-        transitions=np.array(doc["transitions"], dtype=float),
-        reward=np.array(doc["reward"], dtype=float),
-    )
-    faults = [
-        f"{key} is {doc[key]}, the arrays give {getattr(mdp, key)}"
-        for key in ("num_states", "num_actions", "horizon")
-        if doc[key] != getattr(mdp, key)
-    ]
-    faults += validate_mdp(mdp)
+    faults = [f"{k} is missing" for k in _MDP_KEYS if not isinstance(doc, dict) or k not in doc]
+    if not faults:
+        transitions, reward = (np.array(doc[key], dtype=float) for key in _MDP_KEYS[4:])
+        mdp = TabularMdp(int(doc["initial_state"]), transitions, reward)
+        faults = [
+            f"{key} is {doc[key]}, the arrays give {getattr(mdp, key)}"
+            for key in _MDP_KEYS[:3]
+            if doc[key] != getattr(mdp, key)
+        ] + validate_mdp(mdp)
     if faults:
-        raise ValueError("invalid MDP document: " + "; ".join(faults))
+        more = [f"{len(faults) - 20} more"] if len(faults) > 20 else []
+        raise ValueError("invalid MDP document: " + "; ".join(faults[:20] + more))
     return mdp
 
 

@@ -124,6 +124,13 @@ def half_l1_trajectories(mdp, pol_a, pol_b):
     return 0.5 * np.abs(np.bincount(key.ravel(), np.concatenate(signed))).sum()
 
 
+def direct_grid_law(data, gr):
+    """Reference grid law of a dataset: each trajectory's return is the sum of
+    its steps' grid multiples, and the law puts count / N on each total."""
+    steps = gr.multiples[np.arange(data.horizon), data.states, data.actions]
+    return rl.DiscreteReturnDistribution.on_grid(np.bincount(steps.sum(axis=1)), gr.grid.theta)
+
+
 def make_instance(
     seed,
     num_states=3,

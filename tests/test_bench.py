@@ -18,7 +18,7 @@ from rdmlab.lp import LpError, LpIterationError
 from rdmlab.policies import EnumerationCapError
 from rdmlab.serialize import format_distribution
 
-from conftest import KNOWN_BAD_PIVOT_CFG, KNOWN_BAD_PIVOT_SEEDS
+from conftest import KNOWN_BAD_PIVOT_CFG, KNOWN_BAD_PIVOT_SEEDS, direct_grid_law
 
 
 def tiny_cfg(**overrides):
@@ -167,7 +167,8 @@ class TestRunExperiment:
 
     def test_count_readers_score_like_the_dataset_walks(self):
         # every fit reads one count tensor per dataset; the public functions
-        # each walk the dataset and must give the same W1, bit for bit
+        # each walk the dataset, eta-hat is the direct per-trajectory sum, and
+        # each must give the same W1, bit for bit
         cfg = tiny_cfg(
             theta=0.5, rho=0.25, algorithms=bench_mod.KNOWN_ALGORITHMS,
             instances=2, n_sweep=(16, 64),
@@ -195,7 +196,7 @@ class TestRunExperiment:
                         seed = derive_seed(cfg.master_seed, "policy-eval", i, k, j, idx)
                         dist = bench_mod._policy_distribution(cfg, mdp, policy, seed)
                         errors[cfg.algorithms[idx]].append(rl.wasserstein(dist, truth))
-                    estimate = rl.empirical_return_distribution(data, mdp.reward, grid)
+                    estimate = direct_grid_law(data, rl.discretize_reward(mdp.reward, grid))
                     errors["eta-hat"].append(2.0 * rl.wasserstein(estimate, truth))
                 for alg in cfg.algorithms:
                     assert rows[(alg, n)][i] == float(np.mean(errors[alg]))

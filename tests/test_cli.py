@@ -70,7 +70,22 @@ def _wrong_key(doc):
     return "num_states is 3, the arrays give 2"
 
 
-@pytest.mark.parametrize("corrupt", [_bad_rows, _big_rewards, _wrong_key])
+def _no_horizon(doc):
+    del doc["horizon"]
+    return "horizon is missing"
+
+
+def _sixty_faults(doc):
+    # 20 negative entries, 20 rows summing to 1.25 and 20 rewards out of
+    # range: the message lists the first 20 and counts the rest
+    doc["transitions"] = [[[[1.5, -0.25]] * 2] * 2] * 5
+    doc["reward"] = [[[7.0] * 2] * 2] * 5
+    return "; 40 more"
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_bad_rows, _big_rewards, _wrong_key, _no_horizon, _sixty_faults]
+)
 def test_eval_policy_refuses_invalid_mdp_document(tmp_path, capsys, corrupt):
     # each document was once evaluated, printing a distribution and exiting 0
     mdp_path = tmp_path / "mdp.json"

@@ -39,10 +39,15 @@ class TestValidate:
         assert "h=0" in report[0] and "1.5" in report[0]
 
     def test_shape_errors_raise(self):
-        with pytest.raises(ValueError):
-            rl.TabularMdp(0, np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
-        with pytest.raises(ValueError):
-            rl.TabularMdp(5, np.zeros((2, 2, 2, 2)), np.zeros((2, 2, 2)))
+        for initial_state, t_shape, r_shape in (
+            (0, (2, 2, 2), (2, 2, 2)),  # transitions not 4-D
+            (0, (2, 2, 2, 3), (2, 2, 2)),  # unequal state axes
+            (0, (0, 2, 2, 2), (0, 2, 2)),  # an empty axis
+            (0, (2, 2, 2, 2), (2, 2, 3)),  # reward not transitions.shape[:3]
+            (5, (2, 2, 2, 2), (2, 2, 2)),  # initial state out of range
+        ):
+            with pytest.raises(ValueError):
+                rl.TabularMdp(initial_state, np.zeros(t_shape), np.zeros(r_shape))
 
 
 class TestDiscretize:

@@ -13,7 +13,7 @@ from rdmlab.rsbc import (
     theta_for_epsilon_rsbc,
 )
 
-from conftest import make_instance
+from conftest import direct_grid_law, make_instance
 
 #: (S, A, H) of the desk, scale and bulk benchmark workloads
 BENCH_SHAPES = {"desk": (2, 2, 5), "scale": (50, 5, 5), "bulk": (20, 5, 5)}
@@ -99,12 +99,16 @@ class TestCounting:
 
     @reader_cases
     def test_eta_hat_from_counts_is_the_direct_sum(self, shape, kind, grids):
-        # the direct per-trajectory sum in distributions stays the oracle
+        # the direct per-trajectory sum in conftest stays the oracle, for the
+        # count reader and for the dataset entry built on it
         mdp, data, grid, gr, counts = counted_dataset(shape, kind, grids, seed=4)
-        got = eta_hat_from_counts(counts, gr)
-        want = rl.empirical_return_distribution(data, mdp.reward, grid)
-        assert np.array_equal(got.support, want.support)
-        assert np.array_equal(got.probs, want.probs)
+        want = direct_grid_law(data, gr)
+        for got in (
+            eta_hat_from_counts(counts, gr),
+            rl.empirical_return_distribution(data, mdp.reward, grid),
+        ):
+            assert np.array_equal(got.support, want.support)
+            assert np.array_equal(got.probs, want.probs)
 
 
 def loop_counts(data, gr):

@@ -23,7 +23,7 @@ from rdmlab.rskt import (
     theta_for_epsilon_rskt,
 )
 
-from conftest import make_instance, rskt_program
+from conftest import direct_grid_law, make_instance, rskt_program
 
 #: the desk benchmark's (2,2,5) shape
 DESK_CFG = rl.ExperimentConfig(
@@ -426,7 +426,7 @@ class TestPinnedSolves:
         assert diag == walk_diag
         # the program built from the direct-sum estimate, solved from the same
         # crash basis, ends at the same vertex
-        eta_hat = rl.empirical_return_distribution(data, mdp.reward, grid)
+        eta_hat = direct_grid_law(data, gr)
         aug = rl.build_augmented_mdp(mdp, grid, mdp.reward)
         layout = lp_layout(aug, eta_hat)
         basis = layout.crash_basis(counts)
