@@ -16,7 +16,12 @@ from pathlib import Path
 from . import bench, serialize
 from .distributions import wasserstein
 from .mdp import RewardGrid
-from .policies import MarkovianPolicy, RewardAugmentedPolicy, exact_return_distribution
+from .policies import (
+    MarkovianPolicy,
+    RewardAugmentedPolicy,
+    _check_dims,
+    exact_return_distribution,
+)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -76,7 +81,12 @@ def _cmd_eval_policy(args: argparse.Namespace) -> int:
     except ValueError as err:
         print(err, file=sys.stderr)
         return 2
-    policy = serialize.parse_policy(Path(args.policy).read_text())
+    try:
+        policy = serialize.parse_policy(Path(args.policy).read_text())
+        _check_dims(mdp, policy)
+    except ValueError as err:
+        print(err, file=sys.stderr)
+        return 2
     if args.grid_step is not None:
         step = args.grid_step
     elif isinstance(policy, RewardAugmentedPolicy):

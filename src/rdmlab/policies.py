@@ -26,36 +26,50 @@ projection pi_R is ``rs-bc``'s probability-weighted count table over them
 over an MDP refuses one of another horizon, state or action count
 (``_check_dims``).
 
-One stage walk, ``_stages``, draws n episodes in blocks of at most
-``_STAGE_BLOCK`` consecutive rows, each walked through all H stages before
-the next starts, so its memory is one block's, whatever n is: per stage an
-action pass draws the block's actions, then a transition pass its next
-states (none after the last action).  Every block reads its own stretch of
-the stream of ``default_rng(seed)``, a ``PCG64`` moved there by
-``advance``: the stretches that a stage-by-stage walk over all n rows
-would read, so every draw is the same whatever the block size.  A table
-policy draws from its ``_grid_table`` lift, as the exact walk and Monte
-Carlo read it; a one-cell (Markovian) table keeps no per-row g.  Its two
-consumers take each block's (h, rows, states, actions): ``sample_trajectories``
-writes the (n, H) columns of a ``Dataset``, and ``sample_counts`` adds them
-straight into the visit tensor M[h, s, g, a] on a grid reward, carrying
-each row's cumulative grid multiple, which is ``count_occurrences`` of that
-dataset without the dataset.  ``mc_return_distribution`` draws no rows:
-it carries groups, distinct histories with integer multiplicities, and
-splits each group's count over actions and then over next states
-(``_split``): a count above the row width by one multinomial, a smaller
-one by one categorical draw per member.  Every categorical draw reads one
-raw 64-bit output per row, the uniform ``Generator.random`` would make of
-it, and finds it in a flat cumulative table at a computed row offset
-(``_draw``); no (n x width) block of CDF rows is gathered.  Tables are
-built once per call with negative round-off entries clipped to 0.
-Transition, Markovian and reward-augmented tables at least
-``_GUIDE_MIN_WIDTH`` wide also get a guide table (Chen & Asau 1974) of up
+Two walks draw samples.  A table policy (Markovian, or reward-augmented,
+through the same ``_grid_table`` lift) runs the group walk, ``_group_walk``:
+its next step depends on its (state, own grid cell) alone, so it carries
+integer counts over groups, keyed by that pair and the raw return so far,
+not rows.  Per stage it splits each group's count over its action row, then
+each (group, action) count over its transition row (``_split``), and merges
+the children that share a key, so its cost follows the live groups, not n.
+``sample_counts`` adds each stage's (group, action) counts straight into
+the visit tensor M[h, s, g, a], with the counted g in the key;
+``sample_trajectories`` replays the walk on the same stream of
+``default_rng(seed)`` and hands its outcomes to rows, in a fresh uniformly
+random order within each group at every stage (from a second stream), so
+the rows are i.i.d.  The two agree exactly whenever g is a function of the
+raw return so far; otherwise they draw the same law.  The parametric
+expert's next step depends on its whole history, and it keeps the row walk
+``_stages`` (a group walk over its trie prefixes would draw other desk and
+scale datasets), which draws n episodes in blocks of at most ``_STAGE_BLOCK``
+consecutive rows, each walked through all H stages before the next starts,
+so its memory is one block's, whatever n is: per stage an action pass draws
+the block's actions, then a transition pass its next states (none after the
+last action).  Every block reads its own stretch of the stream of
+``default_rng(seed)``, a ``PCG64`` moved there by ``advance``: the stretches
+that a stage-by-stage walk over all n rows would read, so every draw is the
+same whatever the block size.  Its two consumers take each block's (h, rows,
+states, actions): ``sample_trajectories`` writes the (n, H) columns of a
+``Dataset``, and ``sample_counts`` adds them into M, carrying each row's
+cumulative grid multiple, which is ``count_occurrences`` of that dataset
+without the dataset.  ``mc_return_distribution`` draws no rows either: it
+carries groups, distinct histories with integer multiplicities, and splits
+them by ``_split`` as the group walk does.  ``_split`` splits a count above
+the row width by one multinomial, a smaller one by one categorical draw per
+member, in chunks of ``_SPLIT_BLOCK`` that leave every draw as it is.  Every
+categorical draw reads one raw 64-bit output per row, the uniform
+``Generator.random`` would make of it, and finds it in a flat cumulative
+table at a computed row offset (``_draw``); no (n x width) block of CDF rows
+is gathered.  Tables are built once per call with negative round-off
+entries clipped to 0.  The row walk's transition table and Monte Carlo's
+transition, Markovian and reward-augmented tables, at least
+``_GUIDE_MIN_WIDTH`` wide, also get a guide table (Chen & Asau 1974) of up
 to ``2**_GUIDE_BITS`` buckets per row, never more entries than the n or m
-episodes: a uniform whose bucket, read off its output's top bits, holds no CDF
-entry reads its draw there, and only the rest are formed as doubles and
-binary-searched.
-Two-outcome tables (the desk shapes) and the parametric expert's
+episodes: a uniform whose bucket, read off its output's top bits, holds no
+CDF entry reads its draw there, and only the rest are formed as doubles and
+binary-searched.  The group walk draws too few categoricals for a guide to
+pay.  Two-outcome tables (the desk shapes) and the parametric expert's
 per-prefix rows gain nothing from a guide and keep the plain search.
 The parametric expert's action distribution depends only on the (history,
 current state) prefix, and a stage has far fewer distinct prefixes than
@@ -136,6 +150,10 @@ _ROW_BLOCK = 512
 #: (2 cores, median) took 65 ms in one block (a 21.6 MB traced peak), 59 in
 #: blocks of 2**13 rows, 48 of 2**14, 41 of 2**15 (3.3 MB) and 47 of 2**16.
 _STAGE_BLOCK = 2**15
+
+#: Members, or multinomial cells, per chunk of ``_split``; every draw is the
+#: same whatever it is.
+_SPLIT_BLOCK = 2**13
 
 #: Sampling tables with rows at least this wide get a guide table of
 #: between 2**_GUIDE_MIN_BITS and 2**_GUIDE_BITS buckets per row.  At
@@ -410,32 +428,43 @@ def _draw(bitgen: np.random.BitGenerator, table: _Table, rows: np.ndarray) -> np
 
 def _split(
     rng: np.random.Generator, table: _Table, rows: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Split ``counts[i]`` draws from row ``rows[i]`` of ``table`` over its outcomes.
 
-    Returns ``(source, outcome, count)`` for every nonzero outcome count, in
-    no particular order.  A count at most the row width draws one
-    categorical per member through ``_draw``, and equal (source, outcome)
-    members are merged by ``np.unique``.  A larger count is split by one
-    multinomial on ``p_j = min(cdf_j, 1) - min(cdf_{j-1}, 1)``, the law
-    ``_draw`` samples (the last outcome takes what the others leave); the
-    clip also keeps a row admitted a hair above one (``validate_mdp``'s
-    tolerance) within the multinomial's own check.
+    Returns the keys ``source * width + outcome`` of every nonzero outcome
+    count, in no particular order, and those counts.  A count at most the
+    row width draws one categorical per member through ``_draw``, and equal
+    (source, outcome) members are merged by ``np.unique``.  A larger count
+    is split by one multinomial on
+    ``p_j = min(cdf_j, 1) - min(cdf_{j-1}, 1)``, the law ``_draw`` samples
+    (the last outcome takes what the others leave); the clip also keeps a
+    row admitted a hair above one (``validate_mdp``'s tolerance) within the
+    multinomial's own check.  Both passes run in chunks of about
+    ``_SPLIT_BLOCK`` members or multinomial cells, in order: the stream, and
+    so every draw, is the one of a single pass.
     """
     width = table.width
     big = counts > width
     small = np.flatnonzero(~big)
-    member = np.repeat(small, counts[small])
-    draw = _draw(rng.bit_generator, table, rows[member])
-    keys, tally = np.unique(member * width + draw, return_counts=True)
-    if big.any():
-        big = np.flatnonzero(big)
-        cdf = np.minimum(table.cdf.reshape(-1, width)[rows[big]], 1.0)
-        split = rng.multinomial(counts[big], np.diff(cdf, axis=1, prepend=0.0))
+    ends = np.cumsum(counts[small])
+    cuts = np.searchsorted(ends, np.arange(_SPLIT_BLOCK, ends[-1:].sum(), _SPLIT_BLOCK))
+    parts = []
+    bounds = [0, *cuts.tolist(), small.size]
+    for lo, hi in zip(bounds, bounds[1:]):
+        chunk = small[lo:hi]
+        member = np.repeat(chunk, counts[chunk])
+        draw = _draw(rng.bit_generator, table, rows[member])
+        parts.append(np.unique(member * width + draw, return_counts=True))
+    big = np.flatnonzero(big)
+    step = max(1, _SPLIT_BLOCK // width)
+    for chunk in (big[i : i + step] for i in range(0, big.size, step)):
+        probs = np.minimum(table.cdf.reshape(-1, width)[rows[chunk]], 1.0)
+        probs[:, 1:] -= probs[:, :-1]  # numpy buffers the overlap: np.diff's values
+        split = rng.multinomial(counts[chunk], probs)
         src, outcome = split.nonzero()
-        keys = np.concatenate([keys, big[src] * width + outcome])
-        tally = np.concatenate([tally, split[src, outcome]])
-    return keys // width, keys % width, tally
+        parts.append((chunk[src] * width + outcome, split[src, outcome]))
+    keys, tally = (np.concatenate(x) for x in zip(*parts))
+    return keys, tally
 
 
 def _renumber(key: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
@@ -446,9 +475,22 @@ def _renumber(key: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
     without a sort.  At 10**4 rows (2 cores) the map took 52-114 us to
     np.unique's 230-270 us up to twice the rows, but 360 to 235 us at four
     times; at scale's 10**3 rows and key space 2.5e5 np.unique is far ahead.
+    A larger space is sorted, as np.unique does, but holding fewer
+    row-sized temporaries at once.
     """
     if space > 2 * key.size:
-        return np.unique(key, return_inverse=True)
+        order = key.argsort()
+        ordered = key[order]
+        first = np.empty(key.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        ordered = ordered[first]
+        ids = np.cumsum(first, dtype=np.intp)
+        del first
+        ids -= 1
+        inverse = np.empty_like(ids)
+        inverse[order] = ids
+        return ordered, inverse
     present = np.zeros(space, dtype=bool)
     present[key] = True
     ids = np.cumsum(present, dtype=np.intp)
@@ -457,9 +499,10 @@ def _renumber(key: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _stages(
-    mdp: TabularMdp, policy: PolicyHandle, n: int, seed: int
+    mdp: TabularMdp, policy: ParametricHistoryPolicy, n: int, seed: int
 ) -> Iterator[tuple[int, slice, np.ndarray, np.ndarray]]:
-    """Walk ``n`` episodes block by block through every stage, yielding ``(h, rows, cur, a)``.
+    """Walk ``n`` episodes of the parametric expert block by block through
+    every stage, yielding ``(h, rows, cur, a)``.
 
     A block, the slice ``rows``, holds at most ``_STAGE_BLOCK`` episodes and
     is walked through all H stages before the next starts; ``cur`` and ``a``
@@ -471,66 +514,140 @@ def _stages(
     stage h's action draw of row i takes output ``2hn + i``, its transition
     draw output ``(2h + 1)n + i`` (``PCG64.advance`` skips the other rows).
     So every draw is the one-block walk's whatever ``_STAGE_BLOCK`` is, and
-    the walk holds O(block) memory.  A table policy reads row (h, s, g) of
-    its ``_grid_table`` lift (``_grid_table`` refuses other kinds), the
-    parametric expert its prefix row, from one prefix table per stage and
-    block, renumbered after each transition pass (``_renumber``).  ``n >= 1``.
+    the walk holds O(block) memory.  Each row reads its prefix's row, from
+    one prefix table per stage and block, renumbered after each transition
+    pass (``_renumber``).  ``n >= 1``.
     """
     _check_dims(mdp, policy)
-    horizon, num_states, num_actions = mdp.horizon, mdp.num_states, mdp.num_actions
+    horizon, num_states, width = mdp.horizon, mdp.num_states, mdp.num_actions
     trans = _cdf_table(mdp.transitions, n)
-    prefix = isinstance(policy, ParametricHistoryPolicy)
-    if prefix:
-        width = policy.state_weights.shape[2]
-    else:
-        table, own_multiples = _grid_table(policy)
-        policy_table = _cdf_table(table, n)
-        n_g = table.shape[2]
-
     for start in range(0, n, _STAGE_BLOCK):
         rows = slice(start, min(start + _STAGE_BLOCK, n))
         k = rows.stop - start
         bitgen = np.random.PCG64(seed)  # the bit generator of default_rng(seed)
         bitgen.advance(start)
         cur = np.full(k, mdp.initial_state, dtype=np.int64)
-        if prefix:
-            # One row per distinct (history, current state) prefix; row pid[i]
-            # is the block's trajectory i's.
-            pid = np.zeros(k, dtype=np.intp)
-            prefix_state = np.full(1, mdp.initial_state, dtype=np.int64)
-            features = np.zeros((1, PROJECTION_DIM))
-            g = None
-        else:
-            # A one-cell table (G = 1, a Markovian one) keeps no per-row g, whose
-            # zeros made ``sample_counts`` at bulk's n = 3e5 about 25% slower.
-            g = np.zeros(k, dtype=np.int64) if n_g > 1 else None
+        # One row per distinct (history, current state) prefix; row pid[i]
+        # is the block's trajectory i's.
+        pid = np.zeros(k, dtype=np.intp)
+        prefix_state = np.full(1, mdp.initial_state, dtype=np.int64)
+        features = np.zeros((1, PROJECTION_DIM))
         for h in range(horizon):
-            if prefix:
-                prefix_table = _Table(_prefix_cdf(policy, prefix_state, features).ravel(), width)
-                a = _draw(bitgen, prefix_table, pid)
-            elif g is None:
-                a = _draw(bitgen, policy_table, h * num_states + cur)
-            else:
-                a = _draw(bitgen, policy_table, (h * num_states + cur) * n_g + g)
+            prefix_table = _Table(_prefix_cdf(policy, prefix_state, features).ravel(), width)
+            a = _draw(bitgen, prefix_table, pid)
             yield h, rows, cur, a
             if h + 1 == horizon:
                 break
             bitgen.advance(n - k)
-            nxt = _draw(bitgen, trans, (h * num_states + cur) * num_actions + a)
+            cur = _draw(bitgen, trans, (h * num_states + cur) * width + a)
             bitgen.advance(n - k)
-            if g is not None:
-                g += own_multiples[h, cur, a]
-            cur = nxt
-            if prefix:
-                # The key is a trie id: (parent prefix, action, next state).
-                key, pid = _renumber(
-                    (pid * width + a) * num_states + cur, prefix_state.size * width * num_states
-                )
-                parent = key // (width * num_states)
-                features = _extend_features(
-                    policy, features, parent, h, prefix_state[parent], key // num_states % width
-                )
-                prefix_state = key % num_states
+            # The key is a trie id: (parent prefix, action, next state).
+            key, pid = _renumber(
+                (pid * width + a) * num_states + cur, prefix_state.size * width * num_states
+            )
+            parent = key // (width * num_states)
+            features = _extend_features(
+                policy, features, parent, h, prefix_state[parent], key // num_states % width
+            )
+            prefix_state = key % num_states
+
+
+def _sorted_split(
+    rng: np.random.Generator, table: _Table, rows: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_split``, sorted by key: by (source, outcome)."""
+    keys, tally = _split(rng, table, rows, counts)
+    order = keys.argsort()
+    keys = keys[order]
+    tally = tally[order]
+    return keys, tally
+
+
+class _GroupStage(NamedTuple):
+    """One stage of ``_group_walk``.
+
+    ``state`` and ``cell`` (the counted grid multiple, or None) are per
+    group; ``group``, ``action`` and ``count`` per (group, action) pair,
+    sorted by (group, action).  ``child_count`` and ``child_group`` are per
+    (pair, next state) child, sorted by (pair, next state): its count and
+    the next stage's group it merged into (None after the last action).
+    """
+
+    state: np.ndarray
+    cell: np.ndarray | None
+    group: np.ndarray
+    action: np.ndarray
+    count: np.ndarray
+    child_count: np.ndarray | None
+    child_group: np.ndarray | None
+
+
+def _group_walk(
+    mdp: TabularMdp, policy: PolicyHandle, n: int, seed: int, reward: GridReward | None = None
+) -> Iterator[_GroupStage]:
+    """Walk ``n`` episodes of a table policy as counts over groups, stage by stage.
+
+    A group is a key (state, the policy's own grid cell, the raw return so
+    far, and with ``reward`` the cumulative grid multiple of it they count)
+    with the number of episodes there; the walk starts with one group of n
+    at the initial state.  A table policy's next step depends on its
+    (state, own cell) alone, so the episodes of a group are exchangeable.
+    Each stage splits every group's count over its row of the policy's
+    ``_grid_table`` lift, then every (group, action) count over
+    ``transitions[h, s, a]`` (``_split``, on the stream of
+    ``default_rng(seed)``), and merges the children that share a key, so a
+    stage holds at most one group per live key however large n is.  The raw
+    return so far is ``mdp.reward`` summed in stage order; it is in the key
+    so that a counted multiple that is a function of it (a reward on the
+    grid of ``mdp.reward``'s own step) adds no group and no draw.  Groups are
+    numbered in key order; a child's key is its next state and its pair's
+    key after the step, ranked over the pairs.
+    """
+    _check_dims(mdp, policy)
+    horizon, num_states, num_actions = mdp.horizon, mdp.num_states, mdp.num_actions
+    table, own_multiples = _grid_table(policy)
+    num_own = table.shape[2]
+    actions = _cdf_table(table)
+    trans = _cdf_table(mdp.transitions)
+    # per flat (h, s, a) step: what it adds to the return, own cell and counted cell
+    step_return, step_own = mdp.reward.ravel(), own_multiples.ravel()
+    if reward is not None:
+        num_cells, step_cell = reward.grid.table_size, reward.multiples.ravel()
+    rng = np.random.default_rng(seed)
+    count = np.full(1, n, dtype=np.int64)
+    state = np.full(1, mdp.initial_state, dtype=np.int64)
+    own = np.zeros(1, dtype=np.int64)
+    ret = np.zeros(1)
+    cell = None if reward is None else np.zeros(1, dtype=np.int64)
+    for h in range(horizon):
+        keys, pair_count = _sorted_split(
+            rng, actions, (h * num_states + state) * num_own + own, count
+        )
+        group, action = np.divmod(keys, num_actions)
+        if h + 1 == horizon:
+            yield _GroupStage(state, cell, group, action, pair_count, None, None)
+            return
+        step = (h * num_states + state[group]) * num_actions + action
+        keys, child_count = _sorted_split(rng, trans, step, pair_count)
+        # Each pair's key after its step, (own cell, return, counted cell), ranked.
+        returns, post = np.unique(ret[group] + step_return[step], return_inverse=True)
+        post += (own[group] + step_own[step]) * returns.size
+        if cell is not None:
+            post = post * num_cells + cell[group] + step_cell[step]
+        post, rank = np.unique(post, return_inverse=True)
+        pair, keys = np.divmod(keys, num_states)
+        keys *= post.size
+        keys += rank[pair]
+        del pair, rank
+        keys, child_group = _renumber(keys, num_states * post.size)
+        yield _GroupStage(state, cell, group, action, pair_count, child_count, child_group)
+        count = np.bincount(child_group, child_count).astype(np.int64)
+        state, rank = np.divmod(keys, post.size)
+        post = post[rank]
+        if cell is not None:
+            post, cell = np.divmod(post, num_cells)
+        own, rank = np.divmod(post, returns.size)
+        ret = returns[rank]
 
 
 def sample_trajectories(
@@ -538,30 +655,69 @@ def sample_trajectories(
 ) -> Dataset:
     """Draw ``n`` i.i.d. trajectories; bit-identical output for equal seeds.
 
-    The (n, H) columns of the stage walk ``_stages``, block by block; the
-    ``Dataset`` keeps a frozen copy of them.
+    The parametric expert writes the (n, H) columns of the row walk
+    ``_stages``, block by block.  A table policy replays the group walk
+    ``_group_walk`` that ``sample_counts`` runs on the same seed, keyed
+    without a counted reward, and hands its outcomes to rows: per stage the
+    rows are ordered by group, in a uniformly random order within each
+    group (a permutation from ``default_rng([seed, 1])``, a stream the walk
+    never reads, then a stable sort), and take the stage's actions, then its
+    children, in blocks.  The random order is what makes the rows i.i.d.:
+    without it the rows that took one outcome at a stage would take the
+    next stage's outcomes together.  ``count_occurrences`` of the result
+    equals ``sample_counts`` on the same seed whenever the counted multiple
+    is a function of the raw return so far, as on the grid of ``mdp.reward``'s
+    own step; on another grid the two draw the same law but other episodes.
+    The ``Dataset`` keeps a frozen copy of the columns.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    states = np.empty((n, mdp.horizon), dtype=np.int64)
-    actions = np.empty((n, mdp.horizon), dtype=np.int64)
-    for h, rows, cur, a in _stages(mdp, policy, n, seed):
-        states[rows, h] = cur
-        actions[rows, h] = a
-    return Dataset(states, actions, mdp.num_states, mdp.num_actions)
+    if isinstance(policy, ParametricHistoryPolicy):
+        states = np.empty((n, mdp.horizon), dtype=np.int64)
+        actions = np.empty((n, mdp.horizon), dtype=np.int64)
+        for h, rows, cur, a in _stages(mdp, policy, n, seed):
+            states[rows, h] = cur
+            actions[rows, h] = a
+        return Dataset(states, actions, mdp.num_states, mdp.num_actions)
+    # Stage-major columns of the smallest dtype: each stage writes one
+    # contiguous row, and the ``Dataset`` copy transposes and widens them.
+    states = np.empty((mdp.horizon, n), dtype=np.min_scalar_type(mdp.num_states - 1))
+    actions = np.empty((mdp.horizon, n), dtype=np.min_scalar_type(mdp.num_actions - 1))
+    shuffler = np.random.default_rng([seed, 1])
+    row_group = np.zeros(n, dtype=np.uint8)
+    for h, stage in enumerate(_group_walk(mdp, policy, n, seed)):
+        states[h] = stage.state[row_group]
+        perm = shuffler.permutation(n)
+        # A stable sort of a small integer dtype is numpy's radix sort.
+        order = perm[row_group[perm].argsort(kind="stable")]
+        actions[h, order] = np.repeat(stage.action, stage.count)
+        if stage.child_group is not None:
+            row_group = np.empty(n, dtype=np.min_scalar_type(stage.child_group.max()))
+            row_group[order] = np.repeat(stage.child_group, stage.child_count)
+    return Dataset(
+        states.T.astype(np.int64, order="C"), actions.T.astype(np.int64, order="C"),
+        mdp.num_states, mdp.num_actions,
+    )
 
 
 def sample_counts(
     mdp: TabularMdp, policy: PolicyHandle, n: int, seed: int, reward: GridReward
 ) -> np.ndarray:
-    """Visit counters M[h, s, g, a] of ``sample_trajectories(mdp, policy, n, seed)``.
+    """Visit counters M[h, s, g, a] of ``n`` episodes drawn on ``seed``.
 
-    Equal, dtype included, to ``rdmlab.rsbc.count_occurrences`` of that
-    dataset on ``reward``, without building it: the same stage walk draws
-    the same episodes, each row carries its cumulative grid multiple g, and
-    each block's flat (s, g, a) keys at stage h are added into M[h] by one
-    ``np.bincount``.  Memory is M and per-block temporaries (states,
-    actions, g offsets, keys): none grows with n.
+    Has the dtype and law of ``rdmlab.rsbc.count_occurrences`` of
+    ``sample_trajectories(mdp, policy, n, seed)`` on ``reward``, without a
+    dataset.  For the parametric expert it is that count exactly: the same
+    row walk draws the same episodes, each row carries its cumulative grid
+    multiple g, and each block's flat (s, g, a) keys at stage h are added
+    into M[h] by one ``np.bincount``; memory is M and per-block temporaries.
+    A table policy runs the group walk ``_group_walk`` with g in the key and
+    adds each stage's (group, action) counts into M[h]; memory is M and one
+    stage's groups, and the cost follows the live groups, not n.  It equals
+    the count of that dataset whenever g is a function of the raw return so
+    far (``reward`` on the grid of ``mdp.reward``'s own step, as in the
+    benchmark); on another grid the two draw the same law but other
+    episodes, since g then splits groups the dataset's walk keeps whole.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -572,10 +728,15 @@ def sample_counts(
         raise ValueError("reward table does not match the MDP's states and actions")
     num_g = reward.grid.table_size
     cells = num_states * num_g * num_actions
+    counts = np.zeros((horizon, cells), dtype=np.intp)
+    if not isinstance(policy, ParametricHistoryPolicy):
+        for h, stage in enumerate(_group_walk(mdp, policy, n, seed, reward)):
+            key = (stage.state * num_g + stage.cell)[stage.group] * num_actions + stage.action
+            np.add.at(counts[h], key, stage.count)
+        return counts.reshape(horizon, num_states, num_g, num_actions)
     # A row's offset into its state's (G, A) block of M[h] is g * A; each
     # step adds multiples[h, s, a] * A, read at the flat (s, a) index.
     step = reward.multiples * num_actions
-    counts = np.zeros((horizon, cells), dtype=np.intp)
     for h, rows, cur, a in _stages(mdp, policy, n, seed):
         if h == 0:
             offset = 0  # a new block: its rows start at g = 0
@@ -702,16 +863,18 @@ def mc_return_distribution(
     for h in range(horizon):
         if prefix:
             actions = _Table(_prefix_cdf(policy, state, features).ravel(), num_actions)
-            group, a, pair_count = _split(rng, actions, np.arange(state.size), count)
+            keys, pair_count = _split(rng, actions, np.arange(state.size), count)
         else:
             row = (h * num_states + state) * n_g + g
-            group, a, pair_count = _split(rng, policy_table, row, count)
+            keys, pair_count = _split(rng, policy_table, row, count)
+        group, a = np.divmod(keys, num_actions)
         s = state[group]
         trail.append((reward[h, s, a], parent_pair[group]))
         if h + 1 == horizon:
             break
         trans_row = (h * num_states + s) * num_actions + a
-        parent_pair, state, count = _split(rng, trans, trans_row, pair_count)
+        keys, count = _split(rng, trans, trans_row, pair_count)
+        parent_pair, state = np.divmod(keys, num_states)
         if prefix:
             features = _extend_features(
                 policy, features, group[parent_pair], h, s[parent_pair], a[parent_pair]

@@ -6,10 +6,12 @@ action) occurrences, as one ``np.bincount`` of flat cell indices
 multiples along each trajectory, never by float bucketing.
 Time O(N*H + S*A*H*|grid|), memory O(S*A*H*|grid|).  The run loop never
 builds the dataset: ``rdmlab.policies.sample_counts`` counts the same
-tensor stage by stage inside the sampler, on the same random stream, and
-equals ``count_occurrences(sample_trajectories(...))`` dtype included.
-``count_occurrences`` stays for weighted counts (``construct_pi_r``), for
-the data-walk entries such as ``rs_bc``, and as the tests' oracle.
+tensor inside the sampler, with the dtype and law of
+``count_occurrences(sample_trajectories(...))``, and equals it whenever the
+grid multiple is a function of the raw return so far (the reward's own grid
+step; for the parametric expert on every grid).  ``count_occurrences``
+stays for weighted counts (``construct_pi_r``), for the data-walk entries
+such as ``rs_bc``, and as the tests' oracle.
 
 Two readers turn the count tensor M[h, s, g, a] into estimates, so a caller
 that already holds M never walks the dataset again:

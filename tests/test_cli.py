@@ -104,6 +104,29 @@ def test_eval_policy_refuses_invalid_mdp_document(tmp_path, capsys, corrupt):
     assert fault in captured.err
 
 
+@pytest.mark.parametrize("policy_doc, fault", [
+    ("just some text\n", "not a policy document"),
+    (None, "policy states and actions (3, 2) do not match the MDP's (2, 2)"),
+], ids=["not-a-policy", "other-states"])
+def test_eval_policy_refuses_invalid_policy_document(tmp_path, capsys, policy_doc, fault):
+    # each once ended in a ValueError traceback and exit 1
+    mdp_path = tmp_path / "mdp.json"
+    pol_path = tmp_path / "expert.txt"
+    main(["gen-instance", "--seed", "5", "--rho", "0.5", "--out", str(mdp_path)])
+    if policy_doc is None:  # a 3-state policy, for the 2-state MDP
+        wide = tmp_path / "wide.json"
+        main(["gen-instance", "--seed", "5", "--states", "3", "--rho", "0.5",
+              "--out", str(wide), "--expert-out", str(pol_path)])
+    else:
+        pol_path.write_text(policy_doc)
+    capsys.readouterr()
+    assert main(["eval-policy", "--mdp", str(mdp_path), "--policy", str(pol_path),
+                 "--grid-step", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == fault + "\n"
+
+
 def test_run_subcommand_writes_csv(tmp_path, capsys):
     cfg = {
         "num_states": 2, "num_actions": 2, "horizon": 3,

@@ -45,16 +45,18 @@ class TestSampling:
         data = rl.sample_trajectories(mdp, policy, 16, seed=0)
         assert (data.states == data.states[0]).all()
 
-    # sha256 of (states, actions) drawn by the per-draw cumsum sampler;
-    # cumulative tables built once per call must reproduce every draw.
+    # sha256 of (states, actions).  The parametric pair was drawn by the
+    # per-draw cumsum sampler, and cumulative tables built once per call must
+    # reproduce every draw; the table-policy pairs by the group walk, whose
+    # law ``TestGroupWalkLaw`` checks.
     PINNED_DRAWS = {
         "markovian": (
-            "8e0dd50e62c5e8838c67b20dc80ecf91f57dbbe8989ca33177c474bf95a3a4e9",
-            "8bbb62672fd8d1672d252dd0fbcee014f75ad39d00529be52a4e6aaa862fe7ac",
+            "f93c808742a3b12d729886011a10dd6deea9094c85faddad0200ee45888df096",
+            "64ea4c552d418e0dc96c057ce2721f9499c1def84081c9d53ed04d7e02367cc1",
         ),
         "reward-augmented": (
-            "43f0e4cda33a2c787a6cb8fc019949b6e172ec837d40575e1f3f364974e6ec86",
-            "4e638c8bf87599d266ced290911079916ceb713109062b45b02469ce87e82b36",
+            "8fe625c22fe4a9eb06c5dd78c1e4b08f52a43ae585ddc8e782132f2451dab143",
+            "a70d4d0d1cb522f12699b677cb668c69bafa535de3c8d7ffbcfa472f03120bd0",
         ),
         "parametric": (
             "8694740ba00fcf8ac78beadb4956f87de02d421c4e097cdb6b6c7e5285f092eb",
@@ -82,15 +84,16 @@ class TestSampling:
         assert digests == self.PINNED_DRAWS[kind]
 
     # sha256 of (states, actions) at the sizes the flat-table draw kernel and
-    # the prefix-shared expert logits serve.  The first three were computed
-    # with the earlier sampler (one (n x width) gather of CDF rows per draw,
-    # one (n x 16 x A) weight gather per step), the two "parametric-" cases
+    # the prefix-shared expert logits serve.  "parametric" was computed with
+    # the earlier sampler (one (n x width) gather of CDF rows per draw, one
+    # (n x 16 x A) weight gather per step), the other "parametric-" cases
     # with the sampler that computed the expert's logits once per trajectory
-    # row; the kernel must reproduce every draw.
+    # row; the kernel must reproduce every draw.  The table-policy cases pin
+    # the group walk's stream.
     PINNED_DRAWS_AT_SCALE = {
         "markovian": (
-            "501050a48f485d94a03393a8975a4d447fe1087b886ba9289064fe98cab02bad",
-            "1946591ecc82c16550c7859d2cf640aa40eab3b357e3ecdd39c75f3cd243afb9",
+            "c14badd460324781a497c68d8ce45c1212d20ef6839a187c22be7a78969467ad",
+            "9a459d5700e1f095c2d656ed567e51a6c1f4dbc515b67a5870ef76667f7df198",
         ),
         "parametric": (
             "de95835c05bb3595cb0484a19723d2161a41b1abb437fc804a680225f9b41269",
@@ -105,8 +108,8 @@ class TestSampling:
             "63946ffc2f3d74dc10d334781f1dbeeef1adba13bf9aca8bd0acc2b7c8fda7c5",
         ),
         "reward-augmented": (
-            "f482fb169bea1f9fc494b6b6165af5be024500e6f094f3ce8a501ec494234e04",
-            "90a8b8513cefcb1c075eaa49f9b140bfc36a06a27e996fe91fb4738ed5d97194",
+            "6673c4a938c9828a7568aa55f93443ee3d625c5d991750e61a8209bca827e057",
+            "6f2dc6e2f30b4b780d3d326c972dfdf932c34eb53a8d7b2a456b4225f0993672",
         ),
     }
 
@@ -395,7 +398,9 @@ class TestRenumber:
 class TestGuidedSampling:
     @pytest.mark.parametrize("num_states", [8, 20])
     def test_guided_tables_draw_like_plain_search(self, monkeypatch, num_states):
-        """The sampler with guide tables against the sampler without, draw for draw."""
+        """The sampler with guide tables against the sampler without, draw for
+        draw.  Only the parametric expert's row walk builds guides; the table
+        policies' group walk reads unguided tables in both runs."""
         mdp, _ = make_instance(4, num_states=num_states, num_actions=5, horizon=5)
         rng = np.random.default_rng(6)
         gr = rl.discretize_reward(mdp.reward, rl.RewardGrid(0.25, mdp.horizon))
@@ -415,26 +420,26 @@ class TestGuidedSampling:
             assert np.array_equal(got.actions, want.actions)
 
 
+def _sampling_case(kind, rho=0.25):
+    """(mdp, policy, rho): a (4,3,4) instance with a reward on the rho grid
+    and a policy of ``kind``, or the fork fixture (0/1 rewards, rho 0.5)."""
+    if kind == "fork":
+        mdp, expert = rl.make_fork_fixture()
+        return mdp, expert, 0.5
+    mdp, _ = make_instance(7, num_states=4, num_actions=3, horizon=4, rho=rho)
+    rng = np.random.default_rng(12)
+    if kind == "markovian":
+        policy = rl.random_markovian_policy(4, 3, 4, rng)
+    elif kind == "reward-augmented":
+        policy_reward = rl.discretize_reward(mdp.reward, rl.RewardGrid(rho, 4))
+        policy = random_reward_augmented_policy(policy_reward, 4, rng)
+    else:
+        policy = random_parametric_policy(4, 3, 4, rng)
+    return mdp, policy, rho
+
+
 class TestSampleCounts:
     """``sample_counts`` against ``count_occurrences`` of the sampled dataset."""
-
-    RHO = 0.25
-
-    def _case(self, kind):
-        """(mdp, policy, rho) with a reward on the rho grid."""
-        if kind == "fork":
-            mdp, expert = rl.make_fork_fixture()  # 0/1 rewards
-            return mdp, expert, 0.5
-        mdp, _ = make_instance(7, num_states=4, num_actions=3, horizon=4, rho=self.RHO)
-        rng = np.random.default_rng(12)
-        if kind == "markovian":
-            policy = rl.random_markovian_policy(4, 3, 4, rng)
-        elif kind == "reward-augmented":
-            policy_reward = rl.discretize_reward(mdp.reward, rl.RewardGrid(self.RHO, 4))
-            policy = random_reward_augmented_policy(policy_reward, 4, rng)
-        else:
-            policy = random_parametric_policy(4, 3, 4, rng)
-        return mdp, policy, self.RHO
 
     @staticmethod
     def _assert_counts_match(mdp, policy, n, seed, reward):
@@ -445,10 +450,19 @@ class TestSampleCounts:
         assert (got.sum(axis=(1, 2, 3)) == n).all()
 
     @pytest.mark.parametrize("n", [1, 7, 1000])
-    @pytest.mark.parametrize("coarsen", [1, 2])  # theta = rho, theta = 2 rho
-    @pytest.mark.parametrize("kind", ["markovian", "reward-augmented", "parametric", "fork"])
+    @pytest.mark.parametrize(
+        "kind, coarsen",  # theta = rho, theta = 2 rho
+        [("markovian", 1), ("reward-augmented", 1), ("parametric", 1), ("parametric", 2),
+         ("fork", 1), ("fork", 2)],
+        ids=["markovian-1", "reward-augmented-1", "parametric-1", "parametric-2",
+             "fork-1", "fork-2"],
+    )
     def test_equals_count_of_sampled_dataset(self, kind, coarsen, n):
-        mdp, policy, rho = self._case(kind)
+        """Exact wherever the counted g is a function of the raw return so far:
+        on every grid for the parametric expert's row walk, on the reward's own
+        step for the group walk (the fork's 0/1 rewards on both).  A table
+        policy on a coarser grid draws the same law (``TestGroupWalkLaw``)."""
+        mdp, policy, rho = _sampling_case(kind)
         reward = rl.discretize_reward(mdp.reward, rl.RewardGrid(coarsen * rho, mdp.horizon))
         self._assert_counts_match(mdp, policy, n, 5, reward)
 
@@ -458,28 +472,43 @@ class TestSampleCounts:
         reward = rl.discretize_reward(mdp.reward, rl.RewardGrid(0.02, mdp.horizon))
         self._assert_counts_match(mdp, expert, 300_000, 11, reward)
 
+    @staticmethod
+    def _peak(mdp, policy, n, reward):
+        tracemalloc.start()
+        try:
+            rl.sample_counts(mdp, policy, n, 11, reward)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_peak_memory_does_not_grow_with_n(self):
-        """A bulk-sized call (n = 3e5, several row blocks) peaks less than 1 MB
-        above an n = 3e4 call: the walk holds M and one block, never n rows."""
+        """A bulk-sized call (n = 3e5) of the group walk peaks less than 1 MB
+        above an n = 3e4 call: the walk holds M and one stage's groups, never n rows."""
         mdp, expert = make_instance(3, num_states=20, num_actions=5, horizon=5, rho=0.02)
+        assert isinstance(expert, rl.MarkovianPolicy)
         reward = rl.discretize_reward(mdp.reward, rl.RewardGrid(0.02, mdp.horizon))
+        assert self._peak(mdp, expert, 300_000, reward) - self._peak(
+            mdp, expert, 30_000, reward
+        ) < 2**20
 
-        def peak(n):
-            tracemalloc.start()
-            try:
-                rl.sample_counts(mdp, expert, n, 11, reward)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
+    def test_row_walk_peak_memory_does_not_grow_with_n(self):
+        """The parametric expert's row walk at n = 3e5 (several row blocks) peaks
+        less than 1 MB above an n = 3e4 call: it holds M and one block."""
+        mdp, policy, rho = _sampling_case("parametric")
+        reward = rl.discretize_reward(mdp.reward, rl.RewardGrid(rho, mdp.horizon))
         assert policies_mod._STAGE_BLOCK < 300_000
-        assert peak(300_000) - peak(30_000) < 2**20
+        assert self._peak(mdp, policy, 300_000, reward) - self._peak(
+            mdp, policy, 30_000, reward
+        ) < 2**20
 
     @staticmethod
     def _assert_blocks_match(monkeypatch, mdp, policy, n, block, reward):
-        """The walk in blocks of ``block`` rows against the one-block walk, bit for bit."""
-        def draw(rows_per_block):
-            monkeypatch.setattr(policies_mod, "_STAGE_BLOCK", rows_per_block)
+        """The walk in blocks of ``block`` against the one-block walk, bit for bit:
+        rows per block of the parametric expert's row walk, members or
+        multinomial cells per chunk of the group walk's ``_split``."""
+        def draw(size):
+            monkeypatch.setattr(policies_mod, "_STAGE_BLOCK", size)
+            monkeypatch.setattr(policies_mod, "_SPLIT_BLOCK", size)
             data = rl.sample_trajectories(mdp, policy, n, 5)
             return data.states, data.actions, rl.sample_counts(mdp, policy, n, 5, reward)
 
@@ -490,27 +519,24 @@ class TestSampleCounts:
     @pytest.mark.parametrize("kind", ["markovian", "reward-augmented", "parametric", "fork"])
     def test_row_blocks_match_one_block(self, monkeypatch, kind, block):
         """Samples of one row, one whole block, one block and a row, and a ragged last block."""
-        mdp, policy, rho = self._case(kind)
+        mdp, policy, rho = _sampling_case(kind)
         reward = rl.discretize_reward(mdp.reward, rl.RewardGrid(rho, mdp.horizon))
         for n in (1, 7, block + 1, 3 * block - 1):
             self._assert_blocks_match(monkeypatch, mdp, policy, n, block, reward)
 
     @pytest.mark.parametrize("kind", ["markovian", "reward-augmented", "parametric", "fork"])
     def test_row_blocks_match_one_block_across_guides(self, monkeypatch, kind):
-        """At n = 1000 the transition tables and the Markovian action table are
-        guided; the fork expert's two-wide action table never is."""
-        mdp, policy, rho = self._case(kind)
+        """At n = 1000 the row walk's transition table is guided, and the group
+        walk splits counts both by multinomials and by per-member draws."""
+        mdp, policy, rho = _sampling_case(kind)
         n = 1000
         assert policies_mod._cdf_table(mdp.transitions, n).guide is not None
-        if kind in ("markovian", "fork"):
-            guided = policies_mod._cdf_table(policy.table, n).guide is not None
-            assert guided == (kind == "markovian")
         reward = rl.discretize_reward(mdp.reward, rl.RewardGrid(rho, mdp.horizon))
         self._assert_blocks_match(monkeypatch, mdp, policy, n, 7, reward)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_rejects_an_empty_sample(self, n):
-        mdp, policy, rho = self._case("markovian")
+        mdp, policy, rho = _sampling_case("markovian")
         reward = rl.discretize_reward(mdp.reward, rl.RewardGrid(rho, mdp.horizon))
         with pytest.raises(ValueError):
             rl.sample_trajectories(mdp, policy, n, 1)
@@ -518,7 +544,7 @@ class TestSampleCounts:
             rl.sample_counts(mdp, policy, n, 1, reward)
 
     def test_rejects_a_reward_of_another_horizon(self):
-        mdp, policy, rho = self._case("markovian")
+        mdp, policy, rho = _sampling_case("markovian")
         short = rl.GridReward(rl.RewardGrid(rho, mdp.horizon - 1),
                               np.zeros((mdp.horizon - 1, mdp.num_states, mdp.num_actions)))
         data = rl.sample_trajectories(mdp, policy, 10, 1)
@@ -529,11 +555,93 @@ class TestSampleCounts:
 
     def test_rejects_a_reward_of_another_shape(self):
         """A reward table over other states or actions is refused, never misread."""
-        mdp, policy, rho = self._case("markovian")
+        mdp, policy, rho = _sampling_case("markovian")
         wide = rl.GridReward(rl.RewardGrid(rho, mdp.horizon),
                              np.zeros((mdp.horizon, mdp.num_states, mdp.num_actions + 1)))
         with pytest.raises(ValueError, match="states and actions"):
             rl.sample_counts(mdp, policy, 10, 1, wide)
+
+
+class TestGroupWalkLaw:
+    """The group walk that samples table policies, against the exact oracles.
+
+    Its draws differ from the row walk's, so no pinned stream vouches for it:
+    the visit counts must have the augmented occupancy as their mean, and the
+    rows of ``sample_trajectories`` the enumerated trajectory law, i.i.d."""
+
+    @pytest.mark.parametrize("coarsen", [1, 2])  # theta = rho, theta = 2 rho
+    @pytest.mark.parametrize("kind", ["markovian", "reward-augmented"])
+    def test_mean_counts_match_the_occupancy(self, kind, coarsen):
+        """M / N within 5 binomial sigmas (and one count) of ``exact_augmented_occupancy``
+        in every live cell, and no count where it is 0.  On the coarser grid g
+        is no function of the raw return, so g splits the walk's groups."""
+        mdp, policy, rho = _sampling_case(kind)
+        reward = rl.discretize_reward(mdp.reward, rl.RewardGrid(coarsen * rho, mdp.horizon))
+        occupancy = exact_augmented_occupancy(mdp, policy, reward)
+        n = 10**6
+        freq = rl.sample_counts(mdp, policy, n, 3, reward) / n
+        assert not freq[occupancy == 0].any()
+        sigma = np.sqrt(occupancy * (1 - occupancy) / n)
+        assert (np.abs(freq - occupancy) <= 5 * sigma + 1 / n).all()
+
+    @pytest.mark.parametrize("kind", ["markovian", "reward-augmented"])
+    def test_trajectory_frequencies_match_enumeration(self, kind):
+        """Each full trajectory's frequency in 2e5 rows within 5 sigmas of its
+        enumerated probability (the rare ones, under 10 expected rows each,
+        pooled), on an instance whose walk merges histories with different
+        pasts: rows that share a group must draw their futures independently
+        of how they got there."""
+        mdp, policy, _ = _sampling_case(kind)
+        n = 200_000
+        merged = [
+            np.unique(stage.child_group).size < stage.child_group.size
+            for stage in policies_mod._group_walk(mdp, policy, n, 5)
+            if stage.child_group is not None
+        ]
+        assert any(merged)
+        paths, probs = rl.enumerate_trajectory_distribution(mdp, policy)
+        data = rl.sample_trajectories(mdp, policy, n, 5)
+
+        def codes(d):
+            steps = d.states * mdp.num_actions + d.actions
+            return steps @ (mdp.num_states * mdp.num_actions) ** np.arange(mdp.horizon)
+
+        known = codes(paths)
+        drawn, counts = np.unique(codes(data), return_counts=True)
+        assert np.isin(drawn, known).all()
+        order = np.argsort(known)
+        freq = np.zeros(known.size)
+        freq[order[np.searchsorted(known, drawn, sorter=order)]] = counts / n
+        rare = probs * n < 10
+        cells = [(freq[~rare], probs[~rare]), (freq[rare].sum(), probs[rare].sum())]
+        for f, p in cells:
+            assert (np.abs(f - p) <= 5 * np.sqrt(p * (1 - p) / n)).all()
+
+    @pytest.mark.parametrize("kind", ["markovian", "reward-augmented"])
+    def test_first_rows_draw_like_the_rest(self, kind):
+        """The first tenth of the rows has the action law of the other rows at
+        every stage: the rows come in no order of their draws."""
+        mdp, policy, _ = _sampling_case(kind)
+        n = 100_000
+        data = rl.sample_trajectories(mdp, policy, n, 8)
+        head, tail = data.actions[: n // 10], data.actions[n // 10 :]
+        for h in range(mdp.horizon):
+            p = np.bincount(data.actions[:, h], minlength=mdp.num_actions) / n
+            sigma = np.sqrt(p * (1 - p) * (1 / head.shape[0] + 1 / tail.shape[0]))
+            gap = (np.bincount(head[:, h], minlength=mdp.num_actions) / head.shape[0]
+                   - np.bincount(tail[:, h], minlength=mdp.num_actions) / tail.shape[0])
+            assert (np.abs(gap) <= 5 * sigma).all(), h
+
+    def test_split_chunks_draw_like_one_pass(self, monkeypatch):
+        """``_split`` in chunks of a few members or multinomial cells draws what
+        one pass draws: Monte Carlo returns are the same whatever ``_SPLIT_BLOCK`` is."""
+        mdp, policy, _ = _sampling_case("reward-augmented")
+        want = rl.mc_return_distribution(mdp, policy, mdp.reward, 5000, 2)
+        for block in (1, 7, 100):
+            monkeypatch.setattr(policies_mod, "_SPLIT_BLOCK", block)
+            got = rl.mc_return_distribution(mdp, policy, mdp.reward, 5000, 2)
+            assert np.array_equal(got.support, want.support)
+            assert np.array_equal(got.probs, want.probs)
 
 
 class TestActParametric:
