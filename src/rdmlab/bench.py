@@ -244,8 +244,9 @@ def _sample_counts(
     task: tuple[int, int, int],
 ) -> np.ndarray:
     """M[h, s, g, a] of the dataset of ``task`` = (instance, sweep index,
-    dataset seed), counted inside the sampler's stage walk (``sample_counts``):
-    the episodes of ``sample_trajectories`` on the same seed, never stored."""
+    dataset seed), counted inside the sampler (``sample_counts``), with the
+    law of the episodes ``sample_trajectories`` draws on the same seed; no
+    episode is stored."""
     i, k, j = task
     seed = derive_seed(cfg.master_seed, "dataset", i, k, j)
     return sample_counts(mdp, expert, cfg.n_sweep[k], seed, reward)

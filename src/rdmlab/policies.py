@@ -79,7 +79,7 @@ place, in one (k, A) array per stage.  Each prefix carries its projected
 history, (k, ``PROJECTION_DIM``), not its (2H,) encoding: the encoding is
 linear, so a child's features are its parent's plus two projected terms
 (``_extend_features``), summed in the order of ``encoded @ projection``.
-In the stage walk each row carries a prefix id, renumbered over its block
+In the row walk each row carries a prefix id, renumbered over its block
 after every transition pass from the trie key (parent id, action, next
 state), and draws its action from its prefix's row: a prefix two blocks
 share gets its row once per block, the same row, as it depends on the
@@ -145,9 +145,10 @@ PROJECTION_DIM = 16
 #: at (50,5,5), m = 5e4, 4096 (2.6 MB) cost ~1,500 page faults per call, 512 six.
 _ROW_BLOCK = 512
 
-#: Rows per block of the sampler's stage walk; every draw is the same
-#: whatever it is.  An n = 3e5 ``sample_counts`` call on ``bulk`` instances
-#: (2 cores, median) took 65 ms in one block (a 21.6 MB traced peak), 59 in
+#: Rows per block of the parametric expert's row walk; every draw is the
+#: same whatever it is.  Chosen when the row walk also drew ``bulk``'s
+#: Markovian datasets: an n = 3e5 ``sample_counts`` call on ``bulk``
+#: instances (2 cores, median) took 65 ms in one block (a 21.6 MB traced peak), 59 in
 #: blocks of 2**13 rows, 48 of 2**14, 41 of 2**15 (3.3 MB) and 47 of 2**16.
 _STAGE_BLOCK = 2**15
 
