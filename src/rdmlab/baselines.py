@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .lp import LinearProgram, LpError, solve
+from .lp import LinearProgram, LpError, check_dense_size, solve
 from .mdp import Dataset, GridReward, RewardGrid, TabularMdp, _flow_rows
 from .policies import ZERO_MASS, MarkovianPolicy, exact_augmented_occupancy, normalize_rows
 
@@ -70,6 +70,7 @@ def mimic_md_from_counts(counts: np.ndarray, mdp: TabularMdp) -> MarkovianPolicy
     h_seen, s_seen = np.nonzero(state_counts)
     n_pin = h_seen.size * (num_actions - 1)
     n_flow = horizon * num_states
+    check_dense_size(n_flow + n_pin + n_d, 3 * n_d, "mimic-md program")
     a_eq = np.zeros((n_flow + n_pin + n_d, 3 * n_d))
     b_eq = np.zeros(n_flow + n_pin + n_d)
 

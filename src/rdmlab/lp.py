@@ -17,12 +17,14 @@ starts with an artificial basic, phase 1 drives the artificial mass to
 zero, and rows that prove redundant are dropped from the program.
 ``solve(lp, basis=...)`` takes a caller's feasible starting basis, one
 column per row (a crash basis, Bixby 1992), and builds its tableau
-B^-1 [A | b] with one dense solve.  Its rows must be independent: a
-singular or infeasible starting basis raises :class:`LpError`, and nothing
-falls back to phase 1.  Both then run the same phase 2: the objective row
-is installed as c - c_B B^-1 A, and the tableau is checked every
-``_CHECK_PIVOTS`` pivots and rebuilt from its basis, by the same dense
-solve, once round-off has moved it by more than ``_DRIFT_TOL``.
+B^-1 [A | b] with one dense solve.  Only the nonbasic columns and b go
+through that solve: B^-1 B is the identity, which is written in exactly.
+Its rows must be independent: a singular or infeasible starting basis
+raises :class:`LpError`, and nothing falls back to phase 1.  Both then run
+the same phase 2: the objective row is installed as c - c_B B^-1 A, and
+the tableau is checked every ``_CHECK_PIVOTS`` pivots and rebuilt from its
+basis, by the same dense solve, once round-off has moved it by more than
+``_DRIFT_TOL``.
 
 The ratio test has a pivot tolerance: a row may leave the basis only if
 its entry in the entering column exceeds ``_PIV_TOL`` (1e-7, relative to
@@ -37,10 +39,18 @@ pivot column is nonzero (and, when the pivot row is sparse, only that row's
 nonzero columns): every other entry would change by an exact zero, so the
 basis path, the pivot count and the answer are those of the full rank-1
 update.  Pivot cost therefore grows with fill-in, the nonzeros earlier
-pivots leave behind, rather than with the tableau's size.  Artificial
-variables have no tableau columns, since phase 1 never reads them.  The
-duality gap rebuilds the dual y from the final basis by solving the square
-system A_B^T y = c_B on the equilibrated rows phase 2 ran on.
+pivots leave behind, rather than with the tableau's size.  A sparse pivot
+row updates its rows x columns block through one flat index into the
+tableau's buffer, which costs less than the two-axis ``np.ix_`` gather
+and gives the same entries.  Artificial variables have no tableau
+columns, since phase 1 never reads them.  The duality gap rebuilds the
+dual y from the final basis by solving the square system A_B^T y = c_B on
+the equilibrated rows phase 2 ran on.
+
+Dense is the point and the limit: every dense program and tableau is
+checked against one byte budget, ``DENSE_BYTES``, before it is allocated
+(:func:`check_dense_size`), so a program too large for the method raises
+:class:`LpSizeError` naming its size rather than exhausting memory.
 """
 
 from __future__ import annotations
@@ -55,6 +65,9 @@ __all__ = [
     "LpSolution",
     "LpError",
     "LpIterationError",
+    "LpSizeError",
+    "DENSE_BYTES",
+    "check_dense_size",
     "solve",
     "solve_transport",
 ]
@@ -66,6 +79,10 @@ _PHASE1_TOL = 1e-8  # residual artificial mass that still counts as feasible
 _CHECK_PIVOTS = 10  # from a caller's basis, check the tableau's drift this often
 _DRIFT_TOL = 1e-9  # drift past which the tableau is rebuilt from its basis
 
+#: Largest dense float64 matrix, in bytes, that a program or tableau may
+#: allocate; the solve holds a few arrays of that size at once.
+DENSE_BYTES = 1 << 29
+
 
 class LpError(RuntimeError):
     """The solver could not certify the answer it was about to report."""
@@ -73,6 +90,21 @@ class LpError(RuntimeError):
 
 class LpIterationError(LpError):
     """Pivot budget exhausted; the program is numerically troublesome."""
+
+
+class LpSizeError(LpError):
+    """A dense program or tableau would exceed ``DENSE_BYTES``."""
+
+
+def check_dense_size(rows: int, cols: int, what: str) -> None:
+    """Raise :class:`LpSizeError` if a dense ``rows x cols`` float64 array of
+    ``what`` would exceed ``DENSE_BYTES``; call it before allocating."""
+    size = rows * cols * 8
+    if size > DENSE_BYTES:
+        raise LpSizeError(
+            f"{what} of {rows} rows x {cols} columns needs {size} bytes dense, "
+            f"over the budget of {DENSE_BYTES}"
+        )
 
 
 @dataclass
@@ -133,23 +165,25 @@ def _bland_pivot(tableau, basis, max_pivots, start_iter, check=None):
     considers only rows whose pivot-column entry exceeds ``_PIV_TOL``, and
     falls back to entries above ``_OPT_TOL`` when there are none.  With
     ``check``, ``check(iterations)`` runs after every ``_CHECK_PIVOTS``
-    pivots.
+    pivots; it rewrites the tableau in place, so the views held here stay
+    valid.
     """
     m = tableau.shape[0] - 1
+    reduced = tableau[-1, :-1]
+    rhs = tableau[:m, -1]
     iters = start_iter
     while True:
-        reduced = tableau[-1, :-1]
-        candidates = np.nonzero(reduced < -_OPT_TOL)[0]
-        if candidates.size == 0:
+        eligible = reduced < -_OPT_TOL
+        j = int(np.argmax(eligible))  # Bland: smallest eligible index
+        if not eligible[j]:
             return "optimal", iters
-        j = int(candidates[0])  # Bland: smallest eligible index
         col = tableau[:m, j]
-        rows = np.nonzero(col > _PIV_TOL)[0]
+        rows = np.flatnonzero(col > _PIV_TOL)
         if rows.size == 0:  # only tiny entries: take them rather than stop
-            rows = np.nonzero(col > _OPT_TOL)[0]
+            rows = np.flatnonzero(col > _OPT_TOL)
             if rows.size == 0:
                 return "unbounded", iters
-        ratios = tableau[rows, -1] / col[rows]
+        ratios = rhs[rows] / col[rows]
         best = ratios.min()
         tied = rows[ratios <= best + 1e-12 * (1.0 + abs(best))]
         r = int(tied[np.argmin(basis[tied])])  # Bland: smallest basic variable
@@ -170,18 +204,23 @@ def _apply_pivot(tableau, r, j, iteration):
     skipping them leaves every value the solver reads bit-identical to the
     full rank-1 update (only the sign of a zero may differ).  Gathering a
     column subset costs about twice as much per entry as whole rows, so the
-    columns are restricted only when the pivot row is sparse.  Column j ends
-    as the unit vector e_r exactly (x - x * 1.0 == 0).  Basic values below
-    zero by more than round-off mean the basis has gone numerically wrong;
-    that raises here instead of being clipped.
+    columns are restricted only when the pivot row is sparse, and then the
+    rows x columns block is addressed by one flat index into the (C
+    contiguous) tableau's buffer.  Column j ends as the unit vector e_r
+    exactly (x - x * 1.0 == 0).  Basic values below zero by more than
+    round-off mean the basis has gone numerically wrong; that raises here
+    instead of being clipped.
     """
     pivot = tableau[r, j]
     tableau[r] /= pivot
-    rows = np.nonzero(tableau[:, j])[0]
+    rows = np.flatnonzero(tableau[:, j])
     rows = rows[rows != r]
-    cols = np.nonzero(tableau[r])[0]
-    if 4 * cols.size < tableau.shape[1]:
-        tableau[np.ix_(rows, cols)] -= tableau[rows, j, None] * tableau[r, cols]
+    width = tableau.shape[1]
+    cols = np.flatnonzero(tableau[r])
+    if 4 * cols.size < width:
+        flat = tableau.ravel()
+        block = (rows * width)[:, None] + cols
+        flat[block] -= tableau[rows, j, None] * tableau[r, cols]
     else:
         tableau[rows] -= tableau[rows, j, None] * tableau[r]
     rhs = tableau[:-1, -1]
@@ -210,9 +249,12 @@ def solve(
     wrong length (or naming a column that does not exist) ``ValueError``,
     with no fallback to phase 1.  Reports ``infeasible`` / ``unbounded``
     faithfully and raises :class:`LpIterationError` past ``max_iterations``
-    pivots (default ``50 * (variables + constraints)``).
+    pivots (default ``50 * (variables + constraints)``), and
+    :class:`LpSizeError`, before allocating, when its tableau would exceed
+    ``DENSE_BYTES``.
     """
     n = lp.num_variables
+    check_dense_size(lp.num_constraints + 1, n + 1, "simplex tableau")
     if max_iterations is None:
         max_iterations = 50 * (n + lp.num_constraints)
     if basis is not None:
@@ -324,22 +366,25 @@ def _install_basis(tableau, a, b, c, basis, iteration):
     """Write the tableau of ``basis``, B^-1 [A | b] and its reduced costs, in place.
 
     ``a`` and ``b`` are the equilibrated rows the solve started from.  One
-    dense solve gives the tableau; its basic columns are then set to exact
-    unit vectors, as a pivot leaves them.  A singular basis, or one whose
-    basic values fall below ``-_FEAS_TOL``, raises :class:`LpError`;
+    dense solve gives the nonbasic columns and the rhs; the basic columns
+    are the exact unit vectors a pivot leaves.  A singular basis, or one
+    whose basic values fall below ``-_FEAS_TOL``, raises :class:`LpError`;
     round-off below zero is clipped.
     """
     what = "starting basis" if iteration == 0 else f"basis at pivot {iteration}"
-    m = b.size
+    m, n = a.shape
+    solved = np.ones(n + 1, dtype=bool)
+    solved[basis] = False
+    solved = np.flatnonzero(solved)  # nonbasic columns, then the rhs
     tableau[:m, :-1] = a
     tableau[:m, -1] = b
     try:
-        tableau[:m] = np.linalg.solve(tableau[:m, basis], tableau[:m])
+        tableau[:m, solved] = np.linalg.solve(a[:, basis], tableau[:m, solved])
     except np.linalg.LinAlgError as exc:
         raise LpError(f"{what} is singular: {exc}") from None
+    tableau[:m, basis] = np.eye(m)
     if not np.isfinite(tableau[:m]).all():
         raise LpError(f"{what} is singular: B^-1 [A | b] is not finite")
-    tableau[:m, basis] = np.eye(m)
     rhs = tableau[:m, -1]
     if rhs.min(initial=0.0) < -_FEAS_TOL:
         r = int(np.argmin(rhs))

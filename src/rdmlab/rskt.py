@@ -8,26 +8,40 @@ and the empirical expert estimate: with both distributions supported on the
 uniform grid of step theta, the distance equals theta times the sum of
 absolute CDF differences at the grid points.  That theta factor is applied
 when reporting, so objectives are comparable with
-:func:`rdmlab.distributions.wasserstein` (the raw LP objective is the plain
-sum).
+:func:`rdmlab.distributions.wasserstein` (the raw LP objective is the
+weighted sum below).
+
+Between two points where neither law can put mass the CDF difference does
+not change, so the program writes it only at the kept points: the sorted
+grid multiples below ``n_keep`` where some final (s, g, a) lands
+(``AugmentedMdp.return_support_mask``) or the estimate has mass.  Point
+``p_i`` stands for the run of grid points up to the next kept one and
+carries the weight ``w_i = p_{i+1} - p_i`` (the last one ``n_keep -
+p_i``), so the weighted sum equals the sum over every grid point below
+``n_keep`` (Vallender 1974).  In the run loop the estimate is drawn on
+the same MDP, so its support lies in the reachable returns: the kept
+points, and with them A and c, are then the same for every program of
+one instance, and only b moves with the estimate.
 
 The program is compact.  Its columns are the occupancy d over the
 forward-reachable (h, s, g) cells times actions, then x+ and x- over the
-kept grid prefix ``0..n_keep-1``, all nonnegative.  Its rows are one
-initial-mass row (the only reachable stage-0 cell is the initial augmented
-state, so the two textbook initial-flow conditions coincide), one flow row
-per reachable cell at stages 1..H-1, and one bidiagonal CDF row per kept
-grid point with the return distribution substituted:
+kept points, all nonnegative.  Its rows are one initial-mass row (the only
+reachable stage-0 cell is the initial augmented state, so the two textbook
+initial-flow conditions coincide), one flow row per reachable cell at
+stages 1..H-1, and one bidiagonal CDF row per kept point with the return
+distribution substituted:
 
-    x+_g - x-_g - x+_{g-1} + x-_{g-1} - sum_{final (s, g', a) -> g} d = -eta_hat_g
+    x+_i - x-_i - x+_{i-1} + x-_{i-1} - sum_{final (s, g', a) -> p_i} d = -eta_hat(p_i)
 
-so x+_g - x-_g is the CDF difference at g.  The objective is
-sum(x+ + x-).  The return distribution eta is not a column: it is read off
-the final-stage occupancy (:meth:`RsktLayout.return_distribution`).  The
-matrix is built by array indexing over the reachable cells, each entry
-written once; the flow rows by ``mdp._flow_rows``, which ``mimic-md``
-shares.  ``RsktDiagnostics.num_variables`` and ``num_constraints`` count
-these columns and rows.
+so x+_i - x-_i is the CDF difference at p_i.  The objective is
+sum_i w_i (x+_i + x-_i).  The return distribution eta is not a column: it
+is read off the final-stage occupancy
+(:meth:`RsktLayout.return_distribution`).  The matrix is built by array
+indexing over the reachable cells, each entry written once; the flow rows
+by ``mdp._flow_rows``, which ``mimic-md`` shares.  Its size is checked
+against ``lp.check_dense_size`` before it is allocated.
+``RsktDiagnostics.num_variables`` and ``num_constraints`` count these
+columns and rows.
 """
 
 from __future__ import annotations
@@ -37,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DiscreteReturnDistribution
-from .lp import LinearProgram, LpError, LpSolution, solve
+from .lp import LinearProgram, LpError, LpSolution, check_dense_size, solve
 from .mdp import (
     AugmentedMdp,
     Dataset,
@@ -72,16 +86,18 @@ class RsktLayout:
     """The occupancy LP of one augmented MDP and target estimate.
 
     Column order: occupancy d over the reachable (h, s, g) cells in C order
-    times actions, then x+ and x- over the kept grid prefix
-    ``0..n_keep-1``, on which ``eta_hat`` holds the estimate.
+    times actions, then x+ and x- over the kept ``points``, the sorted grid
+    multiples below ``n_keep`` where a final (s, g, a) lands or
+    ``eta_hat``, the estimate over ``0..n_keep-1``, has mass.
     ``column[h, s, g]`` is the d column of action 0 in cell (h, s, g), or -1
     where the cell is unreachable; row ``k`` of the program is the flow row
     of the k-th reachable cell (row 0, the initial cell's, is the
-    initial-mass row).
+    initial-mass row), and the CDF rows follow in the order of ``points``.
     """
 
     aug: AugmentedMdp
     eta_hat: np.ndarray  # (n_keep,)
+    points: np.ndarray  # (P,) int64, increasing, the last one n_keep - 1
     column: np.ndarray  # (H, S, G) int64
     num_d: int
 
@@ -95,11 +111,16 @@ class RsktLayout:
 
     @property
     def minus_offset(self) -> int:
-        return self.num_d + self.n_keep
+        return self.num_d + self.points.size
 
     @property
     def num_variables(self) -> int:
-        return self.num_d + 2 * self.n_keep
+        return self.num_d + 2 * self.points.size
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Grid points each kept point stands for: the gap to the next one."""
+        return np.diff(self.points, append=self.n_keep).astype(float)
 
     def dense_occupancy(self, x: np.ndarray) -> np.ndarray:
         """Scatter the d block of an LP vector into a dense (H, S, G, A) array."""
@@ -124,35 +145,36 @@ class RsktLayout:
     def program(self) -> LinearProgram:
         """The compact distribution-matching LP of the module docstring; its
         objective times the grid step is in Wasserstein units."""
-        n_cells, n_keep = self.num_d // self.aug.base.num_actions, self.n_keep
-        a_eq = np.zeros((n_cells + n_keep, self.num_variables))
-        b_eq = np.zeros(n_cells + n_keep)
+        n_cells, n_points = self.num_d // self.aug.base.num_actions, self.points.size
+        check_dense_size(n_cells + n_points, self.num_variables, "rs-kt program")
+        a_eq = np.zeros((n_cells + n_points, self.num_variables))
+        b_eq = np.zeros(n_cells + n_points)
         _flow_rows(self.column, self.aug.base, self.aug.reward.multiples, a_eq, b_eq)
 
-        # CDF rows: x+_g - x-_g - x+_{g-1} + x-_{g-1} - eta_g = -eta_hat_g
-        g = np.arange(n_keep)
-        a_eq[n_cells + g, self.plus_offset + g] = 1.0
-        a_eq[n_cells + g, self.minus_offset + g] = -1.0
-        a_eq[n_cells + g[1:], self.plus_offset + g[:-1]] = -1.0
-        a_eq[n_cells + g[1:], self.minus_offset + g[:-1]] = 1.0
+        # CDF rows: x+_i - x-_i - x+_{i-1} + x-_{i-1} - eta(p_i) = -eta_hat(p_i)
+        i = np.arange(n_points)
+        a_eq[n_cells + i, self.plus_offset + i] = 1.0
+        a_eq[n_cells + i, self.minus_offset + i] = -1.0
+        a_eq[n_cells + i[1:], self.plus_offset + i[:-1]] = -1.0
+        a_eq[n_cells + i[1:], self.minus_offset + i[:-1]] = 1.0
         cols, returns = self._final_entries()
-        a_eq[n_cells + returns, cols] = -1.0
-        b_eq[n_cells:] = -self.eta_hat
+        a_eq[n_cells + np.searchsorted(self.points, returns), cols] = -1.0
+        b_eq[n_cells:] = -self.eta_hat[self.points]
 
         c = np.zeros(self.num_variables)
-        c[self.plus_offset :] = 1.0
+        c[self.plus_offset :] = np.tile(self.weights, 2)
         return LinearProgram(c=c, A_eq=a_eq, b_eq=b_eq)
 
     def pack_occupancy(self, occ: np.ndarray) -> np.ndarray:
         """Assemble a full LP vector from a dense occupancy (e.g. a DP output).
 
-        x+ and x- are the positive and negative parts of the CDF difference,
-        so the result is feasible iff the occupancy itself satisfies the
-        flow rows.
+        x+ and x- are the positive and negative parts of the CDF difference
+        at the kept points, so the result is feasible iff the occupancy
+        itself satisfies the flow rows.
         """
         x = np.zeros(self.num_variables)
         x[: self.num_d] = occ[self.column >= 0].ravel()
-        cum = np.cumsum(self.return_distribution(x) - self.eta_hat)
+        cum = np.cumsum(self.return_distribution(x) - self.eta_hat)[self.points]
         x[self.plus_offset : self.minus_offset] = np.maximum(cum, 0.0)
         x[self.minus_offset :] = np.maximum(-cum, 0.0)
         return x
@@ -162,7 +184,7 @@ class RsktLayout:
 
         The deterministic policy playing the most visited action of M[h, s,
         g, :] in every cell (action 0 where unvisited) gives one basic d
-        column per reachable cell, and its CDF difference at each kept grid
+        column per reachable cell, and its CDF difference at each kept
         point picks x+ (difference >= 0) or x-.  Ordered by stage, the d
         block is unit triangular and the x block bidiagonal with a unit
         diagonal, so the basis is nonsingular; it is feasible because its
@@ -175,7 +197,7 @@ class RsktLayout:
         occ = exact_augmented_occupancy(aug.base, policy, aug.reward)
         x = self.pack_occupancy(occ)
         below = x[self.minus_offset :] > 0.0
-        x_cols = np.where(below, self.minus_offset, self.plus_offset) + np.arange(self.n_keep)
+        x_cols = np.where(below, self.minus_offset, self.plus_offset) + np.arange(below.size)
         live = self.column >= 0
         return np.concatenate([self.column[live] + choice[live], x_cols])
 
@@ -222,9 +244,8 @@ def _eta_hat_on_grid(eta_hat: DiscreteReturnDistribution, grid: RewardGrid) -> n
 def lp_layout(aug: AugmentedMdp, eta_hat: DiscreteReturnDistribution) -> RsktLayout:
     """The LP layout of an augmented MDP and target estimate; ``.program()`` is the LP."""
     eta_hat_full = _eta_hat_on_grid(eta_hat, aug.grid)
-    reach_max = int(np.nonzero(aug.return_support_mask())[0][-1])
-    hat_max = int(np.nonzero(eta_hat_full > 0)[0][-1])
-    n_keep = max(reach_max, hat_max) + 1
+    points = np.flatnonzero(aug.return_support_mask() | (eta_hat_full > 0))
+    n_keep = int(points[-1]) + 1
     horizon = aug.base.horizon
     live = aug.reachable[:horizon, :, : aug.grid.table_size]
     num_cells = int(live.sum())
@@ -233,6 +254,7 @@ def lp_layout(aug: AugmentedMdp, eta_hat: DiscreteReturnDistribution) -> RsktLay
     return RsktLayout(
         aug=aug,
         eta_hat=eta_hat_full[:n_keep],
+        points=points,
         column=column,
         num_d=num_cells * aug.base.num_actions,
     )

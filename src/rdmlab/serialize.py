@@ -126,23 +126,47 @@ def format_policy(policy: MarkovianPolicy | RewardAugmentedPolicy) -> str:
     return "\n".join([*lines, "policy", *_rows(policy.table)]) + "\n"
 
 
+#: The dimension-line keys of each policy kind.
+_HEADER_KEYS = {
+    "markovian": ("horizon", "states", "actions"),
+    "reward-augmented": ("horizon", "states", "actions", "theta"),
+}
+
+
+def _line(lines: list[str], name: str) -> int:
+    """Index of the line ``name``; ``ValueError`` naming it when it is missing."""
+    if name not in lines:
+        raise ValueError(f"policy document has no {name!r} line")
+    return lines.index(name)
+
+
 def parse_policy(text: str) -> MarkovianPolicy | RewardAugmentedPolicy:
+    """The policy a ``format_policy`` document describes; ``ValueError`` names
+    a missing kind, header line, header key or section line."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("rdmlab-policy"):
         raise ValueError("not a policy document")
-    kind = lines[0].split()[1]
+    opening = lines[0].split()
+    if len(opening) < 2:
+        raise ValueError("policy document names no kind after 'rdmlab-policy'")
+    kind = opening[1]
+    if kind not in _HEADER_KEYS:
+        raise ValueError(f"unknown policy kind {kind!r}")
+    if len(lines) < 2:
+        raise ValueError(f"policy document has no header line ({' '.join(_HEADER_KEYS[kind])})")
     header = lines[1].split()
     fields = dict(zip(header[0::2], header[1::2]))
+    missing = [key for key in _HEADER_KEYS[kind] if key not in fields]
+    if missing:
+        raise ValueError(f"policy header has no {', '.join(missing)}")
     horizon = int(fields["horizon"])
     num_states = int(fields["states"])
     num_actions = int(fields["actions"])
-    split = lines.index("policy")
+    split = _line(lines, "policy")
     if kind == "markovian":
         return MarkovianPolicy(_read_rows(lines[split + 1 :], (horizon, num_states, num_actions)))
-    if kind == "reward-augmented":
-        grid = RewardGrid(float(fields["theta"]), horizon)
-        reward_rows = lines[lines.index("reward") + 1 : split]
-        multiples = _read_rows(reward_rows, (horizon, num_states, num_actions, 1), np.int64)
-        table = _read_rows(lines[split + 1 :], (horizon, num_states, grid.table_size, num_actions))
-        return RewardAugmentedPolicy(table=table, reward=GridReward(grid, multiples[..., 0]))
-    raise ValueError(f"unknown policy kind {kind!r}")
+    grid = RewardGrid(float(fields["theta"]), horizon)
+    reward_rows = lines[_line(lines, "reward") + 1 : split]
+    multiples = _read_rows(reward_rows, (horizon, num_states, num_actions, 1), np.int64)
+    table = _read_rows(lines[split + 1 :], (horizon, num_states, grid.table_size, num_actions))
+    return RewardAugmentedPolicy(table=table, reward=GridReward(grid, multiples[..., 0]))

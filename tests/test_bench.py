@@ -14,7 +14,7 @@ from rdmlab.bench import (
     emit_results,
     read_results,
 )
-from rdmlab.lp import LpError, LpIterationError
+from rdmlab.lp import LpError, LpIterationError, LpSizeError
 from rdmlab.policies import EnumerationCapError
 from rdmlab.serialize import format_distribution
 
@@ -224,7 +224,7 @@ class TestRunExperiment:
         ok = [v for v in rows[0].per_instance if not np.isnan(v)]
         assert ok and np.isfinite(rows[0].mean)
 
-    @pytest.mark.parametrize("error", [LpIterationError, EnumerationCapError])
+    @pytest.mark.parametrize("error", [LpIterationError, LpSizeError, EnumerationCapError])
     def test_every_expected_failure_type_is_counted(self, monkeypatch, error):
         self._flaky_bc(monkeypatch, error("synthetic failure"))
         rows = rl.run_experiment(tiny_cfg(instances=4, n_sweep=(10,)))
@@ -261,7 +261,7 @@ class TestRunExperiment:
         target = tmp_path / "pinned.csv"
         emit_results(rows, target)
         assert hashlib.sha256(target.read_bytes()).hexdigest() == (
-            "22cd914659c5126f03594767202d7d87c2e01e02f127f69c870245c4c4f5f77f"
+            "d7f2c6933ad48a21ddbe5532b78daeabd2fd0433357a0ee3fd1dffdbb1385f30"
         )
 
 
@@ -293,7 +293,7 @@ def test_desk_lp_inputs_are_pinned(monkeypatch):
             with pytest.raises(_Captured):
                 bench_mod._FITS[alg](counts, mdp, reward)
     assert digest.hexdigest() == (
-        "e39ea510419629caaf6e678e6981aa9a9c7a70795707b21cab3879a55a7be3d5"
+        "3657ba15431848afb9c1c4f18f6c7bbfc9517c73ce2e31ea35d1f6bd9c37f239"
     )
 
 

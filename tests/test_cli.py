@@ -107,9 +107,17 @@ def test_eval_policy_refuses_invalid_mdp_document(tmp_path, capsys, corrupt):
 @pytest.mark.parametrize("policy_doc, fault", [
     ("just some text\n", "not a policy document"),
     (None, "policy states and actions (3, 2) do not match the MDP's (2, 2)"),
-], ids=["not-a-policy", "other-states"])
+    ("rdmlab-policy\n", "policy document names no kind after 'rdmlab-policy'"),
+    ("rdmlab-policy markovian\n",
+     "policy document has no header line (horizon states actions)"),
+    ("rdmlab-policy markovian\nhorizon 2 states 2\npolicy\n",
+     "policy header has no actions"),
+    ("rdmlab-policy markovian\nhorizon 2 states 2 actions 2\n0 0 0.5 0.5\n",
+     "policy document has no 'policy' line"),
+], ids=["not-a-policy", "other-states", "no-kind", "no-header", "no-actions", "no-policy-line"])
 def test_eval_policy_refuses_invalid_policy_document(tmp_path, capsys, policy_doc, fault):
-    # each once ended in a ValueError traceback and exit 1
+    # each once ended in a traceback (ValueError, IndexError or KeyError) and
+    # exit 1, or in a message that did not name what was missing
     mdp_path = tmp_path / "mdp.json"
     pol_path = tmp_path / "expert.txt"
     main(["gen-instance", "--seed", "5", "--rho", "0.5", "--out", str(mdp_path)])

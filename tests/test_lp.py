@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 import rdmlab as rl
+import rdmlab.lp as lp_mod
+from rdmlab.baselines import count_state_actions, mimic_md_from_counts
 from rdmlab.lp import (
     LinearProgram,
     LpError,
     LpIterationError,
+    LpSizeError,
     _apply_pivot,
     _bland_pivot,
     _install_basis,
@@ -244,6 +247,29 @@ class TestStartingBasis:
             solve(self._program(3.0), basis=[0])
         with pytest.raises(ValueError, match="outside"):
             solve(self._program(3.0), basis=[0, 3])
+
+
+class TestSizeBudget:
+    def test_tableau_past_the_budget_raises_before_solving(self, monkeypatch):
+        lp = LinearProgram(c=[1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0])
+        monkeypatch.setattr(lp_mod, "DENSE_BYTES", 2 * 3 * 8 - 1)
+        with pytest.raises(
+            LpSizeError, match=r"simplex tableau of 2 rows x 3 columns needs 48 bytes"
+        ):
+            solve(lp)
+        monkeypatch.setattr(lp_mod, "DENSE_BYTES", 2 * 3 * 8)
+        assert solve(lp).objective == pytest.approx(1.0)
+
+    def test_size_error_is_an_lp_error(self):
+        # so the harness counts it as a failed fit, not a crash
+        assert issubclass(LpSizeError, LpError)
+
+    def test_mimic_md_program_past_the_budget_raises(self, monkeypatch):
+        mdp, expert = rl.make_fork_fixture()
+        counts = count_state_actions(rl.sample_trajectories(mdp, expert, 50, seed=1))
+        monkeypatch.setattr(lp_mod, "DENSE_BYTES", 8)
+        with pytest.raises(LpSizeError, match="mimic-md program of"):
+            mimic_md_from_counts(counts, mdp)
 
 
 class TestTransport:

@@ -1,11 +1,13 @@
 import hashlib
 import itertools
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import rdmlab as rl
-from rdmlab.lp import solve
+from rdmlab.lp import LinearProgram, LpSizeError, solve
 from rdmlab.mdp import _flow_rows
 from rdmlab.policies import (
     ZERO_MASS,
@@ -23,7 +25,7 @@ from rdmlab.rskt import (
     theta_for_epsilon_rskt,
 )
 
-from conftest import direct_grid_law, make_instance, rskt_program
+from conftest import desk_dataset, direct_grid_law, make_instance, rskt_program
 
 #: the desk benchmark's (2,2,5) shape
 DESK_CFG = rl.ExperimentConfig(
@@ -61,8 +63,14 @@ def reachable_cells(aug):
     return cell
 
 
-def loop_built_program(aug, eta_hat):
-    """The compact rs-kt program built cell by cell: (A_eq, b_eq, c)."""
+def full_program(aug, eta_hat):
+    """The rs-kt program with a CDF row and an x+/x- pair at every grid point
+    below n_keep, each of weight 1, built cell by cell: (A_eq, b_eq, c).
+
+    This was the solved program before it kept only the points where a law
+    can put mass; it has the same optimal value, so it is the oracle for
+    the kept-point program's objective.
+    """
     base = aug.base
     horizon, num_actions = base.horizon, base.num_actions
     cell = reachable_cells(aug)
@@ -94,6 +102,52 @@ def loop_built_program(aug, eta_hat):
     return a_eq, b_eq, c
 
 
+def loop_built_program(aug, eta_hat):
+    """The rs-kt program on the kept points built cell by cell: (A_eq, b_eq, c).
+
+    The kept points are read off the final cells' landings and the
+    estimate's support here, not off ``return_support_mask``.
+    """
+    base = aug.base
+    horizon, num_actions = base.horizon, base.num_actions
+    cell = reachable_cells(aug)
+    eta_full = _eta_hat_on_grid(eta_hat, aug.grid)
+    landing = {}  # final-stage d column -> the return multiple it reaches
+    for (h, s, g), k in cell.items():
+        if h == horizon - 1:
+            for a in range(num_actions):
+                landing[k * num_actions + a] = g + int(aug.reward.multiples[h, s, a])
+    points = sorted(set(landing.values()) | set(np.flatnonzero(eta_full).tolist()))
+    n_keep, n_points = points[-1] + 1, len(points)
+    n_cells, n_d = len(cell), len(cell) * num_actions
+    n_var = n_d + 2 * n_points
+    a_eq = np.zeros((n_cells + n_points, n_var))
+    b_eq = np.zeros(n_cells + n_points)
+    a_eq[:n_cells], b_eq[:n_cells] = loop_built_flow(cell, base, aug.reward.multiples, n_var)
+    for col, g in landing.items():
+        a_eq[n_cells + points.index(g), col] = -1.0
+    c = np.zeros(n_var)
+    for i, p in enumerate(points):
+        row = n_cells + i
+        a_eq[row, n_d + i] = 1.0
+        a_eq[row, n_d + n_points + i] = -1.0
+        if i:
+            a_eq[row, n_d + i - 1] = -1.0
+            a_eq[row, n_d + n_points + i - 1] = 1.0
+        b_eq[row] = -eta_full[p]
+        gap = (points[i + 1] if i + 1 < n_points else n_keep) - p
+        c[n_d + i] = c[n_d + n_points + i] = gap
+    return a_eq, b_eq, c
+
+
+def desk_program_inputs(master_seed, **shape):
+    """The augmented MDP and estimate of a desk master seed's rs-kt program."""
+    mdp, data = desk_dataset(master_seed, **shape)
+    grid = rl.RewardGrid(DESK_CFG.theta, mdp.horizon)
+    eta_hat = rl.empirical_return_distribution(data, mdp.reward, grid)
+    return rl.build_augmented_mdp(mdp, grid, reward=mdp.reward), eta_hat
+
+
 def tiny_grid_instance(seed, num_states=2, num_actions=2, horizon=2, step=1.0):
     mdp, expert = make_instance(
         seed, num_states=num_states, num_actions=num_actions, horizon=horizon,
@@ -115,6 +169,9 @@ class TestBuildLp:
                 assert sol.objective == pytest.approx(0.0, abs=1e-9)
             else:
                 assert sol.objective > 0.5  # CDFs differ on one grid cell
+            # the target's point is kept, reachable (1) or not (0)
+            points = lp_layout(aug, eta_hat).points.tolist()
+            assert points == sorted({int(forced_reward), int(target)})
 
     def test_zero_objective_when_target_is_attainable(self):
         mdp, _, grid = tiny_grid_instance(2, horizon=3, step=0.5)
@@ -207,6 +264,87 @@ class TestBuildLp:
             assert lp.A_eq.tobytes() == a_eq.tobytes()
             assert lp.b_eq.tobytes() == b_eq.tobytes()
             assert lp.c.tobytes() == c.tobytes()
+
+    @pytest.mark.parametrize("master_seed", range(5))
+    def test_points_are_the_reachable_returns_and_cover_the_estimate(self, master_seed):
+        aug, eta_hat = desk_program_inputs(master_seed)
+        layout = lp_layout(aug, eta_hat)
+        assert set(np.flatnonzero(layout.eta_hat)) <= set(layout.points.tolist())
+        # a run-loop estimate is drawn on the same MDP, so it adds no point
+        assert np.array_equal(layout.points, np.flatnonzero(aug.return_support_mask()))
+        assert layout.weights.sum() == layout.n_keep - layout.points[0]
+
+    def test_programs_of_one_instance_share_a_and_c(self):
+        mdp, expert = rl.generate_instance(DESK_CFG, 4)
+        grid = rl.RewardGrid(DESK_CFG.theta, mdp.horizon)
+        aug = rl.build_augmented_mdp(mdp, grid, reward=mdp.reward)
+        programs = [
+            build_rskt_lp(aug, rl.empirical_return_distribution(
+                rl.sample_trajectories(mdp, expert, n, seed), mdp.reward, grid
+            ))
+            for n, seed in ((30, 1), (10_000, 2))
+        ]
+        first, second = programs
+        assert first.b_eq.tobytes() != second.b_eq.tobytes()
+        assert first.A_eq.tobytes() == second.A_eq.tobytes()
+        assert first.c.tobytes() == second.c.tobytes()
+
+    def test_c10_shaped_fit_fails_on_size_before_allocating(self):
+        # the (100,5,5) program needs about 6 GB dense; it must raise, not be
+        # OOM-killed, and the refusal must come before the allocation
+        cfg = rl.ExperimentConfig(
+            num_states=100, num_actions=5, horizon=5, theta=0.05, rho=0.03,
+            expert_kind="parametric-history", n_sweep=(1000,), instances=1,
+            seeds_per_dataset=1,
+        )
+        mdp, expert = rl.generate_instance(cfg, 1)
+        gr = rl.discretize_reward(mdp.reward, rl.RewardGrid(cfg.theta, mdp.horizon))
+        counts = count_occurrences(rl.sample_trajectories(mdp, expert, 1000, 2), gr)
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(LpSizeError, match=r"rs-kt program of \d+ rows x \d+ columns"):
+                rs_kt_from_counts(counts, mdp, gr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        assert time.perf_counter() - start < 10.0
+
+
+class TestFullProgramOracle:
+    """The kept-point program against the full one: same optimal value."""
+
+    @pytest.mark.parametrize("master_seed", range(20))
+    def test_desk_objectives_match_the_full_program(self, master_seed):
+        aug, eta_hat = desk_program_inputs(master_seed)
+        lp = build_rskt_lp(aug, eta_hat)
+        full = self._full_lp(aug, eta_hat)
+        assert lp.num_constraints <= full.num_constraints
+        assert solve(lp).objective == pytest.approx(solve(full).objective, abs=1e-12)
+        self._check_with_highs(lp, full)
+
+    @pytest.mark.parametrize("master_seed", range(3))
+    def test_535_objectives_match_the_full_program(self, master_seed):
+        # Bland's rule stalls on (5,3,5) programs, so HiGHS solves both
+        aug, eta_hat = desk_program_inputs(master_seed, num_states=5, num_actions=3)
+        full = self._full_lp(aug, eta_hat)
+        self._check_with_highs(build_rskt_lp(aug, eta_hat), full)
+
+    @staticmethod
+    def _full_lp(aug, eta_hat):
+        a_eq, b_eq, c = full_program(aug, eta_hat)
+        return LinearProgram(c=c, A_eq=a_eq, b_eq=b_eq)
+
+    @staticmethod
+    def _check_with_highs(lp, full):
+        scipy_opt = pytest.importorskip("scipy.optimize")
+        kept, every = (
+            scipy_opt.linprog(p.c, A_eq=p.A_eq, b_eq=p.b_eq, bounds=(0, None), method="highs")
+            for p in (lp, full)
+        )
+        assert kept.status == every.status == 0
+        assert kept.fun == pytest.approx(every.fun, abs=1e-12)
 
 
 class TestFlowRows:
@@ -374,30 +512,31 @@ class TestPinnedSolves:
     """The simplex walks one basis path per program; pin where it ends.
 
     Four seeded (2,2,5) programs of the desk benchmark's shape.  The digests
-    of ``x`` and the pivot counts pin the compact program and the pivot rule;
-    the objectives are those of the earlier program with explicit eta and
-    |x| <= t blocks, which has the same optimal value.
+    of ``x`` and the pivot counts pin the compact program on the kept points
+    and the pivot rule; the objectives are those of the earlier programs
+    (explicit eta and |x| <= t blocks, then a CDF row at every grid point),
+    which have the same optimal value.
     """
 
     PINS = {
         0: (
-            110,
-            "da75e836be3e8be8beb0c1d779086a446f518203acec8e356c9c40a33818ab89",
+            72,
+            "8a6a832da1d312b4e2bbac5708dc82ec9f89ac5eddb37eab16e1d1b83cd56ef4",
             0.00038538178820264645,
         ),
         1: (
-            992,
-            "ae42d4085ac77361f9aaae44e81ee9a9a88ee0757201288234b4f4fec3cab844",
+            951,
+            "dce959110911e4c01eea57cf46a7b8af6d7ba5e4e83a406ef1b01c01484248a5",
             0.0005184182336819708,
         ),
         2: (
-            246,
-            "23956a63fd6ed07735f10f0ad839536c2905414a2cf396248c542e423c21b0eb",
+            204,
+            "9fb143815d502dd668ca1cd52ad02d1a266cd5e621d2ccc4536cb582beab282a",
             0.0020977070280758132,
         ),
         3: (
-            281,
-            "1c8c6531ba273dbce3ee74008ab903a62b5d35cbbe36e56681d201121676428c",
+            257,
+            "890b1d0ee59a2d990424693ad04646598c7313f212b4265228bb179f2a383840",
             0.006115525070506086,
         ),
     }
