@@ -244,9 +244,11 @@ def _sample_counts(
     task: tuple[int, int, int],
 ) -> np.ndarray:
     """M[h, s, g, a] of the dataset of ``task`` = (instance, sweep index,
-    dataset seed), counted inside the sampler (``sample_counts``), with the
-    law of the episodes ``sample_trajectories`` draws on the same seed; no
-    episode is stored."""
+    dataset seed), counted inside the sampler's group walk
+    (``sample_counts``); no episode is stored.  It is the count of the
+    episodes ``sample_trajectories`` draws on the same seed for the
+    parametric expert and for a table policy at theta = rho, and has their
+    law otherwise."""
     i, k, j = task
     seed = derive_seed(cfg.master_seed, "dataset", i, k, j)
     return sample_counts(mdp, expert, cfg.n_sweep[k], seed, reward)

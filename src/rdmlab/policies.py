@@ -26,64 +26,43 @@ projection pi_R is ``rs-bc``'s probability-weighted count table over them
 over an MDP refuses one of another horizon, state or action count
 (``_check_dims``).
 
-Two walks draw samples.  A table policy (Markovian, or reward-augmented,
-through the same ``_grid_table`` lift) runs the group walk, ``_group_walk``:
-its next step depends on its (state, own grid cell) alone, so it carries
-integer counts over groups, keyed by that pair and the raw return so far,
-not rows.  Per stage it splits each group's count over its action row, then
-each (group, action) count over its transition row (``_split``), and merges
-the children that share a key, so its cost follows the live groups, not n.
-``sample_counts`` adds each stage's (group, action) counts straight into
-the visit tensor M[h, s, g, a], with the counted g in the key;
-``sample_trajectories`` replays the walk on the same stream of
-``default_rng(seed)`` and hands its outcomes to rows, in a fresh uniformly
-random order within each group at every stage (from a second stream), so
-the rows are i.i.d.  The two agree exactly whenever g is a function of the
-raw return so far; otherwise they draw the same law.  The parametric
-expert's next step depends on its whole history, and it keeps the row walk
-``_stages`` (a group walk over its trie prefixes would draw other desk and
-scale datasets), which draws n episodes in blocks of at most ``_STAGE_BLOCK``
-consecutive rows, each walked through all H stages before the next starts,
-so its memory is one block's, whatever n is: per stage an action pass draws
-the block's actions, then a transition pass its next states (none after the
-last action).  Every block reads its own stretch of the stream of
-``default_rng(seed)``, a ``PCG64`` moved there by ``advance``: the stretches
-that a stage-by-stage walk over all n rows would read, so every draw is the
-same whatever the block size.  Its two consumers take each block's (h, rows,
-states, actions): ``sample_trajectories`` writes the (n, H) columns of a
-``Dataset``, and ``sample_counts`` adds them into M, carrying each row's
-cumulative grid multiple, which is ``count_occurrences`` of that dataset
-without the dataset.  ``mc_return_distribution`` draws no rows either: it
-carries groups, distinct histories with integer multiplicities, and splits
-them by ``_split`` as the group walk does.  ``_split`` splits a count above
-the row width by one multinomial, a smaller one by one categorical draw per
-member, in chunks of ``_SPLIT_BLOCK`` that leave every draw as it is.  Every
-categorical draw reads one raw 64-bit output per row, the uniform
-``Generator.random`` would make of it, and finds it in a flat cumulative
-table at a computed row offset (``_draw``); no (n x width) block of CDF rows
-is gathered.  Tables are built once per call with negative round-off
-entries clipped to 0.  The row walk's transition table and Monte Carlo's
-transition, Markovian and reward-augmented tables, at least
-``_GUIDE_MIN_WIDTH`` wide, also get a guide table (Chen & Asau 1974) of up
-to ``2**_GUIDE_BITS`` buckets per row, never more entries than the n or m
-episodes: a uniform whose bucket, read off its output's top bits, holds no
-CDF entry reads its draw there, and only the rest are formed as doubles and
-binary-searched.  The group walk draws too few categoricals for a guide to
-pay.  Two-outcome tables (the desk shapes) and the parametric expert's
-per-prefix rows gain nothing from a guide and keep the plain search.
-The parametric expert's action distribution depends only on the (history,
-current state) prefix, and a stage has far fewer distinct prefixes than
-rows, so it is computed once per prefix (``_prefix_cdf``): logits (in
-blocks of ``_ROW_BLOCK`` prefixes), then softmax and cumulative sum in
-place, in one (k, A) array per stage.  Each prefix carries its projected
-history, (k, ``PROJECTION_DIM``), not its (2H,) encoding: the encoding is
-linear, so a child's features are its parent's plus two projected terms
-(``_extend_features``), summed in the order of ``encoded @ projection``.
-In the row walk each row carries a prefix id, renumbered over its block
-after every transition pass from the trie key (parent id, action, next
-state), and draws its action from its prefix's row: a prefix two blocks
-share gets its row once per block, the same row, as it depends on the
-prefix alone.  In ``mc_return_distribution`` each group is one prefix.
+One walk draws every sample, the group walk ``_group_walk``.  It carries
+integer counts over groups, not rows: a group is a set of episodes whose
+futures share one law, and the walk starts with one group of n at the
+initial state.  Per stage it splits each group's count over its action row,
+then each (group, action) count over its transition row (``_split``), on the
+stream of ``default_rng(seed)``, so its cost follows the live groups, not n.
+A table policy (Markovian, or reward-augmented through the same
+``_grid_table`` lift) takes its next step from its (state, own grid cell)
+alone: its groups are keyed by that pair and the raw return so far, and the
+children that share a key merge.  The parametric expert's next step depends
+on its whole history: its group is one (history, current state) prefix, a
+trie node, whose children are never merged, so a stage holds its live
+prefixes, at most (S*A)^h of them at stage h, whatever n is.
+``sample_counts`` adds each stage's (group, action) counts straight into the
+visit tensor M[h, s, g, a], each group carrying its counted g;
+``sample_trajectories`` replays the walk on the same seed and hands its
+outcomes to rows, in a fresh uniformly random order within each group at
+every stage (from a second stream), so the rows are i.i.d.  The two agree
+exactly whenever the counted g splits no group: for the parametric expert
+on every grid, for a table policy when g is a function of the raw return so
+far; otherwise they draw the same law.  ``mc_return_distribution`` runs the
+walk with the reward it evaluates as the raw return and reads its last
+stage: each (group, action) pair's return is its group's return so far plus
+the pair's reward.  ``_split`` splits a count above the row width by one
+multinomial, a smaller one by one categorical draw per member, in chunks of
+``_SPLIT_BLOCK`` that leave every draw as it is.  Every categorical draw
+reads one raw 64-bit output per member, the uniform ``Generator.random``
+would make of it, and binary-searches it in a flat cumulative table at a
+computed row offset (``_draw``); no (n x width) block of CDF rows is
+gathered.  Tables are built once per call with negative round-off entries
+clipped to 0.  The parametric expert's action row is computed once per
+prefix (``_prefix_cdf``): logits (in blocks of ``_ROW_BLOCK`` prefixes), then
+softmax and cumulative sum in place, in one (k, A) array per stage.  Each
+prefix carries its projected history, (k, ``PROJECTION_DIM``), not its (2H,)
+encoding: the encoding is linear, so a child's features are its parent's
+plus two projected terms (``_extend_features``), summed in the order of
+``encoded @ projection``.
 """
 
 from __future__ import annotations
@@ -145,24 +124,9 @@ PROJECTION_DIM = 16
 #: at (50,5,5), m = 5e4, 4096 (2.6 MB) cost ~1,500 page faults per call, 512 six.
 _ROW_BLOCK = 512
 
-#: Rows per block of the parametric expert's row walk; every draw is the
-#: same whatever it is.  Chosen when the row walk also drew ``bulk``'s
-#: Markovian datasets: an n = 3e5 ``sample_counts`` call on ``bulk``
-#: instances (2 cores, median) took 65 ms in one block (a 21.6 MB traced peak), 59 in
-#: blocks of 2**13 rows, 48 of 2**14, 41 of 2**15 (3.3 MB) and 47 of 2**16.
-_STAGE_BLOCK = 2**15
-
 #: Members, or multinomial cells, per chunk of ``_split``; every draw is the
 #: same whatever it is.
 _SPLIT_BLOCK = 2**13
-
-#: Sampling tables with rows at least this wide get a guide table of
-#: between 2**_GUIDE_MIN_BITS and 2**_GUIDE_BITS buckets per row.  At
-#: n = 3e5 draws (2 cores) a guide took a width-5 action draw from 6.5 to
-#: 3.6 ms and a width-3 one from 7.9 to 5.1 ms, but slowed width 2.
-_GUIDE_MIN_WIDTH = 3
-_GUIDE_MIN_BITS = 4
-_GUIDE_BITS = 8
 
 #: ``Generator.random`` makes the double ``(x >> 11) * _UNIT`` of a 64-bit output x.
 _UNIT = 2.0**-53
@@ -302,56 +266,25 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-class _Table(NamedTuple):
-    """A sampling table: cumulative rows, flat, with an optional guide table.
+def _accumulate(table: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the rows of the 2-D ``table``, in place, one
+    column at a time: numpy accumulates a short last axis slowly (scale's
+    (1250, 50) transition rows took 447 us by ``np.cumsum``, 154 so).  The
+    sums are ``np.cumsum``'s, bit for bit."""
+    cols = table.T
+    for prev, col in zip(cols, cols[1:]):
+        col += prev
+    return table
 
-    Row ``r`` is ``cdf[r * width : (r + 1) * width]``, nondecreasing.  A
-    guide cuts [0, 1) into ``2**bits`` equal buckets per row: entry
-    ``(r << bits) + j`` is the draw of every uniform in bucket ``j`` of row
-    ``r``, or -1 when a searched row entry falls inside that bucket.
+
+def _cdf_table(probs: np.ndarray) -> np.ndarray:
+    """Sampling table of ``probs``, with the outcomes on the last axis.
+
+    Cumulative sums over the outcomes, one row per leading index, as a
+    (rows, width) array; negative entries count as 0, so rows are
+    nondecreasing.
     """
-
-    cdf: np.ndarray
-    width: int
-    guide: np.ndarray | None = None
-    bits: int = 0
-
-
-def _guide(cdf: np.ndarray, width: int, bits: int) -> np.ndarray:
-    """Guide table (Chen & Asau 1974) of the flat cumulative rows ``cdf``.
-
-    ``floor(c * 2**bits)`` is exact, so an entry ``c`` lies in bucket ``j``
-    iff ``j <= c * 2**bits < j + 1``.  Every uniform in a bucket without
-    entries counts the same entries below it: those of buckets 0 to ``j``.
-    The last entry of a row is never searched (``_draw`` clamps), and entries
-    of 1 or more lie past every bucket.
-    """
-    buckets = 1 << bits
-    searched = cdf.reshape(-1, width)[:, :-1]
-    num_rows = searched.shape[0]
-    at = np.minimum(np.floor(searched * buckets), buckets).astype(np.intp)
-    at += np.arange(num_rows)[:, None] * (buckets + 1)
-    # Counts stay below the width, so the guide's own small dtype holds them
-    # and only the bincount is as wide as an int64 per guide entry.
-    dtype = np.min_scalar_type(-width)
-    hits = np.bincount(at.ravel(), minlength=num_rows * (buckets + 1)).astype(dtype)
-    hits = hits.reshape(num_rows, buckets + 1)[:, :-1]
-    return np.where(hits > 0, -1, np.cumsum(hits, axis=1, dtype=dtype)).ravel()
-
-
-def _cdf_table(probs: np.ndarray, n: int = 0) -> _Table:
-    """Sampling table of ``probs`` (last axis: outcomes) for ``n`` draws per use.
-
-    Cumulative sums over the last axis, flattened; negative entries count as
-    0.  Rows at least ``_GUIDE_MIN_WIDTH`` wide get a guide of up to
-    ``2**_GUIDE_BITS`` buckets per row, as many as keep it within ``n`` entries.
-    """
-    width = probs.shape[-1]
-    cdf = np.cumsum(np.maximum(probs, 0.0), axis=-1).ravel()
-    bits = min(_GUIDE_BITS, (n // (cdf.size // width)).bit_length() - 1)
-    if width < _GUIDE_MIN_WIDTH or bits < _GUIDE_MIN_BITS:
-        return _Table(cdf, width)
-    return _Table(cdf, width, _guide(cdf, width, bits), bits)
+    return _accumulate(np.maximum(probs, 0.0).reshape(-1, probs.shape[-1]))
 
 
 def _prefix_cdf(
@@ -373,9 +306,7 @@ def _prefix_cdf(
     cdf -= reduce(np.maximum, cols)[:, None]
     np.exp(cdf, out=cdf)
     cdf /= reduce(np.add, cols)[:, None]
-    for prev, col in zip(cols, cols[1:]):
-        col += prev
-    return cdf
+    return _accumulate(cdf)
 
 
 def _extend_features(pol, features, parent, h, s, a) -> np.ndarray:
@@ -387,12 +318,21 @@ def _extend_features(pol, features, parent, h, s, a) -> np.ndarray:
     return out
 
 
-def _search(flat_cdf: np.ndarray, base: np.ndarray, u: np.ndarray, width: int) -> np.ndarray:
-    """``min((row < u).sum(), width - 1)`` for row ``flat_cdf[base : base + width]``.
+def _draw(bitgen: np.random.BitGenerator, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """One categorical draw from each given row of ``table``, on one 64-bit output each.
 
-    A branchless binary search over the first ``width - 1`` entries
-    (skipping the last is the clamp), for ``width >= 2``.
+    ``table`` is a (rows, width) cumulative table.  Output ``x`` stands for
+    the uniform ``u = (x >> 11) * 2**-53``, the double ``Generator.random``
+    makes of it, and the draw is ``min((row < u).sum(), width - 1)``: a
+    branchless binary search over the row's first ``width - 1`` entries
+    (skipping the last is the clamp).
     """
+    raw = bitgen.random_raw(rows.shape[0])
+    width = table.shape[1]
+    if width == 1:
+        return np.zeros_like(rows)
+    flat_cdf, u = table.reshape(-1), (raw >> 11) * _UNIT
+    base = rows * width
     pos = base.copy()
     size = width - 1
     while size > 1:
@@ -403,48 +343,25 @@ def _search(flat_cdf: np.ndarray, base: np.ndarray, u: np.ndarray, width: int) -
     return pos - base
 
 
-def _draw(bitgen: np.random.BitGenerator, table: _Table, rows: np.ndarray) -> np.ndarray:
-    """One categorical draw from each given row of ``table``, on one 64-bit output each.
-
-    Output ``x`` stands for the uniform ``u = (x >> 11) * 2**-53``, the double
-    ``Generator.random`` makes of it, and the draw is
-    ``min((row < u).sum(), width - 1)``.  With a guide, ``x >> (64 - bits)``
-    is u's bucket, ``floor(u * 2**bits)`` exactly: a uniform whose bucket
-    holds no row entry reads its draw there, and only the rest form ``u``
-    and are binary-searched.
-    """
-    raw = bitgen.random_raw(rows.shape[0])
-    width = table.width
-    if width == 1:
-        return np.zeros_like(rows)
-    if table.guide is None:
-        return _search(table.cdf, rows * width, (raw >> 11) * _UNIT, width)
-    draw = rows << table.bits
-    draw += (raw >> (64 - table.bits)).view(np.int64)  # the bucket
-    draw[:] = table.guide[draw]
-    open_ = np.flatnonzero(draw < 0)
-    draw[open_] = _search(table.cdf, rows[open_] * width, (raw[open_] >> 11) * _UNIT, width)
-    return draw
-
-
 def _split(
-    rng: np.random.Generator, table: _Table, rows: np.ndarray, counts: np.ndarray
+    rng: np.random.Generator, table: np.ndarray, rows: np.ndarray, counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split ``counts[i]`` draws from row ``rows[i]`` of ``table`` over its outcomes.
 
-    Returns the keys ``source * width + outcome`` of every nonzero outcome
-    count, in no particular order, and those counts.  A count at most the
-    row width draws one categorical per member through ``_draw``, and equal
-    (source, outcome) members are merged by ``np.unique``.  A larger count
-    is split by one multinomial on
+    Returns the keys ``i * width + outcome`` of every nonzero outcome count,
+    sorted, and those counts.  A count at most the row width draws one
+    categorical per member through ``_draw``, and equal (source, outcome)
+    members are counted by ``np.bincount`` over the chunk's key range.  A
+    larger count is split by one multinomial on
     ``p_j = min(cdf_j, 1) - min(cdf_{j-1}, 1)``, the law ``_draw`` samples
     (the last outcome takes what the others leave); the clip also keeps a
     row admitted a hair above one (``validate_mdp``'s tolerance) within the
     multinomial's own check.  Both passes run in chunks of about
     ``_SPLIT_BLOCK`` members or multinomial cells, in order: the stream, and
-    so every draw, is the one of a single pass.
+    so every draw, is the one of a single pass.  Each pass yields its keys
+    in order, so the stable sort (timsort) only merges two sorted runs.
     """
-    width = table.width
+    width = table.shape[1]
     big = counts > width
     small = np.flatnonzero(~big)
     ends = np.cumsum(counts[small])
@@ -454,18 +371,25 @@ def _split(
     for lo, hi in zip(bounds, bounds[1:]):
         chunk = small[lo:hi]
         member = np.repeat(chunk, counts[chunk])
-        draw = _draw(rng.bit_generator, table, rows[member])
-        parts.append(np.unique(member * width + draw, return_counts=True))
+        first = chunk[:1].sum() * width  # the chunk's first key (0 if it is empty)
+        key = _draw(rng.bit_generator, table, rows[member])
+        key += member * width - first
+        tally = np.bincount(key)
+        key = np.flatnonzero(tally)
+        parts.append((key + first, tally[key]))
     big = np.flatnonzero(big)
     step = max(1, _SPLIT_BLOCK // width)
     for chunk in (big[i : i + step] for i in range(0, big.size, step)):
-        probs = np.minimum(table.cdf.reshape(-1, width)[rows[chunk]], 1.0)
+        probs = np.minimum(table[rows[chunk]], 1.0)
         probs[:, 1:] -= probs[:, :-1]  # numpy buffers the overlap: np.diff's values
         split = rng.multinomial(counts[chunk], probs)
         src, outcome = split.nonzero()
         parts.append((chunk[src] * width + outcome, split[src, outcome]))
     keys, tally = (np.concatenate(x) for x in zip(*parts))
-    return keys, tally
+    del parts  # hold one copy of the keys at a time
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    return keys, tally[order]
 
 
 def _renumber(key: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
@@ -499,83 +423,20 @@ def _renumber(key: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(present), ids[key]
 
 
-def _stages(
-    mdp: TabularMdp, policy: ParametricHistoryPolicy, n: int, seed: int
-) -> Iterator[tuple[int, slice, np.ndarray, np.ndarray]]:
-    """Walk ``n`` episodes of the parametric expert block by block through
-    every stage, yielding ``(h, rows, cur, a)``.
-
-    A block, the slice ``rows``, holds at most ``_STAGE_BLOCK`` episodes and
-    is walked through all H stages before the next starts; ``cur`` and ``a``
-    are its states and actions at stage ``h``.  Per stage an action pass
-    draws the block's actions and yields them, then a transition pass
-    (none after the last action: nothing reads that state) its next states.
-    Each pass reads the block's stretch of the stream of
-    ``default_rng(seed)`` that a stage-by-stage walk over all n rows reads:
-    stage h's action draw of row i takes output ``2hn + i``, its transition
-    draw output ``(2h + 1)n + i`` (``PCG64.advance`` skips the other rows).
-    So every draw is the one-block walk's whatever ``_STAGE_BLOCK`` is, and
-    the walk holds O(block) memory.  Each row reads its prefix's row, from
-    one prefix table per stage and block, renumbered after each transition
-    pass (``_renumber``).  ``n >= 1``.
-    """
-    _check_dims(mdp, policy)
-    horizon, num_states, width = mdp.horizon, mdp.num_states, mdp.num_actions
-    trans = _cdf_table(mdp.transitions, n)
-    for start in range(0, n, _STAGE_BLOCK):
-        rows = slice(start, min(start + _STAGE_BLOCK, n))
-        k = rows.stop - start
-        bitgen = np.random.PCG64(seed)  # the bit generator of default_rng(seed)
-        bitgen.advance(start)
-        cur = np.full(k, mdp.initial_state, dtype=np.int64)
-        # One row per distinct (history, current state) prefix; row pid[i]
-        # is the block's trajectory i's.
-        pid = np.zeros(k, dtype=np.intp)
-        prefix_state = np.full(1, mdp.initial_state, dtype=np.int64)
-        features = np.zeros((1, PROJECTION_DIM))
-        for h in range(horizon):
-            prefix_table = _Table(_prefix_cdf(policy, prefix_state, features).ravel(), width)
-            a = _draw(bitgen, prefix_table, pid)
-            yield h, rows, cur, a
-            if h + 1 == horizon:
-                break
-            bitgen.advance(n - k)
-            cur = _draw(bitgen, trans, (h * num_states + cur) * width + a)
-            bitgen.advance(n - k)
-            # The key is a trie id: (parent prefix, action, next state).
-            key, pid = _renumber(
-                (pid * width + a) * num_states + cur, prefix_state.size * width * num_states
-            )
-            parent = key // (width * num_states)
-            features = _extend_features(
-                policy, features, parent, h, prefix_state[parent], key // num_states % width
-            )
-            prefix_state = key % num_states
-
-
-def _sorted_split(
-    rng: np.random.Generator, table: _Table, rows: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_split``, sorted by key: by (source, outcome)."""
-    keys, tally = _split(rng, table, rows, counts)
-    order = keys.argsort()
-    keys = keys[order]
-    tally = tally[order]
-    return keys, tally
-
-
 class _GroupStage(NamedTuple):
     """One stage of ``_group_walk``.
 
-    ``state`` and ``cell`` (the counted grid multiple, or None) are per
-    group; ``group``, ``action`` and ``count`` per (group, action) pair,
-    sorted by (group, action).  ``child_count`` and ``child_group`` are per
-    (pair, next state) child, sorted by (pair, next state): its count and
-    the next stage's group it merged into (None after the last action).
+    ``state``, ``cell`` (the counted grid multiple, or None) and ``ret``
+    (the raw return so far) are per group; ``group``, ``action`` and
+    ``count`` per (group, action) pair, sorted by (group, action).
+    ``child_count`` and ``child_group`` are per (pair, next state) child,
+    sorted by (pair, next state): its count and the next stage's group it
+    went to (None after the last action).
     """
 
     state: np.ndarray
     cell: np.ndarray | None
+    ret: np.ndarray
     group: np.ndarray
     action: np.ndarray
     count: np.ndarray
@@ -584,64 +445,94 @@ class _GroupStage(NamedTuple):
 
 
 def _group_walk(
-    mdp: TabularMdp, policy: PolicyHandle, n: int, seed: int, reward: GridReward | None = None
+    mdp: TabularMdp, policy: PolicyHandle, n: int, seed: int, raw_reward: np.ndarray,
+    reward: GridReward | None = None,
 ) -> Iterator[_GroupStage]:
-    """Walk ``n`` episodes of a table policy as counts over groups, stage by stage.
+    """Walk ``n`` episodes of any policy as counts over groups, stage by stage.
 
-    A group is a key (state, the policy's own grid cell, the raw return so
-    far, and with ``reward`` the cumulative grid multiple of it they count)
-    with the number of episodes there; the walk starts with one group of n
-    at the initial state.  A table policy's next step depends on its
-    (state, own cell) alone, so the episodes of a group are exchangeable.
-    Each stage splits every group's count over its row of the policy's
-    ``_grid_table`` lift, then every (group, action) count over
-    ``transitions[h, s, a]`` (``_split``, on the stream of
-    ``default_rng(seed)``), and merges the children that share a key, so a
-    stage holds at most one group per live key however large n is.  The raw
-    return so far is ``mdp.reward`` summed in stage order; it is in the key
-    so that a counted multiple that is a function of it (a reward on the
-    grid of ``mdp.reward``'s own step) adds no group and no draw.  Groups are
-    numbered in key order; a child's key is its next state and its pair's
-    key after the step, ranked over the pairs.
+    The walk starts with one group of n at the initial state.  Each stage
+    splits every group's count over its action row, then every (group,
+    action) count over ``transitions[h, s, a]`` (``_split``, on the stream
+    of ``default_rng(seed)``), and sends each (pair, next state) child to a
+    group of the next stage.  Every group carries its state, its return so
+    far of the (H, S, A) table ``raw_reward``, summed in stage order, and,
+    given ``reward``, the cumulative grid multiple of ``reward`` it counts.
+
+    A table policy's action row is row (h, s, own cell) of its
+    ``_grid_table`` lift; its next step depends on that alone, so the
+    episodes of a group keyed by (state, own cell, return so far, counted
+    cell) are exchangeable, and children that share a key merge: a stage
+    holds at most one group per live key however large n is.  The return so
+    far is in the key so that a counted multiple that is a function of it (a
+    reward on the grid of ``raw_reward``'s own step) adds no group and no
+    draw.  Groups are numbered in key order; a child's key is its next
+    state and its pair's key after the step, ranked over the pairs.
+
+    The parametric expert's group is one (history, state) prefix, a trie
+    node carrying its projected history, and its action row is its
+    ``_prefix_cdf`` row.  Each child is a group of its own, numbered in
+    (pair, next state) order, so a stage holds the live prefixes and the
+    counted multiple never changes a draw.
     """
     _check_dims(mdp, policy)
     horizon, num_states, num_actions = mdp.horizon, mdp.num_states, mdp.num_actions
-    table, own_multiples = _grid_table(policy)
-    num_own = table.shape[2]
-    actions = _cdf_table(table)
+    prefix = isinstance(policy, ParametricHistoryPolicy)
+    if prefix:
+        features = np.zeros((1, PROJECTION_DIM))
+    else:
+        table, own_multiples = _grid_table(policy)
+        num_own = table.shape[2]
+        actions = _cdf_table(table)
+        step_own = own_multiples.ravel()
+        own = np.zeros(1, dtype=np.int64)
     trans = _cdf_table(mdp.transitions)
-    # per flat (h, s, a) step: what it adds to the return, own cell and counted cell
-    step_return, step_own = mdp.reward.ravel(), own_multiples.ravel()
+    # per flat (h, s, a) step: what it adds to the return and the counted cell
+    step_return = raw_reward.ravel()
     if reward is not None:
         num_cells, step_cell = reward.grid.table_size, reward.multiples.ravel()
     rng = np.random.default_rng(seed)
     count = np.full(1, n, dtype=np.int64)
     state = np.full(1, mdp.initial_state, dtype=np.int64)
-    own = np.zeros(1, dtype=np.int64)
     ret = np.zeros(1)
     cell = None if reward is None else np.zeros(1, dtype=np.int64)
     for h in range(horizon):
-        keys, pair_count = _sorted_split(
-            rng, actions, (h * num_states + state) * num_own + own, count
-        )
+        if prefix:
+            cdf, rows = _prefix_cdf(policy, state, features), np.arange(state.size)
+        else:
+            cdf, rows = actions, (h * num_states + state) * num_own + own
+        keys, pair_count = _split(rng, cdf, rows, count)
         group, action = np.divmod(keys, num_actions)
         if h + 1 == horizon:
-            yield _GroupStage(state, cell, group, action, pair_count, None, None)
+            yield _GroupStage(state, cell, ret, group, action, pair_count, None, None)
             return
         step = (h * num_states + state[group]) * num_actions + action
-        keys, child_count = _sorted_split(rng, trans, step, pair_count)
-        # Each pair's key after its step, (own cell, return, counted cell), ranked.
-        returns, post = np.unique(ret[group] + step_return[step], return_inverse=True)
-        post += (own[group] + step_own[step]) * returns.size
-        if cell is not None:
-            post = post * num_cells + cell[group] + step_cell[step]
-        post, rank = np.unique(post, return_inverse=True)
-        pair, keys = np.divmod(keys, num_states)
-        keys *= post.size
-        keys += rank[pair]
-        del pair, rank
-        keys, child_group = _renumber(keys, num_states * post.size)
-        yield _GroupStage(state, cell, group, action, pair_count, child_count, child_group)
+        keys, child_count = _split(rng, trans, step, pair_count)
+        # each pair's return and counted cell after its step
+        pair_ret = ret[group] + step_return[step]
+        pair_cell = None if cell is None else cell[group] + step_cell[step]
+        if prefix:
+            pair, keys = np.divmod(keys, num_states)  # each child's pair and next state
+            child_group = np.arange(keys.size)
+        else:
+            # Each pair's key after its step, (own cell, return, counted cell), ranked.
+            returns, post = np.unique(pair_ret, return_inverse=True)
+            post += (own[group] + step_own[step]) * returns.size
+            if cell is not None:
+                post = post * num_cells + pair_cell
+            del pair_ret, pair_cell
+            post, rank = np.unique(post, return_inverse=True)
+            pair, keys = np.divmod(keys, num_states)
+            keys *= post.size
+            keys += rank[pair]
+            del pair, rank
+            keys, child_group = _renumber(keys, num_states * post.size)
+        yield _GroupStage(state, cell, ret, group, action, pair_count, child_count, child_group)
+        if prefix:
+            parent = group[pair]
+            features = _extend_features(policy, features, parent, h, state[parent], action[pair])
+            state, count, ret = keys, child_count, pair_ret[pair]
+            cell = None if cell is None else pair_cell[pair]
+            continue
         count = np.bincount(child_group, child_count).astype(np.int64)
         state, rank = np.divmod(keys, post.size)
         post = post[rank]
@@ -656,37 +547,30 @@ def sample_trajectories(
 ) -> Dataset:
     """Draw ``n`` i.i.d. trajectories; bit-identical output for equal seeds.
 
-    The parametric expert writes the (n, H) columns of the row walk
-    ``_stages``, block by block.  A table policy replays the group walk
-    ``_group_walk`` that ``sample_counts`` runs on the same seed, keyed
-    without a counted reward, and hands its outcomes to rows: per stage the
-    rows are ordered by group, in a uniformly random order within each
-    group (a permutation from ``default_rng([seed, 1])``, a stream the walk
-    never reads, then a stable sort), and take the stage's actions, then its
-    children, in blocks.  The random order is what makes the rows i.i.d.:
-    without it the rows that took one outcome at a stage would take the
-    next stage's outcomes together.  ``count_occurrences`` of the result
-    equals ``sample_counts`` on the same seed whenever the counted multiple
-    is a function of the raw return so far, as on the grid of ``mdp.reward``'s
-    own step; on another grid the two draw the same law but other episodes.
-    The ``Dataset`` keeps a frozen copy of the columns.
+    Replays the group walk ``_group_walk`` that ``sample_counts`` runs on
+    the same seed, keyed without a counted reward, and hands its outcomes to
+    rows: per stage the rows are ordered by group, in a uniformly random
+    order within each group (a permutation from ``default_rng([seed, 1])``,
+    a stream the walk never reads, then a stable sort), and take the stage's
+    actions, then its children, in blocks.  The random order is what makes
+    the rows i.i.d.: without it the rows that took one outcome at a stage
+    would take the next stage's outcomes together.  ``count_occurrences`` of
+    the result equals ``sample_counts`` on the same seed whenever the
+    counted multiple splits no group: for the parametric expert on every
+    grid, for a table policy on the grid of ``mdp.reward``'s own step; on
+    another grid a table policy draws the same law but other episodes.
+    Memory is the (n, H) columns and one stage's groups.  The ``Dataset``
+    keeps a frozen copy of the columns.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if isinstance(policy, ParametricHistoryPolicy):
-        states = np.empty((n, mdp.horizon), dtype=np.int64)
-        actions = np.empty((n, mdp.horizon), dtype=np.int64)
-        for h, rows, cur, a in _stages(mdp, policy, n, seed):
-            states[rows, h] = cur
-            actions[rows, h] = a
-        return Dataset(states, actions, mdp.num_states, mdp.num_actions)
     # Stage-major columns of the smallest dtype: each stage writes one
     # contiguous row, and the ``Dataset`` copy transposes and widens them.
     states = np.empty((mdp.horizon, n), dtype=np.min_scalar_type(mdp.num_states - 1))
     actions = np.empty((mdp.horizon, n), dtype=np.min_scalar_type(mdp.num_actions - 1))
     shuffler = np.random.default_rng([seed, 1])
     row_group = np.zeros(n, dtype=np.uint8)
-    for h, stage in enumerate(_group_walk(mdp, policy, n, seed)):
+    for h, stage in enumerate(_group_walk(mdp, policy, n, seed, mdp.reward)):
         states[h] = stage.state[row_group]
         perm = shuffler.permutation(n)
         # A stable sort of a small integer dtype is numpy's radix sort.
@@ -708,17 +592,17 @@ def sample_counts(
 
     Has the dtype and law of ``rdmlab.rsbc.count_occurrences`` of
     ``sample_trajectories(mdp, policy, n, seed)`` on ``reward``, without a
-    dataset.  For the parametric expert it is that count exactly: the same
-    row walk draws the same episodes, each row carries its cumulative grid
-    multiple g, and each block's flat (s, g, a) keys at stage h are added
-    into M[h] by one ``np.bincount``; memory is M and per-block temporaries.
-    A table policy runs the group walk ``_group_walk`` with g in the key and
-    adds each stage's (group, action) counts into M[h]; memory is M and one
-    stage's groups, and the cost follows the live groups, not n.  It equals
-    the count of that dataset whenever g is a function of the raw return so
-    far (``reward`` on the grid of ``mdp.reward``'s own step, as in the
-    benchmark); on another grid the two draw the same law but other
-    episodes, since g then splits groups the dataset's walk keeps whole.
+    dataset: it runs the group walk ``_group_walk`` with the counted g
+    carried per group and adds each stage's (group, action) counts into
+    M[h].  Memory is M and one stage's groups: a table policy's merged keys,
+    the parametric expert's live history prefixes (at most (S*A)^h at stage
+    h), never n rows.  It is the count of that dataset exactly whenever g
+    splits no group: for the parametric expert on every grid, whose groups
+    are its prefixes whatever g is, and for a table policy when g is a
+    function of the raw return so far (``reward`` on the grid of
+    ``mdp.reward``'s own step, as in the benchmark).  On another grid a
+    table policy draws the same law but other episodes, since g then splits
+    groups the dataset's walk keeps whole.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -728,27 +612,10 @@ def sample_counts(
     if reward.multiples.shape[1:] != (num_states, num_actions):
         raise ValueError("reward table does not match the MDP's states and actions")
     num_g = reward.grid.table_size
-    cells = num_states * num_g * num_actions
-    counts = np.zeros((horizon, cells), dtype=np.intp)
-    if not isinstance(policy, ParametricHistoryPolicy):
-        for h, stage in enumerate(_group_walk(mdp, policy, n, seed, reward)):
-            key = (stage.state * num_g + stage.cell)[stage.group] * num_actions + stage.action
-            np.add.at(counts[h], key, stage.count)
-        return counts.reshape(horizon, num_states, num_g, num_actions)
-    # A row's offset into its state's (G, A) block of M[h] is g * A; each
-    # step adds multiples[h, s, a] * A, read at the flat (s, a) index.
-    step = reward.multiples * num_actions
-    for h, rows, cur, a in _stages(mdp, policy, n, seed):
-        if h == 0:
-            offset = 0  # a new block: its rows start at g = 0
-        key = cur * (num_g * num_actions)
-        key += offset
-        key += a
-        counts[h] += np.bincount(key, minlength=cells)
-        if h + 1 < horizon:
-            np.multiply(cur, num_actions, out=key)
-            key += a
-            offset = offset + step[h].take(key)
+    counts = np.zeros((horizon, num_states * num_g * num_actions), dtype=np.intp)
+    for h, stage in enumerate(_group_walk(mdp, policy, n, seed, mdp.reward, reward)):
+        key = (stage.state * num_g + stage.cell)[stage.group] * num_actions + stage.action
+        np.add.at(counts[h], key, stage.count)
     return counts.reshape(horizon, num_states, num_g, num_actions)
 
 
@@ -824,72 +691,28 @@ def mc_return_distribution(
 ) -> DiscreteReturnDistribution:
     """Empirical return distribution of ``m`` i.i.d. sampled episodes.
 
-    The episodes are drawn as counts over groups, not as m rows.  A group is
-    a distinct history with its multiplicity; there is one group of count m
-    at the initial state.  Each stage splits every group's count over its
-    action row (row (h, s, g) of a table policy's ``_grid_table`` lift, or
-    the parametric expert's ``_prefix_cdf`` row), then every nonzero (group,
-    action) count over ``transitions[h, s, a]``; each child (parent, action,
-    next state) is a new group, a trie node.  The counts of m categorical
-    draws are Multinomial(m, p), and splitting them group by group, stage by
-    stage, gives exactly the law of the histogram of m episodes, so the
-    result has that law (not the random stream of ``sample_trajectories``).
-    ``_split`` picks, per count, a multinomial or one draw per member.  The
-    return of each path is its (H,) reward row summed as a block, the float
-    sum enumeration computes, weighted by count / m.  Supports Markovian,
+    The episodes are drawn as counts over groups by the group walk
+    ``_group_walk``, with ``reward`` as the return each group carries, and
+    no row is drawn.  The counts of m categorical draws are Multinomial(m,
+    p), and splitting them group by group, stage by stage, gives exactly the
+    law of the histogram of m episodes, so the result has that law.  On
+    ``mdp.reward`` it is the walk ``sample_trajectories`` replays on the
+    same seed, so it is that dataset's empirical return law.  Each
+    last-stage (group, action) pair's return is its group's return so far
+    plus the pair's reward, summed in stage order, weighted by count / m.
+    Memory is one stage's groups: a table policy's merged keys, the
+    parametric expert's live history prefixes.  Supports Markovian,
     reward-augmented and parametric history policies.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    _check_dims(mdp, policy)
-    rng = np.random.default_rng(seed)
     reward = _raw_reward(reward, "mc_return_distribution")
-    horizon, num_states, num_actions = mdp.horizon, mdp.num_states, mdp.num_actions
-    trans = _cdf_table(mdp.transitions, m)
-    count = np.full(1, m, dtype=np.int64)
-    state = np.full(1, mdp.initial_state, dtype=np.int64)
-    prefix = isinstance(policy, ParametricHistoryPolicy)
-    if prefix:
-        features = np.zeros((1, PROJECTION_DIM))
-    else:
-        table, own_multiples = _grid_table(policy)
-        policy_table = _cdf_table(table, m)
-        g = np.zeros(1, dtype=np.int64)
-        n_g = table.shape[2]
-
-    # Per stage, each (group, action) pair's reward and the stage before's
-    # pair it descends from.
-    trail: list[tuple[np.ndarray, np.ndarray]] = []
-    parent_pair = np.zeros(1, dtype=np.int64)
-    for h in range(horizon):
-        if prefix:
-            actions = _Table(_prefix_cdf(policy, state, features).ravel(), num_actions)
-            keys, pair_count = _split(rng, actions, np.arange(state.size), count)
-        else:
-            row = (h * num_states + state) * n_g + g
-            keys, pair_count = _split(rng, policy_table, row, count)
-        group, a = np.divmod(keys, num_actions)
-        s = state[group]
-        trail.append((reward[h, s, a], parent_pair[group]))
-        if h + 1 == horizon:
-            break
-        trans_row = (h * num_states + s) * num_actions + a
-        keys, count = _split(rng, trans, trans_row, pair_count)
-        parent_pair, state = np.divmod(keys, num_states)
-        if prefix:
-            features = _extend_features(
-                policy, features, group[parent_pair], h, s[parent_pair], a[parent_pair]
-            )
-        else:
-            g = (g[group] + own_multiples[h, s, a])[parent_pair]
-
-    steps = np.empty((pair_count.size, horizon))
-    pair = np.arange(pair_count.size)
-    for h in range(horizon - 1, -1, -1):
-        rewards, parents = trail[h]
-        steps[:, h] = rewards[pair]
-        pair = parents[pair]
-    return DiscreteReturnDistribution.from_weighted(steps.sum(axis=1), pair_count / m)
+    if reward.shape != mdp.reward.shape:  # the walk reads it by flat (h, s, a) index
+        raise ValueError(f"reward table has shape {reward.shape}, the MDP's {mdp.reward.shape}")
+    for stage in _group_walk(mdp, policy, m, seed, reward):
+        pass
+    last = reward[-1, stage.state[stage.group], stage.action]
+    return DiscreteReturnDistribution.from_weighted(stage.ret[stage.group] + last, stage.count / m)
 
 
 def _dp_mass_check(total: float, horizon: int) -> None:

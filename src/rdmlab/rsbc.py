@@ -6,10 +6,11 @@ action) occurrences, as one ``np.bincount`` of flat cell indices
 multiples along each trajectory, never by float bucketing.
 Time O(N*H + S*A*H*|grid|), memory O(S*A*H*|grid|).  The run loop never
 builds the dataset: ``rdmlab.policies.sample_counts`` counts the same
-tensor inside the sampler, with the dtype and law of
-``count_occurrences(sample_trajectories(...))``, and equals it whenever the
-grid multiple is a function of the raw return so far (the reward's own grid
-step; for the parametric expert on every grid).  ``count_occurrences``
+tensor inside the sampler's one walk, over groups of episodes, with the
+dtype and law of ``count_occurrences(sample_trajectories(...))``, and
+equals it whenever the grid multiple splits no group of that walk: for the
+parametric expert on every grid, for a table policy on the reward's own
+grid step.  ``count_occurrences``
 stays for weighted counts (``construct_pi_r``), for the data-walk entries
 such as ``rs_bc``, and as the tests' oracle.
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,7 @@ import rdmlab as rl
 from rdmlab.lp import LinearProgram
 from rdmlab.rskt import build_rskt_lp
 
-#: the desk benchmark's configuration; its rs-kt programs at ``KNOWN_BAD_PIVOT_SEEDS``
-#: once defeated the Bland simplex: pivots on elements near 4e-8 blew the
-#: tableau up until a basic value went negative.
+#: the desk benchmark's configuration
 KNOWN_BAD_PIVOT_CFG = dict(
     num_states=2, num_actions=2, horizon=5, theta=0.05, rho=0.03,
     expert_kind="parametric-history", n_sweep=(10_000,), instances=1,
@@ -15,7 +15,10 @@ KNOWN_BAD_PIVOT_CFG = dict(
     algorithms=("rs-bc", "rs-kt", "bc", "mimic-md"), master_seed=2492166719,
 )
 
-#: master seeds of every desk program known to have failed that way
+#: desk master seeds whose rs-kt programs once defeated the Bland simplex:
+#: pivots on elements near 4e-8 blew the tableau up until a basic value went
+#: negative.  The programs are stored (``regression_program``): the seeds'
+#: live datasets, and so their programs, move with the sampling stream.
 KNOWN_BAD_PIVOT_SEEDS = (
     2492166719, 3728210711, 2787326782, 2244993218, 3707283196, 271240201,
     700793112, 2989083398, 2079506261, 3429696078, 2789294260,
@@ -23,18 +26,61 @@ KNOWN_BAD_PIVOT_SEEDS = (
 
 
 #: desk master seed (``perfbench/run.py --workload desk --seed 1621``, round
-#: 683) whose rs-kt program, solved from its crash basis without rebuilding
-#: the tableau, piles up round-off until pivot 116 leaves a negative basic
-#: value
+#: 683) whose stored rs-kt program, solved from its crash basis without
+#: rebuilding the tableau, piles up round-off until pivot 116 leaves a
+#: negative basic value
 CRASH_DRIFT_SEED = 2657894300
 
 #: desk master seed (``perfbench/run.py --workload desk --seed 5``, round 332)
-#: whose mimic-md program breaks Dantzig pricing: a pivot on 1.2e-7 at
-#: iteration 9 leads to a negative basic value; Bland's rule solves it
+#: whose stored mimic-md program breaks Dantzig pricing: a pivot on 1.2e-7 at
+#: iteration 9 leads to a negative basic value; Bland's rule solves it.  Its
+#: live program is one more desk program.
 MIMIC_MD_DANTZIG_FAILURE_SEED = 1659218862
 
 #: desk master seeds whose mimic-md programs are checked against HiGHS
 MIMIC_MD_SEEDS = (*range(1, 21), MIMIC_MD_DANTZIG_FAILURE_SEED)
+
+#: The regression programs, as the desk run loop handed them to ``solve``
+#: when the seeds above were found: rs-kt's at ``KNOWN_BAD_PIVOT_SEEDS`` and
+#: ``CRASH_DRIFT_SEED``, mimic-md's at ``MIMIC_MD_DANTZIG_FAILURE_SEED``.
+#: Each is (c, A_eq, b_eq, crash basis), A_eq stored by its nonzero entries.
+REGRESSION_PROGRAMS = Path(__file__).with_name("regression_programs.npz")
+
+#: sha256 over the shape and bytes of each stored (c, A_eq, b_eq, crash
+#: basis), hashed by ``hash_program`` as ``test_desk_lp_inputs_are_pinned`` hashes
+#: a program at ``solve``: the live programs' digests at capture
+REGRESSION_PROGRAM_DIGESTS = {
+    "rs-kt-2492166719": "fb041f17cd20bfee5df1fdabedf7dc2d103d9110f7c0326118dee8a831d21a37",
+    "rs-kt-3728210711": "56b8ae05c200a72b2c52fb324fad0dbbd8f01e506ed1701d5bc68fc046e96c5b",
+    "rs-kt-2787326782": "09d5e06b10f73d0151ceb167676ba63de33376201bd7e7f9b36ef985ffd2a79c",
+    "rs-kt-2244993218": "16a6afc095cd01482439fa43ac267bfccdf2f5a7a0ad8bc43e2e01d108efbeb4",
+    "rs-kt-3707283196": "6995c342e1640ed2d703f5b8dcdb9846a7be858c6ac8b3a9379d516bc25d5b57",
+    "rs-kt-271240201": "b05fd90324f10a3a63e6794549baf314be9c33856d0f5d50c20413e319e5460c",
+    "rs-kt-700793112": "c36983e42065b44a43c8c5fd9279bb6160730ab7f4dccf5426d579fc7b23dbaf",
+    "rs-kt-2989083398": "ec5386ae343d9cf5886f99a2b99e102f4a766da03ee59b68a88b3d065aae6eb7",
+    "rs-kt-2079506261": "7d6153f733ea82d0ef66ad400d1ebab5555374c1f322ebd5cccfd4fa1b50e374",
+    "rs-kt-3429696078": "2fffdba1366ef16bf8e77b731fc8e59681ecdd50c57cb0c51e7099b30b8ce41e",
+    "rs-kt-2789294260": "b1a18fb136c4000b282336e9005d171fef357f171dc058a4f5fe5fc20fd42533",
+    "rs-kt-2657894300": "413b2ea080010bf53776cfa14e582e8cc0aeeaa9db892e4746c064fd09fecd09",
+    "mimic-md-1659218862": "9c4cb60811ce0208c96624ab561f32e43ff2a370a174c24371c14d8ceca17882",
+}
+
+
+def regression_program(name):
+    """The stored program ``name`` (a key of ``REGRESSION_PROGRAM_DIGESTS``)
+    as a ``LinearProgram``, and its crash basis."""
+    with np.load(REGRESSION_PROGRAMS) as stored:
+        a_eq = np.zeros(stored[f"{name}/a_shape"])
+        a_eq[stored[f"{name}/a_rows"], stored[f"{name}/a_cols"]] = stored[f"{name}/a_vals"]
+        lp = LinearProgram(c=stored[f"{name}/c"], A_eq=a_eq, b_eq=stored[f"{name}/b"])
+        return lp, stored[f"{name}/basis"]
+
+
+def hash_program(digest, lp, basis):
+    """Feed the shape and bytes of (c, A_eq, b_eq, basis) to the hashlib object ``digest``."""
+    for arr in (lp.c, lp.A_eq, lp.b_eq, np.asarray(basis, dtype=np.int64)):
+        digest.update(repr(arr.shape).encode())
+        digest.update(np.ascontiguousarray(arr).tobytes())
 
 
 def desk_dataset(master_seed, **shape):

@@ -14,11 +14,18 @@ from rdmlab.bench import (
     emit_results,
     read_results,
 )
-from rdmlab.lp import LpError, LpIterationError, LpSizeError
+from rdmlab.lp import LpError, LpIterationError, LpSizeError, solve
 from rdmlab.policies import EnumerationCapError
 from rdmlab.serialize import format_distribution
 
-from conftest import KNOWN_BAD_PIVOT_CFG, KNOWN_BAD_PIVOT_SEEDS, direct_grid_law
+from conftest import (
+    KNOWN_BAD_PIVOT_CFG,
+    KNOWN_BAD_PIVOT_SEEDS,
+    REGRESSION_PROGRAM_DIGESTS,
+    direct_grid_law,
+    hash_program,
+    regression_program,
+)
 
 
 def tiny_cfg(**overrides):
@@ -261,7 +268,7 @@ class TestRunExperiment:
         target = tmp_path / "pinned.csv"
         emit_results(rows, target)
         assert hashlib.sha256(target.read_bytes()).hexdigest() == (
-            "d7f2c6933ad48a21ddbe5532b78daeabd2fd0433357a0ee3fd1dffdbb1385f30"
+            "742014fd98ed5d0c8bdae301519169bd5fcd1bef0c6d0559873a96ff7ecfba3a"
         )
 
 
@@ -277,9 +284,7 @@ def test_desk_lp_inputs_are_pinned(monkeypatch):
     digest = hashlib.sha256()
 
     def capture(lp, basis=None):
-        for arr in (lp.c, lp.A_eq, lp.b_eq, np.asarray(basis, dtype=np.int64)):
-            digest.update(repr(arr.shape).encode())
-            digest.update(np.ascontiguousarray(arr).tobytes())
+        hash_program(digest, lp, basis)
         raise _Captured
 
     monkeypatch.setattr(rskt_mod, "solve", capture)
@@ -293,15 +298,25 @@ def test_desk_lp_inputs_are_pinned(monkeypatch):
             with pytest.raises(_Captured):
                 bench_mod._FITS[alg](counts, mdp, reward)
     assert digest.hexdigest() == (
-        "3657ba15431848afb9c1c4f18f6c7bbfc9517c73ce2e31ea35d1f6bd9c37f239"
+        "3db6c62ef4b340b8ee53393eb72ec7bf662d57c37a64b710ff344ffe332b33ba"
     )
+
+
+@pytest.mark.parametrize("name", sorted(REGRESSION_PROGRAM_DIGESTS))
+def test_stored_programs_hash_as_captured(name):
+    """Each stored regression program is, byte for byte, the one its seed's
+    run loop handed ``solve`` when it was found."""
+    digest = hashlib.sha256()
+    hash_program(digest, *regression_program(name))
+    assert digest.hexdigest() == REGRESSION_PROGRAM_DIGESTS[name]
 
 
 @pytest.mark.parametrize("master_seed", KNOWN_BAD_PIVOT_SEEDS)
 def test_known_bad_pivot_instance_has_no_rskt_failure(master_seed):
-    cfg = rl.ExperimentConfig(**{**KNOWN_BAD_PIVOT_CFG, "master_seed": master_seed})
-    rows = rl.run_experiment(cfg)
-    assert {r.algorithm: r.failures for r in rows}["rs-kt"] == 0
+    """Its stored rs-kt program, solved from its crash basis as
+    ``rs_kt_from_counts`` solves it, ends optimal without an ``LpError``."""
+    lp, basis = regression_program(f"rs-kt-{master_seed}")
+    assert solve(lp, basis=basis).status == "optimal"
 
 
 class TestPolicyDistributionRouting:

@@ -20,15 +20,15 @@ scipy_opt = pytest.importorskip("scipy.optimize")
 scipy_stats = pytest.importorskip("scipy.stats")
 
 from conftest import (
-    CRASH_DRIFT_SEED,
     KNOWN_BAD_PIVOT_CFG,
-    KNOWN_BAD_PIVOT_SEEDS,
     MIMIC_MD_SEEDS,
+    REGRESSION_PROGRAM_DIGESTS,
     desk_dataset,
     desk_rskt_program,
     markov_occupancy,
     random_distribution,
     random_feasible_programs,
+    regression_program,
     rskt_program,
     slack_form,
 )
@@ -64,11 +64,8 @@ class TestSimplexAgainstHighs:
         assert solve(lp).status == "unbounded" and ref.status == 3
 
 
-    @pytest.mark.parametrize(
-        "master_seed", list(range(1, 21)) + list(KNOWN_BAD_PIVOT_SEEDS)
-    )
+    @pytest.mark.parametrize("master_seed", range(1, 21))
     def test_objectives_match_on_desk_rskt_programs(self, master_seed):
-        # 20 desk programs plus every one the simplex once failed on
         lp = desk_rskt_program(master_seed)
         mine = solve(lp)
         ref = scipy_opt.linprog(
@@ -77,13 +74,10 @@ class TestSimplexAgainstHighs:
         assert mine.status == "optimal" and ref.status == 0
         assert mine.objective == pytest.approx(ref.fun, abs=1e-9)
 
-    @pytest.mark.parametrize(
-        "master_seed", [*range(1, 21), *KNOWN_BAD_PIVOT_SEEDS, CRASH_DRIFT_SEED]
-    )
+    @pytest.mark.parametrize("master_seed", range(1, 21))
     def test_crash_basis_objectives_match_on_desk_rskt_programs(self, master_seed):
         # the same programs, solved the way rs_kt_from_counts does: phase 2
-        # from the crash basis of the counts' argmax policy, plus the one
-        # that needs its tableau rebuilt on the way
+        # from the crash basis of the counts' argmax policy
         mdp, data = desk_dataset(master_seed)
         theta = KNOWN_BAD_PIVOT_CFG["theta"]
         gr = rl.discretize_reward(mdp.reward, rl.RewardGrid(theta, mdp.horizon))
@@ -94,6 +88,21 @@ class TestSimplexAgainstHighs:
         )
         assert diag.lp_status == "optimal" and ref.status == 0
         assert diag.lp_objective == pytest.approx(ref.fun, abs=1e-9)
+
+    @pytest.mark.parametrize("crash", [False, True], ids=["cold", "crash-basis"])
+    @pytest.mark.parametrize("name", sorted(REGRESSION_PROGRAM_DIGESTS))
+    def test_objectives_match_on_stored_programs(self, name, crash):
+        # every program the simplex once failed on: rs-kt's tiny pivots, the
+        # crash-basis drift that needs its tableau rebuilt, and mimic-md's
+        # program that defeats Dantzig pricing; two phases, or phase 2 from
+        # the crash basis as rs_kt_from_counts and mimic_md solve them
+        lp, basis = regression_program(name)
+        mine = solve(lp, basis=basis if crash else None)
+        ref = scipy_opt.linprog(
+            lp.c, A_eq=lp.A_eq, b_eq=lp.b_eq, bounds=(0, None), method="highs"
+        )
+        assert mine.status == "optimal" and ref.status == 0
+        assert mine.objective == pytest.approx(ref.fun, abs=1e-9)
 
 
 def _abs_deviation_program(data, mdp):

@@ -19,7 +19,7 @@ from rdmlab.policies import (
 )
 from rdmlab.rsbc import count_occurrences
 
-from conftest import make_instance
+from conftest import KNOWN_BAD_PIVOT_CFG, make_instance
 
 
 class TestSampling:
@@ -45,10 +45,8 @@ class TestSampling:
         data = rl.sample_trajectories(mdp, policy, 16, seed=0)
         assert (data.states == data.states[0]).all()
 
-    # sha256 of (states, actions).  The parametric pair was drawn by the
-    # per-draw cumsum sampler, and cumulative tables built once per call must
-    # reproduce every draw; the table-policy pairs by the group walk, whose
-    # law ``TestGroupWalkLaw`` checks.
+    # sha256 of (states, actions), drawn by the group walk, whose law
+    # ``TestGroupWalkLaw`` checks: a change to the sampling stream shows here.
     PINNED_DRAWS = {
         "markovian": (
             "f93c808742a3b12d729886011a10dd6deea9094c85faddad0200ee45888df096",
@@ -59,8 +57,8 @@ class TestSampling:
             "a70d4d0d1cb522f12699b677cb668c69bafa535de3c8d7ffbcfa472f03120bd0",
         ),
         "parametric": (
-            "8694740ba00fcf8ac78beadb4956f87de02d421c4e097cdb6b6c7e5285f092eb",
-            "154169f57895db018d9c51081dcf0351c37c16be6e78be9db5b83e9aa9e2e961",
+            "e9a4cfb402be33dac34caf99f5e107404962a9fbb2f5017cbc7c2586d5a857fc",
+            "b9ffa5c2a6af777f5b2f4fcbc999b0a3a5e14b22a64c76a169e60dfbbda24ffa",
         ),
     }
 
@@ -83,29 +81,25 @@ class TestSampling:
         )
         assert digests == self.PINNED_DRAWS[kind]
 
-    # sha256 of (states, actions) at the sizes the flat-table draw kernel and
-    # the prefix-shared expert logits serve.  "parametric" was computed with
-    # the earlier sampler (one (n x width) gather of CDF rows per draw, one
-    # (n x 16 x A) weight gather per step), the other "parametric-" cases
-    # with the sampler that computed the expert's logits once per trajectory
-    # row; the kernel must reproduce every draw.  The table-policy cases pin
-    # the group walk's stream.
+    # sha256 of (states, actions) of the group walk at the sizes the flat-table
+    # draw kernel and the prefix-shared expert logits serve: wide transition
+    # rows, a long horizon, and more live prefixes than one logit block.
     PINNED_DRAWS_AT_SCALE = {
         "markovian": (
             "c14badd460324781a497c68d8ce45c1212d20ef6839a187c22be7a78969467ad",
             "9a459d5700e1f095c2d656ed567e51a6c1f4dbc515b67a5870ef76667f7df198",
         ),
         "parametric": (
-            "de95835c05bb3595cb0484a19723d2161a41b1abb437fc804a680225f9b41269",
-            "6d4e6bc182a8f917e3a6788321abf031ed347a9645ee26e52dc15c1071512caa",
+            "218a1bad0b6a60db3dd5d9ff77fdb3b7402d051789180200579f3f7ade1cf541",
+            "254241c58327f624e54d2e0d8b48151884e769a96473f69e7691851f2e6efb6c",
         ),
         "parametric-h8": (
-            "6c9c00784863fd0f69832777de418ca4faf729aa3d27cde98d92afee9332e6ba",
-            "d216460525f444b22a580a6ecd464523e5275e1983ee4863800921dff466d618",
+            "43995221d6ec1e100d9cceeab75f88cdda938431615e8dfdfab07804fe207900",
+            "58e4ad5a9955f788ea684bec3700094f33f25eca7e1fcb07038d15d08a3da393",
         ),
         "parametric-wide": (
-            "487d543c66d0ddcc907a77570a2dcca44b8b8f9a7c126d0413348743d969d19e",
-            "63946ffc2f3d74dc10d334781f1dbeeef1adba13bf9aca8bd0acc2b7c8fda7c5",
+            "130bcb936941a7060e6b779f4c5dc6b35fef4f07c00db0a9b37fc3cb0c9c2e11",
+            "77cdebcacc7a040f8b577e032216bef1d0c1e880ed008160f31e9f87dab36b36",
         ),
         "reward-augmented": (
             "6673c4a938c9828a7568aa55f93443ee3d625c5d991750e61a8209bca827e057",
@@ -158,27 +152,29 @@ class TestSampling:
         assert rl.wasserstein(d, rl.DiscreteReturnDistribution.point_mass(1.0)) <= band
 
     def test_parametric_cdf_rows_match_act_parametric(self, monkeypatch):
-        """Every drawn expert CDF row against ``act`` on that row's history."""
+        """Every stage's expert CDF rows against ``act`` on each prefix's history."""
         mdp, _ = make_instance(5, num_states=4, num_actions=3, horizon=4)
         policy = random_parametric_policy(4, 3, 4, np.random.default_rng(8))
-        calls = []
-        real_draw = policies_mod._draw
+        tables = []
+        real_prefix_cdf = policies_mod._prefix_cdf
 
-        def spy(rng, table, rows):
-            calls.append((table.cdf.copy(), rows * table.width, table.width))
-            return real_draw(rng, table, rows)
+        def spy(pol, state, features):
+            tables.append(real_prefix_cdf(pol, state, features))
+            return tables[-1]
 
-        monkeypatch.setattr(policies_mod, "_draw", spy)
-        n = 300
-        data = rl.sample_trajectories(mdp, policy, n, seed=4)
-        # an action draw, then a transition draw, except after the last action
-        assert len(calls) == 2 * mdp.horizon - 1
-        for h, (flat_cdf, base, width) in enumerate(calls[::2]):
-            assert width == 3 and base.shape == (n,)
-            for i in range(n):
-                history = list(zip(data.states[i, :h], data.actions[i, :h]))
-                want = np.cumsum(policy.act(h, data.states[i, h], history))
-                got = flat_cdf[base[i] : base[i] + width]
+        monkeypatch.setattr(policies_mod, "_prefix_cdf", spy)
+        data = rl.sample_trajectories(mdp, policy, 300, seed=4)
+        assert len(tables) == mdp.horizon
+        for h, table in enumerate(tables):
+            # one row per distinct prefix (s_0, a_0, ..., s_h), in trie order
+            encoded = np.empty((len(data), 2 * h + 1), dtype=np.int64)
+            encoded[:, ::2] = data.states[:, : h + 1]
+            encoded[:, 1::2] = data.actions[:, :h]
+            prefixes = np.unique(encoded, axis=0)
+            assert table.shape == (prefixes.shape[0], 3)
+            for prefix, got in zip(prefixes, table):
+                history = list(zip(prefix[:-1:2], prefix[1::2]))
+                want = np.cumsum(policy.act(h, prefix[-1], history))
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -197,13 +193,8 @@ class _StubRng:
         return self.raw
 
 
-#: Guide sizes the draw-kernel cases run through, as bits (2**bits buckets per row).
-_GUIDE_BITS_CHECKED = (0, 1, 2, 4, 8)
-
-
 class TestDrawKernel:
-    """``_draw`` against ``min((row < u).sum(), width - 1)`` on hand-picked rows,
-    by plain binary search and through guide tables of every checked size."""
+    """``_draw`` against ``min((row < u).sum(), width - 1)`` on hand-picked rows."""
 
     @staticmethod
     def _rows(width, rng):
@@ -217,22 +208,14 @@ class TestDrawKernel:
     @staticmethod
     def _uniforms(cdf):
         """The uniforms ``Generator.random`` can return (the 2**-53 lattice) just
-        below, at and just above every row value (``<`` is strict) and every
-        bucket edge of the checked guides, and 0, one half and the top uniform."""
-        edges = np.arange(2**8) / 2**8  # holds the edges of every smaller guide
-        steps = np.floor(np.concatenate([cdf, edges]) * 2.0**53)
+        below, at and just above every row value (``<`` is strict), and 0, one
+        half and the top uniform."""
+        steps = np.floor(cdf * 2.0**53)
         picks = np.concatenate([[0.0, 2.0**52, 2.0**53 - 1], steps - 1, steps, steps + 1])
         return np.unique(picks[(picks >= 0) & (picks < 2.0**53)]) * 2.0**-53
 
-    @staticmethod
-    def _tables(flat_cdf, width):
-        yield policies_mod._Table(flat_cdf, width)
-        for bits in _GUIDE_BITS_CHECKED:
-            guide = policies_mod._guide(flat_cdf, width, bits)
-            yield policies_mod._Table(flat_cdf, width, guide, bits)
-
     def _check(self, flat_cdf, width):
-        """Every row of ``flat_cdf`` against every boundary uniform, with and without guides."""
+        """Every row of ``flat_cdf`` against every boundary uniform."""
         rows = flat_cdf.reshape(-1, width)
         index, us = [], []
         for r, cdf in enumerate(rows):
@@ -241,30 +224,30 @@ class TestDrawKernel:
             us.append(u)
         index, u = np.concatenate(index), np.concatenate(us)
         want = np.minimum((rows[index] < u[:, None]).sum(axis=1), width - 1)
-        for table in self._tables(flat_cdf, width):
-            got = policies_mod._draw(_StubRng(u), table, index)
-            assert got.dtype == np.int64 and np.array_equal(got, want), table.bits
+        got = policies_mod._draw(_StubRng(u), rows, index)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
         return index, u, got
 
     @pytest.mark.parametrize("width", [1, 2, 3, 5, 8, 20, 50])
     def test_matches_strict_count_with_clamp(self, width):
-        table = self._rows(width, np.random.default_rng(width))
-        self._check(policies_mod._cdf_table(table).cdf, width)
+        probs = self._rows(width, np.random.default_rng(width))
+        table = policies_mod._cdf_table(probs)
+        assert np.array_equal(table, np.cumsum(probs, axis=-1))  # bit for bit
+        self._check(table.ravel(), width)
 
     @pytest.mark.parametrize("width", [1, 2, 3, 5, 8, 20, 50])
     def test_raw_outputs_draw_like_generator_random(self, width):
         """``_draw`` on ``PCG64(s).random_raw(k)`` against the strict count with
-        clamp on ``Generator(PCG64(s)).random(k)``, through every checked guide:
-        the equality that keeps every sampled row what it was on doubles."""
-        flat_cdf = policies_mod._cdf_table(self._rows(width, np.random.default_rng(width))).cdf
-        rows = flat_cdf.reshape(-1, width)
+        clamp on ``Generator(PCG64(s)).random(k)``: the equality that keeps
+        every sampled row what it was on doubles."""
+        rows = policies_mod._cdf_table(self._rows(width, np.random.default_rng(width)))
         k = 4096
         index = np.random.default_rng(width + 100).integers(0, rows.shape[0], k)
-        for seed, table in enumerate(self._tables(flat_cdf, width)):
+        for seed in range(3):
             u = np.random.Generator(np.random.PCG64(seed)).random(k)
             want = np.minimum((rows[index] < u[:, None]).sum(axis=1), width - 1)
-            got = policies_mod._draw(np.random.PCG64(seed), table, index)
-            assert np.array_equal(got, want), table.bits
+            got = policies_mod._draw(np.random.PCG64(seed), rows, index)
+            assert np.array_equal(got, want), seed
 
     @pytest.mark.parametrize("width", [2, 3, 5, 8, 20, 50])
     def test_last_entry_below_one_is_clamped(self, width):
@@ -275,66 +258,30 @@ class TestDrawKernel:
 
     @pytest.mark.parametrize("width", [2, 8, 20])
     def test_last_entries_above_one(self, width):
-        """Entries of ``1 + 1e-9`` (the row check admits them) lie past every bucket."""
+        """Entries of ``1 + 1e-9`` (the row check admits them) lie above every uniform."""
         cdf = np.cumsum(np.full(width, 1.0 / width))
         cdf[-1] = 1.0 + 1e-9
         self._check(cdf, width)
         cdf[width // 2 :] = 1.0 + 1e-9  # also inside the searched entries
         self._check(cdf, width)
 
-    @pytest.mark.parametrize("width", [3, 8, 20])
-    def test_entries_on_bucket_edges(self, width):
-        """CDF entries exactly on a bucket edge of every checked guide, and next to one."""
-        for step in (1, 2, 16, 64, 255):
-            edge = np.minimum(np.arange(1, width + 1) * step, 256) / 256
-            self._check(edge, width)
-            self._check(np.nextafter(edge, -np.inf), width)
-            self._check(np.nextafter(edge, np.inf), width)
-
     @pytest.mark.parametrize("width", [2, 8, 20])
     def test_one_hot_rows_at_zero_uniform(self, width):
         """``u = 0.0`` counts no entry below it, so it draws 0 even on a zero-mass action."""
-        flat_cdf = policies_mod._cdf_table(np.eye(width)).cdf
-        index = np.arange(width)
-        for table in self._tables(flat_cdf, width):
-            got = policies_mod._draw(_StubRng(np.zeros(width)), table, index)
-            assert (got == 0).all()
-
-    @pytest.mark.parametrize("width", [1, 2])
-    def test_no_guide_below_the_width_threshold(self, width):
-        assert width < policies_mod._GUIDE_MIN_WIDTH
-        table = policies_mod._cdf_table(np.full((3, width), 1.0 / width), n=10**6)
-        assert table.guide is None
-
-    @pytest.mark.parametrize("width", [3, 5, 7])
-    def test_guide_from_the_width_threshold(self, width):
-        """Action rows as narrow as the benchmark's five actions are guided."""
-        assert width >= policies_mod._GUIDE_MIN_WIDTH
-        table = policies_mod._cdf_table(np.full((3, width), 1.0 / width), n=10**6)
-        assert table.guide is not None and table.bits == policies_mod._GUIDE_BITS
-
-    @pytest.mark.parametrize("n, bits", [(0, None), (10 * 15, None), (10 * 16, 4),
-                                         (10 * 100, 6), (10 * 256, 8), (10**6, 8)])
-    def test_guide_size_stays_within_n(self, n, bits):
-        probs = np.random.default_rng(1).dirichlet(np.ones(8), size=(2, 5))  # 10 rows
-        table = policies_mod._cdf_table(probs, n)
-        if bits is None:
-            assert table.guide is None
-        else:
-            assert table.bits == bits and table.guide.size == 10 << bits <= n
-            self._check(table.cdf, 8)
+        table = policies_mod._cdf_table(np.eye(width))
+        got = policies_mod._draw(_StubRng(np.zeros(width)), table, np.arange(width))
+        assert (got == 0).all()
 
     def test_negative_entry_draws_like_its_clipped_row(self):
         row = np.array([0.5, -1e-12, 0.5 + 1e-12])
         clipped = np.maximum(row, 0.0)
-        flat_cdf = policies_mod._cdf_table(row).cdf
-        assert np.array_equal(flat_cdf, np.cumsum(clipped))
-        self._check(flat_cdf, 3)
+        table = policies_mod._cdf_table(row)
+        assert table.shape == (1, 3) and np.array_equal(table[0], np.cumsum(clipped))
+        self._check(table.ravel(), 3)
         # unclipped, the dip would count entry 1 below u and draw its zero-mass action
         u = np.floor((0.5 - 0.5e-12) * 2.0**53) * 2.0**-53
         assert (np.cumsum(row) < u).sum() == 1
-        for table in self._tables(flat_cdf, 3):
-            assert policies_mod._draw(_StubRng([u]), table, np.zeros(1, np.int64))[0] == 0
+        assert policies_mod._draw(_StubRng([u]), table, np.zeros(1, np.int64))[0] == 0
 
     def test_sampler_clips_admitted_negative_entries(self):
         mdp, _ = make_instance(7, num_states=4, num_actions=3, horizon=4)
@@ -395,31 +342,6 @@ class TestRenumber:
             assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
-class TestGuidedSampling:
-    @pytest.mark.parametrize("num_states", [8, 20])
-    def test_guided_tables_draw_like_plain_search(self, monkeypatch, num_states):
-        """The sampler with guide tables against the sampler without, draw for
-        draw.  Only the parametric expert's row walk builds guides; the table
-        policies' group walk reads unguided tables in both runs."""
-        mdp, _ = make_instance(4, num_states=num_states, num_actions=5, horizon=5)
-        rng = np.random.default_rng(6)
-        gr = rl.discretize_reward(mdp.reward, rl.RewardGrid(0.25, mdp.horizon))
-        policies = [
-            rl.random_markovian_policy(num_states, 5, 5, rng),
-            random_reward_augmented_policy(gr, num_states, rng),
-            random_parametric_policy(num_states, 5, 5, rng),
-        ]
-        n = 40_000
-        guided = [rl.sample_trajectories(mdp, pol, n, seed=2) for pol in policies]
-        assert policies_mod._cdf_table(mdp.transitions, n).guide is not None
-        monkeypatch.setattr(policies_mod, "_GUIDE_MIN_WIDTH", 10**9)
-        assert policies_mod._cdf_table(mdp.transitions, n).guide is None
-        for pol, got in zip(policies, guided):
-            want = rl.sample_trajectories(mdp, pol, n, seed=2)
-            assert np.array_equal(got.states, want.states)
-            assert np.array_equal(got.actions, want.actions)
-
-
 def _sampling_case(kind, rho=0.25):
     """(mdp, policy, rho): a (4,3,4) instance with a reward on the rho grid
     and a policy of ``kind``, or the fork fixture (0/1 rewards, rho 0.5)."""
@@ -458,10 +380,10 @@ class TestSampleCounts:
              "fork-1", "fork-2"],
     )
     def test_equals_count_of_sampled_dataset(self, kind, coarsen, n):
-        """Exact wherever the counted g is a function of the raw return so far:
-        on every grid for the parametric expert's row walk, on the reward's own
-        step for the group walk (the fork's 0/1 rewards on both).  A table
-        policy on a coarser grid draws the same law (``TestGroupWalkLaw``)."""
+        """Exact wherever the counted g splits no group: on every grid for the
+        parametric expert, whose groups are its prefixes, and for a table
+        policy on the reward's own step (the fork's 0/1 rewards on both).  A
+        table policy on a coarser grid draws the same law (``TestGroupWalkLaw``)."""
         mdp, policy, rho = _sampling_case(kind)
         reward = rl.discretize_reward(mdp.reward, rl.RewardGrid(coarsen * rho, mdp.horizon))
         self._assert_counts_match(mdp, policy, n, 5, reward)
@@ -491,48 +413,30 @@ class TestSampleCounts:
             mdp, expert, 30_000, reward
         ) < 2**20
 
-    def test_row_walk_peak_memory_does_not_grow_with_n(self):
-        """The parametric expert's row walk at n = 3e5 (several row blocks) peaks
-        less than 1 MB above an n = 3e4 call: it holds M and one block."""
-        mdp, policy, rho = _sampling_case("parametric")
-        reward = rl.discretize_reward(mdp.reward, rl.RewardGrid(rho, mdp.horizon))
-        assert policies_mod._STAGE_BLOCK < 300_000
-        assert self._peak(mdp, policy, 300_000, reward) - self._peak(
-            mdp, policy, 30_000, reward
+    def test_parametric_peak_memory_does_not_grow_with_n(self):
+        """The parametric expert on a desk-shaped instance at n = 3e5 peaks less
+        than 1 MB above an n = 3e4 call: the walk holds M and one stage's live
+        history prefixes, at most (S*A)^H = 1,024 there, never n rows."""
+        mdp, expert = generate_instance(rl.ExperimentConfig(**KNOWN_BAD_PIVOT_CFG), 0)
+        reward = rl.discretize_reward(mdp.reward, rl.RewardGrid(0.05, mdp.horizon))
+        assert (mdp.num_states * mdp.num_actions) ** mdp.horizon == 1024
+        assert self._peak(mdp, expert, 300_000, reward) - self._peak(
+            mdp, expert, 30_000, reward
         ) < 2**20
 
-    @staticmethod
-    def _assert_blocks_match(monkeypatch, mdp, policy, n, block, reward):
-        """The walk in blocks of ``block`` against the one-block walk, bit for bit:
-        rows per block of the parametric expert's row walk, members or
-        multinomial cells per chunk of the group walk's ``_split``."""
-        def draw(size):
-            monkeypatch.setattr(policies_mod, "_STAGE_BLOCK", size)
-            monkeypatch.setattr(policies_mod, "_SPLIT_BLOCK", size)
-            data = rl.sample_trajectories(mdp, policy, n, 5)
-            return data.states, data.actions, rl.sample_counts(mdp, policy, n, 5, reward)
-
-        for got, want in zip(draw(block), draw(n)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-
-    @pytest.mark.parametrize("block", [1, 7])
-    @pytest.mark.parametrize("kind", ["markovian", "reward-augmented", "parametric", "fork"])
-    def test_row_blocks_match_one_block(self, monkeypatch, kind, block):
-        """Samples of one row, one whole block, one block and a row, and a ragged last block."""
-        mdp, policy, rho = _sampling_case(kind)
-        reward = rl.discretize_reward(mdp.reward, rl.RewardGrid(rho, mdp.horizon))
-        for n in (1, 7, block + 1, 3 * block - 1):
-            self._assert_blocks_match(monkeypatch, mdp, policy, n, block, reward)
-
-    @pytest.mark.parametrize("kind", ["markovian", "reward-augmented", "parametric", "fork"])
-    def test_row_blocks_match_one_block_across_guides(self, monkeypatch, kind):
-        """At n = 1000 the row walk's transition table is guided, and the group
-        walk splits counts both by multinomials and by per-member draws."""
-        mdp, policy, rho = _sampling_case(kind)
-        n = 1000
-        assert policies_mod._cdf_table(mdp.transitions, n).guide is not None
-        reward = rl.discretize_reward(mdp.reward, rl.RewardGrid(rho, mdp.horizon))
-        self._assert_blocks_match(monkeypatch, mdp, policy, n, 7, reward)
+    @pytest.mark.parametrize("shape", ["desk", "scale"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_parametric_counts_equal_count_of_sampled_dataset(self, shape, seed):
+        """On the benchmark's desk (2,2,5) and scale (50,5,5) shapes, at
+        theta = 0.05 and rho = 0.03 and their sample sizes, the counts are
+        ``count_occurrences`` of the dataset exactly: the parametric expert's
+        groups are its prefixes whatever g is."""
+        wide = {} if shape == "desk" else dict(num_states=50, num_actions=5)
+        cfg = rl.ExperimentConfig(**{**KNOWN_BAD_PIVOT_CFG, **wide})
+        mdp, expert = generate_instance(cfg, seed)
+        assert isinstance(expert, rl.ParametricHistoryPolicy) and cfg.theta != cfg.rho
+        reward = rl.discretize_reward(mdp.reward, rl.RewardGrid(cfg.theta, mdp.horizon))
+        self._assert_counts_match(mdp, expert, 10_000 if shape == "desk" else 1000, seed, reward)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_rejects_an_empty_sample(self, n):
@@ -563,42 +467,48 @@ class TestSampleCounts:
 
 
 class TestGroupWalkLaw:
-    """The group walk that samples table policies, against the exact oracles.
+    """The group walk that samples every policy kind, against the exact oracles.
 
-    Its draws differ from the row walk's, so no pinned stream vouches for it:
-    the visit counts must have the augmented occupancy as their mean, and the
-    rows of ``sample_trajectories`` the enumerated trajectory law, i.i.d."""
+    No pinned stream vouches for its law: the visit counts must have the
+    occupancy as their mean, and the rows of ``sample_trajectories`` the
+    enumerated trajectory law, i.i.d."""
 
     @pytest.mark.parametrize("coarsen", [1, 2])  # theta = rho, theta = 2 rho
-    @pytest.mark.parametrize("kind", ["markovian", "reward-augmented"])
+    @pytest.mark.parametrize("kind", ["markovian", "reward-augmented", "parametric"])
     def test_mean_counts_match_the_occupancy(self, kind, coarsen):
-        """M / N within 5 binomial sigmas (and one count) of ``exact_augmented_occupancy``
-        in every live cell, and no count where it is 0.  On the coarser grid g
-        is no function of the raw return, so g splits the walk's groups."""
+        """M / N within 5 binomial sigmas (and one count) of the occupancy in
+        every live cell, and no count where it is 0: ``exact_augmented_occupancy``
+        for a table policy, the enumerated trajectories' counts weighted by
+        their probabilities for the parametric expert.  On the coarser grid g
+        is no function of the raw return, so g splits a table policy's groups."""
         mdp, policy, rho = _sampling_case(kind)
         reward = rl.discretize_reward(mdp.reward, rl.RewardGrid(coarsen * rho, mdp.horizon))
-        occupancy = exact_augmented_occupancy(mdp, policy, reward)
+        if kind == "parametric":
+            paths, probs = rl.enumerate_trajectory_distribution(mdp, policy)
+            occupancy = count_occurrences(paths, reward, weights=probs)
+        else:
+            occupancy = exact_augmented_occupancy(mdp, policy, reward)
         n = 10**6
         freq = rl.sample_counts(mdp, policy, n, 3, reward) / n
         assert not freq[occupancy == 0].any()
         sigma = np.sqrt(occupancy * (1 - occupancy) / n)
         assert (np.abs(freq - occupancy) <= 5 * sigma + 1 / n).all()
 
-    @pytest.mark.parametrize("kind", ["markovian", "reward-augmented"])
+    @pytest.mark.parametrize("kind", ["markovian", "reward-augmented", "parametric"])
     def test_trajectory_frequencies_match_enumeration(self, kind):
         """Each full trajectory's frequency in 2e5 rows within 5 sigmas of its
         enumerated probability (the rare ones, under 10 expected rows each,
-        pooled), on an instance whose walk merges histories with different
-        pasts: rows that share a group must draw their futures independently
-        of how they got there."""
+        pooled).  A table policy's walk merges histories with different pasts
+        here: rows that share a group must draw their futures independently of
+        how they got there.  The parametric expert's walk merges none."""
         mdp, policy, _ = _sampling_case(kind)
         n = 200_000
         merged = [
             np.unique(stage.child_group).size < stage.child_group.size
-            for stage in policies_mod._group_walk(mdp, policy, n, 5)
+            for stage in policies_mod._group_walk(mdp, policy, n, 5, mdp.reward)
             if stage.child_group is not None
         ]
-        assert any(merged)
+        assert any(merged) == (kind != "parametric")
         paths, probs = rl.enumerate_trajectory_distribution(mdp, policy)
         data = rl.sample_trajectories(mdp, policy, n, 5)
 
@@ -617,7 +527,7 @@ class TestGroupWalkLaw:
         for f, p in cells:
             assert (np.abs(f - p) <= 5 * np.sqrt(p * (1 - p) / n)).all()
 
-    @pytest.mark.parametrize("kind", ["markovian", "reward-augmented"])
+    @pytest.mark.parametrize("kind", ["markovian", "reward-augmented", "parametric"])
     def test_first_rows_draw_like_the_rest(self, kind):
         """The first tenth of the rows has the action law of the other rows at
         every stage: the rows come in no order of their draws."""
@@ -632,16 +542,27 @@ class TestGroupWalkLaw:
                    - np.bincount(tail[:, h], minlength=mdp.num_actions) / tail.shape[0])
             assert (np.abs(gap) <= 5 * sigma).all(), h
 
-    def test_split_chunks_draw_like_one_pass(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["markovian", "reward-augmented", "parametric", "fork"])
+    def test_split_chunks_draw_like_one_pass(self, monkeypatch, kind):
         """``_split`` in chunks of a few members or multinomial cells draws what
-        one pass draws: Monte Carlo returns are the same whatever ``_SPLIT_BLOCK`` is."""
-        mdp, policy, _ = _sampling_case("reward-augmented")
-        want = rl.mc_return_distribution(mdp, policy, mdp.reward, 5000, 2)
-        for block in (1, 7, 100):
+        one pass draws: datasets, counts and Monte Carlo returns are the same
+        whatever ``_SPLIT_BLOCK`` is.  At n = 1000 the walk splits counts both
+        by multinomials and by per-member draws."""
+        mdp, policy, rho = _sampling_case(kind)
+        reward = rl.discretize_reward(mdp.reward, rl.RewardGrid(rho, mdp.horizon))
+
+        def draw(block, n):
             monkeypatch.setattr(policies_mod, "_SPLIT_BLOCK", block)
-            got = rl.mc_return_distribution(mdp, policy, mdp.reward, 5000, 2)
-            assert np.array_equal(got.support, want.support)
-            assert np.array_equal(got.probs, want.probs)
+            data = rl.sample_trajectories(mdp, policy, n, 5)
+            mc = rl.mc_return_distribution(mdp, policy, mdp.reward, n, 2)
+            counts = rl.sample_counts(mdp, policy, n, 5, reward)
+            return data.states, data.actions, counts, mc.support, mc.probs
+
+        for n in (7, 1000):
+            want = draw(10**9, n)
+            for block in (1, 7, 100):
+                for got, ref in zip(draw(block, n), want):
+                    assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
 class TestActParametric:
@@ -1065,6 +986,28 @@ class TestMonteCarlo:
         counts = sampled.probs * m
         assert np.allclose(counts, np.round(counts), rtol=0, atol=1e-9) and counts.min() >= 1
 
+    @pytest.mark.parametrize("kind", ["markovian", "reward-augmented", "parametric"])
+    def test_is_the_empirical_law_of_the_dataset_on_its_seed(self, kind):
+        """On ``mdp.reward`` Monte Carlo runs the walk ``sample_trajectories``
+        replays on the same seed, so its law is that dataset's empirical
+        return law, up to the round-off of summing and merging returns."""
+        mdp, policy = self._case(kind, 5)
+        got = rl.mc_return_distribution(mdp, policy, mdp.reward, 5000, seed=6)
+        data = rl.sample_trajectories(mdp, policy, 5000, seed=6)
+        want = rl.empirical_return_distribution(data, mdp.reward)
+        assert got.support.size == want.support.size
+        np.testing.assert_allclose(got.support, want.support, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.probs, want.probs, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("extra", [(0, 0, 1), (0, 1, 0), (0, -1, 0)])
+    def test_rejects_a_reward_of_another_shape(self, extra):
+        """A reward table over other states or actions is refused, never read
+        at the wrong flat index."""
+        mdp, policy = self._case("markovian", 5)
+        shape = tuple(np.add(mdp.reward.shape, extra))
+        with pytest.raises(ValueError, match="reward table has shape"):
+            rl.mc_return_distribution(mdp, policy, np.zeros(shape), 100, seed=1)
+
     def test_rejects_objects_that_are_not_policies(self):
         """Anything outside the three kinds is refused, never read as the
         parametric expert."""
@@ -1092,9 +1035,9 @@ class TestMonteCarlo:
     # sha256 of (support, probs) at m = 5 * 10**4, seed 11: a change to the
     # Monte Carlo stream shows here.
     PINNED_RETURNS = {
-        "markovian": "0b0cf7a78764b25fc88ae70d62ab411be7a3b80ef351dd3e502426b3444a0bc4",
-        "reward-augmented": "060ca029f4bea85f81a438df3f5e887c5c8b09a50934dbca6e70d2e0f13dc223",
-        "parametric": "74cc724537435642525553ca7dc5687da4c4ad3dab73583a0fb2a98639f050d2",
+        "markovian": "421d1b9ece34a639ee7c59198be73cdf7690178ae16aa506ed37803e57e206ba",
+        "reward-augmented": "8f15686506a875bce0513c3cdc6a017f6742f4b69ec060169ac3f79bbb990989",
+        "parametric": "a4dc86a2c869d62b0d9a33c05e50ef38ef6cedcf6e0cd6d0ae4641eec282baf3",
     }
 
     @pytest.mark.parametrize("kind", sorted(PINNED_RETURNS))
@@ -1122,14 +1065,30 @@ class TestMonteCarlo:
         assert np.array_equal(a.support, b.support)
         assert np.array_equal(a.probs, b.probs)
 
-    def test_agrees_with_dp_within_dkw(self):
+    @pytest.mark.parametrize("kind", ["markovian", "reward-augmented", "parametric"])
+    def test_agrees_with_dp_within_dkw(self, kind):
+        """Monte Carlo of each kind within the DKW band of the exact law: the
+        return DP for a table policy, enumeration for the parametric expert."""
         mdp, _ = make_instance(9, rho=0.25)
-        grid = rl.RewardGrid(0.25, mdp.horizon)
-        rng = np.random.default_rng(3)
-        policy = rl.random_markovian_policy(mdp.num_states, mdp.num_actions, mdp.horizon, rng)
-        exact = rl.exact_return_distribution(mdp, policy, mdp.reward, grid)
+        policy = self._policy(kind, mdp, np.random.default_rng(3))
+        if kind == "parametric":
+            exact = rl.brute_force_return_distribution(mdp, policy, mdp.reward)
+        else:
+            grid = rl.RewardGrid(0.25, mdp.horizon)
+            exact = rl.exact_return_distribution(mdp, policy, mdp.reward, grid)
         sampled = rl.mc_return_distribution(mdp, policy, mdp.reward, 100_000, seed=8)
         assert rl.wasserstein(exact, sampled) <= mdp.horizon * rl.dkw_band(100_000, 0.01)
+
+    @pytest.mark.parametrize("kind", ["markovian", "reward-augmented", "parametric"])
+    def test_evaluates_the_reward_it_is_given(self, kind):
+        """A reward other than ``mdp.reward`` keys the walk's returns: Monte
+        Carlo of it within the DKW band of its enumerated law."""
+        mdp, policy = self._case(kind, 5)
+        other = np.random.default_rng(4).uniform(0.0, 1.0, mdp.reward.shape)
+        exact = rl.brute_force_return_distribution(mdp, policy, other)
+        sampled = rl.mc_return_distribution(mdp, policy, other, 100_000, seed=8)
+        assert rl.wasserstein(exact, sampled) <= mdp.horizon * rl.dkw_band(100_000, 0.01)
+        assert rl.wasserstein(exact, rl.brute_force_return_distribution(mdp, policy, mdp.reward)) > 0.1
 
     def test_reward_augmented_agrees_with_joint_dp_within_dkw(self):
         """A policy on a coarser grid than the evaluation's: the joint-accumulator DP."""

@@ -513,31 +513,30 @@ class TestPinnedSolves:
 
     Four seeded (2,2,5) programs of the desk benchmark's shape.  The digests
     of ``x`` and the pivot counts pin the compact program on the kept points
-    and the pivot rule; the objectives are those of the earlier programs
-    (explicit eta and |x| <= t blocks, then a CDF row at every grid point),
-    which have the same optimal value.
+    and the pivot rule; the objectives agree with HiGHS on the same programs
+    to 4e-15.
     """
 
     PINS = {
         0: (
-            72,
-            "8a6a832da1d312b4e2bbac5708dc82ec9f89ac5eddb37eab16e1d1b83cd56ef4",
-            0.00038538178820264645,
+            77,
+            "67301af05b38272ea2414a7226be5ae147123446d40b0cc828e8039b9317e33e",
+            0.00025538703868321374,
         ),
         1: (
-            951,
-            "dce959110911e4c01eea57cf46a7b8af6d7ba5e4e83a406ef1b01c01484248a5",
-            0.0005184182336819708,
+            416,
+            "bb7a16a824de458d6c2c94d88948048e571d619b07cdc2107001a41796be5ba4",
+            9.215718466127e-19,
         ),
         2: (
-            204,
-            "9fb143815d502dd668ca1cd52ad02d1a266cd5e621d2ccc4536cb582beab282a",
-            0.0020977070280758132,
+            219,
+            "9e73d439893e34cb69033376f2076523196997bb666e4facf9ac347de924be18",
+            0.001517087172034752,
         ),
         3: (
-            257,
-            "890b1d0ee59a2d990424693ad04646598c7313f212b4265228bb179f2a383840",
-            0.006115525070506086,
+            222,
+            "06082c59780673855d0d2be71730a382b9401dcb3c42aea7d37543303fc81109",
+            0.0019206058051270142,
         ),
     }
 
