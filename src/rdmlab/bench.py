@@ -30,7 +30,6 @@ from .mdp import GridReward, RewardGrid, TabularMdp, discretize_reward
 from .policies import (
     EnumerationCapError,
     PolicyHandle,
-    RewardAugmentedPolicy,
     brute_force_return_distribution,
     enumerate_trajectory_distribution,
     exact_return_distribution,
@@ -77,12 +76,6 @@ KNOWN_ALGORITHMS = (*_FITS, "eta-hat")
 
 _EVAL_MODES = ("exact-dp", "enumeration", "monte-carlo")
 
-#: Joint-DP evaluations beyond this many (state x g x return) cells fall back
-#: to Monte Carlo with the configured sample count.  The count is the full
-#: S x G_pol x G_ret box, not the live cells the DP works on; it stays as is
-#: because moving it changes which tasks fall back, and so the results.
-_DP_CELL_BUDGET = 2_000_000
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -104,6 +97,16 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self) -> None:
+        for name in ("num_states", "num_actions", "horizon", "instances",
+                     "seeds_per_dataset", "mc_samples"):
+            value = getattr(self, name)
+            try:
+                whole = int(value)
+            except (TypeError, ValueError, OverflowError):
+                whole = 0
+            if whole < 1 or whole != value:
+                raise ValueError(f"{name} must be a positive whole number, got {value!r}")
+            object.__setattr__(self, name, whole)
         if not 0 < self.theta <= 1 or not 0 < self.rho <= 1:
             raise ValueError("theta and rho must lie in (0, 1]")
         for step in (self.theta, self.rho):
@@ -126,8 +129,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown algorithms {sorted(unknown)}")
         if len(set(self.algorithms)) != len(self.algorithms):
             raise ValueError(f"duplicate algorithm names in {self.algorithms}")
-        if self.instances < 1 or self.seeds_per_dataset < 1 or self.mc_samples < 1:
-            raise ValueError("instances, seeds_per_dataset and mc_samples must be positive")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -208,26 +209,6 @@ def _expert_distribution(
     return mc_return_distribution(mdp, expert, mdp.reward, cfg.mc_samples, seed)
 
 
-def _policy_distribution(
-    cfg: ExperimentConfig, mdp: TabularMdp, policy, eval_seed: int
-) -> DiscreteReturnDistribution:
-    """Return distribution of an algorithm's output under the true reward.
-
-    A reward-augmented output whose joint (policy grid x return grid)
-    program is past the cell budget falls back to Monte Carlo.  Every other
-    output goes to the exact DP on the generation grid, which refuses the
-    kinds it cannot evaluate.
-    """
-    eval_grid = RewardGrid(cfg.rho, mdp.horizon)
-    if (
-        isinstance(policy, RewardAugmentedPolicy)
-        and mdp.num_states * policy.grid.table_size * eval_grid.full_size
-        > _DP_CELL_BUDGET
-    ):
-        return mc_return_distribution(mdp, policy, mdp.reward, cfg.mc_samples, eval_seed)
-    return exact_return_distribution(mdp, policy, mdp.reward, eval_grid)
-
-
 def _instance(
     cfg: ExperimentConfig, i: int
 ) -> tuple[TabularMdp, PolicyHandle, DiscreteReturnDistribution, GridReward]:
@@ -255,24 +236,23 @@ def _sample_counts(
 
 
 def _fitted_distribution(
-    cfg: ExperimentConfig, idx: int, mdp: TabularMdp, counts: np.ndarray,
-    reward: GridReward, task: tuple[int, int, int],
+    cfg: ExperimentConfig, alg: str, mdp: TabularMdp, counts: np.ndarray, reward: GridReward
 ) -> DiscreteReturnDistribution:
-    """Return distribution of the policy ``cfg.algorithms[idx]`` fits to ``counts``."""
-    policy = _FITS[cfg.algorithms[idx]](counts, mdp, reward)
-    eval_seed = derive_seed(cfg.master_seed, "policy-eval", *task, idx)
-    return _policy_distribution(cfg, mdp, policy, eval_seed)
+    """Exact return distribution, under the true reward on the generation
+    grid, of the policy ``alg`` fits to ``counts``."""
+    policy = _FITS[alg](counts, mdp, reward)
+    return exact_return_distribution(mdp, policy, mdp.reward, RewardGrid(cfg.rho, mdp.horizon))
 
 
 def _run_one(
-    cfg: ExperimentConfig, idx: int, mdp: TabularMdp, counts: np.ndarray,
-    reward: GridReward, truth: DiscreteReturnDistribution, task: tuple[int, int, int],
+    cfg: ExperimentConfig, alg: str, mdp: TabularMdp, counts: np.ndarray,
+    reward: GridReward, truth: DiscreteReturnDistribution,
 ) -> float:
-    if cfg.algorithms[idx] == "eta-hat":
+    if alg == "eta-hat":
         estimate = eta_hat_from_counts(counts, reward)
         # estimate-only diagnostic: the fitted policy is at most twice as far
         return 2.0 * wasserstein(estimate, truth)
-    return wasserstein(_fitted_distribution(cfg, idx, mdp, counts, reward, task), truth)
+    return wasserstein(_fitted_distribution(cfg, alg, mdp, counts, reward), truth)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
@@ -293,11 +273,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
             seed_errors: dict[str, list[float]] = {alg: [] for alg in cfg.algorithms}
             for j in range(cfg.seeds_per_dataset):
                 counts = _sample_counts(cfg, mdp, expert, reward, (i, k, j))
-                for idx, alg in enumerate(cfg.algorithms):
+                for alg in cfg.algorithms:
                     try:
-                        seed_errors[alg].append(
-                            _run_one(cfg, idx, mdp, counts, reward, truth, (i, k, j))
-                        )
+                        seed_errors[alg].append(_run_one(cfg, alg, mdp, counts, reward, truth))
                     except (LpError, EnumerationCapError):
                         failures[(alg, n)] += 1
                 # else M stays alive while the next dataset is sampled and counted
@@ -337,12 +315,11 @@ def collect_example_distributions(
     :func:`run_experiment` scored for that (instance, N, first dataset seed).
     """
     mdp, expert, truth, reward = _instance(cfg, instance)
-    task = (instance, cfg.n_sweep.index(n), 0)
-    counts = _sample_counts(cfg, mdp, expert, reward, task)
+    counts = _sample_counts(cfg, mdp, expert, reward, (instance, cfg.n_sweep.index(n), 0))
     out = {"expert": truth, "estimate": eta_hat_from_counts(counts, reward)}
-    for idx, alg in enumerate(cfg.algorithms):
+    for alg in cfg.algorithms:
         if alg != "eta-hat":
-            out[alg] = _fitted_distribution(cfg, idx, mdp, counts, reward, task)
+            out[alg] = _fitted_distribution(cfg, alg, mdp, counts, reward)
     return out
 
 

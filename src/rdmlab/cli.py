@@ -25,7 +25,11 @@ from .policies import (
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = bench.load_config(args.config)
+    try:
+        cfg = bench.load_config(args.config)
+    except (OSError, ValueError, TypeError) as err:  # unreadable, not JSON, unknown key, bad value
+        print(f"invalid config {args.config}: {err}", file=sys.stderr)
+        return 2
     if args.output is not None:
         cfg = bench.ExperimentConfig(**{**cfg.__dict__, "output_path": args.output})
     if cfg.output_path is None:
@@ -51,17 +55,21 @@ def _cmd_fixtures(_args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_instance(args: argparse.Namespace) -> int:
-    cfg = bench.ExperimentConfig(
-        num_states=args.states,
-        num_actions=args.actions,
-        horizon=args.horizon,
-        theta=1.0,
-        rho=args.rho,
-        expert_kind=args.expert,
-        n_sweep=(1,),
-        instances=1,
-        seeds_per_dataset=1,
-    )
+    try:
+        cfg = bench.ExperimentConfig(
+            num_states=args.states,
+            num_actions=args.actions,
+            horizon=args.horizon,
+            theta=1.0,
+            rho=args.rho,
+            expert_kind=args.expert,
+            n_sweep=(1,),
+            instances=1,
+            seeds_per_dataset=1,
+        )
+    except ValueError as err:
+        print(err, file=sys.stderr)
+        return 2
     mdp, expert = bench.generate_instance(cfg, args.seed)
     Path(args.out).write_text(serialize.mdp_to_json(mdp))
     print(f"wrote {args.out} (S={mdp.num_states} A={mdp.num_actions} H={mdp.horizon} "

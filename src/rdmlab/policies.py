@@ -608,7 +608,7 @@ def sample_counts(
         raise ValueError("n must be at least 1")
     horizon, num_states, num_actions = mdp.horizon, mdp.num_states, mdp.num_actions
     if reward.grid.horizon != horizon:
-        raise ValueError("reward horizon does not match the dataset")
+        raise ValueError("reward horizon does not match the MDP")
     if reward.multiples.shape[1:] != (num_states, num_actions):
         raise ValueError("reward table does not match the MDP's states and actions")
     num_g = reward.grid.table_size

@@ -78,9 +78,29 @@ class TestConfig:
         with pytest.raises(ValueError, match=match):
             tiny_cfg(**override)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_states", 0),
+            ("num_actions", 0),
+            ("horizon", -1),
+            ("instances", 2.5),
+            ("seeds_per_dataset", 0),
+            ("mc_samples", 10.5),
+        ],
+    )
+    def test_rejects_a_size_that_is_not_a_positive_whole_number(self, field, value):
+        """Each once got through: num_states=0 to numpy's ``high <= 0`` in
+        ``generate_instance``, num_actions=0 to a ``TabularMdp`` shape error,
+        instances=2.5 to a ``TypeError`` from ``range``; mc_samples=10.5 ran."""
+        with pytest.raises(ValueError, match=f"^{field} must be a positive whole number"):
+            tiny_cfg(**{field: value})
+
     def test_whole_float_sample_sizes_become_ints(self):
-        cfg = tiny_cfg(n_sweep=(10.0, 4e1))
+        cfg = tiny_cfg(n_sweep=(10.0, 4e1), num_states=2.0, instances=3.0, mc_samples=1e3)
         assert cfg.n_sweep == (10, 40) and all(type(n) is int for n in cfg.n_sweep)
+        assert (cfg.num_states, cfg.instances, cfg.mc_samples) == (2, 3, 1000)
+        assert all(type(v) is int for v in (cfg.num_states, cfg.instances, cfg.mc_samples))
 
     def test_json_round_trip(self, tmp_path):
         import json
@@ -184,6 +204,7 @@ class TestRunExperiment:
         assert all(r.failures == 0 for r in result)  # rs-kt's LP runs on every dataset
         rows = {(r.algorithm, r.n): r.per_instance for r in result}
         grid = rl.RewardGrid(cfg.theta, cfg.horizon)
+        eval_grid = rl.RewardGrid(cfg.rho, cfg.horizon)
         for i in range(cfg.instances):
             mdp, expert = rl.generate_instance(cfg, derive_seed(cfg.master_seed, "instance", i))
             truth = bench_mod._expert_distribution(cfg, mdp, expert, i)
@@ -200,8 +221,7 @@ class TestRunExperiment:
                         rl.mimic_md(data, mdp),
                     )
                     for idx, policy in enumerate(policies):
-                        seed = derive_seed(cfg.master_seed, "policy-eval", i, k, j, idx)
-                        dist = bench_mod._policy_distribution(cfg, mdp, policy, seed)
+                        dist = rl.exact_return_distribution(mdp, policy, mdp.reward, eval_grid)
                         errors[cfg.algorithms[idx]].append(rl.wasserstein(dist, truth))
                     estimate = direct_grid_law(data, rl.discretize_reward(mdp.reward, grid))
                     errors["eta-hat"].append(2.0 * rl.wasserstein(estimate, truth))
@@ -319,27 +339,29 @@ def test_known_bad_pivot_instance_has_no_rskt_failure(master_seed):
     assert solve(lp, basis=basis).status == "optimal"
 
 
-class TestPolicyDistributionRouting:
-    @pytest.mark.parametrize("over", [False, True], ids=["within-budget", "past-budget"])
-    def test_cell_budget_picks_the_evaluator(self, monkeypatch, over):
-        # a desk-shaped rs-bc output: joint DP up to the budget, Monte Carlo past it
-        cfg = tiny_cfg(
-            horizon=5, theta=0.05, rho=0.03, expert_kind="parametric-history",
-            eval_mode="enumeration", mc_samples=500,
-        )
-        mdp, expert = bench_mod.generate_instance(cfg, 3)
-        data = rl.sample_trajectories(mdp, expert, 200, 5)
-        policy = rl.rs_bc(data, mdp.reward, rl.RewardGrid(cfg.theta, mdp.horizon))
-        eval_grid = rl.RewardGrid(cfg.rho, mdp.horizon)
-        box = mdp.num_states * policy.grid.num_multiples(mdp.horizon - 1) * eval_grid.full_size
-        monkeypatch.setattr(bench_mod, "_DP_CELL_BUDGET", box - 1 if over else box)
-        got = bench_mod._policy_distribution(cfg, mdp, policy, eval_seed=11)
-        mc = rl.mc_return_distribution(mdp, policy, mdp.reward, cfg.mc_samples, 11)
-        exact = rl.exact_return_distribution(mdp, policy, mdp.reward, eval_grid)
-        assert rl.wasserstein(mc, exact) > 0.0
-        expected = mc if over else exact
-        assert np.array_equal(got.support, expected.support)
-        assert np.array_equal(got.probs, expected.probs)
+def test_every_fit_is_scored_by_the_exact_walk():
+    """A task whose S x G_pol x G_ret box (11 x 401 x 501 = 2,209,911 cells)
+    the harness once judged too big for the exact walk, and scored by Monte
+    Carlo instead: its W1 is the exact walk's, bit for bit."""
+    cfg = tiny_cfg(
+        num_states=11, horizon=5, theta=0.01, rho=0.01, n_sweep=(200,), instances=2,
+        algorithms=("rs-bc",),
+    )
+    grid = rl.RewardGrid(cfg.rho, cfg.horizon)
+    assert cfg.num_states * grid.table_size * grid.full_size == 2_209_911
+    (row,) = rl.run_experiment(cfg)
+    for i in range(cfg.instances):
+        mdp, expert = rl.generate_instance(cfg, derive_seed(cfg.master_seed, "instance", i))
+        truth = rl.exact_return_distribution(mdp, expert, mdp.reward, grid)
+        errors = []
+        for j in range(cfg.seeds_per_dataset):
+            data = rl.sample_trajectories(
+                mdp, expert, 200, derive_seed(cfg.master_seed, "dataset", i, 0, j)
+            )
+            fitted = rl.rs_bc(data, mdp.reward, grid)
+            dist = rl.exact_return_distribution(mdp, fitted, mdp.reward, grid)
+            errors.append(rl.wasserstein(dist, truth))
+        assert row.per_instance[i] == float(np.mean(errors))
 
 
 class TestEmitResults:

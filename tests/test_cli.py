@@ -159,3 +159,45 @@ def test_run_without_output_fails(tmp_path, capsys):
         "eval_mode": "exact-dp", "algorithms": ["bc"],
     }))
     assert main(["run", "--config", str(cfg_path)]) == 2
+
+
+_GOOD_RUN_CFG = {
+    "num_states": 2, "num_actions": 2, "horizon": 2,
+    "theta": 1.0, "rho": 1.0, "expert_kind": "markovian",
+    "n_sweep": [5], "instances": 1, "seeds_per_dataset": 1,
+    "eval_mode": "exact-dp", "algorithms": ["bc"],
+}
+
+
+@pytest.mark.parametrize("text, fault", [
+    (None, "No such file or directory"),
+    ("{not json", "Expecting property name"),
+    (json.dumps({**_GOOD_RUN_CFG, "colour": "red"}), "unexpected keyword argument 'colour'"),
+    (json.dumps({**_GOOD_RUN_CFG, "rho": 2.0}), "theta and rho must lie in (0, 1]"),
+    (json.dumps({**_GOOD_RUN_CFG, "instances": 2.5}),
+     "instances must be a positive whole number, got 2.5"),
+], ids=["missing-file", "malformed-json", "unknown-key", "bad-rho", "fractional-instances"])
+def test_run_refuses_a_bad_config(tmp_path, capsys, text, fault):
+    # each once ended in a traceback and exit 1
+    cfg_path = tmp_path / "cfg.json"
+    if text is not None:
+        cfg_path.write_text(text)
+    assert main(["run", "--config", str(cfg_path), "--output", str(tmp_path / "o.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"invalid config {cfg_path}: ")
+    assert fault in captured.err and captured.err.count("\n") == 1
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("flags, fault", [
+    (["--rho", "0"], "theta and rho must lie in (0, 1]"),
+    (["--states", "0"], "num_states must be a positive whole number, got 0"),
+], ids=["zero-rho", "zero-states"])
+def test_gen_instance_refuses_a_bad_shape(tmp_path, capsys, flags, fault):
+    out = tmp_path / "mdp.json"
+    assert main(["gen-instance", "--seed", "1", *flags, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == fault + "\n"
+    assert not out.exists()

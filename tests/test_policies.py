@@ -452,9 +452,10 @@ class TestSampleCounts:
         short = rl.GridReward(rl.RewardGrid(rho, mdp.horizon - 1),
                               np.zeros((mdp.horizon - 1, mdp.num_states, mdp.num_actions)))
         data = rl.sample_trajectories(mdp, policy, 10, 1)
-        with pytest.raises(ValueError, match="horizon"):
+        with pytest.raises(ValueError, match="reward horizon does not match the dataset"):
             count_occurrences(data, short)
-        with pytest.raises(ValueError, match="horizon"):
+        # sample_counts takes no dataset; its message once said it did
+        with pytest.raises(ValueError, match="reward horizon does not match the MDP"):
             rl.sample_counts(mdp, policy, 10, 1, short)
 
     def test_rejects_a_reward_of_another_shape(self):
