@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import bc_from_counts, mimic_md_from_counts
-from .distributions import DiscreteReturnDistribution, wasserstein
+from .distributions import DiscreteReturnDistribution, total_variation, wasserstein
 from .fixtures import make_fork_fixture, make_tv_hard_reward, fork_markovian_policy
 from .lp import LpError
 from .mdp import GridReward, RewardGrid, TabularMdp, discretize_reward
@@ -100,13 +100,16 @@ class ExperimentConfig:
         for name in ("num_states", "num_actions", "horizon", "instances",
                      "seeds_per_dataset", "mc_samples"):
             value = getattr(self, name)
-            try:
-                whole = int(value)
-            except (TypeError, ValueError, OverflowError):
-                whole = 0
-            if whole < 1 or whole != value:
+            whole = _whole(value, 1, math.inf)
+            if whole is None:
                 raise ValueError(f"{name} must be a positive whole number, got {value!r}")
             object.__setattr__(self, name, whole)
+        seed = _whole(self.master_seed, 0, 2**32)  # derive_seed reads 32 bits of it
+        if seed is None:
+            raise ValueError(
+                f"master_seed must be a whole number in [0, 2**32), got {self.master_seed!r}"
+            )
+        object.__setattr__(self, "master_seed", seed)
         if not 0 < self.theta <= 1 or not 0 < self.rho <= 1:
             raise ValueError("theta and rho must lie in (0, 1]")
         for step in (self.theta, self.rho):
@@ -129,6 +132,15 @@ class ExperimentConfig:
             raise ValueError(f"unknown algorithms {sorted(unknown)}")
         if len(set(self.algorithms)) != len(self.algorithms):
             raise ValueError(f"duplicate algorithm names in {self.algorithms}")
+
+
+def _whole(value, low: int, high: float) -> int | None:
+    """``value`` as an int if it is a whole number in [low, high), else None."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return whole if whole == value and low <= whole < high else None
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -429,7 +441,8 @@ def run_fixture_suite() -> FixtureReport:
     hard = TabularMdp(0, transitions, reward)
     pol_a = random_markovian_policy(num_states, num_actions, horizon, rng)
     pol_b = random_markovian_policy(num_states, num_actions, horizon, rng)
-    tv = _tv_between(hard, pol_a, pol_b)
+    dists = [brute_force_return_distribution(hard, pol, hard.reward) for pol in (pol_a, pol_b)]
+    tv = total_variation(*dists)
     l1_half = _half_l1_trajectories(hard, pol_a, pol_b)
     checks.append(
         FixtureCheck(
@@ -439,14 +452,6 @@ def run_fixture_suite() -> FixtureReport:
         )
     )
     return FixtureReport(tuple(checks))
-
-
-def _tv_between(mdp: TabularMdp, pol_a, pol_b) -> float:
-    from .distributions import total_variation
-
-    dist_a = brute_force_return_distribution(mdp, pol_a, mdp.reward)
-    dist_b = brute_force_return_distribution(mdp, pol_b, mdp.reward)
-    return total_variation(dist_a, dist_b)
 
 
 def _half_l1_trajectories(mdp: TabularMdp, pol_a, pol_b) -> float:

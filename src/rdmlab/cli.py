@@ -16,12 +16,7 @@ from pathlib import Path
 from . import bench, serialize
 from .distributions import wasserstein
 from .mdp import RewardGrid
-from .policies import (
-    MarkovianPolicy,
-    RewardAugmentedPolicy,
-    _check_dims,
-    exact_return_distribution,
-)
+from .policies import RewardAugmentedPolicy, exact_return_distribution
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -55,6 +50,12 @@ def _cmd_fixtures(_args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_instance(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        print(f"seed must be a nonnegative integer, got {args.seed}", file=sys.stderr)
+        return 2
+    if args.expert_out is not None and args.expert != "markovian":
+        print("only markovian experts can be serialized", file=sys.stderr)
+        return 2
     try:
         cfg = bench.ExperimentConfig(
             num_states=args.states,
@@ -75,38 +76,33 @@ def _cmd_gen_instance(args: argparse.Namespace) -> int:
     print(f"wrote {args.out} (S={mdp.num_states} A={mdp.num_actions} H={mdp.horizon} "
           f"s0={mdp.initial_state} expert={cfg.expert_kind})")
     if args.expert_out is not None:
-        if not isinstance(expert, MarkovianPolicy):
-            print("only markovian experts can be serialized", file=sys.stderr)
-            return 2
         Path(args.expert_out).write_text(serialize.format_policy(expert))
         print(f"wrote {args.expert_out}")
     return 0
 
 
 def _cmd_eval_policy(args: argparse.Namespace) -> int:
+    # a missing file, an invalid document or grid step, or a policy of
+    # another shape than the MDP is one stderr line and exit 2
     try:
         mdp = serialize.mdp_from_json(Path(args.mdp).read_text())
-    except ValueError as err:
-        print(err, file=sys.stderr)
-        return 2
-    try:
         policy = serialize.parse_policy(Path(args.policy).read_text())
-        _check_dims(mdp, policy)
-    except ValueError as err:
+        reference = None
+        if args.against is not None:
+            reference = serialize.parse_distribution(Path(args.against).read_text())
+        if args.grid_step is not None:
+            step = args.grid_step
+        elif isinstance(policy, RewardAugmentedPolicy):
+            step = policy.grid.theta
+        else:
+            print("a markovian policy needs --grid-step for exact evaluation", file=sys.stderr)
+            return 2
+        dist = exact_return_distribution(mdp, policy, mdp.reward, RewardGrid(step, mdp.horizon))
+    except (OSError, ValueError) as err:
         print(err, file=sys.stderr)
         return 2
-    if args.grid_step is not None:
-        step = args.grid_step
-    elif isinstance(policy, RewardAugmentedPolicy):
-        step = policy.grid.theta
-    else:
-        print("a markovian policy needs --grid-step for exact evaluation", file=sys.stderr)
-        return 2
-    grid = RewardGrid(step, mdp.horizon)
-    dist = exact_return_distribution(mdp, policy, mdp.reward, grid)
     sys.stdout.write(serialize.format_distribution(dist))
-    if args.against is not None:
-        reference = serialize.parse_distribution(Path(args.against).read_text())
+    if reference is not None:
         print(f"wasserstein {wasserstein(dist, reference)!r}")
     return 0
 

@@ -57,7 +57,7 @@ class DiscreteReturnDistribution:
             raise ValueError("support must be strictly increasing")
         if probs.min() < -_MASS_TOL:
             raise ValueError("negative probability")
-        total = probs.sum()
+        total = float(probs.sum())
         if abs(total - 1.0) > _MASS_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
         probs = np.clip(probs, 0.0, None) / np.clip(probs, 0.0, None).sum()

@@ -14,7 +14,9 @@ optimum is re-checked against the original, unscaled constraints.
 
 There are two ways in.  ``solve(lp)`` starts with phase 1: each row
 starts with an artificial basic, phase 1 drives the artificial mass to
-zero, and rows that prove redundant are dropped from the program.
+zero, and rows that prove redundant are dropped from the program (a row
+with no coefficient among them; one with a nonzero right-hand side keeps
+its artificial mass, so the program is reported infeasible).
 ``solve(lp, basis=...)`` takes a caller's feasible starting basis, one
 column per row (a crash basis, Bixby 1992), and builds its tableau
 B^-1 [A | b] with one dense solve.  Only the nonbasic columns and b go
@@ -271,11 +273,6 @@ def solve(
     scale[scale == 0.0] = 1.0
     a = lp.A_eq / scale[:, None]
     b = lp.b_eq / scale
-    # all-zero rows: 0 = 0 holds trivially, anything else cannot
-    zero_rows = np.abs(a).max(axis=1) == 0
-    if (zero_rows & (np.abs(b) > _OPT_TOL)).any():
-        return LpSolution("infeasible", None, None)
-    a, b = a[~zero_rows], b[~zero_rows]
     m = b.size
     flip = b < 0
     a[flip] *= -1.0

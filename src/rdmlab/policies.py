@@ -52,11 +52,10 @@ stage: each (group, action) pair's return is its group's return so far plus
 the pair's reward.  ``_split`` splits a count above the row width by one
 multinomial, a smaller one by one categorical draw per member, in chunks of
 ``_SPLIT_BLOCK`` that leave every draw as it is.  Every categorical draw
-reads one raw 64-bit output per member, the uniform ``Generator.random``
-would make of it, and binary-searches it in a flat cumulative table at a
-computed row offset (``_draw``); no (n x width) block of CDF rows is
-gathered.  Tables are built once per call with negative round-off entries
-clipped to 0.  The parametric expert's action row is computed once per
+reads one ``Generator.random`` uniform per member and binary-searches it in
+a flat cumulative table at a computed row offset (``_draw``); no
+(n x width) block of CDF rows is gathered.  Tables are built once per call
+with negative round-off entries clipped to 0.  The parametric expert's action row is computed once per
 prefix (``_prefix_cdf``): logits (in blocks of ``_ROW_BLOCK`` prefixes), then
 softmax and cumulative sum in place, in one (k, A) array per stage.  Each
 prefix carries its projected history, (k, ``PROJECTION_DIM``), not its (2H,)
@@ -110,7 +109,6 @@ History = Sequence[tuple[int, int]]
 #: Trajectory spaces larger than this refuse to enumerate.
 ENUMERATION_CAP = 2**20
 
-_ROW_TOL = 1e-9
 _MASS_TOL = 1e-10
 
 #: Occupancy mass at or below this counts as none when a policy or a return
@@ -128,9 +126,6 @@ _ROW_BLOCK = 512
 #: same whatever it is.
 _SPLIT_BLOCK = 2**13
 
-#: ``Generator.random`` makes the double ``(x >> 11) * _UNIT`` of a 64-bit output x.
-_UNIT = 2.0**-53
-
 
 class EnumerationCapError(RuntimeError):
     """The trajectory space (S*A)^H exceeds the enumeration cap."""
@@ -140,8 +135,8 @@ def _check_rows(table: np.ndarray, what: str) -> np.ndarray:
     table = _frozen(table, float)
     if (
         not np.isfinite(table).all()
-        or np.abs(table.sum(axis=-1) - 1.0).max() > _ROW_TOL
-        or table.min() < -_ROW_TOL
+        or np.abs(table.sum(axis=-1) - 1.0).max() > PROB_TOL
+        or table.min() < -PROB_TOL
     ):
         raise ValueError(f"{what}: action rows must be probability vectors")
     return table
@@ -318,20 +313,19 @@ def _extend_features(pol, features, parent, h, s, a) -> np.ndarray:
     return out
 
 
-def _draw(bitgen: np.random.BitGenerator, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """One categorical draw from each given row of ``table``, on one 64-bit output each.
+def _draw(rng: np.random.Generator, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """One categorical draw from each given row of ``table``, on one uniform each.
 
-    ``table`` is a (rows, width) cumulative table.  Output ``x`` stands for
-    the uniform ``u = (x >> 11) * 2**-53``, the double ``Generator.random``
-    makes of it, and the draw is ``min((row < u).sum(), width - 1)``: a
-    branchless binary search over the row's first ``width - 1`` entries
-    (skipping the last is the clamp).
+    ``table`` is a (rows, width) cumulative table.  Each row reads one
+    uniform ``u`` of ``rng.random``, and the draw is ``min((row < u).sum(),
+    width - 1)``: a branchless binary search over the row's first
+    ``width - 1`` entries (skipping the last is the clamp).
     """
-    raw = bitgen.random_raw(rows.shape[0])
+    u = rng.random(rows.shape[0])
     width = table.shape[1]
     if width == 1:
         return np.zeros_like(rows)
-    flat_cdf, u = table.reshape(-1), (raw >> 11) * _UNIT
+    flat_cdf = table.reshape(-1)
     base = rows * width
     pos = base.copy()
     size = width - 1
@@ -372,7 +366,7 @@ def _split(
         chunk = small[lo:hi]
         member = np.repeat(chunk, counts[chunk])
         first = chunk[:1].sum() * width  # the chunk's first key (0 if it is empty)
-        key = _draw(rng.bit_generator, table, rows[member])
+        key = _draw(rng, table, rows[member])
         key += member * width - first
         tally = np.bincount(key)
         key = np.flatnonzero(tally)
@@ -399,9 +393,13 @@ def _renumber(key: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
     it and a running count, which gives the same sorted keys and inverse
     without a sort.  At 10**4 rows (2 cores) the map took 52-114 us to
     np.unique's 230-270 us up to twice the rows, but 360 to 235 us at four
-    times; at scale's 10**3 rows and key space 2.5e5 np.unique is far ahead.
-    A larger space is sorted, as np.unique does, but holding fewer
-    row-sized temporaries at once.
+    times.  A larger space is sorted, as np.unique does, but holding fewer
+    row-sized temporaries at once.  Only table-policy walks renumber (a
+    Markovian expert's datasets, Monte Carlo of a table policy): over 12
+    ``sample_counts`` calls of bulk's (20,5,5) expert, the N = 10**3 stages
+    (5-650 rows, key space 100-3,900) take the sort and the N = 3e5 stages
+    past the first (200-23,000 rows, space 420-7,600) mostly the map, and
+    _renumber summed 1.6 ms to np.unique's 5.4 ms (2 cores).
     """
     if space > 2 * key.size:
         order = key.argsort()

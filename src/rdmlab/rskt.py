@@ -100,6 +100,8 @@ class RsktLayout:
     points: np.ndarray  # (P,) int64, increasing, the last one n_keep - 1
     column: np.ndarray  # (H, S, G) int64
     num_d: int
+    final_cols: np.ndarray  # d columns of the final stage, cells in C order
+    final_returns: np.ndarray  # the grid return each of them reaches
 
     @property
     def n_keep(self) -> int:
@@ -131,16 +133,7 @@ class RsktLayout:
 
     def return_distribution(self, x: np.ndarray) -> np.ndarray:
         """eta over the kept grid: final-stage d shifted by the last reward multiples."""
-        cols, returns = self._final_entries()
-        return np.bincount(returns, weights=x[cols], minlength=self.n_keep)
-
-    def _final_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """d columns of the final stage and the return each reaches, cells in C order."""
-        last = self.column[-1]
-        live = last >= 0
-        cols = last[live][:, None] + np.arange(self.aug.base.num_actions)
-        returns = self.aug.reward.returns(np.arange(last.shape[1]))[live]
-        return cols.ravel(), returns.ravel()
+        return np.bincount(self.final_returns, weights=x[self.final_cols], minlength=self.n_keep)
 
     def program(self) -> LinearProgram:
         """The compact distribution-matching LP of the module docstring; its
@@ -157,8 +150,7 @@ class RsktLayout:
         a_eq[n_cells + i, self.minus_offset + i] = -1.0
         a_eq[n_cells + i[1:], self.plus_offset + i[:-1]] = -1.0
         a_eq[n_cells + i[1:], self.minus_offset + i[:-1]] = 1.0
-        cols, returns = self._final_entries()
-        a_eq[n_cells + np.searchsorted(self.points, returns), cols] = -1.0
+        a_eq[n_cells + np.searchsorted(self.points, self.final_returns), self.final_cols] = -1.0
         b_eq[n_cells:] = -self.eta_hat[self.points]
 
         c = np.zeros(self.num_variables)
@@ -251,12 +243,17 @@ def lp_layout(aug: AugmentedMdp, eta_hat: DiscreteReturnDistribution) -> RsktLay
     num_cells = int(live.sum())
     column = np.full(live.shape, -1, dtype=np.int64)
     column[live] = np.arange(num_cells) * aug.base.num_actions
+    last = live[-1]
+    final_cols = column[-1][last][:, None] + np.arange(aug.base.num_actions)
+    final_returns = aug.reward.returns(np.arange(last.shape[1]))[last]
     return RsktLayout(
         aug=aug,
         eta_hat=eta_hat_full[:n_keep],
         points=points,
         column=column,
         num_d=num_cells * aug.base.num_actions,
+        final_cols=final_cols.ravel(),
+        final_returns=final_returns.ravel(),
     )
 
 

@@ -77,15 +77,19 @@ def format_distribution(dist: DiscreteReturnDistribution) -> str:
 
 
 def parse_distribution(text: str) -> DiscreteReturnDistribution:
+    """The law of a ``format_distribution`` dump; anything else raises ``ValueError``."""
     values, probs = [], []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        v, p = line.split()
-        values.append(float(v))
-        probs.append(float(p))
-    return DiscreteReturnDistribution(np.array(values), np.array(probs))
+    try:
+        for line in text.splitlines():
+            line = line.strip()
+            if not line:
+                continue
+            v, p = line.split()
+            values.append(float(v))
+            probs.append(float(p))
+        return DiscreteReturnDistribution(np.array(values), np.array(probs))
+    except ValueError as err:
+        raise ValueError(f"invalid distribution dump: {err}") from None
 
 
 # --- policy tables ---------------------------------------------------------

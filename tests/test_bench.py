@@ -69,12 +69,15 @@ class TestConfig:
             ({"n_sweep": (10, 40.5)}, "whole numbers"),
             ({"theta": 1 / (10 - 5e-10)}, "do not nest at k=3"),
             ({"rho": 1 / (10 - 5e-10)}, "do not nest at k=3"),
+            ({"expert_kind": "tabular"}, "unknown expert kind 'tabular'"),
+            ({"eval_mode": "sampling"}, "eval_mode must be one of"),
         ],
     )
     def test_rejects_input_it_cannot_run(self, override, match):
         """A sample size below one or not a whole number, an algorithm named
-        twice, or a step whose grids do not nest over the horizon is refused
-        when the config is built, before any instance is generated."""
+        twice, a step whose grids do not nest over the horizon, or an unknown
+        expert kind or evaluation mode is refused when the config is built,
+        before any instance is generated."""
         with pytest.raises(ValueError, match=match):
             tiny_cfg(**override)
 
@@ -96,11 +99,20 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must be a positive whole number"):
             tiny_cfg(**{field: value})
 
+    @pytest.mark.parametrize("seed", [1.9, -1, 2**32, 2**32 + 1, "7", None])
+    def test_rejects_a_master_seed_outside_32_bits(self, seed):
+        """``derive_seed`` reads 32 bits of the master seed: 1.9 and 2**32 + 1
+        once ran exactly as 1."""
+        match = r"^master_seed must be a whole number in \[0, 2\*\*32\), got "
+        with pytest.raises(ValueError, match=match):
+            tiny_cfg(master_seed=seed)
+
     def test_whole_float_sample_sizes_become_ints(self):
-        cfg = tiny_cfg(n_sweep=(10.0, 4e1), num_states=2.0, instances=3.0, mc_samples=1e3)
+        cfg = tiny_cfg(n_sweep=(10.0, 4e1), num_states=2.0, instances=3.0, mc_samples=1e3,
+                       master_seed=2.0**32 - 1)
         assert cfg.n_sweep == (10, 40) and all(type(n) is int for n in cfg.n_sweep)
-        assert (cfg.num_states, cfg.instances, cfg.mc_samples) == (2, 3, 1000)
-        assert all(type(v) is int for v in (cfg.num_states, cfg.instances, cfg.mc_samples))
+        values = (cfg.num_states, cfg.instances, cfg.mc_samples, cfg.master_seed)
+        assert values == (2, 3, 1000, 2**32 - 1) and all(type(v) is int for v in values)
 
     def test_json_round_trip(self, tmp_path):
         import json

@@ -1,10 +1,18 @@
 import json
 
+import numpy as np
 import pytest
 
 import rdmlab as rl
+from rdmlab import bench
 from rdmlab.cli import main
-from rdmlab.serialize import format_distribution, mdp_from_json, parse_distribution, parse_policy
+from rdmlab.serialize import (
+    format_distribution,
+    format_policy,
+    mdp_from_json,
+    parse_distribution,
+    parse_policy,
+)
 
 
 def test_fixtures_subcommand_passes(capsys):
@@ -201,3 +209,108 @@ def test_gen_instance_refuses_a_bad_shape(tmp_path, capsys, flags, fault):
     assert captured.out == ""
     assert captured.err == fault + "\n"
     assert not out.exists()
+
+
+def test_gen_instance_refuses_a_negative_seed(tmp_path, capsys):
+    # once numpy's "expected non-negative integer" traceback and exit 1
+    out = tmp_path / "mdp.json"
+    assert main(["gen-instance", "--seed", "-1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "seed must be a nonnegative integer, got -1\n"
+    assert not out.exists()
+
+
+def test_gen_instance_refuses_to_save_a_parametric_expert(tmp_path, capsys):
+    out, expert_out = tmp_path / "mdp.json", tmp_path / "expert.txt"
+    assert main(["gen-instance", "--seed", "1", "--expert", "parametric-history",
+                 "--out", str(out), "--expert-out", str(expert_out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "only markovian experts can be serialized\n"
+    assert not out.exists() and not expert_out.exists()
+
+
+@pytest.fixture
+def stored_instance(tmp_path, capsys):
+    """An MDP document on the 0.5 grid and its Markovian expert's document."""
+    mdp_path, pol_path = tmp_path / "mdp.json", tmp_path / "expert.txt"
+    assert main(["gen-instance", "--seed", "5", "--rho", "0.5", "--out", str(mdp_path),
+                 "--expert-out", str(pol_path)]) == 0
+    capsys.readouterr()
+    return mdp_path, pol_path
+
+
+@pytest.mark.parametrize("missing", ["--mdp", "--policy", "--against"])
+def test_eval_policy_refuses_a_missing_file(stored_instance, tmp_path, capsys, missing):
+    # each once ended in a FileNotFoundError traceback and exit 1
+    mdp_path, pol_path = stored_instance
+    reference = tmp_path / "ref.txt"
+    reference.write_text("1.0 1.0\n")
+    paths = {"--mdp": mdp_path, "--policy": pol_path, "--against": reference}
+    paths[missing] = tmp_path / "absent.txt"
+    argv = ["eval-policy", "--grid-step", "0.5"]
+    for flag, path in paths.items():
+        argv += [flag, str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "No such file or directory" in captured.err and "absent.txt" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("dump, fault", [
+    ("0.5 0.6\n", "probabilities sum to 0.6, expected 1"),
+    ("0.5\n", "not enough values to unpack"),
+    ("one 1.0\n", "could not convert string to float: 'one'"),
+    ("\n", "support and probs must be matching nonempty 1-D arrays"),
+], ids=["short-mass", "one-column", "not-a-number", "empty"])
+def test_eval_policy_refuses_a_malformed_reference(stored_instance, tmp_path, capsys, dump, fault):
+    # the first once ended in a "probabilities sum to 0.6" traceback and exit 1
+    mdp_path, pol_path = stored_instance
+    reference = tmp_path / "ref.txt"
+    reference.write_text(dump)
+    assert main(["eval-policy", "--mdp", str(mdp_path), "--policy", str(pol_path),
+                 "--grid-step", "0.5", "--against", str(reference)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid distribution dump: ")
+    assert fault in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("step", ["0", "2", "-1"])
+def test_eval_policy_refuses_a_bad_grid_step(stored_instance, capsys, step):
+    # each once ended in a RewardGrid traceback and exit 1
+    mdp_path, pol_path = stored_instance
+    assert main(["eval-policy", "--mdp", str(mdp_path), "--policy", str(pol_path),
+                 "--grid-step", step]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"theta must lie in (0, 1], got {float(step)}\n"
+
+
+def test_eval_policy_reads_a_reward_augmented_policy_on_its_own_grid(stored_instance, capsys):
+    mdp_path, pol_path = stored_instance
+    mdp = mdp_from_json(mdp_path.read_text())
+    reward = rl.discretize_reward(mdp.reward, rl.RewardGrid(0.5, mdp.horizon))
+    policy = rl.random_reward_augmented_policy(reward, mdp.num_states, np.random.default_rng(3))
+    pol_path.write_text(format_policy(policy))
+    stored = parse_policy(pol_path.read_text())
+    assert main(["eval-policy", "--mdp", str(mdp_path), "--policy", str(pol_path)]) == 0
+    want = rl.exact_return_distribution(mdp, stored, mdp.reward, stored.grid)
+    assert capsys.readouterr().out == format_distribution(want)
+
+
+def test_run_dumps_the_largest_n_distributions(tmp_path, capsys):
+    cfg_path, out_path = tmp_path / "cfg.json", tmp_path / "results.csv"
+    cfg_path.write_text(json.dumps({**_GOOD_RUN_CFG, "n_sweep": [5, 20],
+                                    "algorithms": ["rs-bc", "bc"], "master_seed": 4}))
+    assert main(["run", "--config", str(cfg_path), "--output", str(out_path),
+                 "--dump-distributions"]) == 0
+    want = bench.collect_example_distributions(bench.load_config(cfg_path), 20)
+    assert set(want) == {"expert", "estimate", "rs-bc", "bc"}
+    out = capsys.readouterr().out
+    for name, dist in want.items():
+        dump = tmp_path / f"results.{name}.txt"
+        assert dump.read_text() == format_distribution(dist)
+        assert f"wrote {dump}" in out

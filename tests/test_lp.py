@@ -69,6 +69,47 @@ class TestBasics:
             LinearProgram(c=[1.0, 2.0], A_eq=[[1.0]], b_eq=[1.0])
 
 
+class TestDegenerateRows:
+    """Phase 1 owns the rows with no coefficient and the artificials it leaves
+    basic at level zero."""
+
+    def test_zero_row_with_zero_rhs_changes_nothing(self):
+        for c, a_eq, b_eq, a_le, b_le in random_feasible_programs(count=10):
+            lp = slack_form(c=c, a_eq=a_eq, b_eq=b_eq, a_le=a_le, b_le=b_le, upper=[5.0] * c.size)
+            zero = np.zeros((1, lp.num_variables))
+            padded = LinearProgram(
+                c=lp.c, A_eq=np.vstack([lp.A_eq, zero]), b_eq=np.append(lp.b_eq, 0.0)
+            )
+            want, got = solve(lp), solve(padded)
+            assert (got.status, got.objective) == (want.status, want.objective)
+            assert np.array_equal(got.x, want.x)
+
+    def test_zero_row_with_nonzero_rhs_is_infeasible(self):
+        lp = LinearProgram(c=[1.0, 1.0], A_eq=[[1.0, 1.0], [0.0, 0.0]], b_eq=[1.0, 1.0])
+        assert solve(lp).status == "infeasible"
+
+    def test_zero_row_makes_a_given_basis_singular(self):
+        lp = LinearProgram(c=[1.0, 1.0], A_eq=[[1.0, 1.0], [0.0, 0.0]], b_eq=[1.0, 0.0])
+        with pytest.raises(LpError, match=r"^starting basis is singular"):
+            solve(lp, basis=[0, 1])
+
+    def test_zero_level_artificial_is_pivoted_out(self, monkeypatch):
+        # x + y = 0, x - y = 0: phase 1's one pivot brings x in on row 0 and
+        # leaves row 1's artificial basic at zero, which y then replaces
+        pivots = []
+        real = lp_mod._apply_pivot
+
+        def spy(tableau, r, j, iteration):
+            pivots.append((r, j))
+            real(tableau, r, j, iteration)
+
+        monkeypatch.setattr(lp_mod, "_apply_pivot", spy)
+        sol = solve(LinearProgram(c=[1.0, 1.0], A_eq=[[1.0, 1.0], [1.0, -1.0]], b_eq=[0.0, 0.0]))
+        assert (sol.status, sol.iterations, sol.objective) == ("optimal", 1, 0.0)
+        assert sol.x.tolist() == [0.0, 0.0]
+        assert pivots == [(0, 0), (1, 1)]
+
+
 class TestDeterminism:
     def test_same_program_same_path(self):
         rng = np.random.default_rng(4)

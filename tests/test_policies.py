@@ -179,18 +179,17 @@ class TestSampling:
 
 
 class _StubRng:
-    """Stands in for a bit generator: ``random_raw(n)`` returns 64-bit outputs
-    that ``Generator.random`` turns into the chosen uniforms, which must lie on
-    its 2**-53 lattice.  Their low 11 bits, which that double drops, are set."""
+    """Stands in for a ``Generator``: ``random(n)`` returns the chosen uniforms,
+    which must lie on the 2**-53 lattice ``Generator.random`` draws from."""
 
     def __init__(self, values):
-        steps = np.asarray(values, dtype=float) * 2.0**53
+        self.u = np.asarray(values, dtype=float)
+        steps = self.u * 2.0**53
         assert (steps == np.floor(steps)).all() and (steps < 2.0**53).all()
-        self.raw = (steps.astype(np.uint64) << np.uint64(11)) | np.uint64(0x7FF)
 
-    def random_raw(self, n):
-        assert n == self.raw.size
-        return self.raw
+    def random(self, n):
+        assert n == self.u.size
+        return self.u
 
 
 class TestDrawKernel:
@@ -236,18 +235,27 @@ class TestDrawKernel:
         self._check(table.ravel(), width)
 
     @pytest.mark.parametrize("width", [1, 2, 3, 5, 8, 20, 50])
-    def test_raw_outputs_draw_like_generator_random(self, width):
-        """``_draw`` on ``PCG64(s).random_raw(k)`` against the strict count with
-        clamp on ``Generator(PCG64(s)).random(k)``: the equality that keeps
-        every sampled row what it was on doubles."""
+    def test_generator_uniforms_draw_like_the_strict_count(self, width):
+        """``_draw`` on ``Generator(PCG64(s))`` against the strict count with
+        clamp on that generator's ``random(k)`` uniforms."""
         rows = policies_mod._cdf_table(self._rows(width, np.random.default_rng(width)))
         k = 4096
         index = np.random.default_rng(width + 100).integers(0, rows.shape[0], k)
         for seed in range(3):
             u = np.random.Generator(np.random.PCG64(seed)).random(k)
             want = np.minimum((rows[index] < u[:, None]).sum(axis=1), width - 1)
-            got = policies_mod._draw(np.random.PCG64(seed), rows, index)
+            got = policies_mod._draw(np.random.Generator(np.random.PCG64(seed)), rows, index)
             assert np.array_equal(got, want), seed
+
+    def test_generator_random_reads_one_output_per_uniform(self):
+        """``Generator.random(k)`` is ``(x >> 11) * 2**-53`` of ``k`` raw PCG64
+        outputs and leaves the stream where ``random_raw(k)`` does, so draws
+        read off it are those of the raw outputs, call after call."""
+        gen, bits = np.random.Generator(np.random.PCG64(7)), np.random.PCG64(7)
+        for k in (1, 7, 1000, 3):
+            u = gen.random(k)
+            assert np.array_equal(u, (bits.random_raw(k) >> np.uint64(11)) * 2.0**-53)
+            assert gen.bit_generator.state == bits.state
 
     @pytest.mark.parametrize("width", [2, 3, 5, 8, 20, 50])
     def test_last_entry_below_one_is_clamped(self, width):
