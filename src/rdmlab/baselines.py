@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .lp import LinearProgram, LpError, check_dense_size, solve
-from .mdp import Dataset, GridReward, RewardGrid, TabularMdp, _flow_rows
+from .mdp import Dataset, GridReward, RewardGrid, TabularMdp, _check_dims, _flow_rows
 from .policies import ZERO_MASS, MarkovianPolicy, exact_augmented_occupancy, normalize_rows
 
 __all__ = ["count_state_actions", "bc_from_counts", "bc", "mimic_md_from_counts", "mimic_md"]
@@ -64,6 +64,7 @@ def mimic_md_from_counts(counts: np.ndarray, mdp: TabularMdp) -> MarkovianPolicy
     diagonal blocks.  The policy is read off by row normalization, uniform
     on zero-mass rows.
     """
+    _check_dims(mdp.reward.shape, "the MDP", counts=counts.shape)
     horizon, num_states, num_actions = mdp.horizon, mdp.num_states, mdp.num_actions
     state_counts = counts.sum(axis=2)
     n_d = horizon * num_states * num_actions  # d column of (h, s, a): (h * S + s) * A + a

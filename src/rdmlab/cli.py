@@ -19,6 +19,14 @@ from .mdp import RewardGrid
 from .policies import RewardAugmentedPolicy, exact_return_distribution
 
 
+def _missing_directory(*paths: str | None) -> bool:
+    """Print one stderr line if an output path's directory does not exist."""
+    missing = [Path(p).parent for p in paths if p is not None and not Path(p).parent.is_dir()]
+    if missing:
+        print(f"output directory {missing[0]} does not exist", file=sys.stderr)
+    return bool(missing)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = bench.load_config(args.config)
@@ -29,6 +37,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         cfg = bench.ExperimentConfig(**{**cfg.__dict__, "output_path": args.output})
     if cfg.output_path is None:
         print("no output path configured (set output_path or pass --output)", file=sys.stderr)
+        return 2
+    if _missing_directory(cfg.output_path):  # the distribution dumps go next to the CSV
         return 2
     rows = bench.run_experiment(cfg)
     distributions = None
@@ -70,6 +80,8 @@ def _cmd_gen_instance(args: argparse.Namespace) -> int:
         )
     except ValueError as err:
         print(err, file=sys.stderr)
+        return 2
+    if _missing_directory(args.out, args.expert_out):
         return 2
     mdp, expert = bench.generate_instance(cfg, args.seed)
     Path(args.out).write_text(serialize.mdp_to_json(mdp))

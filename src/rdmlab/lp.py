@@ -208,10 +208,11 @@ def _apply_pivot(tableau, r, j, iteration):
     column subset costs about twice as much per entry as whole rows, so the
     columns are restricted only when the pivot row is sparse, and then the
     rows x columns block is addressed by one flat index into the (C
-    contiguous) tableau's buffer.  Column j ends as the unit vector e_r
-    exactly (x - x * 1.0 == 0).  Basic values below zero by more than
-    round-off mean the basis has gone numerically wrong; that raises here
-    instead of being clipped.
+    contiguous) tableau's buffer: desk is no faster for it, but a (10,3,5)
+    program (890 x 2,593, 2,912 Bland pivots) took 16-17 s with it, 20 s
+    without.  Column j ends as the unit vector e_r exactly (x - x * 1.0 ==
+    0).  Basic values below zero by more than round-off mean the basis has
+    gone numerically wrong; that raises here instead of being clipped.
     """
     pivot = tableau[r, j]
     tableau[r] /= pivot

@@ -243,8 +243,6 @@ def discretize_reward(reward: np.ndarray | GridReward, grid: RewardGrid) -> Grid
             raise ValueError("reward grid does not match the requested grid")
         return reward
     r = np.asarray(reward, dtype=float)
-    if r.ndim != 3 or r.shape[0] != grid.horizon:
-        raise ValueError("reward must be a (H, S, A) table matching the grid horizon")
     # Round half down: k = ceil(r/theta - 1/2), with slack so decimal ties
     # that land infinitesimally above one half still go to the smaller value.
     k = np.ceil(r / grid.theta - 0.5 - _FLOOR_SLACK).astype(np.int64)
@@ -257,6 +255,17 @@ def _raw_reward(reward: np.ndarray | GridReward, entry: str) -> np.ndarray:
     if isinstance(reward, GridReward):
         raise TypeError(f"{entry} takes a raw (H, S, A) reward table, not a GridReward")
     return np.asarray(reward, dtype=float)
+
+
+def _check_dims(dims: tuple[int, ...], owner: str, **tables: tuple[int, ...]) -> None:
+    """The one shape rule: each keyword names a table an entry point was handed
+    and gives its (H, S, A), which must be ``dims``, the (H, S, A) of ``owner``."""
+    for what, shape in tables.items():
+        if shape[:1] != dims[:1]:
+            raise ValueError(f"{what} horizon does not match {owner}")
+        if shape[1:] != dims[1:]:
+            got, want = shape[1:], dims[1:]
+            raise ValueError(f"{what} states and actions {got} do not match {owner}'s {want}")
 
 
 def _push_stage(
@@ -284,8 +293,8 @@ def _push_stage(
     mass and every action, found with a presence map over the box.  For each
     action the action-weighted mass fills one zeroed (S, K') slab by one
     fancy-index assignment (one (state, action) never sends two cells to one
-    key; mass with nowhere to go lands in a spare column), and a single
-    transition GEMM pushes the slab into the next stage.
+    key; mass with nowhere to go lands in a spare column), and one
+    transition GEMM adds the slab to the next stage.
     """
     num_states, num_actions = transitions.shape[:2]
     size = math.prod(limits)
@@ -302,18 +311,11 @@ def _push_stage(
     pos[size] = nxt_cells.size  # dropped mass goes to a spare column
     cols = pos[dst]
     rows = np.arange(num_states)[:, None]
-    weighted = np.empty_like(mass)
-    slab = np.empty((num_states, nxt_cells.size + 1))
-    nxt = np.empty((num_states, nxt_cells.size))
-    pushed = np.empty_like(nxt)
+    nxt = np.zeros((num_states, nxt_cells.size))
     for a in range(num_actions):
-        slab.fill(0.0)
-        np.multiply(mass, phi[:, :, a], out=weighted)
-        slab[rows, cols[:, a]] = weighted
-        # The first action's GEMM writes the next stage, saving a zero fill and an add.
-        np.matmul(transitions[:, a, :].T, slab[:, :-1], out=pushed if a else nxt)
-        if a:
-            nxt += pushed
+        slab = np.zeros((num_states, nxt_cells.size + 1))
+        slab[rows, cols[:, a]] = mass * phi[:, :, a]
+        nxt += transitions[:, a, :].T @ slab[:, :-1]
     return nxt_cells, nxt
 
 
@@ -378,9 +380,8 @@ def build_augmented_mdp(
     after each stage (an inf count would make the GEMM NaN), and only
     ``> 0`` is read.
     """
-    if grid.horizon != mdp.horizon:
-        raise ValueError("grid horizon does not match MDP horizon")
     gr = discretize_reward(reward, grid)
+    _check_dims(mdp.reward.shape, "the MDP", reward=gr.multiples.shape)
     support = (mdp.transitions > 0.0).astype(float)
     every_action = np.ones((1, 1, mdp.num_actions))
     cells, paths = np.zeros(1, dtype=np.intp), np.zeros((mdp.num_states, 1))

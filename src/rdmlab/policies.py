@@ -23,8 +23,8 @@ positive-probability trajectory, and their probabilities; the brute-force
 return distribution sums rewards over those rows, and the reward-conditioned
 projection pi_R is ``rs-bc``'s probability-weighted count table over them
 (``rdmlab.rsbc.construct_pi_r``).  Every entry point that walks a policy
-over an MDP refuses one of another horizon, state or action count
-(``_check_dims``).
+over an MDP refuses a policy (``_dims``) or reward of another (H, S, A) by
+the one shape rule, ``rdmlab.mdp._check_dims``.
 
 One walk draws every sample, the group walk ``_group_walk``.  It carries
 integer counts over groups, not rows: a group is a set of episodes whose
@@ -50,12 +50,9 @@ far; otherwise they draw the same law.  ``mc_return_distribution`` runs the
 walk with the reward it evaluates as the raw return and reads its last
 stage: each (group, action) pair's return is its group's return so far plus
 the pair's reward.  ``_split`` splits a count above the row width by one
-multinomial, a smaller one by one categorical draw per member, in chunks of
-``_SPLIT_BLOCK`` that leave every draw as it is.  Every categorical draw
-reads one ``Generator.random`` uniform per member and binary-searches it in
-a flat cumulative table at a computed row offset (``_draw``); no
-(n x width) block of CDF rows is gathered.  Tables are built once per call
-with negative round-off entries clipped to 0.  The parametric expert's action row is computed once per
+multinomial, a smaller one by one categorical draw per member (``_draw``),
+on cumulative tables built once per call with negative round-off entries
+clipped to 0.  The parametric expert's action row is computed once per
 prefix (``_prefix_cdf``): logits (in blocks of ``_ROW_BLOCK`` prefixes), then
 softmax and cumulative sum in place, in one (k, A) array per stage.  Each
 prefix carries its projected history, (k, ``PROJECTION_DIM``), not its (2H,)
@@ -79,6 +76,7 @@ from .mdp import (
     GridReward,
     RewardGrid,
     TabularMdp,
+    _check_dims,
     _frozen,
     _push_stage,
     _raw_reward,
@@ -196,9 +194,7 @@ class RewardAugmentedPolicy:
         t = _check_rows(self.table, "RewardAugmentedPolicy")
         if t.ndim != 4:
             raise ValueError("table must have shape (H, S, G, A)")
-        horizon = t.shape[0]
-        if self.grid.horizon != horizon:
-            raise ValueError("reward and table horizons must agree")
+        _check_dims(t.shape[:2] + t.shape[3:], "the table", reward=self.reward.multiples.shape)
         if t.shape[2] != self.grid.table_size:
             raise ValueError(f"g-axis has {t.shape[2]} cells, expected {self.grid.table_size}")
         object.__setattr__(self, "table", t)
@@ -389,31 +385,13 @@ def _split(
 def _renumber(key: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(key, return_inverse=True)`` for keys in ``[0, space)``.
 
-    A key space at most twice the rows is renumbered by a presence map over
-    it and a running count, which gives the same sorted keys and inverse
-    without a sort.  At 10**4 rows (2 cores) the map took 52-114 us to
-    np.unique's 230-270 us up to twice the rows, but 360 to 235 us at four
-    times.  A larger space is sorted, as np.unique does, but holding fewer
-    row-sized temporaries at once.  Only table-policy walks renumber (a
-    Markovian expert's datasets, Monte Carlo of a table policy): over 12
-    ``sample_counts`` calls of bulk's (20,5,5) expert, the N = 10**3 stages
-    (5-650 rows, key space 100-3,900) take the sort and the N = 3e5 stages
-    past the first (200-23,000 rows, space 420-7,600) mostly the map, and
-    _renumber summed 1.6 ms to np.unique's 5.4 ms (2 cores).
+    A key space at most twice the rows takes a presence map over it and a
+    running count, the same sorted keys and inverse without a sort: over 31
+    such calls of bulk's (20,5,5) expert, 2.41 ms to np.unique's 12.40 ms.
+    A larger space takes ``np.unique``'s sort.
     """
     if space > 2 * key.size:
-        order = key.argsort()
-        ordered = key[order]
-        first = np.empty(key.size, dtype=bool)
-        first[:1] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-        ordered = ordered[first]
-        ids = np.cumsum(first, dtype=np.intp)
-        del first
-        ids -= 1
-        inverse = np.empty_like(ids)
-        inverse[order] = ids
-        return ordered, inverse
+        return np.unique(key, return_inverse=True)
     present = np.zeros(space, dtype=bool)
     present[key] = True
     ids = np.cumsum(present, dtype=np.intp)
@@ -472,7 +450,8 @@ def _group_walk(
     (pair, next state) order, so a stage holds the live prefixes and the
     counted multiple never changes a draw.
     """
-    _check_dims(mdp, policy)
+    walked = raw_reward if reward is None else reward.multiples  # counted, else returned
+    _check_dims(mdp.reward.shape, "the MDP", policy=_dims(policy), reward=walked.shape)
     horizon, num_states, num_actions = mdp.horizon, mdp.num_states, mdp.num_actions
     prefix = isinstance(policy, ParametricHistoryPolicy)
     if prefix:
@@ -605,10 +584,6 @@ def sample_counts(
     if n < 1:
         raise ValueError("n must be at least 1")
     horizon, num_states, num_actions = mdp.horizon, mdp.num_states, mdp.num_actions
-    if reward.grid.horizon != horizon:
-        raise ValueError("reward horizon does not match the MDP")
-    if reward.multiples.shape[1:] != (num_states, num_actions):
-        raise ValueError("reward table does not match the MDP's states and actions")
     num_g = reward.grid.table_size
     counts = np.zeros((horizon, num_states * num_g * num_actions), dtype=np.intp)
     for h, stage in enumerate(_group_walk(mdp, policy, n, seed, mdp.reward, reward)):
@@ -617,19 +592,13 @@ def sample_counts(
     return counts.reshape(horizon, num_states, num_g, num_actions)
 
 
-def _check_dims(mdp: TabularMdp, policy: PolicyHandle) -> None:
-    # refuse another (H, S, A); an object of another kind is left to the caller's kind check
-    if getattr(policy, "horizon", mdp.horizon) != mdp.horizon:
-        raise ValueError("policy horizon does not match the MDP")
+def _dims(policy: PolicyHandle) -> tuple[int, int, int]:
+    """A policy's (H, S, A); an object of no policy kind is refused by name."""
     if isinstance(policy, ParametricHistoryPolicy):
-        dims = policy.state_weights.shape[::2]  # (S, PROJECTION_DIM, A)
-    elif isinstance(policy, (MarkovianPolicy, RewardAugmentedPolicy)):
-        dims = policy.table.shape[1], policy.table.shape[-1]
-    else:
-        return
-    want = mdp.num_states, mdp.num_actions
-    if dims != want:
-        raise ValueError(f"policy states and actions {dims} do not match the MDP's {want}")
+        return (policy.horizon, *policy.state_weights.shape[::2])  # (S, PROJECTION_DIM, A)
+    if isinstance(policy, (MarkovianPolicy, RewardAugmentedPolicy)):
+        return (policy.horizon, policy.table.shape[1], policy.table.shape[-1])
+    raise TypeError(f"policy kind {type(policy).__name__} is none of the three policy kinds")
 
 
 def enumerate_trajectory_distribution(
@@ -641,7 +610,7 @@ def enumerate_trajectory_distribution(
     brute-force oracle the dynamic program is checked against.  Rows are
     pairwise distinct and the probabilities sum to one.
     """
-    _check_dims(mdp, policy)
+    _check_dims(mdp.reward.shape, "the MDP", policy=_dims(policy))
     size = (mdp.num_states * mdp.num_actions) ** mdp.horizon
     if size > ENUMERATION_CAP:
         raise EnumerationCapError(f"trajectory space (S*A)^H = {size} exceeds {ENUMERATION_CAP}")
@@ -674,12 +643,13 @@ def brute_force_return_distribution(
     mdp: TabularMdp, policy: PolicyHandle, reward: np.ndarray
 ) -> DiscreteReturnDistribution:
     """Exact return distribution by full trajectory enumeration."""
+    reward = _raw_reward(reward, "brute_force_return_distribution")
+    _check_dims(mdp.reward.shape, "the MDP", reward=reward.shape)
     data, probs = enumerate_trajectory_distribution(mdp, policy)
     total = probs.sum()
     _dp_mass_check(total, mdp.horizon)  # rows admitted off one, as in the return DP
     if abs(total - 1.0) > _MASS_TOL:  # a total closer to one keeps its bits
         probs = probs / total
-    reward = _raw_reward(reward, "brute_force_return_distribution")
     returns = reward[np.arange(mdp.horizon), data.states, data.actions].sum(axis=1)
     return DiscreteReturnDistribution.from_weighted(returns, probs)
 
@@ -705,8 +675,6 @@ def mc_return_distribution(
     if m < 1:
         raise ValueError("m must be at least 1")
     reward = _raw_reward(reward, "mc_return_distribution")
-    if reward.shape != mdp.reward.shape:  # the walk reads it by flat (h, s, a) index
-        raise ValueError(f"reward table has shape {reward.shape}, the MDP's {mdp.reward.shape}")
     for stage in _group_walk(mdp, policy, m, seed, reward):
         pass
     last = reward[-1, stage.state[stage.group], stage.action]
@@ -740,7 +708,7 @@ def _table_walk(mdp: TabularMdp, policy: PolicyHandle, multiples: np.ndarray, si
     target reward keeps both coordinates equal, so its keys and pushes are,
     bit for bit, those of a walk over the target accumulator alone.
     """
-    _check_dims(mdp, policy)
+    _check_dims(mdp.reward.shape, "the MDP", policy=_dims(policy), reward=multiples.shape)
     table, own_multiples = _grid_table(policy)
     shifts = np.stack([own_multiples, multiples], axis=-1)
     limits = (table.shape[2], size)
@@ -804,11 +772,11 @@ def random_markovian_policy(
 
 
 def random_reward_augmented_policy(
-    reward: GridReward, num_states: int, rng: np.random.Generator
+    reward: GridReward, rng: np.random.Generator
 ) -> RewardAugmentedPolicy:
-    """Uniform-simplex rows over every (stage, state, grid value) cell."""
+    """Uniform-simplex rows over every (stage, state, grid value) cell of ``reward``."""
     grid = reward.grid
-    num_actions = reward.multiples.shape[2]
+    _, num_states, num_actions = reward.multiples.shape
     table = rng.dirichlet(np.ones(num_actions), size=(grid.horizon, num_states, grid.table_size))
     return RewardAugmentedPolicy(table=table, reward=reward)
 

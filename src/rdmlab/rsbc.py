@@ -38,7 +38,8 @@ import math
 import numpy as np
 
 from .distributions import DiscreteReturnDistribution
-from .mdp import Dataset, GridReward, RewardGrid, TabularMdp, _raw_reward, discretize_reward
+from .mdp import Dataset, GridReward, RewardGrid, TabularMdp, discretize_reward
+from .mdp import _check_dims, _raw_reward
 from .policies import (
     PolicyHandle,
     RewardAugmentedPolicy,
@@ -68,15 +69,13 @@ def count_occurrences(
     (h, s, g, a) cell index and the keys are counted with one
     ``np.bincount``.
     """
-    grid = reward.grid
     horizon = data.horizon
-    if grid.horizon != horizon:
-        raise ValueError("reward horizon does not match the dataset")
+    shape = (horizon, data.num_states, reward.grid.table_size, data.num_actions)
+    _check_dims(shape[:2] + shape[3:], "the dataset", reward=reward.multiples.shape)
     stage_idx = np.arange(horizon)
     step_mult = reward.multiples[stage_idx, data.states, data.actions]  # (N, H)
     g = np.zeros_like(step_mult)
     np.cumsum(step_mult[:, :-1], axis=1, out=g[:, 1:])
-    shape = (horizon, data.num_states, grid.table_size, data.num_actions)
     key = ((stage_idx * shape[1] + data.states) * shape[2] + g) * shape[3] + data.actions
     if weights is not None:
         weights = np.repeat(np.asarray(weights, dtype=float), horizon)
@@ -102,6 +101,8 @@ def eta_hat_from_counts(counts: np.ndarray, reward: GridReward) -> DiscreteRetur
     ``DiscreteReturnDistribution.on_grid`` gives the law of the returns
     (count / N at each observed total).
     """
+    dims = counts.shape[:2] + counts.shape[3:]  # the (H, S, A) of M[h, s, g, a]
+    _check_dims(dims, "the count table", reward=reward.multiples.shape)
     last = counts[-1]  # (S, G, A)
     mass = np.bincount(reward.returns(np.arange(last.shape[1])).ravel(), last.ravel())
     return DiscreteReturnDistribution.on_grid(mass, reward.grid.theta)
@@ -117,6 +118,8 @@ def empirical_return_distribution(
     """
     if grid is None:
         reward = _raw_reward(reward, "empirical_return_distribution without a grid")
+        _check_dims((data.horizon, data.num_states, data.num_actions), "the dataset",
+                    reward=reward.shape)
         n, horizon = data.states.shape
         returns = reward[np.arange(horizon), data.states, data.actions].sum(axis=1)
         return DiscreteReturnDistribution.from_weighted(returns, np.full(n, 1.0 / n))

@@ -169,10 +169,10 @@ def test_c07_lp_lower_envelope_and_round_trip():
         eta_hat = rl.empirical_return_distribution(data, mdp.reward, grid)
         _, diag = rl.rs_kt(data, mdp, mdp.reward, grid)
         for _ in range(100):
-            candidate = random_reward_augmented_policy(gr, mdp.num_states, rng)
+            candidate = random_reward_augmented_policy(gr, rng)
             dist = rl.exact_return_distribution(mdp, candidate, mdp.reward, grid)
             worst_gap = max(worst_gap, diag.objective - rl.wasserstein(dist, eta_hat))
-        probe = random_reward_augmented_policy(gr, mdp.num_states, rng)
+        probe = random_reward_augmented_policy(gr, rng)
         occ = exact_augmented_occupancy(mdp, probe, gr)
         recovered = rl.RewardAugmentedPolicy(
             table=normalize_rows(occ, min_mass=ZERO_MASS), reward=gr

@@ -293,7 +293,7 @@ def test_eval_policy_reads_a_reward_augmented_policy_on_its_own_grid(stored_inst
     mdp_path, pol_path = stored_instance
     mdp = mdp_from_json(mdp_path.read_text())
     reward = rl.discretize_reward(mdp.reward, rl.RewardGrid(0.5, mdp.horizon))
-    policy = rl.random_reward_augmented_policy(reward, mdp.num_states, np.random.default_rng(3))
+    policy = rl.random_reward_augmented_policy(reward, np.random.default_rng(3))
     pol_path.write_text(format_policy(policy))
     stored = parse_policy(pol_path.read_text())
     assert main(["eval-policy", "--mdp", str(mdp_path), "--policy", str(pol_path)]) == 0
@@ -314,3 +314,26 @@ def test_run_dumps_the_largest_n_distributions(tmp_path, capsys):
         dump = tmp_path / f"results.{name}.txt"
         assert dump.read_text() == format_distribution(dist)
         assert f"wrote {dump}" in out
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--config", "{cfg}", "--output", "{tmp}/nodir/o.csv"],
+    ["run", "--config", "{cfg}", "--output", "{tmp}/nodir/o.csv", "--dump-distributions"],
+    ["gen-instance", "--seed", "1", "--out", "{tmp}/nodir/m.json"],
+    ["gen-instance", "--seed", "1", "--out", "{tmp}/m.json", "--expert-out", "{tmp}/nodir/e.txt"],
+], ids=["run", "run-dump", "gen-instance", "gen-instance-expert"])
+def test_an_output_in_a_missing_directory_fails_before_any_work(
+    tmp_path, capsys, monkeypatch, command
+):
+    # each once did all its work (a whole experiment, or wrote m.json) and
+    # then ended in a FileNotFoundError traceback and exit 1
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_GOOD_RUN_CFG))
+    for name in ("run_experiment", "generate_instance"):
+        monkeypatch.setattr(bench, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+    argv = [arg.format(cfg=cfg_path, tmp=tmp_path) for arg in command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"output directory {tmp_path / 'nodir'} does not exist\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]

@@ -70,7 +70,7 @@ class TestSampling:
         policies = {
             "markovian": rl.random_markovian_policy(4, 3, 4, rng),
             "reward-augmented": random_reward_augmented_policy(
-                rl.discretize_reward(mdp.reward, grid), 4, rng
+                rl.discretize_reward(mdp.reward, grid), rng
             ),
             "parametric": random_parametric_policy(4, 3, 4, rng),
         }
@@ -126,7 +126,7 @@ class TestSampling:
             return mdp, random_parametric_policy(100, 5, 5, rng), 200_000
         mdp, _ = make_instance(7, num_states=4, num_actions=3, horizon=4)
         gr = rl.discretize_reward(mdp.reward, rl.RewardGrid(0.25, mdp.horizon))
-        return mdp, random_reward_augmented_policy(gr, 4, rng), 50_000
+        return mdp, random_reward_augmented_policy(gr, rng), 50_000
 
     @pytest.mark.parametrize("kind", sorted(PINNED_DRAWS_AT_SCALE))
     def test_draws_match_pinned_digests_at_scale(self, kind):
@@ -362,7 +362,7 @@ def _sampling_case(kind, rho=0.25):
         policy = rl.random_markovian_policy(4, 3, 4, rng)
     elif kind == "reward-augmented":
         policy_reward = rl.discretize_reward(mdp.reward, rl.RewardGrid(rho, 4))
-        policy = random_reward_augmented_policy(policy_reward, 4, rng)
+        policy = random_reward_augmented_policy(policy_reward, rng)
     else:
         policy = random_parametric_policy(4, 3, 4, rng)
     return mdp, policy, rho
@@ -681,10 +681,15 @@ _MISMATCHED_POLICIES = {
     "shorter": (lambda gr, rng: rl.random_markovian_policy(3, 2, 3, rng), _HORIZON),
     "markovian-states": (lambda gr, rng: rl.random_markovian_policy(4, 2, 4, rng), _STATES),
     "markovian-actions": (lambda gr, rng: rl.random_markovian_policy(3, 1, 4, rng), _ACTIONS),
-    "augmented-states": (lambda gr, rng: random_reward_augmented_policy(gr, 4, rng), _STATES),
+    "augmented-states": (
+        lambda gr, rng: random_reward_augmented_policy(
+            rl.GridReward(gr.grid, gr.multiples[:, [0, 1, 2, 0]]), rng
+        ),
+        _STATES,
+    ),
     "augmented-actions": (
         lambda gr, rng: random_reward_augmented_policy(
-            rl.GridReward(gr.grid, gr.multiples[..., :1]), 3, rng
+            rl.GridReward(gr.grid, gr.multiples[..., :1]), rng
         ),
         _ACTIONS,
     ),
@@ -739,7 +744,7 @@ class TestEnumeration:
         elif kind == "reward-augmented":
             mdp, _ = make_instance(6, rho=0.5, horizon=3)
             gr = rl.discretize_reward(mdp.reward, rl.RewardGrid(0.5, mdp.horizon))
-            policy = random_reward_augmented_policy(gr, mdp.num_states, np.random.default_rng(6))
+            policy = random_reward_augmented_policy(gr, np.random.default_rng(6))
         else:
             mdp, policy = make_instance(6, expert_kind=kind)
         data, probs = rl.enumerate_trajectory_distribution(mdp, policy)
@@ -821,7 +826,7 @@ class TestExactReturnDistribution:
         assert rl.wasserstein(dp, brute) <= 1e-10
 
         gr = rl.discretize_reward(mdp.reward, grid)
-        augmented = random_reward_augmented_policy(gr, mdp.num_states, rng)
+        augmented = random_reward_augmented_policy(gr, rng)
         dp = rl.exact_return_distribution(mdp, augmented, mdp.reward, grid)
         brute = rl.brute_force_return_distribution(mdp, augmented, mdp.reward)
         assert rl.wasserstein(dp, brute) <= 1e-10
@@ -834,7 +839,7 @@ class TestExactReturnDistribution:
         fine = rl.RewardGrid(0.2, mdp.horizon)
         rng = np.random.default_rng(seed)
         policy = random_reward_augmented_policy(
-            rl.discretize_reward(mdp.reward, coarse), mdp.num_states, rng
+            rl.discretize_reward(mdp.reward, coarse), rng
         )
         dp = rl.exact_return_distribution(mdp, policy, mdp.reward, fine)
         brute = rl.brute_force_return_distribution(mdp, policy, mdp.reward)
@@ -929,7 +934,7 @@ class TestMonteCarlo:
             return rl.random_markovian_policy(num_states, num_actions, horizon, rng)
         if kind == "reward-augmented":
             gr = rl.discretize_reward(mdp.reward, rl.RewardGrid(0.25, horizon))
-            return random_reward_augmented_policy(gr, num_states, rng)
+            return random_reward_augmented_policy(gr, rng)
         return random_parametric_policy(num_states, num_actions, horizon, rng)
 
     @classmethod
@@ -1014,7 +1019,8 @@ class TestMonteCarlo:
         at the wrong flat index."""
         mdp, policy = self._case("markovian", 5)
         shape = tuple(np.add(mdp.reward.shape, extra))
-        with pytest.raises(ValueError, match="reward table has shape"):
+        fault = r"reward states and actions \(\d+, \d+\) do not match the MDP's"
+        with pytest.raises(ValueError, match=fault):
             rl.mc_return_distribution(mdp, policy, np.zeros(shape), 100, seed=1)
 
     def test_rejects_objects_that_are_not_policies(self):
@@ -1104,7 +1110,7 @@ class TestMonteCarlo:
         mdp, _ = make_instance(9, rho=0.25)
         grid = rl.RewardGrid(0.25, mdp.horizon)
         gr = rl.discretize_reward(mdp.reward, rl.RewardGrid(0.5, mdp.horizon))
-        policy = random_reward_augmented_policy(gr, mdp.num_states, np.random.default_rng(3))
+        policy = random_reward_augmented_policy(gr, np.random.default_rng(3))
         exact = rl.exact_return_distribution(mdp, policy, mdp.reward, grid)
         sampled = rl.mc_return_distribution(mdp, policy, mdp.reward, 100_000, seed=8)
         assert rl.wasserstein(exact, sampled) <= mdp.horizon * rl.dkw_band(100_000, 0.01)
@@ -1179,7 +1185,7 @@ class TestAugmentedOccupancy:
         gr = rl.discretize_reward(mdp.reward, grid)
         other = rl.discretize_reward(np.random.default_rng(23).random(mdp.reward.shape), grid)
         assert not np.array_equal(other.multiples, gr.multiples)
-        policy = random_reward_augmented_policy(other, mdp.num_states, np.random.default_rng(7))
+        policy = random_reward_augmented_policy(other, np.random.default_rng(7))
         occ = exact_augmented_occupancy(mdp, policy, gr)
         data, probs = rl.enumerate_trajectory_distribution(mdp, policy)
         assert np.abs(occ - count_occurrences(data, gr, probs)).max() <= 1e-12
@@ -1189,7 +1195,7 @@ class TestAugmentedOccupancy:
         grid = rl.RewardGrid(0.5, mdp.horizon)
         rng = np.random.default_rng(6)
         gr = rl.discretize_reward(mdp.reward, grid)
-        policy = random_reward_augmented_policy(gr, mdp.num_states, rng)
+        policy = random_reward_augmented_policy(gr, rng)
         occ = exact_augmented_occupancy(mdp, policy, gr)
         assert occ.sum(axis=(1, 2, 3)) == pytest.approx(np.ones(mdp.horizon), abs=1e-10)
 
@@ -1221,9 +1227,9 @@ class TestExactPassDigests:
         rng = np.random.default_rng(21)
         policies = {
             "markovian": rl.random_markovian_policy(10, 3, 5, rng),
-            "same-reward": random_reward_augmented_policy(gr, 10, rng),
+            "same-reward": random_reward_augmented_policy(gr, rng),
             "coarser-grid": random_reward_augmented_policy(
-                rl.discretize_reward(mdp.reward, coarse), 10, rng
+                rl.discretize_reward(mdp.reward, coarse), rng
             ),
         }
         got = {}
@@ -1363,8 +1369,8 @@ class TestLiveCellKernel:
         fine, coarse = rl.RewardGrid(0.25, 4), rl.RewardGrid(0.5, 4)
         rng = np.random.default_rng(stage)
         markov = rl.random_markovian_policy(3, 2, 4, rng)
-        single = random_reward_augmented_policy(rl.discretize_reward(mdp.reward, fine), 3, rng)
-        joint = random_reward_augmented_policy(rl.discretize_reward(mdp.reward, coarse), 3, rng)
+        single = random_reward_augmented_policy(rl.discretize_reward(mdp.reward, fine), rng)
+        joint = random_reward_augmented_policy(rl.discretize_reward(mdp.reward, coarse), rng)
         for policy in (markov, single, joint):
             with pytest.raises(AssertionError, match="lost probability mass"):
                 rl.exact_return_distribution(mdp, policy, mdp.reward, fine)
@@ -1378,7 +1384,7 @@ class TestLiveCellKernel:
         rng = np.random.default_rng(stage)
         for policy in (
             rl.random_markovian_policy(3, 2, 4, rng),
-            random_reward_augmented_policy(gr, 3, rng),
+            random_reward_augmented_policy(gr, rng),
         ):
             with pytest.raises(AssertionError, match="lost probability mass"):
                 exact_augmented_occupancy(mdp, policy, gr)
@@ -1395,8 +1401,8 @@ class TestLiveCellKernel:
         fine, coarse = rl.RewardGrid(0.25, 4), rl.RewardGrid(0.5, 4)
         policies = (
             rl.random_markovian_policy(3, 2, 4, rng),
-            random_reward_augmented_policy(rl.discretize_reward(mdp.reward, fine), 3, rng),
-            random_reward_augmented_policy(rl.discretize_reward(mdp.reward, coarse), 3, rng),
+            random_reward_augmented_policy(rl.discretize_reward(mdp.reward, fine), rng),
+            random_reward_augmented_policy(rl.discretize_reward(mdp.reward, coarse), rng),
         )
         for policy in policies:  # Markov, single, joint
             a, b = (
@@ -1420,8 +1426,8 @@ class TestLiveCellKernel:
         fine, coarse = rl.RewardGrid(0.25, 5), rl.RewardGrid(0.5, 5)
         gr = rl.discretize_reward(reward, fine)
         markov = rl.random_markovian_policy(3, 2, 5, rng)
-        single = random_reward_augmented_policy(gr, 3, rng)
-        joint = random_reward_augmented_policy(rl.discretize_reward(reward, coarse), 3, rng)
+        single = random_reward_augmented_policy(gr, rng)
+        joint = random_reward_augmented_policy(rl.discretize_reward(reward, coarse), rng)
         for policy in (markov, single, joint):
             dist = rl.exact_return_distribution(mdp, policy, reward, fine)
             assert dist.probs.sum() == pytest.approx(1.0, abs=1e-15)

@@ -211,7 +211,7 @@ class TestRsBc:
         grid = rl.RewardGrid(0.5, mdp.horizon)
         gr = rl.discretize_reward(mdp.reward, grid)
         rng = np.random.default_rng(8)
-        expert = random_reward_augmented_policy(gr, mdp.num_states, rng)
+        expert = random_reward_augmented_policy(gr, rng)
         data = rl.sample_trajectories(mdp, expert, 100_000, seed=1)
         estimated = rs_bc(data, mdp.reward, grid)
         exact = rl.construct_pi_r(mdp, expert, gr, grid)

@@ -177,7 +177,7 @@ class TestBuildLp:
         mdp, _, grid = tiny_grid_instance(2, horizon=3, step=0.5)
         rng = np.random.default_rng(0)
         gr = rl.discretize_reward(mdp.reward, grid)
-        member = random_reward_augmented_policy(gr, mdp.num_states, rng)
+        member = random_reward_augmented_policy(gr, rng)
         eta_hat = rl.exact_return_distribution(mdp, member, mdp.reward, grid)
         aug = rl.build_augmented_mdp(mdp, grid, mdp.reward)
         sol = solve(build_rskt_lp(aug, eta_hat))
@@ -205,12 +205,12 @@ class TestBuildLp:
         aug = rl.build_augmented_mdp(mdp, grid, mdp.reward)
         rng = np.random.default_rng(4)
         eta_hat = rl.exact_return_distribution(
-            mdp, random_reward_augmented_policy(gr, mdp.num_states, rng), mdp.reward, grid
+            mdp, random_reward_augmented_policy(gr, rng), mdp.reward, grid
         )
         lp = build_rskt_lp(aug, eta_hat)
         layout = lp_layout(aug, eta_hat)
         for _ in range(5):
-            policy = random_reward_augmented_policy(gr, mdp.num_states, rng)
+            policy = random_reward_augmented_policy(gr, rng)
             occ = exact_augmented_occupancy(mdp, policy, gr)
             x = layout.pack_occupancy(occ)
             residual = np.abs(lp.A_eq @ x - lp.b_eq).max()
@@ -229,7 +229,7 @@ class TestBuildLp:
         aug = rl.build_augmented_mdp(mdp, grid, mdp.reward)
         rng = np.random.default_rng(5)
         eta_hat = rl.exact_return_distribution(
-            mdp, random_reward_augmented_policy(gr, mdp.num_states, rng), mdp.reward, grid
+            mdp, random_reward_augmented_policy(gr, rng), mdp.reward, grid
         )
         lp = build_rskt_lp(aug, eta_hat)
         layout = lp_layout(aug, eta_hat)
@@ -413,7 +413,7 @@ class TestOccupancyToPolicy:
         mdp, _, grid = tiny_grid_instance(9, horizon=3, step=0.5)
         gr = rl.discretize_reward(mdp.reward, grid)
         rng = np.random.default_rng(2)
-        policy = random_reward_augmented_policy(gr, mdp.num_states, rng)
+        policy = random_reward_augmented_policy(gr, rng)
         occ = exact_augmented_occupancy(mdp, policy, gr)
         recovered = self._policy(occ, gr)
         live = occ.sum(axis=3) > 1e-9
@@ -426,7 +426,7 @@ class TestRsKt:
         mdp, _, grid = tiny_grid_instance(12, horizon=3, step=0.5)
         gr = rl.discretize_reward(mdp.reward, grid)
         rng = np.random.default_rng(10)
-        expert = random_reward_augmented_policy(gr, mdp.num_states, rng)
+        expert = random_reward_augmented_policy(gr, rng)
         n = 2000
         data = rl.sample_trajectories(mdp, expert, n, seed=6)
         _, diag = rs_kt(data, mdp, mdp.reward, grid)
@@ -471,7 +471,7 @@ class TestRsKt:
             eta_hat = rl.empirical_return_distribution(data, mdp.reward, grid)
             _, diag = rs_kt(data, mdp, mdp.reward, grid)
             for _ in range(30):
-                candidate = random_reward_augmented_policy(gr, mdp.num_states, rng)
+                candidate = random_reward_augmented_policy(gr, rng)
                 d = rl.exact_return_distribution(mdp, candidate, mdp.reward, grid)
                 assert diag.objective <= rl.wasserstein(d, eta_hat) + 1e-7
 

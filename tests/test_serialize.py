@@ -21,7 +21,7 @@ def _pinned_policies():
     markov = rl.random_markovian_policy(3, 2, 4, np.random.default_rng(0))
     mdp, _ = make_instance(6, rho=0.5)
     gr = rl.discretize_reward(mdp.reward, rl.RewardGrid(0.5, mdp.horizon))
-    augmented = random_reward_augmented_policy(gr, mdp.num_states, np.random.default_rng(1))
+    augmented = random_reward_augmented_policy(gr, np.random.default_rng(1))
     return {"markovian": markov, "reward-augmented": augmented, "fork": rl.make_fork_fixture()[1]}
 
 
@@ -85,7 +85,7 @@ class TestPolicyDocuments:
         grid = rl.RewardGrid(0.5, mdp.horizon)
         gr = rl.discretize_reward(mdp.reward, grid)
         rng = np.random.default_rng(1)
-        pol = random_reward_augmented_policy(gr, mdp.num_states, rng)
+        pol = random_reward_augmented_policy(gr, rng)
         again = parse_policy(format_policy(pol))
         assert isinstance(again, rl.RewardAugmentedPolicy)
         assert np.array_equal(again.table, pol.table)
@@ -97,7 +97,7 @@ class TestPolicyDocuments:
         grid = rl.RewardGrid(0.5, mdp.horizon)
         gr = rl.discretize_reward(mdp.reward, grid)
         rng = np.random.default_rng(1)
-        text = format_policy(random_reward_augmented_policy(gr, mdp.num_states, rng))
+        text = format_policy(random_reward_augmented_policy(gr, rng))
         lines = text.splitlines()
         start = lines.index("policy") + 1
         h, s, g = (int(tok) for tok in lines[start].split()[:3])
